@@ -5,6 +5,16 @@ proprioception, per-head readouts), so each group occupies a fixed
 absolute position in the context window. Observations missing for an
 embodiment are zero-filled and pad-flagged; attention masking makes the
 pads and the readout slots provably inert for everyone else.
+
+That inertness is what lets `compact` drop slots before the backbone runs
+without changing any kept slot's output:
+- a pad slot is a key only for itself (mask rule a), so dropping it removes
+  no term from any other query's attention;
+- a readout slot is a key only for itself (rules b and c), so dropping
+  another head's readouts, or this head's readouts at other steps, removes
+  no term either.
+Every kept slot keeps its original position embedding and its row of the
+original mask, so the backbone computes the same numbers on fewer rows.
 """
 
 from __future__ import annotations
@@ -171,6 +181,7 @@ class AssembledWindow:
     attn_mask: np.ndarray  # [B, k*S, k*S] bool, True where attention permitted
     valid_steps: np.ndarray  # [B, k] bool
     layout: SlotLayout
+    slots: np.ndarray  # [T] original slot index of each token column, ascending
 
 
 def build_attention_mask(layout: SlotLayout, pad: np.ndarray) -> np.ndarray:
@@ -294,7 +305,38 @@ def assemble_batch(
     tokens = (content + readout_tiled + params["asm/pos"]) * notpad
 
     attn = build_attention_mask(layout, pad)
-    return AssembledWindow(tokens=tokens, pad=pad, attn_mask=attn, valid_steps=valid, layout=layout)
+    return AssembledWindow(
+        tokens=tokens, pad=pad, attn_mask=attn, valid_steps=valid, layout=layout, slots=np.arange(t)
+    )
+
+
+def compact(window: AssembledWindow, rows: np.ndarray, head: str, steps=slice(None)) -> AssembledWindow:
+    """The slots of `rows` that `head`'s readouts at `steps` can see, as a window.
+
+    `window` is a full window from `assemble_batch`. Kept slots: every
+    observation slot that is live for at least one of `rows`, plus the
+    head's readout slots at `steps`. All other slots are pads or readouts,
+    which no kept slot attends to (see the module docstring). A kept slot
+    that is pad for some of `rows` still attends only to itself there, so
+    sharing one slot set across `rows` is exact too. Tokens (with their
+    position embeddings already added) and the mask are gathered, never
+    rebuilt.
+    """
+    layout = window.layout
+    keep = (~window.pad[rows] & layout.token_is_obs).any(axis=0)
+    keep[layout.readout_indices(head)[steps].ravel()] = True
+    cols = np.flatnonzero(keep)
+    b, t, d = window.tokens.shape
+    flat = (rows[:, None] * t + cols).ravel()  # unique, so the gather's backward is one assignment
+    tokens = ad.take(window.tokens.reshape(b * t, d), flat, axis=0).reshape(len(rows), len(cols), d)
+    return AssembledWindow(
+        tokens=tokens,
+        pad=window.pad[np.ix_(rows, cols)],
+        attn_mask=window.attn_mask[np.ix_(rows, cols, cols)],
+        valid_steps=window.valid_steps[rows],
+        layout=layout,
+        slots=cols,
+    )
 
 
 def assemble_window(

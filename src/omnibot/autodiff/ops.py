@@ -33,16 +33,25 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
 
 
 def take(x: Tensor, indices: np.ndarray, axis: int) -> Tensor:
-    """Gather along an axis; duplicate indices accumulate in backward."""
+    """Gather along an axis; duplicate indices accumulate in backward.
+
+    Backward writes the gradient by plain assignment when the indices are
+    unique, and falls back to the much slower `np.add.at` otherwise.
+    """
     idx = np.asarray(indices)
     out = np.take(x.data, idx, axis=axis)
     shape, dtype = x.shape, x.data.dtype
 
     def factory():
+        unique = np.unique(idx % shape[axis]).size == idx.size
+
         def bwd(g):
             buf = np.zeros(shape, dtype=dtype)
             sel = (slice(None),) * axis + (idx,)
-            np.add.at(buf, sel, g)
+            if unique:
+                buf[sel] = g
+            else:
+                np.add.at(buf, sel, g)
             return (buf,)
 
         return bwd

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .assembler import AssembledWindow, SlotLayout
+from .assembler import AssembledWindow
 from .config import Config
 from .errors import DimensionError
 
@@ -74,30 +74,14 @@ def forward(window: AssembledWindow, params: dict[str, Tensor], cfg: Config) -> 
     return ad.layer_norm(x, params["bb/final_ln/g"], params["bb/final_ln/b"])
 
 
-def gather_readouts(embeddings: Tensor, layout: SlotLayout, head: str) -> Tensor:
-    """All readout-slot embeddings for a head: [B, k, chunk, d_model]."""
-    idx = layout.readout_indices(head)  # [k, chunk]
-    k, chunk = idx.shape
-    b, _, d = embeddings.shape
-    taken = ad.take(embeddings, idx.reshape(-1), axis=1)
-    return taken.reshape(b, k, chunk, d)
+def gather_readouts(embeddings: Tensor, window: AssembledWindow, head: str) -> Tensor:
+    """A head's readout embeddings at each step whose readouts the window holds.
 
-
-def readout_embeddings(embeddings: Tensor, window: AssembledWindow, head: str) -> list[Tensor]:
-    """Per-valid-step readout slices for a single window; newest step last.
-
-    embeddings may be [k*S, d] or [1, k*S, d].
+    [B, steps, chunk, d_model]: every step for a full window, and for a
+    window from `assembler.compact` the steps it was compacted for. Slots
+    are found by their original index, so both kinds of window work.
     """
-    if embeddings.ndim == 3:
-        if embeddings.shape[0] != 1:
-            raise DimensionError("readout_embeddings expects a single window")
-        embeddings = embeddings.reshape(embeddings.shape[1], embeddings.shape[2])
-    layout = window.layout
-    layout.readout_range(head, 0)  # raises KeyError for unknown heads
-    out = []
-    for step in range(layout.history):
-        if not window.valid_steps[0, step]:
-            continue
-        a, b = layout.readout_range(head, step)
-        out.append(embeddings[a:b])
-    return out
+    idx = window.layout.readout_indices(head)  # [k, chunk]
+    cols = np.flatnonzero(np.isin(window.slots, idx))
+    b, _, d = embeddings.shape
+    return ad.take(embeddings, cols, axis=1).reshape(b, -1, idx.shape[1], d)

@@ -21,6 +21,13 @@ EMBODIMENT_HEADS = {
 }
 
 
+def owned_head(embodiment: str) -> str:
+    """The action head an embodiment draws from."""
+    if embodiment not in EMBODIMENT_HEADS:
+        raise ContractError(f"unknown embodiment {embodiment!r}: no action head owns it")
+    return EMBODIMENT_HEADS[embodiment]
+
+
 @dataclass(frozen=True)
 class ActionHeadSpec:
     name: str
@@ -101,7 +108,7 @@ def _masked_objective(
         num = contrib if num is None else num + contrib
         den += mask.reshape(b, -1).sum(axis=1) * pred.shape[3]
     if (den == 0).any():
-        missing = int(np.argwhere(den == 0)[0])
+        missing = int(np.flatnonzero(den == 0)[0])
         raise ContractError(f"batch element {missing} owns no supervised head positions")
     per_element = num * ad.tensor(1.0 / den, dtype=first.data.dtype)
     return per_element.mean()

@@ -1,4 +1,16 @@
-"""The full policy: encoders + slot assembly + backbone + action heads."""
+"""The full policy: encoders + slot assembly + backbone + action heads.
+
+The backbone never runs on a whole assembled window. Each element owns one
+action head, the one its embodiment draws from, and only that head's loss
+sees the element. So `predict` runs the backbone once per owned head, on
+that head's owners and on the slots `assembler.compact` keeps for them:
+their live observation slots plus the head's readouts. The dropped slots
+are pads, which attend only to themselves, and readouts, which no query
+but themselves sees, so no kept slot's output changes (up to the order of
+floating-point sums). The other heads' readouts of an element would only
+have met a zero loss weight. `act` does the same for one window and the
+newest step's readouts of the requested head.
+"""
 
 from __future__ import annotations
 
@@ -53,13 +65,31 @@ class Policy:
         return backbone.forward(window, self.params, self.cfg)
 
     def predict(self, batch: TrainingBatch) -> dict[str, Tensor]:
-        """Per-head chunk predictions at every window step: [B, k, chunk, dim]."""
+        """Per-head chunk predictions at every window step: [B, k, chunk, action_dim].
+
+        An element owns the head of its window's embodiment; its rows of
+        every other head are exact zeros. Ownership comes from the windows
+        alone, so `batch.targets`, `batch.loss_masks` and `batch.heads` are
+        not read.
+        """
         window = self.assemble(batch.windows)
-        emb = self.embeddings(window)
+        owners = np.array([heads.owned_head(frames[0].embodiment) for frames in batch.windows])
+        unknown = sorted(set(owners.tolist()) - set(self.head_specs))
+        if unknown:
+            raise ContractError(f"batch needs heads {unknown} that the config does not define")
+        b, k = window.valid_steps.shape
         out = {}
-        for name in self.head_specs:
-            tokens = backbone.gather_readouts(emb, self.layout, name)
-            out[name] = heads.project(tokens, self.params, name)
+        for name, spec in self.head_specs.items():
+            shape = (b, k, spec.chunk_size, spec.action_dim)
+            rows = np.flatnonzero(owners == name)
+            if not rows.size:
+                out[name] = ad.zeros(shape, dtype=self.dtype)
+                continue
+            sub = assembler.compact(window, rows, name)
+            pred = heads.project(backbone.gather_readouts(self.embeddings(sub), sub, name), self.params, name)
+            # one scattered row per owner: [B, 1, k*chunk*action_dim], zeros elsewhere
+            placed = ad.scatter_tokens(pred.reshape(rows.size, -1), rows, np.zeros_like(rows), b, 1)
+            out[name] = placed.reshape(shape)
         return out
 
     def loss(self, batch: TrainingBatch) -> Tensor:
@@ -77,6 +107,7 @@ class Policy:
             raise ContractError(f"unknown head {head!r}")
         with ad.no_grad():
             window = self.assemble([frames])
-            emb = self.embeddings(window)
-            slices = backbone.readout_embeddings(emb, window, head)
-            return heads.decode(slices[-1], self.params, self.head_specs[head])
+            newest = np.flatnonzero(window.valid_steps[0])[-1:]
+            sub = assembler.compact(window, np.zeros(1, dtype=np.intp), head, newest)
+            readouts = backbone.gather_readouts(self.embeddings(sub), sub, head)
+            return heads.decode(readouts.reshape(-1, readouts.shape[-1]), self.params, self.head_specs[head])

@@ -465,6 +465,11 @@ def test_take_and_scatter_round_trip_grads():
     assert g[0, 5, 0] == 1.0
     assert g[0, 1, 0] == 0.0
 
+    # unique indices (the assignment path) and an index aliased by its negative form
+    for idx, want in (([4, 1, 2], [0, 1, 1, 0, 1, 0]), ([5, -1, 2], [0, 0, 1, 0, 0, 2])):
+        g = ad.backward(ad.take(x, np.array(idx), axis=1).sum(), [x])[x]
+        np.testing.assert_array_equal(g[1, :, 2], want)
+
     src = ad.param(rand((3, 4), 62))
     out = ad.scatter_tokens(src, np.array([0, 1, 1]), np.array([2, 0, 3]), batch=2, tokens=5)
     assert out.shape == (2, 5, 4)

@@ -75,25 +75,6 @@ def test_determinism_bit_identical(policy):
     )
 
 
-def test_readout_embeddings_shapes(policy):
-    win = policy.assemble([frames_for("arm1", 5, seed=4)])
-    emb = policy.embeddings(win)
-    slices = backbone.readout_embeddings(emb, win, "single-arm")
-    assert len(slices) == 5
-    assert all(s.shape == (4, 64) for s in slices)
-    quad = backbone.readout_embeddings(emb, win, "quadruped")
-    assert all(s.shape == (1, 64) for s in quad)
-    with pytest.raises(KeyError):
-        backbone.readout_embeddings(emb, win, "nope")
-
-
-def test_readout_embeddings_skip_padded_steps(policy):
-    win = policy.assemble([frames_for("arm1", 2, seed=5)])
-    emb = policy.embeddings(win)
-    slices = backbone.readout_embeddings(emb, win, "single-arm")
-    assert len(slices) == 2
-
-
 def test_batch_permutation_consistency(policy):
     a = frames_for("nav", 5, seed=6)
     b = frames_for("quad", 5, seed=7)
