@@ -179,31 +179,39 @@ _GELU_A = 0.044715
 
 
 def gelu(x: Tensor) -> Tensor:
-    """tanh-approximation GELU; in-place buffer reuse on the hot path."""
+    """tanh-approximation GELU; in-place buffer reuse on the hot path.
+
+    Computed as x / (1 + exp(-2u)) with u = c * (x + a * x^3), which equals
+    0.5 * x * (1 + tanh(u)) but keeps full relative precision in the far
+    negative tail, where 1 + tanh(u) cancels. There exp(-2u) may overflow
+    to inf, and the output is then an exact -0.0.
+    """
     xd = x.data
     one = xd.dtype.type(1.0)
-    half = xd.dtype.type(0.5)
-    t = xd * xd
-    t *= xd.dtype.type(_GELU_A)
-    t *= xd
-    t += xd
-    t *= xd.dtype.type(_GELU_C)
-    np.tanh(t, out=t)  # t = tanh(c * (x + a * x^3))
-    out = t + one
-    out *= xd
-    out *= half
+    with np.errstate(over="ignore"):
+        t = xd * xd
+        t *= xd.dtype.type(-2.0 * _GELU_C * _GELU_A)
+        t += xd.dtype.type(-2.0 * _GELU_C)
+        t *= xd  # t = -2u
+        np.exp(t, out=t)
+        t += one  # t = 1 + exp(-2u), so sigmoid(2u) = 1 / t
+        out = xd / t
 
     def factory():
         def bwd(g):
-            du = xd * xd
-            du *= xd.dtype.type(3.0 * _GELU_A)
-            du += one
-            du *= xd.dtype.type(_GELU_C)
-            du *= one - t * t
-            du *= xd
-            du += one + t
-            du *= half
-            du *= g
+            # d/dx x*s = s * (1 + x * (1 - s) * 2u'), with s = sigmoid(2u);
+            # s * (1 - s) is formed first so that it stays 0 where s is 0
+            with np.errstate(over="ignore"):
+                s = one / t
+                du = one - s
+                du *= s
+                du *= xd
+                up = xd * xd
+                up *= xd.dtype.type(6.0 * _GELU_C * _GELU_A)
+                up += xd.dtype.type(2.0 * _GELU_C)  # up = 2u'
+                du *= up
+                du += s
+                du *= g
             return (du,)
 
         return bwd
@@ -224,9 +232,11 @@ def _norm_qkv(t: Tensor) -> tuple[np.ndarray, tuple[int, ...]]:
 class AttentionMask:
     """A validated boolean key mask plus reusable float buffers.
 
-    Wrapping once and passing the wrapper to many attention calls (e.g.
-    every transformer layer) amortizes the degenerate-row check and the
-    sentinel/keep buffer construction.
+    The mask is [Tq, Tk] or [B, Tq, Tk], True where key j is permitted for
+    query i; queries and keys may differ in number. Wrapping once and
+    passing the wrapper to many attention calls (e.g. every transformer
+    layer) amortizes the degenerate-row check and the sentinel/keep buffer
+    construction.
     """
 
     def __init__(self, permitted: np.ndarray):
@@ -235,8 +245,8 @@ class AttentionMask:
             raise DimensionError("attention mask must be boolean")
         if permitted.ndim == 2:
             permitted = permitted[None]
-        if permitted.ndim != 3 or permitted.shape[-1] != permitted.shape[-2]:
-            raise DimensionError(f"attention mask must be [S, S] or [B, S, S], got {permitted.shape}")
+        if permitted.ndim != 3:
+            raise DimensionError(f"attention mask must be [Tq, Tk] or [B, Tq, Tk], got {permitted.shape}")
         if not permitted.any(axis=-1).all():
             bad = np.argwhere(~permitted.any(axis=-1))[0]
             raise DegenerateMaskError(f"mask row {tuple(bad)} permits no keys")
@@ -244,7 +254,7 @@ class AttentionMask:
         self._buffers: dict = {}
 
     def buffers(self, dtype) -> tuple[np.ndarray, np.ndarray]:
-        """(additive, keep): 0/-inf sentinel and 1/0 rewrite factors, [B, 1, S, S]."""
+        """(additive, keep): 0/-inf sentinel and 1/0 rewrite factors, [B, 1, Tq, Tk]."""
         key = np.dtype(dtype).name
         if key not in self._buffers:
             additive = np.where(self.permitted, dtype.type(0), dtype.type(-np.inf))[:, None]
@@ -256,27 +266,29 @@ class AttentionMask:
 def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask) -> Tensor:
     """Scaled dot-product attention restricted to a boolean key mask.
 
-    q, k, v: [S, d], [B, S, d] or [B, h, S, d]; mask: [S, S] or [B, S, S]
-    boolean (or a prebuilt AttentionMask), True where key j is permitted
-    for query i. Forbidden scores are replaced with the -inf sentinel
-    before the softmax and the resulting weights rewritten by a hard 0/1
-    factor, so forbidden keys get weight exactly 0.0: perturbing their
-    value rows cannot change any permitted output bit.
+    q: [Tq, d], [B, Tq, d] or [B, h, Tq, d]; k and v: the same with Tk
+    rows; mask: [Tq, Tk] or [B, Tq, Tk] boolean (or a prebuilt
+    AttentionMask), True where key j is permitted for query i. Forbidden
+    scores are replaced with the -inf sentinel before the softmax and the
+    resulting weights rewritten by a hard 0/1 factor, so forbidden keys get
+    weight exactly 0.0: perturbing their value rows cannot change any
+    permitted output bit.
     """
-    if q.shape != k.shape or q.shape != v.shape:
-        raise DimensionError(f"attention q/k/v shapes differ: {q.shape}, {k.shape}, {v.shape}")
-    q4, orig_shape = _norm_qkv(q)
-    k4, _ = _norm_qkv(k)
+    if k.shape != v.shape or q.shape[:-2] != k.shape[:-2] or q.shape[-1] != k.shape[-1]:
+        raise DimensionError(f"attention q/k/v shapes do not match: {q.shape}, {k.shape}, {v.shape}")
+    q4, q_shape = _norm_qkv(q)
+    k4, k_shape = _norm_qkv(k)
     v4, _ = _norm_qkv(v)
-    nb, nh, nt, dh = q4.shape
+    nb, nh, tq, dh = q4.shape
+    tk = k4.shape[2]
 
     amask = mask if isinstance(mask, AttentionMask) else AttentionMask(mask)
-    if amask.permitted.shape != (nb, nt, nt):
-        if amask.permitted.shape == (1, nt, nt):
-            amask = AttentionMask(np.broadcast_to(amask.permitted[0], (nb, nt, nt)))
+    if amask.permitted.shape != (nb, tq, tk):
+        if amask.permitted.shape == (1, tq, tk):
+            amask = AttentionMask(np.broadcast_to(amask.permitted[0], (nb, tq, tk)))
         else:
             raise DimensionError(
-                f"attention mask shape {amask.permitted.shape} incompatible with q {q.shape}"
+                f"attention mask shape {amask.permitted.shape} incompatible with q {q.shape} and k {k.shape}"
             )
     additive, keep = amask.buffers(q4.dtype)
 
@@ -301,11 +313,11 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask) -> Tensor:
             gq *= scale
             gk = np.matmul(np.swapaxes(gs, -1, -2), q4)
             gk *= scale
-            return gq.reshape(orig_shape), gk.reshape(orig_shape), gv.reshape(orig_shape)
+            return gq.reshape(q_shape), gk.reshape(k_shape), gv.reshape(k_shape)
 
         return bwd
 
-    return Tensor._make(out4.reshape(orig_shape), (q, k, v), factory, "masked_attention")
+    return Tensor._make(out4.reshape(q_shape), (q, k, v), factory, "masked_attention")
 
 
 def _same_pad(extent: int, kernel: int, stride: int) -> tuple[int, int, int]:

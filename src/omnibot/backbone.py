@@ -1,8 +1,9 @@
 """Decoder-only transformer over assembled windows.
 
 Pre-norm residual blocks; the window's attention mask is applied unchanged
-in every layer, so the assembler's causality/pad/readout guarantees hold
-end to end.
+in every layer (in the last one, when a head is given, only its readout
+rows), so the assembler's causality/pad/readout guarantees hold end to
+end.
 """
 
 from __future__ import annotations
@@ -44,8 +45,19 @@ def init_backbone_params(cfg: Config, rng: np.random.Generator, dtype=np.float32
     return params
 
 
-def forward(window: AssembledWindow, params: dict[str, Tensor], cfg: Config) -> Tensor:
-    """[B, k*S, d_model] embeddings for every token in the window."""
+def forward(window: AssembledWindow, params: dict[str, Tensor], cfg: Config, head: str | None = None) -> Tensor:
+    """Backbone embeddings of the window's tokens.
+
+    With `head` None: [B, T, d_model], one row per token column. With a
+    head: [B, steps, chunk, d_model], that head's readout embeddings at
+    each step whose readouts the window holds (every step of a full window;
+    the steps a window from `assembler.compact` was compacted for), found
+    by original slot index in `window.slots`. Every layer but the last
+    runs on all rows, which later layers read as keys and values. The last
+    layer needs all rows only for its keys and values; its queries,
+    attention output, MLP and the final norm are row-wise, so they run on
+    the readout rows alone and give the same numbers as the full forward.
+    """
     bb = cfg.backbone
     x = window.tokens
     if x.shape[-1] != bb.d_model:
@@ -53,35 +65,32 @@ def forward(window: AssembledWindow, params: dict[str, Tensor], cfg: Config) -> 
     b, t, d = x.shape
     nh, dh = bb.heads, bb.d_model // bb.heads
     mask = ad.ops.AttentionMask(window.attn_mask) if bb.layers else None
+    if head is not None:
+        idx = window.layout.readout_indices(head)  # [k, chunk]
+        cols = np.flatnonzero(np.isin(window.slots, idx))
+        if not bb.layers:
+            x = ad.take(x, cols, axis=1)
 
     for i in range(bb.layers):
         p = f"bb/layer{i}"
         h = ad.layer_norm(x, params[f"{p}/ln1/g"], params[f"{p}/ln1/b"])
-        q = ad.linear(h, params[f"{p}/attn/wq"], params[f"{p}/attn/qb"])
         k = ad.linear(h, params[f"{p}/attn/wk"], params[f"{p}/attn/kb"])
         v = ad.linear(h, params[f"{p}/attn/wv"], params[f"{p}/attn/vb"])
-        q = q.reshape(b, t, nh, dh).transpose((0, 2, 1, 3))
+        if head is not None and i == bb.layers - 1:
+            x, h = ad.take(x, cols, axis=1), ad.take(h, cols, axis=1)
+            mask = ad.ops.AttentionMask(window.attn_mask[:, cols])
+        tq = x.shape[1]
+        q = ad.linear(h, params[f"{p}/attn/wq"], params[f"{p}/attn/qb"])
+        q = q.reshape(b, tq, nh, dh).transpose((0, 2, 1, 3))
         k = k.reshape(b, t, nh, dh).transpose((0, 2, 1, 3))
         v = v.reshape(b, t, nh, dh).transpose((0, 2, 1, 3))
         att = ad.masked_attention(q, k, v, mask)
-        att = att.transpose((0, 2, 1, 3)).reshape(b, t, d)
+        att = att.transpose((0, 2, 1, 3)).reshape(b, tq, d)
         x = x + ad.linear(att, params[f"{p}/attn/wo"], params[f"{p}/attn/ob"])
 
         h2 = ad.layer_norm(x, params[f"{p}/ln2/g"], params[f"{p}/ln2/b"])
         m = ad.gelu(ad.linear(h2, params[f"{p}/mlp/w1"], params[f"{p}/mlp/b1"]))
         x = x + ad.linear(m, params[f"{p}/mlp/w2"], params[f"{p}/mlp/b2"])
 
-    return ad.layer_norm(x, params["bb/final_ln/g"], params["bb/final_ln/b"])
-
-
-def gather_readouts(embeddings: Tensor, window: AssembledWindow, head: str) -> Tensor:
-    """A head's readout embeddings at each step whose readouts the window holds.
-
-    [B, steps, chunk, d_model]: every step for a full window, and for a
-    window from `assembler.compact` the steps it was compacted for. Slots
-    are found by their original index, so both kinds of window work.
-    """
-    idx = window.layout.readout_indices(head)  # [k, chunk]
-    cols = np.flatnonzero(np.isin(window.slots, idx))
-    b, _, d = embeddings.shape
-    return ad.take(embeddings, cols, axis=1).reshape(b, -1, idx.shape[1], d)
+    out = ad.layer_norm(x, params["bb/final_ln/g"], params["bb/final_ln/b"])
+    return out if head is None else out.reshape(b, -1, idx.shape[1], d)

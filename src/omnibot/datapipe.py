@@ -203,13 +203,17 @@ def mask_modality(example: TrainingExample, rng: np.random.Generator) -> Trainin
 
 
 def augment(img: np.ndarray, rng: np.random.Generator, max_shift: int = 2, jitter: float = 0.1) -> np.ndarray:
-    """Pad-and-crop shift plus brightness/contrast jitter, clamped to [0, 1]."""
+    """Pad-and-crop shift plus brightness/contrast jitter, clamped to [0, 1].
+
+    img: [..., C, H, W]. One draw covers every image on the leading axes,
+    so a stacked history gets the same transform at each step.
+    """
     out = img
     if max_shift > 0:
         dy, dx = (int(v) for v in rng.integers(-max_shift, max_shift + 1, size=2))
-        padded = np.pad(img, ((0, 0), (max_shift, max_shift), (max_shift, max_shift)))
-        h, w = img.shape[1:]
-        out = padded[:, max_shift + dy : max_shift + dy + h, max_shift + dx : max_shift + dx + w]
+        padded = np.pad(img, ((0, 0),) * (img.ndim - 2) + ((max_shift, max_shift),) * 2)
+        h, w = img.shape[-2:]
+        out = padded[..., max_shift + dy : max_shift + dy + h, max_shift + dx : max_shift + dx + w]
     scale = 1.0 + rng.uniform(-jitter, jitter)
     shift = rng.uniform(-jitter, jitter)
     return np.clip(out * np.float32(scale) + np.float32(shift), 0.0, 1.0).astype(np.float32)
@@ -220,31 +224,21 @@ def augment_example(example: TrainingExample, rng: np.random.Generator, cfg: Con
     the goal image gets an independent draw."""
     max_shift, jitter = cfg.train.max_shift_px, cfg.train.jitter
     views = [g.name for g in cfg.layout.groups if g.kind == "obs-image"]
-    plans = {}
+    frames = [replace(f, observations=dict(f.observations)) for f in example.frames]
     for view in views:
-        if any(view in f.observations for f in example.frames):
-            plans[view] = generator(int(rng.integers(0, 2**63)))
-    frames = []
-    goal_rng = None
-    for f in example.frames:
-        obs = dict(f.observations)
-        for view, view_rng in plans.items():
-            if view in obs:
-                # same transform for every step: re-seed per frame from one plan
-                obs[view] = augment(obs[view], _clone(view_rng), max_shift, jitter)
-        goal = f.goal
-        if goal is not None:
-            if goal_rng is None:
-                goal_rng = generator(int(rng.integers(0, 2**63)))
-            goal = augment(goal, _clone(goal_rng), max_shift, jitter)
-        frames.append(replace(f, observations=obs, goal=goal))
+        having = [f for f in frames if view in f.observations]
+        if having:
+            view_rng = generator(int(rng.integers(0, 2**63)))
+            stacked = augment(np.stack([f.observations[view] for f in having]), view_rng, max_shift, jitter)
+            for f, img in zip(having, stacked):
+                f.observations[view] = img
+    # frames share one goal array; augment each distinct one once, with one draw
+    goals = {id(f.goal): f.goal for f in frames if f.goal is not None}
+    if goals:
+        goal_rng = generator(int(rng.integers(0, 2**63)))
+        done = dict(zip(goals, augment(np.stack(list(goals.values())), goal_rng, max_shift, jitter)))
+        frames = [f if f.goal is None else replace(f, goal=done[id(f.goal)]) for f in frames]
     return replace(example, frames=frames)
-
-
-def _clone(rng: np.random.Generator) -> np.random.Generator:
-    clone = np.random.Generator(np.random.PCG64())
-    clone.bit_generator.state = rng.bit_generator.state
-    return clone
 
 
 # --------------------------------------------------------------- mixtures

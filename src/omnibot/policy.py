@@ -10,6 +10,13 @@ but themselves sees, so no kept slot's output changes (up to the order of
 floating-point sums). The other heads' readouts of an element would only
 have met a zero loss weight. `act` does the same for one window and the
 newest step's readouts of the requested head.
+
+A third fact trims the last layer: the heads read only readout rows, and
+there every other row serves only as a key and a value, because an
+attention row depends on its own query alone and the rest of the block is
+row-wise. So both pass their head to `backbone.forward`, which runs the
+last layer's queries, attention rows, MLP and final norm on the readout
+rows alone; no readout's output changes.
 """
 
 from __future__ import annotations
@@ -61,9 +68,6 @@ class Policy:
     def assemble(self, windows) -> assembler.AssembledWindow:
         return assembler.assemble_batch(windows, self.layout, self.bank, self.params)
 
-    def embeddings(self, window: assembler.AssembledWindow) -> Tensor:
-        return backbone.forward(window, self.params, self.cfg)
-
     def predict(self, batch: TrainingBatch) -> dict[str, Tensor]:
         """Per-head chunk predictions at every window step: [B, k, chunk, action_dim].
 
@@ -86,7 +90,7 @@ class Policy:
                 out[name] = ad.zeros(shape, dtype=self.dtype)
                 continue
             sub = assembler.compact(window, rows, name)
-            pred = heads.project(backbone.gather_readouts(self.embeddings(sub), sub, name), self.params, name)
+            pred = heads.project(backbone.forward(sub, self.params, self.cfg, head=name), self.params, name)
             # one scattered row per owner: [B, 1, k*chunk*action_dim], zeros elsewhere
             placed = ad.scatter_tokens(pred.reshape(rows.size, -1), rows, np.zeros_like(rows), b, 1)
             out[name] = placed.reshape(shape)
@@ -109,5 +113,5 @@ class Policy:
             window = self.assemble([frames])
             newest = np.flatnonzero(window.valid_steps[0])[-1:]
             sub = assembler.compact(window, np.zeros(1, dtype=np.intp), head, newest)
-            readouts = backbone.gather_readouts(self.embeddings(sub), sub, head)
+            readouts = backbone.forward(sub, self.params, self.cfg, head=head)
             return heads.decode(readouts.reshape(-1, readouts.shape[-1]), self.params, self.head_specs[head])

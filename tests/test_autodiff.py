@@ -235,26 +235,42 @@ def test_attention_all_false_row_raises():
 
 
 def test_attention_grads_vs_central_differences():
-    q = ad.param(rand((5, 3), 30))
-    k = ad.param(rand((5, 3), 31))
-    v = ad.param(rand((5, 3), 32))
-    rng = np.random.Generator(np.random.PCG64(33))
-    mask = rng.random((5, 5)) < 0.7
-    mask[np.arange(5), np.arange(5)] = True
-    wsum = rand((5, 3), 34)
+    for tq, tk in ((5, 5), (3, 6)):  # square, and fewer queries than keys
+        q = ad.param(rand((tq, 3), 30))
+        k = ad.param(rand((tk, 3), 31))
+        v = ad.param(rand((tk, 3), 32))
+        rng = np.random.Generator(np.random.PCG64(33))
+        mask = rng.random((tq, tk)) < 0.7
+        mask[np.arange(tq), np.arange(tq)] = True
+        wsum = rand((tq, 3), 34)
 
-    def forward():
-        return (ad.masked_attention(q, k, v, mask) * ad.tensor(wsum)).sum()
+        def forward():
+            return (ad.masked_attention(q, k, v, mask) * ad.tensor(wsum)).sum()
 
-    grads = ad.backward(forward(), [q, k, v])
+        grads = ad.backward(forward(), [q, k, v])
 
-    def f():
-        return (attention_oracle(q.data, k.data, v.data, mask) * wsum).sum()
+        def f():
+            return (attention_oracle(q.data, k.data, v.data, mask) * wsum).sum()
 
-    for t in (q, k, v):
-        num = numeric_grad(f, t.data)
-        rel = np.abs(grads[t] - num) / (np.abs(num) + 1e-12)
-        assert rel.max() < 1e-5, f"max rel err {rel.max()}"
+        for t in (q, k, v):
+            num = numeric_grad(f, t.data)
+            rel = np.abs(grads[t] - num) / (np.abs(num) + 1e-12)
+            assert rel.max() < 1e-5, f"({tq}, {tk}): max rel err {rel.max()}"
+
+
+@pytest.mark.parametrize(
+    "q_shape, k_shape, mask_shape",
+    [
+        ((2, 3, 4), (2, 5, 4), (2, 5, 5)),  # mask rows follow k, not q
+        ((2, 3, 4), (2, 5, 4), (2, 3, 3)),  # mask columns follow q, not k
+        ((2, 3, 4), (2, 5, 2), (2, 3, 5)),  # q and k head widths differ
+        ((2, 3, 4), (1, 5, 4), (2, 3, 5)),  # q and k batches differ
+    ],
+)
+def test_attention_shape_mismatch_raises(q_shape, k_shape, mask_shape):
+    q, k = ad.tensor(np.ones(q_shape)), ad.tensor(np.ones(k_shape))
+    with pytest.raises(DimensionError):
+        ad.masked_attention(q, k, k, np.ones(mask_shape, dtype=bool))
 
 
 def test_attention_grad_of_forbidden_value_row_is_zero():
@@ -582,6 +598,9 @@ def test_finite_diff_requires_float64():
 @settings(max_examples=20, deadline=None)
 @example(rows=1, cols=2, seed=82)
 @example(rows=1, cols=2, seed=9387)
+@example(rows=1, cols=1, seed=13)
+@example(rows=1, cols=1, seed=3269)
+@example(rows=1, cols=1, seed=206879)
 @given(
     rows=st.integers(1, 4),
     cols=st.integers(1, 4),

@@ -44,7 +44,7 @@ def frames_for(embodiment, n, seed=0):
 
 def test_output_shape_equals_input_shape(policy, cfg):
     win = policy.assemble([frames_for("nav", 3), frames_for("quad", 5, seed=2)])
-    emb = policy.embeddings(win)
+    emb = backbone.forward(win, policy.params, policy.cfg)
     assert emb.shape == win.tokens.shape
 
 
@@ -57,6 +57,10 @@ def test_zero_layer_backbone_is_final_norm_only(policy, cfg):
     out = backbone.forward(win, policy.params, cfg0)
     ref = ad.layer_norm(win.tokens, policy.params["bb/final_ln/g"], policy.params["bb/final_ln/b"])
     np.testing.assert_array_equal(out.data, ref.data)
+    idx = policy.layout.readout_indices("navigation")
+    readouts = backbone.forward(win, policy.params, cfg0, head="navigation")
+    assert readouts.shape == (1,) + idx.shape + (cfg0.backbone.d_model,)
+    np.testing.assert_array_equal(readouts.data, ref.data[:, idx])
 
 
 def test_d_model_mismatch_raises(policy):
@@ -71,15 +75,16 @@ def test_determinism_bit_identical(policy):
     win1 = policy.assemble([frames_for("bimanual", 4, seed=3)])
     win2 = policy.assemble([frames_for("bimanual", 4, seed=3)])
     np.testing.assert_array_equal(
-        policy.embeddings(win1).data, policy.embeddings(win2).data
+        backbone.forward(win1, policy.params, policy.cfg).data,
+        backbone.forward(win2, policy.params, policy.cfg).data,
     )
 
 
 def test_batch_permutation_consistency(policy):
     a = frames_for("nav", 5, seed=6)
     b = frames_for("quad", 5, seed=7)
-    emb_ab = policy.embeddings(policy.assemble([a, b])).data
-    emb_ba = policy.embeddings(policy.assemble([b, a])).data
+    emb_ab = backbone.forward(policy.assemble([a, b]), policy.params, policy.cfg).data
+    emb_ba = backbone.forward(policy.assemble([b, a]), policy.params, policy.cfg).data
     np.testing.assert_array_equal(emb_ab[0], emb_ba[1])
     np.testing.assert_array_equal(emb_ab[1], emb_ba[0])
 
@@ -131,12 +136,12 @@ def _forward_tokens(policy, win, tokens_data):
     import dataclasses
 
     win2 = dataclasses.replace(win, tokens=ad.tensor(tokens_data))
-    return policy.embeddings(win2).data
+    return backbone.forward(win2, policy.params, policy.cfg).data
 
 
 def test_causality_perturbation(policy):
     win = policy.assemble([frames_for("bimanual", 5, seed=9)])
-    base = policy.embeddings(win).data
+    base = backbone.forward(win, policy.params, policy.cfg).data
     s = policy.layout.step_tokens
     rng = np.random.Generator(np.random.PCG64(10))
     for t_star in (2, 4):
@@ -152,7 +157,7 @@ def test_causality_perturbation(policy):
 
 def test_readout_passivity_perturbation(policy):
     win = policy.assemble([frames_for("arm1", 5, seed=11)])
-    base = policy.embeddings(win).data
+    base = backbone.forward(win, policy.params, policy.cfg).data
     a, b = policy.layout.readout_range("single-arm", 3)
     tokens = win.tokens.data.copy()
     tokens[0, a] += 7.0
@@ -165,7 +170,7 @@ def test_readout_passivity_perturbation(policy):
 
 def test_pad_invariance_perturbation(policy):
     win = policy.assemble([frames_for("nav", 3, seed=12)])
-    base = policy.embeddings(win).data
+    base = backbone.forward(win, policy.params, policy.cfg).data
     rng = np.random.Generator(np.random.PCG64(13))
     tokens = win.tokens.data.copy()
     pad = win.pad[0]
@@ -182,5 +187,5 @@ def test_paper_scale_backbone_constructs_and_runs():
     assert (cfg.backbone.d_model, cfg.backbone.d_mlp) == (512, 2048)
     policy = Policy.init(cfg, seed=0)
     win = policy.assemble([frames_for("quad", 1)])
-    emb = policy.embeddings(win)
+    emb = backbone.forward(win, policy.params, policy.cfg)
     assert emb.shape == (1, policy.layout.context_tokens, 512)

@@ -1,9 +1,11 @@
 """Compacted windows against the dense computation, in float64.
 
-The dense oracle runs `backbone.forward` on the whole assembled window and
-reads every head's readouts from it. `Policy.predict` and `Policy.act` run
-the backbone only on the slots `assembler.compact` keeps; everything that
-reaches a loss or an action must agree with the oracle to rounding.
+The dense oracle runs `backbone.forward` without a head on the whole
+assembled window and reads every head's readouts from its rows.
+`Policy.predict` and `Policy.act` run the backbone only on the slots
+`assembler.compact` keeps, and its last layer only on the readout rows;
+everything that reaches a loss or an action must agree with the oracle to
+rounding.
 """
 
 import dataclasses
@@ -55,10 +57,16 @@ def batch_of(sampler, cfg, picks, seed=0):
     return datapipe.collate(examples, cfg)
 
 
+def dense_readouts(policy, window, head):
+    """A head's readouts at every step, read from the full-window forward: [B, k, chunk, d]."""
+    emb = backbone.forward(window, policy.params, policy.cfg)
+    idx = policy.layout.readout_indices(head)
+    return ad.take(emb, idx.ravel(), axis=1).reshape(emb.shape[0], *idx.shape, emb.shape[-1])
+
+
 def dense_predictions(policy, windows):
     window = policy.assemble(windows)
-    emb = backbone.forward(window, policy.params, policy.cfg)
-    return {h: heads.project(backbone.gather_readouts(emb, window, h), policy.params, h) for h in policy.head_specs}
+    return {h: heads.project(dense_readouts(policy, window, h), policy.params, h) for h in policy.head_specs}
 
 
 def rollout_frames(name, n, seed):
@@ -156,7 +164,7 @@ def test_act_matches_dense_newest_step(policy, name):
     frames = rollout_frames(name, 5, seed=21)
     for n in range(1, 6):
         full = policy.assemble([frames[:n]])
-        readouts = backbone.gather_readouts(backbone.forward(full, policy.params, policy.cfg), full, head)
+        readouts = dense_readouts(policy, full, head)
         want = heads.decode(readouts.reshape(readouts.shape[1:])[-1], policy.params, spec).values
         got = policy.act(frames[:n], head).values
         assert got.shape == (spec.chunk_size, spec.action_dim)
@@ -173,8 +181,10 @@ def test_compact_keeps_live_observations_and_the_heads_readouts(policy):
     np.testing.assert_array_equal(sub.attn_mask, window.attn_mask[np.ix_([0, 1], sub.slots, sub.slots)])
     np.testing.assert_array_equal(sub.tokens.data, window.tokens.data[[0, 1]][:, sub.slots])
     newest = assembler.compact(window, np.array([2]), "quadruped", [layout.history - 1])
-    assert newest.tokens.shape[1] == 2 + 1  # two live proprio slots plus one readout
-    assert backbone.gather_readouts(newest.tokens, newest, "quadruped").shape == (1, 1, 1, layout.d_model)
+    k, s = layout.history, layout.step_tokens
+    proprio = layout.group("quad-proprio").offset + np.array([(k - 2) * s, (k - 1) * s])
+    readout = layout.readout_indices("quadruped")[-1]
+    np.testing.assert_array_equal(newest.slots, np.concatenate([proprio, readout]))  # two live proprio slots, one readout
 
 
 def test_unknown_embodiment_raises_contract_error(policy):

@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import stats
 
 from omnibot import datapipe as dp
+from omnibot import envs
 from omnibot.assembler import build_layout
 from omnibot.config import desk_config
 from omnibot.errors import ConfigError, ContractError, CorruptionError, FormatError
@@ -269,6 +272,64 @@ def test_augment_goal_draw_independent():
     # augmented views differ from the raw trajectory content in general
     assert f.goal is not None
     assert f.goal.shape == (3, 24, 24)
+
+
+def copy_rng(g):
+    out = np.random.Generator(np.random.PCG64())
+    out.bit_generator.state = g.bit_generator.state
+    return out
+
+
+def augment_per_frame(example, rng, cfg):
+    """Reference: augment every frame's views and goal one at a time.
+
+    Each frame re-seeds a view's transform from a copy of that view's
+    generator, so all steps get the same draw; the goal likewise.
+    """
+    views = [g.name for g in cfg.layout.groups if g.kind == "obs-image"]
+    plans = {}
+    for view in views:
+        if any(view in f.observations for f in example.frames):
+            plans[view] = generator(int(rng.integers(0, 2**63)))
+    frames, goal_rng = [], None
+    for f in example.frames:
+        obs = dict(f.observations)
+        for view, view_rng in plans.items():
+            if view in obs:
+                obs[view] = dp.augment(obs[view], copy_rng(view_rng), cfg.train.max_shift_px, cfg.train.jitter)
+        goal = f.goal
+        if goal is not None:
+            if goal_rng is None:
+                goal_rng = generator(int(rng.integers(0, 2**63)))
+            goal = dp.augment(goal, copy_rng(goal_rng), cfg.train.max_shift_px, cfg.train.jitter)
+        frames.append(replace(f, observations=obs, goal=goal))
+    return replace(example, frames=frames)
+
+
+@pytest.mark.parametrize("name", ("arm1", "nav", "bimanual", "quad"))
+def test_augment_example_matches_per_frame_reference(name, tmp_path):
+    cfg = desk_config()
+    path = str(tmp_path / f"{name}.xeds")
+    envs.generate_dataset(name, 3, 31, path, cfg)
+    trajs = dp.read_shard(path)[1]
+    traj = max(trajs, key=lambda t: t.steps)
+    sampler = dp.BatchSampler({name: trajs * 10}, dp.MixtureSpec([(name, 1.0)]), cfg, build_layout(cfg), seed=0)
+    for i, end in enumerate((0, 1, 3, traj.steps - 1)):  # short windows and a full one
+        rng = generator(40 + i)
+        example = dp.mask_modality(sampler.build_example(traj, end, rng), rng)
+        rng_ref = copy_rng(rng)
+        want = augment_per_frame(example, rng_ref, cfg)
+        got = dp.augment_example(example, rng, cfg)
+        assert rng.bit_generator.state == rng_ref.bit_generator.state
+        assert len(got.frames) == len(want.frames) == min(end + 1, cfg.layout.history)
+        for g, w in zip(got.frames, want.frames):
+            assert g.observations.keys() == w.observations.keys()
+            for view in w.observations:
+                np.testing.assert_array_equal(g.observations[view], w.observations[view])
+                assert g.observations[view].dtype == w.observations[view].dtype
+            assert (g.goal is None) == (w.goal is None)
+            if w.goal is not None:
+                np.testing.assert_array_equal(g.goal, w.goal)
 
 
 # ----------------------------------------------------------------- batches
