@@ -320,7 +320,8 @@ def compact(window: AssembledWindow, rows: np.ndarray, head: str, steps=slice(No
     that is pad for some of `rows` still attends only to itself there, so
     sharing one slot set across `rows` is exact too. Tokens (with their
     position embeddings already added) and the mask are gathered, never
-    rebuilt.
+    rebuilt. The mask is gathered one axis at a time, several times faster
+    than one three-axis `np.ix_` index.
     """
     layout = window.layout
     keep = (~window.pad[rows] & layout.token_is_obs).any(axis=0)
@@ -331,8 +332,8 @@ def compact(window: AssembledWindow, rows: np.ndarray, head: str, steps=slice(No
     tokens = ad.take(window.tokens.reshape(b * t, d), flat, axis=0).reshape(len(rows), len(cols), d)
     return AssembledWindow(
         tokens=tokens,
-        pad=window.pad[np.ix_(rows, cols)],
-        attn_mask=window.attn_mask[np.ix_(rows, cols, cols)],
+        pad=window.pad[rows][:, cols],
+        attn_mask=window.attn_mask[rows][:, cols][:, :, cols],
         valid_steps=window.valid_steps[rows],
         layout=layout,
         slots=cols,

@@ -1,9 +1,8 @@
-"""Masked-softmax kernels for the attention op.
+"""Fused numba kernels for layer_norm, used when numba is importable.
 
-The forward is vectorized numpy (SIMD exp beats a scalar loop here). The
-backward is a fused numba kernel when numba is importable, with a numpy
-fallback of identical semantics (forbidden entries exactly zero). Set
-OMNIBOT_NO_NUMBA=1 to force the fallback.
+`layer_norm_fwd`/`layer_norm_bwd` are defined only when `HAVE_NUMBA` is
+true; `ops.layer_norm` runs numpy otherwise. numba is optional and not a
+declared dependency. Set OMNIBOT_NO_NUMBA=1 to force the numpy path.
 """
 
 from __future__ import annotations
@@ -68,42 +67,3 @@ if HAVE_NUMBA:
             for j in range(d):
                 dx2[r, j] = inv * (g2[r, j] * gain[j] - m1 - xhat2[r, j] * m2)
 
-    @numba.njit(cache=True, fastmath=False)
-    def masked_softmax_grad(weights, gw, mask, out):
-        """Backward of the masked softmax; forbidden score grads exactly 0."""
-        nb, nh, nt, ns = weights.shape
-        for b in range(nb):
-            for h in range(nh):
-                for i in range(nt):
-                    dot = 0.0
-                    for j in range(ns):
-                        dot += weights[b, h, i, j] * gw[b, h, i, j]
-                    for j in range(ns):
-                        if mask[b, i, j]:
-                            out[b, h, i, j] = weights[b, h, i, j] * (gw[b, h, i, j] - dot)
-                        else:
-                            out[b, h, i, j] = 0.0
-
-
-def masked_softmax(scores: np.ndarray, additive: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """Softmax restricted to permitted keys; forbidden weights exactly 0.
-
-    `additive` carries the -inf sentinel (0 on permitted entries): exp
-    underflows forbidden entries to exactly +0.0, and the final multiply
-    by the 0/1 `keep` factors is the hard zero rewrite. Mutates `scores`
-    in place (callers pass an owned buffer).
-    """
-    scores += additive
-    scores -= scores.max(axis=-1, keepdims=True)
-    np.exp(scores, out=scores)
-    scores /= scores.sum(axis=-1, keepdims=True)
-    scores *= keep
-    return scores
-
-
-def masked_softmax_grad_numpy(weights: np.ndarray, gw: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    dot = (weights * gw).sum(axis=-1, keepdims=True)
-    gs = np.subtract(gw, dot)
-    gs *= weights
-    gs *= keep
-    return gs

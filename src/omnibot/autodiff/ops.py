@@ -1,7 +1,8 @@
 """Structured ops: attention, normalization, convolution, gathers.
 
 Each op is a single tape node with a hand-written backward, which keeps
-the tape short and lets the hot paths (attention) run fused kernels.
+the tape short and lets the hot paths (attention, conv2d) choose their
+own intermediates and memory layout.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ import math
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ..errors import DegenerateMaskError, DimensionError
 from . import _kernels
@@ -230,13 +232,14 @@ def _norm_qkv(t: Tensor) -> tuple[np.ndarray, tuple[int, ...]]:
 
 
 class AttentionMask:
-    """A validated boolean key mask plus reusable float buffers.
+    """A validated boolean key mask plus its cached additive sentinel.
 
     The mask is [Tq, Tk] or [B, Tq, Tk], True where key j is permitted for
-    query i; queries and keys may differ in number. Wrapping once and
-    passing the wrapper to many attention calls (e.g. every transformer
-    layer) amortizes the degenerate-row check and the sentinel/keep buffer
-    construction.
+    query i; queries and keys may differ in number. Every row must permit at
+    least one key (`DegenerateMaskError` otherwise), which is what lets the
+    softmax zero forbidden weights with the sentinel alone. Wrapping once
+    and passing the wrapper to many attention calls (e.g. every transformer
+    layer) amortizes that check and the sentinel's construction.
     """
 
     def __init__(self, permitted: np.ndarray):
@@ -253,13 +256,11 @@ class AttentionMask:
         self.permitted = np.ascontiguousarray(permitted)
         self._buffers: dict = {}
 
-    def buffers(self, dtype) -> tuple[np.ndarray, np.ndarray]:
-        """(additive, keep): 0/-inf sentinel and 1/0 rewrite factors, [B, 1, Tq, Tk]."""
+    def buffers(self, dtype) -> np.ndarray:
+        """The additive sentinel, [B, 1, Tq, Tk]: 0 where permitted, -inf elsewhere."""
         key = np.dtype(dtype).name
         if key not in self._buffers:
-            additive = np.where(self.permitted, dtype.type(0), dtype.type(-np.inf))[:, None]
-            keep = self.permitted.astype(dtype)[:, None]
-            self._buffers[key] = (additive, keep)
+            self._buffers[key] = np.where(self.permitted, dtype.type(0), dtype.type(-np.inf))[:, None]
         return self._buffers[key]
 
 
@@ -268,11 +269,22 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask) -> Tensor:
 
     q: [Tq, d], [B, Tq, d] or [B, h, Tq, d]; k and v: the same with Tk
     rows; mask: [Tq, Tk] or [B, Tq, Tk] boolean (or a prebuilt
-    AttentionMask), True where key j is permitted for query i. Forbidden
-    scores are replaced with the -inf sentinel before the softmax and the
-    resulting weights rewritten by a hard 0/1 factor, so forbidden keys get
-    weight exactly 0.0: perturbing their value rows cannot change any
-    permitted output bit.
+    AttentionMask), True where key j is permitted for query i.
+
+    Forbidden keys get weight exactly 0.0, so perturbing their key or value
+    rows cannot change any permitted output bit: the -inf sentinel makes
+    their shifted scores -inf, and exp(-inf) is exactly +0.0. Every row
+    permits some key, so its max is finite and its row sum at least 1; no
+    0/1 rewrite is needed. q is scaled by 1/sqrt(d) before the product,
+    which is exact when d is a power of four (d = 16 gives 1/4). The
+    weights stay unnormalised, z = exp(s - rowmax) = w / r: one product
+    with [v | 1] gives z @ v and the row sums 1/r, and r scales the
+    [.., Tq, d] output rather than the [.., Tq, Tk] weights.
+
+    Backward uses sum_j w_ij * dL/dw_ij = g_i . out_i (Dao et al., 2022,
+    FlashAttention), a [.., Tq, d] reduction in place of a [.., Tq, Tk] one.
+    With gr = r * g, the score gradient is z * (gr @ v^T - gr . out),
+    exactly 0 where z is 0.
     """
     if k.shape != v.shape or q.shape[:-2] != k.shape[:-2] or q.shape[-1] != k.shape[-1]:
         raise DimensionError(f"attention q/k/v shapes do not match: {q.shape}, {k.shape}, {v.shape}")
@@ -290,29 +302,29 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask) -> Tensor:
             raise DimensionError(
                 f"attention mask shape {amask.permitted.shape} incompatible with q {q.shape} and k {k.shape}"
             )
-    additive, keep = amask.buffers(q4.dtype)
+    additive = amask.buffers(q4.dtype)
 
     scale = q4.dtype.type(1.0 / math.sqrt(dh))
-    kt = np.ascontiguousarray(np.swapaxes(k4, -1, -2))
-    scores = np.matmul(q4, kt)
-    scores *= scale
-    weights = _kernels.masked_softmax(scores, additive, keep)  # consumes scores
-    out4 = np.matmul(weights, v4)
+    qs = q4 * scale
+    z = np.matmul(qs, np.ascontiguousarray(np.swapaxes(k4, -1, -2)))
+    z += additive
+    z -= z.max(axis=-1, keepdims=True)
+    np.exp(z, out=z)  # unnormalised weights: w = z * r
+    ones = np.ones(v4.shape[:-1] + (1,), dtype=v4.dtype)
+    zv = np.matmul(z, np.concatenate([v4, ones], axis=-1))  # z @ v and the row sums of z
+    r = 1.0 / zv[..., dh:]
+    out4 = zv[..., :dh] * r
 
     def factory():
         def bwd(g):
-            g4 = np.reshape(g, q4.shape)
-            gv = np.matmul(np.swapaxes(weights, -1, -2), g4)
-            gw = np.matmul(g4, np.swapaxes(v4, -1, -2))
-            if _kernels.HAVE_NUMBA:
-                gs = np.empty_like(gw)
-                _kernels.masked_softmax_grad(weights, gw, amask.permitted, gs)
-            else:
-                gs = _kernels.masked_softmax_grad_numpy(weights, gw, keep)
+            gr = np.reshape(g, q4.shape) * r
+            gv = np.matmul(np.swapaxes(z, -1, -2), gr)
+            gs = np.matmul(gr, np.swapaxes(v4, -1, -2))  # r * dL/dw
+            gs -= np.einsum("...ij,...ij->...i", gr, out4)[..., None]
+            gs *= z  # dL/dscores
             gq = np.matmul(gs, k4)
             gq *= scale
-            gk = np.matmul(np.swapaxes(gs, -1, -2), q4)
-            gk *= scale
+            gk = np.matmul(np.swapaxes(gs, -1, -2), qs)
             return gq.reshape(q_shape), gk.reshape(k_shape), gv.reshape(k_shape)
 
         return bwd
@@ -331,6 +343,12 @@ def conv2d(x: Tensor, kernels: Tensor, stride: int) -> Tensor:
 
     x: [C, H, W] or [B, C, H, W]; kernels: [C2, C, kh, kw].
     Output spatial extent is ceil(extent / stride).
+
+    The API is NCHW, but im2col runs channels-last: the padded input is
+    [B, H, W, C], and the columns are one copy of its strided window view as
+    [B, h2, w2, kh, kw, C], so every run copied is whole channels; the
+    kernel matrix is `kernels` in (kh, kw, C, C2) order. col2im in backward
+    adds the column gradients back through the same window view.
     """
     squeeze = x.ndim == 3
     xd = x.data[None] if squeeze else x.data
@@ -351,15 +369,11 @@ def conv2d(x: Tensor, kernels: Tensor, stride: int) -> Tensor:
     if kh > h + top + bot or kw > w + left + right:
         raise DimensionError(f"conv2d kernel {kh}x{kw} exceeds padded input {h}x{w}")
 
-    xp = np.pad(xd, ((0, 0), (0, 0), (top, bot), (left, right)))
-    cols = np.empty((nb, h2, w2, c, kh, kw), dtype=xd.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            cols[..., i, j] = xp[
-                :, :, i : i + (h2 - 1) * stride + 1 : stride, j : j + (w2 - 1) * stride + 1 : stride
-            ].transpose(0, 2, 3, 1)
-    mat = cols.reshape(nb * h2 * w2, c * kh * kw)
-    wmat = kernels.data.reshape(c2, -1).T
+    xp = np.zeros((nb, h + top + bot, w + left + right, c), dtype=xd.dtype)
+    xp[:, top : top + h, left : left + w] = xd.transpose(0, 2, 3, 1)
+    win = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]  # [B, h2, w2, C, kh, kw]
+    mat = np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3)).reshape(nb * h2 * w2, kh * kw * c)
+    wmat = kernels.data.transpose(2, 3, 1, 0).reshape(kh * kw * c, c2)
     out = (mat @ wmat).reshape(nb, h2, w2, c2).transpose(0, 3, 1, 2)
     if squeeze:
         out = out[0]
@@ -370,22 +384,17 @@ def conv2d(x: Tensor, kernels: Tensor, stride: int) -> Tensor:
             g2 = np.ascontiguousarray(g4.transpose(0, 2, 3, 1)).reshape(nb * h2 * w2, c2)
             gk = gx = None
             if kernels.requires_grad:
-                gk = (mat.T @ g2).T.reshape(kernels.shape)
+                gk = (g2.T @ mat).reshape(c2, kh, kw, c).transpose(0, 3, 1, 2)
             if x.requires_grad:
-                gcols = (g2 @ wmat.T).reshape(nb, h2, w2, c, kh, kw)
+                gcols = (g2 @ wmat.T).reshape(nb, h2, w2, kh, kw, c)
                 gxp = np.zeros_like(xp)
+                gwin = sliding_window_view(gxp, (kh, kw), axis=(1, 2), writeable=True)[:, ::stride, ::stride]
                 for i in range(kh):
-                    for j in range(kw):
-                        gxp[
-                            :,
-                            :,
-                            i : i + (h2 - 1) * stride + 1 : stride,
-                            j : j + (w2 - 1) * stride + 1 : stride,
-                        ] += gcols[..., i, j].transpose(0, 3, 1, 2)
-                gx = gxp[:, :, top : top + h, left : left + w]
+                    for j in range(kw):  # windows overlap, but no two share (i, j) and a position
+                        gwin[..., i, j] += gcols[:, :, :, i, j]
+                gx = np.ascontiguousarray(gxp[:, top : top + h, left : left + w].transpose(0, 3, 1, 2))
                 if squeeze:
                     gx = gx[0]
-                gx = np.ascontiguousarray(gx)
             return gx, gk
 
         return bwd

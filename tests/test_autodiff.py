@@ -275,20 +275,46 @@ def test_attention_shape_mismatch_raises(q_shape, k_shape, mask_shape):
 
 def test_attention_grad_of_forbidden_value_row_is_zero():
     q = ad.param(rand((4, 3), 35))
+    k = ad.param(rand((4, 3), 37))
     v = ad.param(rand((4, 3), 36))
     mask = np.ones((4, 4), dtype=bool)
     mask[:, 2] = False
     mask[2, 2] = True  # key 2 visible only to query 2... keep row 2 alive
-    loss = ad.masked_attention(q, q, v, mask).sum()
-    gv = ad.backward(loss, [v])[v]
-    # value row 2 receives weight only from query 2
-    assert gv[2].any()
+    loss = ad.masked_attention(q, k, v, mask).sum()
+    grads = ad.backward(loss, [k, v])
+    # key and value row 2 receive weight only from query 2
+    assert grads[k][2].any() and grads[v][2].any()
     mask2 = np.ones((4, 4), dtype=bool)
     mask2[:, 2] = False
     mask2[:, 0] = True
-    loss2 = ad.masked_attention(q, q, v, mask2).sum()
-    gv2 = ad.backward(loss2, [v])[v]
-    np.testing.assert_array_equal(gv2[2], np.zeros(3))
+    loss2 = ad.masked_attention(q, k, v, mask2).sum()
+    grads2 = ad.backward(loss2, [k, v])
+    np.testing.assert_array_equal(grads2[k][2], np.zeros(3))
+    np.testing.assert_array_equal(grads2[v][2], np.zeros(3))
+
+
+def test_attention_with_large_scores_ignores_unseen_keys_exactly():
+    # q x50 puts the scores hundreds of units apart; forbidden
+    # weights must still be exactly 0.0, so key/value rows no query sees
+    # move no output bit and get exactly zero gradient
+    rng = np.random.Generator(np.random.PCG64(41))
+    q = ad.param((rng.standard_normal((2, 3, 5, 16)) * 50).astype(np.float32))
+    k = ad.param(rng.standard_normal((2, 3, 7, 16)).astype(np.float32))
+    v = ad.param(rng.standard_normal((2, 3, 7, 16)).astype(np.float32))
+    mask = rng.random((2, 5, 7)) < 0.5
+    mask[:, :, 0] = True
+    mask[:, :, 4] = False  # key 4 is seen by no query
+    wsum = ad.tensor(rng.standard_normal((2, 3, 5, 16)).astype(np.float32))
+    out = ad.masked_attention(q, k, v, mask)
+    grads = ad.backward((out * wsum).sum(), [q, k, v])
+    np.testing.assert_array_equal(grads[k][:, :, 4], 0.0)
+    np.testing.assert_array_equal(grads[v][:, :, 4], 0.0)
+    assert np.all(np.isfinite(grads[q]))
+    k2, v2 = k.data.copy(), v.data.copy()
+    k2[:, :, 4] = 1e4
+    v2[:, :, 4] = -1e4
+    out2 = ad.masked_attention(q, ad.tensor(k2), ad.tensor(v2), mask)
+    np.testing.assert_array_equal(out2.data, out.data)
 
 
 def test_attention_batched_matches_per_sequence():
@@ -307,38 +333,24 @@ def test_attention_batched_matches_per_sequence():
             np.testing.assert_allclose(out[b, h], ref, rtol=1e-12, atol=1e-14)
 
 
-def test_numba_and_numpy_grad_kernels_agree():
-    from omnibot.autodiff import _kernels
-    from omnibot.autodiff.ops import AttentionMask
-
-    if not _kernels.HAVE_NUMBA:
-        pytest.skip("numba unavailable")
-    rng = np.random.Generator(np.random.PCG64(38))
-    s = rng.standard_normal((2, 3, 7, 7)).astype(np.float32)
-    mask = rng.random((2, 7, 7)) < 0.5
-    mask[:, np.arange(7), np.arange(7)] = True
-    additive, keep = AttentionMask(mask).buffers(s.dtype)
-    w = _kernels.masked_softmax(s.copy(), additive, keep)
-    gw = rng.standard_normal(s.shape).astype(np.float32)
-    out = np.empty_like(s)
-    _kernels.masked_softmax_grad(w, gw, mask, out)
-    ref = _kernels.masked_softmax_grad_numpy(w, gw, keep)
-    np.testing.assert_allclose(out, ref, rtol=1e-4, atol=1e-7)
-    np.testing.assert_array_equal(out == 0.0, ref == 0.0)
-
-
 def test_masked_softmax_forbidden_weights_exactly_zero():
-    from omnibot.autodiff import _kernels
     from omnibot.autodiff.ops import AttentionMask
 
+    # with v the identity, each output row is that query's weight row
     rng = np.random.Generator(np.random.PCG64(39))
-    s = (rng.standard_normal((2, 2, 6, 6)) * 50).astype(np.float32)
+    q = (rng.standard_normal((2, 2, 6, 6)) * 50).astype(np.float32)
+    k = rng.standard_normal((2, 2, 6, 6)).astype(np.float32)
+    eye = np.broadcast_to(np.eye(6, dtype=np.float32), (2, 2, 6, 6))
     mask = rng.random((2, 6, 6)) < 0.4
     mask[:, np.arange(6), np.arange(6)] = True
-    additive, keep = AttentionMask(mask).buffers(s.dtype)
-    w = _kernels.masked_softmax(s.copy(), additive, keep)
+    amask = AttentionMask(mask)
+    additive = amask.buffers(q.dtype)
+    assert additive.shape == (2, 1, 6, 6) and additive.dtype == np.float32
+    np.testing.assert_array_equal(additive[:, 0] == 0.0, mask)
+    w = ad.masked_attention(ad.tensor(q), ad.tensor(k), ad.tensor(eye), amask).data
     for b in range(2):
         assert (w[b][:, ~mask[b]] == 0.0).all()
+        assert (w[b][:, mask[b]] > 0.0).any()
         np.testing.assert_allclose(w[b].sum(-1), 1.0, rtol=1e-5)
 
 
@@ -393,6 +405,29 @@ def test_conv_grads_vs_central_differences():
         num = numeric_grad(f, t.data)
         rel = np.abs(grads[t] - num) / (np.abs(num) + 1e-12)
         assert rel.max() < 1e-5
+
+
+def test_conv_rectangular_kernel_vs_oracle_and_central_differences():
+    # kh != kw and C != C2 pin the kernel matrix's (kh, kw, C, C2) order,
+    # which square kernels with equal channel counts cannot tell apart
+    x = ad.param(rand((3, 2, 5, 7), 53))
+    k = ad.param(rand((4, 2, 2, 3), 54) * 0.3)
+    for stride in (1, 2, 3):
+        out = ad.conv2d(x, k, stride=stride)
+        ref = np.stack([conv_oracle(x.data[b], k.data, stride) for b in range(3)])
+        assert out.shape == ref.shape
+        np.testing.assert_allclose(out.data, ref, rtol=1e-12, atol=1e-12)
+
+        w = rand(ref.shape, 55 + stride)
+        grads = ad.backward((ad.conv2d(x, k, stride=stride) * ad.tensor(w)).sum(), [x, k])
+
+        def f():
+            return sum((conv_oracle(x.data[b], k.data, stride) * w[b]).sum() for b in range(3))
+
+        for t in (x, k):
+            num = numeric_grad(f, t.data)
+            rel = np.abs(grads[t] - num) / (np.abs(num) + 1e-12)
+            assert rel.max() < 1e-5, f"stride {stride}: max rel err {rel.max()}"
 
 
 def test_conv_batched_matches_single():
@@ -589,6 +624,44 @@ def test_finite_diff_lists_probes_below_the_noise_floor():
     assert report.summary().count("below-noise") == 2
 
 
+def test_finite_diff_extrapolates_truncation_error():
+    # w³ at w = 1e-3: the central difference is 3w² + eps², a relative
+    # error of 3.3e-5 at eps 1e-5; the step halving removes all of it
+    w = ad.param(np.array([1e-3]))
+
+    report = ad.finite_diff_check(lambda: (w * w * w).sum(), {"w": w}, probes=1)
+    (probe,) = report.probes
+    assert probe.status == "ok"
+    assert probe.numeric == pytest.approx(3e-6, rel=1e-9)
+    assert report.max_rel_err < 1e-9
+
+
+def test_finite_diff_skips_a_kink_near_the_interval_edge():
+    # |w - 2| with w 9.5e-6 from the kink: inside [w - eps, w + eps], so
+    # the difference reads 0.95, but too near the edge for the second
+    # difference to flag it; the halved interval misses the kink
+    w = ad.param(np.array([2.0 + 9.5e-6]))
+    target = ad.tensor(np.array([2.0]))
+
+    report = ad.finite_diff_check(lambda: (w - target).abs().sum(), {"w": w}, probes=1)
+    (probe,) = report.probes
+    assert probe.status == "kink-skipped"
+    assert report.max_rel_err == 0.0
+
+
+def test_finite_diff_halving_keeps_a_wrong_gradient_failing():
+    # the tape sees 1.01·x², the loss is x²: smooth, so extrapolation
+    # cannot explain the 1% miss
+    x = ad.param(np.array([0.8]))
+
+    def loss():
+        return (x * x).sum() * 1.01 + ad.tensor(x.data * x.data * -0.01).sum()
+
+    report = ad.finite_diff_check(loss, {"x": x}, probes=1)
+    assert report.probes[0].status == "ok"
+    assert report.max_rel_err == pytest.approx(0.01, rel=1e-3)
+
+
 def test_finite_diff_requires_float64():
     w = ad.param(np.zeros(3, dtype=np.float32))
     with pytest.raises(ContractError):
@@ -601,6 +674,8 @@ def test_finite_diff_requires_float64():
 @example(rows=1, cols=1, seed=13)
 @example(rows=1, cols=1, seed=3269)
 @example(rows=1, cols=1, seed=206879)
+@example(rows=3, cols=2, seed=6995011)
+@example(rows=4, cols=3, seed=3585)
 @given(
     rows=st.integers(1, 4),
     cols=st.integers(1, 4),

@@ -187,6 +187,19 @@ def test_compact_keeps_live_observations_and_the_heads_readouts(policy):
     np.testing.assert_array_equal(newest.slots, np.concatenate([proprio, readout]))  # two live proprio slots, one readout
 
 
+def test_compact_gathers_the_mask_of_non_contiguous_rows_and_steps(policy):
+    names = ("nav", "quad", "nav", "arm1", "nav")
+    window = policy.assemble([rollout_frames(n, 1 + i, i) for i, n in enumerate(names)])
+    rows = np.array([0, 2, 4])
+    for steps in (slice(None), [0, 2, 4], [3, 1]):
+        sub = assembler.compact(window, rows, "navigation", steps)
+        assert np.any(np.diff(sub.slots) > 1)
+        want = window.attn_mask[np.ix_(rows, sub.slots, sub.slots)]
+        assert sub.attn_mask.dtype == want.dtype and sub.attn_mask.shape == want.shape
+        assert sub.attn_mask.tobytes() == want.tobytes()
+        np.testing.assert_array_equal(sub.pad, window.pad[np.ix_(rows, sub.slots)])
+
+
 def test_unknown_embodiment_raises_contract_error(policy):
     img = np.zeros((3, 24, 24), dtype=np.float32)
     frames = [ObservationFrame(embodiment="aviation", observations={"workspace": img})]
