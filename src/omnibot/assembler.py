@@ -144,25 +144,6 @@ def build_layout(cfg: Config) -> SlotLayout:
     return SlotLayout(groups, cfg.layout.history, offset, cfg.backbone.d_model)
 
 
-def validate_context_size(context_tokens: int, history: int) -> int:
-    """Context must divide evenly into history steps; returns tokens/step."""
-    if context_tokens % history:
-        raise ConfigError(
-            f"context of {context_tokens} tokens does not divide into {history} steps"
-        )
-    return context_tokens // history
-
-
-def validate_context(layout: SlotLayout, context_tokens: int) -> int:
-    """Check context = k * S against a layout; returns the per-step token count."""
-    s = validate_context_size(context_tokens, layout.history)
-    if s != layout.step_tokens:
-        raise ConfigError(
-            f"context {context_tokens} implies {s} tokens/step, layout has {layout.step_tokens}"
-        )
-    return s
-
-
 @dataclass
 class ObservationFrame:
     """One timestep of raw observations for a single embodiment."""
@@ -279,9 +260,8 @@ def assemble_batch(
             lang = bank.embed_language(np.array([f.instruction for _, _, f in entries]))
             encoded = bank.encode_image(g.name, imgs, goals=goals, lang=lang)
         else:
-            kind = "quadruped" if g.name.startswith("quad") else "bimanual"
             vals = np.stack([f.observations[g.name] for _, _, f in entries])
-            encoded = bank.encode_proprio(kind, vals)
+            encoded = bank.encode_proprio(g.name, vals)
         rows = encoded.reshape(n * g.tokens, d)
         sources.append(rows)
         bs = np.repeat([e[0] for e in entries], g.tokens)
@@ -338,13 +318,3 @@ def compact(window: AssembledWindow, rows: np.ndarray, head: str, steps=slice(No
         layout=layout,
         slots=cols,
     )
-
-
-def assemble_window(
-    frames: list[ObservationFrame],
-    layout: SlotLayout,
-    bank: EncoderBank,
-    params: dict[str, Tensor],
-) -> AssembledWindow:
-    """Single-window convenience wrapper (batch of one)."""
-    return assemble_batch([frames], layout, bank, params)

@@ -14,7 +14,6 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ..errors import DegenerateMaskError, DimensionError
-from . import _kernels
 from .tensor import Tensor
 
 
@@ -107,34 +106,15 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         raise DimensionError(
             f"layer_norm affine shapes {gain.shape}/{bias.shape} do not match feature dim {d}"
         )
-    x2 = x.data.reshape(-1, d)
-    if _kernels.HAVE_NUMBA:
-        out = np.empty_like(x.data)
-        xhat = np.empty_like(x2)
-        inv = np.empty(x2.shape[0], dtype=x.data.dtype)
-        _kernels.layer_norm_fwd(x2, gain.data, bias.data, x.data.dtype.type(eps),
-                                out.reshape(-1, d), xhat, inv)
-        xhat = xhat.reshape(x.shape)
-        inv = inv.reshape(x.shape[:-1] + (1,))
-    else:
-        mu = x.data.mean(axis=-1, keepdims=True)
-        xc = x.data - mu
-        var = np.mean(xc * xc, axis=-1, keepdims=True)
-        inv = 1.0 / np.sqrt(var + x.data.dtype.type(eps))
-        xhat = xc * inv
-        out = xhat * gain.data + bias.data
+    mu = x.data.mean(axis=-1, keepdims=True)
+    xc = x.data - mu
+    var = np.mean(xc * xc, axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + x.data.dtype.type(eps))
+    xhat = xc * inv
+    out = xhat * gain.data + bias.data
 
     def factory():
         def bwd(g):
-            if _kernels.HAVE_NUMBA:
-                g2 = np.ascontiguousarray(g).reshape(-1, d)
-                dx = np.empty_like(g2)
-                dgain = np.empty(d, dtype=g.dtype)
-                dbias = np.empty(d, dtype=g.dtype)
-                _kernels.layer_norm_bwd(
-                    g2, xhat.reshape(-1, d), inv.reshape(-1), gain.data, dx, dgain, dbias
-                )
-                return dx.reshape(x.shape), dgain, dbias
             lead = tuple(range(g.ndim - 1))
             dgain = (g * xhat).sum(axis=lead)
             dbias = g.sum(axis=lead)

@@ -6,10 +6,10 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass, field
 
+from .embodiments import EMBODIMENTS
 from .errors import ConfigError
 
 VIEWS = ("workspace", "navigation", "wrist-left", "wrist-right")
-PROPRIO_KINDS = {"quadruped": 59, "bimanual": 14}
 
 
 @dataclass
@@ -109,11 +109,18 @@ class Config:
             encoders = EncoderSection(**{**doc.get("encoders", {})})
             encoders.conv_channels = tuple(encoders.conv_channels)
             backbone = BackboneSection(**doc.get("backbone", {}))
-            mixture = [(str(n), float(w)) for n, w in doc.get("mixture", [])]
+            mixture = doc.get("mixture", [])
             train = TrainSection(**doc.get("train", {}))
             ev = EvalSection(suites=[EvalSuite(**s) for s in doc.get("eval", {}).get("suites", [])])
         except (KeyError, TypeError) as exc:
             raise ConfigError(f"bad config document: {exc}") from exc
+        try:
+            mixture = [(str(n), float(w)) for n, w in mixture]
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad mixture entry, want [dataset, weight]: {exc}") from exc
+        for i, suite in enumerate(ev.suites):
+            if not isinstance(suite.embodiment, str) or suite.embodiment not in EMBODIMENTS:
+                raise ConfigError(f"eval suite {i} names unknown embodiment {suite.embodiment!r}")
         return Config(layout, heads, encoders, backbone, mixture, train, ev)
 
     @staticmethod

@@ -18,20 +18,11 @@ import numpy as np
 
 from .assembler import ObservationFrame, SlotLayout
 from .config import Config
+from .embodiments import embodiment
 from .errors import ConfigError, ContractError, CorruptionError, FormatError
-from .heads import EMBODIMENT_HEADS
 from .rng import generator
 
 MAGIC = b"XEDS1"
-
-# the camera view a goal image conditions; None = goal conditioning unused
-GOAL_VIEWS = {
-    "arm1": "workspace",
-    "nav": "navigation",
-    "nav-shifted": "navigation",
-    "bimanual": "workspace",
-    "quad": None,
-}
 
 
 @dataclass
@@ -161,7 +152,7 @@ def window_trajectory(traj: TrajectoryRecord, history: int) -> list[int]:
 
 def relabel_goal(end: int, traj: TrajectoryRecord, rng: np.random.Generator) -> np.ndarray:
     """Hindsight goal: the conditioning-view image at a uniform future step."""
-    view = GOAL_VIEWS[traj.embodiment]
+    view = embodiment(traj.embodiment).goal_view
     if view is None:
         raise ContractError(f"{traj.embodiment!r} has no goal conditioning view")
     if end >= traj.steps:
@@ -332,9 +323,9 @@ class BatchSampler:
 
     def build_example(self, traj: TrajectoryRecord, end: int, rng: np.random.Generator) -> TrainingExample:
         k = self.layout.history
-        head = EMBODIMENT_HEADS[traj.embodiment]
-        spec = self.cfg.head(head)
-        goal_view = GOAL_VIEWS[traj.embodiment]
+        robot = embodiment(traj.embodiment)
+        spec = self.cfg.head(robot.head)
+        goal_view = robot.goal_view
         goal = relabel_goal(end, traj, rng) if goal_view is not None else None
 
         start = max(0, end - k + 1)
@@ -357,7 +348,7 @@ class BatchSampler:
             rows = min(spec.chunk_size, traj.steps - u)
             targets[slot, :rows] = traj.actions[u : u + rows]
             mask[slot, :rows] = 1.0
-        return TrainingExample(traj.embodiment, head, frames, targets, mask)
+        return TrainingExample(traj.embodiment, robot.head, frames, targets, mask)
 
     def batch(self, index: int, size: int) -> TrainingBatch:
         rng = generator(self.seed, "datapipe", self.split, "batch", index)

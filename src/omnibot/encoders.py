@@ -4,8 +4,9 @@ Images go through a small strided conv stack with per-stage FiLM language
 conditioning; an optional goal image rides along as three extra input
 channels (zero-filled when absent, so conditioned and unconditioned passes
 share one parameter set). Proprioception is a single affine projection to
-one token. One encoder parameter set exists per camera view kind, shared
-by every embodiment using that view.
+one token. One tokenizer exists per observation group of the config's
+slot layout, shared by every embodiment that has that group; a proprio
+tokenizer's input width is the group's per-step shape in the registry.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .config import Config, PROPRIO_KINDS, VIEWS
+from .config import Config
+from .embodiments import group_shape
 from .errors import DimensionError
 
 
@@ -30,22 +32,24 @@ def init_encoder_params(cfg: Config, rng: np.random.Generator, dtype=np.float32)
         return ad.param(np.zeros(shape, dtype=dtype))
 
     kk = enc.conv_kernel
-    for view in VIEWS:
-        c_in = 6  # current image + goal channels
-        for i, c_out in enumerate(enc.conv_channels):
-            fan_in = c_in * kk * kk
-            params[f"enc/img/{view}/conv{i}/w"] = normal((c_out, c_in, kk, kk), np.sqrt(2.0 / fan_in))
-            params[f"enc/img/{view}/conv{i}/b"] = zeros(c_out)
-            for nm in ("gamma", "beta"):  # FiLM starts as identity
-                params[f"enc/img/{view}/film{i}/{nm}_w"] = zeros((enc.language_dim, c_out))
-                params[f"enc/img/{view}/film{i}/{nm}_b"] = zeros(c_out)
-            c_in = c_out
-        params[f"enc/img/{view}/proj/w"] = normal((c_in, d_model), 1.0 / np.sqrt(c_in))
-        params[f"enc/img/{view}/proj/b"] = zeros(d_model)
-
-    for kind, dim in PROPRIO_KINDS.items():
-        params[f"enc/proprio/{kind}/w"] = normal((dim, d_model), 1.0 / np.sqrt(dim))
-        params[f"enc/proprio/{kind}/b"] = zeros(d_model)
+    for group in cfg.layout.groups:  # layout order is init order
+        name = group.name
+        if group.kind == "obs-image":
+            c_in = 6  # current image + goal channels
+            for i, c_out in enumerate(enc.conv_channels):
+                fan_in = c_in * kk * kk
+                params[f"enc/img/{name}/conv{i}/w"] = normal((c_out, c_in, kk, kk), np.sqrt(2.0 / fan_in))
+                params[f"enc/img/{name}/conv{i}/b"] = zeros(c_out)
+                for nm in ("gamma", "beta"):  # FiLM starts as identity
+                    params[f"enc/img/{name}/film{i}/{nm}_w"] = zeros((enc.language_dim, c_out))
+                    params[f"enc/img/{name}/film{i}/{nm}_b"] = zeros(c_out)
+                c_in = c_out
+            params[f"enc/img/{name}/proj/w"] = normal((c_in, d_model), 1.0 / np.sqrt(c_in))
+            params[f"enc/img/{name}/proj/b"] = zeros(d_model)
+        elif group.kind == "obs-proprio":
+            (dim,) = group_shape(name)
+            params[f"enc/proprio/{name}/w"] = normal((dim, d_model), 1.0 / np.sqrt(dim))
+            params[f"enc/proprio/{name}/b"] = zeros(d_model)
 
     table = rng.standard_normal((enc.language_vocab, enc.language_dim)).astype(dtype) * dtype(0.02)
     table[0] = 0.0  # null instruction embeds to zero
@@ -67,7 +71,7 @@ def film(features: Tensor, lang: Tensor, gamma_w: Tensor, gamma_b: Tensor,
 
 
 class EncoderBank:
-    """All tokenizer parameters, keyed by view kind / proprio kind."""
+    """All tokenizer parameters, keyed by observation group."""
 
     def __init__(self, params: dict[str, Tensor], cfg: Config):
         self.params = params
@@ -103,8 +107,8 @@ class EncoderBank:
         lang: Tensor | None = None,
     ) -> Tensor:
         """[n, 3, H, W] images (+ optional goals, optional language) -> [n, T_img, d_model]."""
-        if view not in VIEWS:
-            raise KeyError(f"unknown view kind {view!r}")
+        if f"enc/img/{view}/proj/w" not in self.params:
+            raise KeyError(f"no image tokenizer for group {view!r}")
         enc = self.cfg.encoders
         images = np.asarray(images, dtype=self.dtype)
         if images.ndim != 4 or images.shape[1] != 3 or images.shape[2:] != (enc.image_size,) * 2:
@@ -139,15 +143,15 @@ class EncoderBank:
 
     # -- proprioception -----------------------------------------------------
 
-    def encode_proprio(self, kind: str, values: np.ndarray) -> Tensor:
-        """[n, dim] readings -> [n, 1, d_model], one token per reading vector."""
-        if kind not in PROPRIO_KINDS:
-            raise KeyError(f"unknown proprio kind {kind!r}")
+    def encode_proprio(self, group: str, values: np.ndarray) -> Tensor:
+        """[n, dim] readings of one proprio group -> [n, 1, d_model], one token per reading vector."""
+        if f"enc/proprio/{group}/w" not in self.params:
+            raise KeyError(f"no proprio tokenizer for group {group!r}")
+        w = self.params[f"enc/proprio/{group}/w"]
+        b = self.params[f"enc/proprio/{group}/b"]
         values = np.asarray(values, dtype=self.dtype)
-        dim = PROPRIO_KINDS[kind]
+        dim = w.shape[0]
         if values.ndim != 2 or values.shape[1] != dim:
-            raise DimensionError(f"{kind} proprioception must be [n, {dim}], got {values.shape}")
-        w = self.params[f"enc/proprio/{kind}/w"]
-        b = self.params[f"enc/proprio/{kind}/b"]
+            raise DimensionError(f"{group} proprioception must be [n, {dim}], got {values.shape}")
         out = ad.linear(ad.tensor(values), w, b)
         return out.reshape(values.shape[0], 1, w.shape[1])

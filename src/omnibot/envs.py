@@ -1,7 +1,9 @@
 """Four toy embodiments with scripted experts.
 
-Each environment matches its action head exactly in dimension and
-chunking:
+Each environment class holds its robot's dynamics; its head, action
+dimension, horizon, instructions and observation groups are read from
+its `embodiments` registry entry. Each matches its action head exactly
+in dimension and chunking:
 
   arm1      single-arm head, 7-D: dx dy dz (clamped +-0.1), 3 inert
             rotation dims, gripper. Vision task: object/goal positions
@@ -26,51 +28,42 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assembler import ObservationFrame
-from .datapipe import GOAL_VIEWS, ShardSchema, TrajectoryRecord, write_shard
+from .datapipe import ShardSchema, TrajectoryRecord, write_shard
+from .embodiments import CAMERA, EmbodimentSpec, embodiment
 from .errors import ExecutionError
-from .heads import EMBODIMENT_HEADS  # noqa: F401  (re-exported for callers)
 from .rng import derive_seed, generator
 
-IMG = 24  # rendered resolution
+IMG = CAMERA[-1]  # rendered resolution
 
 
-@dataclass(frozen=True)
-class EmbodimentSpec:
+class Env:
+    """What every environment shares: its registry entry, frames, termination and scoring.
+
+    By default an episode ends at success and scores as success; an env
+    whose episodes run to the horizon overrides `done`, and one scored by
+    reward instead overrides `succeeded`.
+    """
+
     name: str
-    observation_groups: tuple[str, ...]
-    head: str
-    action_dim: int
-    horizon: int
-    instructions: tuple[int, ...]  # template ids drawn at reset (0 = none)
 
+    @property
+    def spec(self) -> EmbodimentSpec:
+        return embodiment(self.name)
 
-SPECS = {
-    "arm1": EmbodimentSpec("arm1", ("workspace",), "single-arm", 7, 40, (1, 2, 3, 4)),
-    "nav": EmbodimentSpec("nav", ("navigation",), "navigation", 2, 30, (0,)),
-    "bimanual": EmbodimentSpec(
-        "bimanual",
-        ("workspace", "wrist-left", "wrist-right", "bimanual-proprio"),
-        "bimanual",
-        14,
-        60,
-        (5, 6, 7),
-    ),
-    "quad": EmbodimentSpec("quad", ("quad-proprio",), "quadruped", 12, 50, (8, 9)),
-    "nav-shifted": EmbodimentSpec("nav-shifted", ("navigation",), "navigation", 2, 40, (0,)),
-}
+    def done(self, state) -> bool:
+        return self.success(state)
 
-INSTRUCTION_TEMPLATES = {
-    0: "",
-    1: "put the block on the target",
-    2: "move the object to the goal",
-    3: "bring the block to the marker",
-    4: "place the object on the goal pad",
-    5: "fold the towel corners together",
-    6: "uncap the pen and set it down",
-    7: "hand the block between grippers",
-    8: "walk with the steady gait",
-    9: "walk with the quick gait",
-}
+    def succeeded(self, state) -> bool:
+        return self.success(state)
+
+    def _frame(self, observations: dict, instruction: int, goal_img: np.ndarray | None) -> ObservationFrame:
+        goal_view = self.spec.goal_view if goal_img is not None else None
+        return ObservationFrame(self.name, observations, instruction, goal_img, goal_view)
+
+    def _check(self, action: np.ndarray) -> None:
+        if not np.all(np.isfinite(action)) or action.shape != (self.spec.action_dim,):
+            raise ExecutionError(f"bad {self.name} action {action!r}")
+
 
 # ------------------------------------------------------------------ rendering
 
@@ -118,10 +111,6 @@ def render_bimanual_workspace(joints: np.ndarray) -> np.ndarray:
     return _joint_bars(joints, -2.0, 2.0)
 
 
-def render_bimanual_wrist(joints7: np.ndarray) -> np.ndarray:
-    return _joint_bars(joints7, -2.0, 2.0)
-
-
 # ------------------------------------------------------------------ arm1
 
 
@@ -135,9 +124,8 @@ class Arm1State:
     t: int
 
 
-class Arm1Env:
+class Arm1Env(Env):
     name = "arm1"
-    spec = SPECS["arm1"]
     GRASP_EPS = 0.05
     STEP_CLAMP = 0.1
 
@@ -160,17 +148,11 @@ class Arm1Env:
         return render_arm1(state.goal, 0.0, state.goal, state.goal)
 
     def frame(self, state: Arm1State, instruction: int, goal_img: np.ndarray | None = None) -> ObservationFrame:
-        return ObservationFrame(
-            embodiment="arm1",
-            observations={"workspace": render_arm1(state.ee, state.grip, state.obj, state.goal)},
-            instruction=instruction,
-            goal=goal_img,
-            goal_view="workspace" if goal_img is not None else None,
-        )
+        return self._frame({"workspace": render_arm1(state.ee, state.grip, state.obj, state.goal)},
+                           instruction, goal_img)
 
     def step(self, state: Arm1State, action: np.ndarray) -> Arm1State:
-        if not np.all(np.isfinite(action)) or action.shape != (7,):
-            raise ExecutionError(f"bad arm1 action {action!r}")
+        self._check(action)
         delta = np.clip(action[:3], -self.STEP_CLAMP, self.STEP_CLAMP)
         ee = np.clip(state.ee + delta, 0.0, 1.0)
         grip = float(action[6])
@@ -189,10 +171,10 @@ class Arm1Env:
         return bool(np.linalg.norm(state.obj - state.goal) <= 0.05 and state.grip < 0.5)
 
     def expert_chunk(self, state: Arm1State, chunk: int) -> np.ndarray:
-        actions = np.zeros((chunk, 7), dtype=np.float32)
+        actions = np.zeros((chunk, self.spec.action_dim), dtype=np.float32)
         sim = state
         for i in range(chunk):
-            a = np.zeros(7, dtype=np.float32)
+            a = np.zeros(self.spec.action_dim, dtype=np.float32)
             if not sim.attached and not self.success(sim):
                 to_obj = sim.obj - sim.ee
                 if np.linalg.norm(to_obj) > self.GRASP_EPS * 0.6:
@@ -243,9 +225,8 @@ class NavState:
     step_clamp: float = 0.2
 
 
-class NavEnv:
+class NavEnv(Env):
     name = "nav"
-    spec = SPECS["nav"]
     SUCCESS_RADIUS = 0.1
 
     step_clamp = 0.2
@@ -274,13 +255,7 @@ class NavEnv:
         return render_nav(state.goal, NAV_MAPS[state.map_id])
 
     def frame(self, state: NavState, instruction: int, goal_img: np.ndarray | None = None) -> ObservationFrame:
-        return ObservationFrame(
-            embodiment=self.name,
-            observations={"navigation": render_nav(state.pos, NAV_MAPS[state.map_id])},
-            instruction=instruction,
-            goal=goal_img,
-            goal_view="navigation" if goal_img is not None else None,
-        )
+        return self._frame({"navigation": render_nav(state.pos, NAV_MAPS[state.map_id])}, instruction, goal_img)
 
     def _move(self, pos: np.ndarray, delta: np.ndarray, walls) -> np.ndarray:
         target = np.clip(pos + delta, 0.0, 1.0)
@@ -295,8 +270,7 @@ class NavEnv:
         return pos.copy()
 
     def step(self, state: NavState, action: np.ndarray) -> NavState:
-        if not np.all(np.isfinite(action)) or action.shape != (2,):
-            raise ExecutionError(f"bad nav action {action!r}")
+        self._check(action)
         delta = np.asarray(action, dtype=np.float64)
         norm = np.linalg.norm(delta)
         if norm > state.step_clamp:
@@ -311,7 +285,7 @@ class NavEnv:
         return bool(np.linalg.norm(state.pos - state.goal) <= self.SUCCESS_RADIUS)
 
     def expert_chunk(self, state: NavState, chunk: int) -> np.ndarray:
-        actions = np.zeros((chunk, 2), dtype=np.float32)
+        actions = np.zeros((chunk, self.spec.action_dim), dtype=np.float32)
         sim = state
         for i in range(chunk):
             to_goal = sim.goal - sim.pos
@@ -327,7 +301,6 @@ class NavShiftedEnv(NavEnv):
     """Zero-shot variant: smaller steps plus a constant lateral drift."""
 
     name = "nav-shifted"
-    spec = SPECS["nav-shifted"]
     step_clamp = 0.12
     drift = np.array([0.0, 0.02])
 
@@ -362,9 +335,8 @@ class BimanualState:
     errors: list = field(default_factory=list)  # per-step mean |joints - ref|
 
 
-class BimanualEnv:
+class BimanualEnv(Env):
     name = "bimanual"
-    spec = SPECS["bimanual"]
     RATE_LIMIT = 0.15
     SUCCESS_ERR = 0.05
 
@@ -382,28 +354,25 @@ class BimanualEnv:
 
     def frame(self, state: BimanualState, instruction: int, goal_img: np.ndarray | None = None) -> ObservationFrame:
         j = state.joints
-        return ObservationFrame(
-            embodiment="bimanual",
-            observations={
-                "workspace": render_bimanual_workspace(j),
-                "wrist-left": render_bimanual_wrist(j[:7]),
-                "wrist-right": render_bimanual_wrist(j[7:]),
-                "bimanual-proprio": j.astype(np.float32),
-            },
-            instruction=instruction,
-            goal=goal_img,
-            goal_view="workspace" if goal_img is not None else None,
-        )
+        observations = {
+            "workspace": render_bimanual_workspace(j),
+            "wrist-left": render_bimanual_workspace(j[:7]),
+            "wrist-right": render_bimanual_workspace(j[7:]),
+            "bimanual-proprio": j.astype(np.float32),
+        }
+        return self._frame(observations, instruction, goal_img)
 
     def step(self, state: BimanualState, action: np.ndarray) -> BimanualState:
-        if not np.all(np.isfinite(action)) or action.shape != (14,):
-            raise ExecutionError(f"bad bimanual action {action!r}")
+        self._check(action)
         delta = np.clip(action - state.joints, -self.RATE_LIMIT, self.RATE_LIMIT)
         joints = np.clip(state.joints + delta, -2.0, 2.0)
         t = state.t + 1
         nxt = BimanualState(joints, state.instruction, t, state.errors)
         nxt.errors.append(float(np.abs(joints - bimanual_reference(state.instruction, float(t))).mean()))
         return nxt
+
+    def done(self, state: BimanualState) -> bool:
+        return state.t >= self.spec.horizon
 
     def success(self, state: BimanualState) -> bool:
         if state.t < 10:
@@ -441,9 +410,8 @@ class QuadState:
     rewards: list = field(default_factory=list)
 
 
-class QuadEnv:
+class QuadEnv(Env):
     name = "quad"
-    spec = SPECS["quad"]
     RATE_LIMIT = 0.15
 
     def reset(self, seed: int):
@@ -463,21 +431,22 @@ class QuadEnv:
         return obs.astype(np.float32)
 
     def frame(self, state: QuadState, instruction: int, goal_img=None) -> ObservationFrame:
-        return ObservationFrame(
-            embodiment="quad",
-            observations={"quad-proprio": self.proprio(state)},
-            instruction=instruction,
-        )
+        return self._frame({"quad-proprio": self.proprio(state)}, instruction, None)
 
     def step(self, state: QuadState, action: np.ndarray) -> QuadState:
-        if not np.all(np.isfinite(action)) or action.shape != (12,):
-            raise ExecutionError(f"bad quad action {action!r}")
+        self._check(action)
         delta = np.clip(action - state.joints, -self.RATE_LIMIT, self.RATE_LIMIT)
         joints = state.joints + delta
         nxt = QuadState(joints, delta, np.asarray(action, dtype=np.float64), state.instruction,
                         state.t + 1, state.rewards)
         nxt.rewards.append(self.reward(nxt))
         return nxt
+
+    def done(self, state: QuadState) -> bool:
+        return state.t >= self.spec.horizon
+
+    def succeeded(self, state: QuadState) -> bool:
+        return True  # quad quality is measured by normalized reward instead
 
     def reward(self, state: QuadState) -> float:
         ref = quad_reference(state.instruction, float(state.t))
@@ -495,18 +464,12 @@ class QuadEnv:
 # ------------------------------------------------------------------ registry
 
 
-ENVS = {
-    "arm1": Arm1Env,
-    "nav": NavEnv,
-    "bimanual": BimanualEnv,
-    "quad": QuadEnv,
-    "nav-shifted": NavShiftedEnv,
-}
+ENVS = {cls.name: cls for cls in (Arm1Env, NavEnv, BimanualEnv, QuadEnv, NavShiftedEnv)}
 
 
-def make_env(name: str):
-    if name not in ENVS:
-        raise KeyError(f"unknown embodiment {name!r}")
+def make_env(name: str) -> Env:
+    """A fresh environment; raises ContractError naming an embodiment the registry lacks."""
+    embodiment(name)
     return ENVS[name]()
 
 
@@ -521,34 +484,20 @@ def run_expert_episode(env, seed: int, chunk: int):
             state = env.step(state, row.astype(np.float64))
             actions.append(row)
             frames.append(env.frame(state, instruction))
-            if len(actions) >= horizon or _done(env, state):
+            if len(actions) >= horizon or env.done(state):
                 break
-        if _done(env, state):
+        if env.done(state):
             break
     # frames has one more entry (the terminal observation); drop it so
     # observations and actions align per step
     frames = frames[: len(actions)]
-    return frames, np.stack(actions), instruction, _succeeded(env, state), state
-
-
-def _done(env, state) -> bool:
-    if env.name == "quad":
-        return state.t >= env.spec.horizon
-    if env.name == "bimanual":
-        return state.t >= env.spec.horizon
-    return env.success(state)
-
-
-def _succeeded(env, state) -> bool:
-    if env.name == "quad":
-        return True  # quad quality is measured by normalized reward instead
-    return env.success(state)
+    return frames, np.stack(actions), instruction, env.succeeded(state), state
 
 
 def generate_dataset(name: str, n_trajectories: int, seed: int, out_path: str, cfg) -> ShardSchema:
     """Seeded expert rollouts serialized as one XEDS1 shard."""
     env = make_env(name)
-    spec = SPECS[name]
+    spec = env.spec
     chunk = cfg.head(spec.head).chunk_size
     trajectories = []
     for i in range(n_trajectories):
@@ -559,25 +508,13 @@ def generate_dataset(name: str, n_trajectories: int, seed: int, out_path: str, c
             for g in spec.observation_groups
         }
         trajectories.append(TrajectoryRecord(name, streams, actions.astype(np.float32), instruction))
-    stream_shapes = [
-        (g, trajectories[0].observations[g].shape[1:] if trajectories else _group_shape(g))
-        for g in spec.observation_groups
-    ]
     schema = ShardSchema(
         dataset=name,
         embodiment=name,
         head=spec.head,
         action_dim=spec.action_dim,
         instruction_vocab=cfg.encoders.language_vocab,
-        streams=[(g, tuple(int(x) for x in s)) for g, s in stream_shapes],
+        streams=list(spec.observations),
     )
     write_shard(schema, trajectories, out_path)
     return schema
-
-
-def _group_shape(group: str) -> tuple[int, ...]:
-    if group == "quad-proprio":
-        return (59,)
-    if group == "bimanual-proprio":
-        return (14,)
-    return (3, IMG, IMG)

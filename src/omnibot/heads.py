@@ -8,41 +8,18 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .config import Config
+from .config import Config, HeadSection
+from .embodiments import EMBODIMENTS, embodiment
 from .errors import ContractError, DimensionError
 
-# which action head each embodiment draws from
-EMBODIMENT_HEADS = {
-    "arm1": "single-arm",
-    "nav": "navigation",
-    "nav-shifted": "navigation",
-    "bimanual": "bimanual",
-    "quad": "quadruped",
-}
+# which action head each embodiment draws from; a view of the registry
+# kept for `perfbench/workloads.py`, which imports it
+EMBODIMENT_HEADS = {name: spec.head for name, spec in EMBODIMENTS.items()}
 
 
-def owned_head(embodiment: str) -> str:
-    """The action head an embodiment draws from."""
-    if embodiment not in EMBODIMENT_HEADS:
-        raise ContractError(f"unknown embodiment {embodiment!r}: no action head owns it")
-    return EMBODIMENT_HEADS[embodiment]
-
-
-@dataclass(frozen=True)
-class ActionHeadSpec:
-    name: str
-    action_dim: int
-    chunk_size: int
-    control_hz: float
-    embodiments: tuple[str, ...]
-
-
-def head_specs(cfg: Config) -> dict[str, ActionHeadSpec]:
-    specs = {}
-    for h in cfg.heads:
-        owners = tuple(e for e, hd in EMBODIMENT_HEADS.items() if hd == h.name)
-        specs[h.name] = ActionHeadSpec(h.name, h.action_dim, h.chunk_size, h.control_hz, owners)
-    return specs
+def owned_head(name: str) -> str:
+    """The action head an embodiment draws from; raises ContractError for an unknown one."""
+    return embodiment(name).head
 
 
 @dataclass
@@ -67,7 +44,7 @@ def project(readouts: Tensor, params: dict[str, Tensor], head: str) -> Tensor:
     return ad.linear(readouts, params[f"head/{head}/w"], params[f"head/{head}/b"])
 
 
-def decode(readouts: Tensor, params: dict[str, Tensor], spec: ActionHeadSpec) -> ActionChunk:
+def decode(readouts: Tensor, params: dict[str, Tensor], spec: HeadSection) -> ActionChunk:
     """[chunk, d_model] readout embeddings -> one action chunk."""
     if readouts.ndim != 2 or readouts.shape[0] != spec.chunk_size:
         raise DimensionError(

@@ -41,7 +41,7 @@ class Policy:
         self.params = params
         self.layout = assembler.build_layout(cfg)
         self.bank = EncoderBank(params, cfg)
-        self.head_specs = heads.head_specs(cfg)
+        self.head_specs = {h.name: h for h in cfg.heads}
 
     @staticmethod
     def init(cfg: Config, seed: int, dtype=np.float32) -> "Policy":

@@ -24,13 +24,6 @@ def test_desk_layout_arithmetic(layout):
     assert layout.context_tokens == 335
 
 
-def test_paper_scale_context_consistency(layout):
-    # k = 5 with a 2135-token context forces S = 427
-    assert assembler.validate_context_size(2135, history=5) == 427
-    with pytest.raises(ConfigError):
-        assembler.validate_context_size(2136, history=5)
-
-
 def test_layout_offsets_partition_context(layout):
     covered = np.zeros(layout.context_tokens, dtype=int)
     for step in range(layout.history):
@@ -183,8 +176,3 @@ def test_goal_absent_equals_zero_goal_image(policy):
     a = policy.assemble([[zero_goal]]).tokens.data
     b = policy.assemble([[no_goal]]).tokens.data
     np.testing.assert_array_equal(a, b)
-
-
-def test_assemble_window_single_surface(policy, layout):
-    win = assembler.assemble_window([nav_frame()], layout, policy.bank, policy.params)
-    assert win.tokens.shape[0] == 1

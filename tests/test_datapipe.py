@@ -8,6 +8,7 @@ from omnibot import datapipe as dp
 from omnibot import envs
 from omnibot.assembler import build_layout
 from omnibot.config import desk_config
+from omnibot.embodiments import embodiment
 from omnibot.errors import ConfigError, ContractError, CorruptionError, FormatError
 from omnibot.rng import generator
 
@@ -140,9 +141,9 @@ def test_relabel_uniformity_chi_square():
 
 
 def test_relabel_goal_view_matches_embodiment():
-    assert dp.GOAL_VIEWS["nav"] == "navigation"
-    assert dp.GOAL_VIEWS["arm1"] == "workspace"
-    assert dp.GOAL_VIEWS["quad"] is None
+    assert embodiment("nav").goal_view == "navigation"
+    assert embodiment("arm1").goal_view == "workspace"
+    assert embodiment("quad").goal_view is None
     with pytest.raises(ContractError):
         dp.relabel_goal(0, toy_traj("quad"), generator(0))
 
@@ -407,3 +408,13 @@ def test_quad_examples_skip_goal_conditioning(small_world):
     assert ex.frames[-1].instruction == 8
     out = dp.mask_modality(ex, generator(5))
     assert out.frames[-1].instruction == 8  # never masked away
+
+
+def test_shard_of_unknown_embodiment_fails_the_batch_with_contract_error(tmp_path):
+    path = str(tmp_path / "hexapod.xeds")
+    dp.write_shard(replace(nav_schema(), embodiment="hexapod"), [replace(toy_traj(), embodiment="hexapod")] * 3, path)
+    _, trajs = dp.read_shard(path)
+    cfg = desk_config()
+    sampler = dp.BatchSampler({"hexset": trajs}, dp.MixtureSpec([("hexset", 1.0)]), cfg, build_layout(cfg), seed=0)
+    with pytest.raises(ContractError, match="hexapod"):
+        sampler.batch(0, size=2)

@@ -132,21 +132,21 @@ def test_weight_sharing_one_parameter_set_per_view(bank):
 
 
 def test_encode_proprio_shapes(bank):
-    out = bank.encode_proprio("quadruped", np.zeros((2, 59), dtype=np.float32))
+    out = bank.encode_proprio("quad-proprio", np.zeros((2, 59), dtype=np.float32))
     assert out.shape == (2, 1, 64)
-    out = bank.encode_proprio("bimanual", np.zeros((1, 14), dtype=np.float32))
+    out = bank.encode_proprio("bimanual-proprio", np.zeros((1, 14), dtype=np.float32))
     assert out.shape == (1, 1, 64)
 
 
 def test_encode_proprio_dim_check(bank):
     with pytest.raises(DimensionError):
-        bank.encode_proprio("quadruped", np.zeros((2, 58), dtype=np.float32))
+        bank.encode_proprio("quad-proprio", np.zeros((2, 58), dtype=np.float32))
     with pytest.raises(DimensionError):
-        bank.encode_proprio("bimanual", np.zeros((2, 7), dtype=np.float32))
+        bank.encode_proprio("bimanual-proprio", np.zeros((2, 7), dtype=np.float32))
 
 
 def test_encode_proprio_zero_vector_zero_bias(bank):
-    w = bank.params["enc/proprio/bimanual/b"]
+    w = bank.params["enc/proprio/bimanual-proprio/b"]
     assert not w.data.any()  # bias init is zero
-    out = bank.encode_proprio("bimanual", np.zeros((1, 14), dtype=np.float32))
+    out = bank.encode_proprio("bimanual-proprio", np.zeros((1, 14), dtype=np.float32))
     np.testing.assert_array_equal(out.data, np.zeros((1, 1, 64), dtype=np.float32))

@@ -4,14 +4,19 @@ import pytest
 from omnibot import envs
 from omnibot.config import desk_config
 from omnibot.datapipe import read_shard
-from omnibot.errors import ExecutionError
+from omnibot.embodiments import EMBODIMENTS
+from omnibot.errors import ContractError, ExecutionError
 
 
 def test_registry_and_action_dims():
-    assert set(envs.ENVS) == {"arm1", "nav", "bimanual", "quad", "nav-shifted"}
-    for name, spec in envs.SPECS.items():
-        assert envs.EMBODIMENT_HEADS[name] == spec.head
-    with pytest.raises(KeyError):
+    assert set(envs.ENVS) == set(EMBODIMENTS) == {"arm1", "nav", "bimanual", "quad", "nav-shifted"}
+    for name, spec in EMBODIMENTS.items():
+        env = envs.make_env(name)
+        assert env.spec is spec
+        state, frame, _ = env.reset(0)
+        assert {g: obs.shape for g, obs in frame.observations.items()} == dict(spec.observations)
+        assert env.expert_chunk(state, 2).shape == (2, spec.action_dim)
+    with pytest.raises(ContractError, match="hexapod"):
         envs.make_env("hexapod")
 
 

@@ -4,6 +4,7 @@ import pytest
 import omnibot.autodiff as ad
 from omnibot import heads
 from omnibot.config import desk_config, paper_scale_config
+from omnibot.embodiments import EMBODIMENTS
 from omnibot.errors import ContractError, DimensionError
 
 
@@ -19,17 +20,17 @@ def params(cfg):
 
 
 def test_specs_have_paper_dims_and_ownership(cfg):
-    specs = heads.head_specs(cfg)
-    assert specs["single-arm"].action_dim == 7 and specs["single-arm"].chunk_size == 4
-    assert specs["navigation"].action_dim == 2 and specs["navigation"].chunk_size == 4
-    assert specs["bimanual"].action_dim == 14
-    assert specs["quadruped"].action_dim == 12 and specs["quadruped"].chunk_size == 1
-    assert "arm1" in specs["single-arm"].embodiments
-    assert set(specs["navigation"].embodiments) == {"nav", "nav-shifted"}
+    assert cfg.head("single-arm").action_dim == 7 and cfg.head("single-arm").chunk_size == 4
+    assert cfg.head("navigation").action_dim == 2 and cfg.head("navigation").chunk_size == 4
+    assert cfg.head("bimanual").action_dim == 14
+    assert cfg.head("quadruped").action_dim == 12 and cfg.head("quadruped").chunk_size == 1
+    owners = {h.name: {e for e, s in EMBODIMENTS.items() if s.head == h.name} for h in cfg.heads}
+    assert "arm1" in owners["single-arm"]
+    assert owners["navigation"] == {"nav", "nav-shifted"}
 
 
 def test_decode_zero_readouts_zero_bias(cfg, params):
-    spec = heads.head_specs(cfg)["single-arm"]
+    spec = cfg.head("single-arm")
     chunk = heads.decode(ad.zeros((4, 64)), params, spec)
     np.testing.assert_array_equal(chunk.values, np.zeros((4, 7), dtype=np.float32))
     assert chunk.head == "single-arm"
@@ -37,7 +38,7 @@ def test_decode_zero_readouts_zero_bias(cfg, params):
 
 def test_decode_shapes(cfg, params):
     rng = np.random.Generator(np.random.PCG64(1))
-    spec = heads.head_specs(cfg)["single-arm"]
+    spec = cfg.head("single-arm")
     out = heads.decode(ad.tensor(rng.standard_normal((4, 64)).astype(np.float32)), params, spec)
     assert out.values.shape == (4, 7)
     with pytest.raises(DimensionError):
@@ -48,14 +49,14 @@ def test_decode_paper_bimanual_chunk_100():
     cfg = paper_scale_config()
     rng = np.random.Generator(np.random.PCG64(2))
     params = heads.init_head_params(cfg, rng)
-    spec = heads.head_specs(cfg)["bimanual"]
+    spec = cfg.head("bimanual")
     readouts = ad.tensor(rng.standard_normal((100, 512)).astype(np.float32))
     assert heads.decode(readouts, params, spec).values.shape == (100, 14)
 
 
 def test_decode_is_affine(cfg, params):
     rng = np.random.Generator(np.random.PCG64(3))
-    spec = heads.head_specs(cfg)["navigation"]
+    spec = cfg.head("navigation")
     a = rng.standard_normal((4, 64)).astype(np.float32)
     b = rng.standard_normal((4, 64)).astype(np.float32)
     da = heads.decode(ad.tensor(a), params, spec).values
