@@ -27,6 +27,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .config import Config
+from .embodiments import EMBODIMENTS, embodiment
 from .encoders import EncoderBank
 from .errors import ConfigError, ContractError, DimensionError
 
@@ -78,9 +79,6 @@ class SlotLayout:
                 return g
         raise KeyError(f"no slot group named {name!r}")
 
-    def readout_heads(self) -> list[str]:
-        return [g.head for g in self.groups if g.kind == "readout"]
-
     def readout_range(self, head: str, step: int) -> tuple[int, int]:
         for g in self.groups:
             if g.kind == "readout" and g.head == head:
@@ -118,7 +116,7 @@ class SlotLayout:
 
 
 def build_layout(cfg: Config) -> SlotLayout:
-    """Deterministic layout from the config; validates readout/chunk agreement."""
+    """Deterministic layout from the config; checks each head against its readouts and its robots."""
     seen = set()
     groups, offset = [], 0
     for g in cfg.layout.groups:
@@ -141,6 +139,10 @@ def build_layout(cfg: Config) -> SlotLayout:
     for h in cfg.heads:
         if not any(g.head == h.name for g in groups if g.kind == "readout"):
             raise ConfigError(f"head {h.name!r} has no readout group")
+        for robot in EMBODIMENTS.values():
+            if robot.head == h.name and robot.action_dim != h.action_dim:
+                raise ConfigError(f"head {h.name!r} has action_dim {h.action_dim}, but {robot.name!r} "
+                                  f"draws {robot.action_dim}-D actions from it")
     return SlotLayout(groups, cfg.layout.history, offset, cfg.backbone.d_model)
 
 
@@ -151,8 +153,7 @@ class ObservationFrame:
     embodiment: str
     observations: dict[str, np.ndarray]  # slot group name -> raw array
     instruction: int = 0
-    goal: np.ndarray | None = None
-    goal_view: str | None = None
+    goal: np.ndarray | None = None  # conditions the embodiment's registry goal view
 
 
 @dataclass
@@ -224,11 +225,13 @@ def assemble_batch(
     present: dict[str, list[tuple[int, int, ObservationFrame]]] = {
         g.name: [] for g in layout.groups if g.kind != "readout"
     }
+    goal_views = []  # per window: the view its goal images condition
     for bi, frames in enumerate(windows):
         if not frames or len(frames) > k:
             raise ContractError(f"window needs 1..{k} frames, got {len(frames)}")
         if len({f.embodiment for f in frames}) != 1:
             raise ContractError("mixed embodiments within one window")
+        goal_views.append(embodiment(frames[0].embodiment).goal_view)
         lead = k - len(frames)
         for si, frame in enumerate(frames):
             step = lead + si
@@ -253,8 +256,9 @@ def assemble_batch(
             imgs = np.stack([f.observations[g.name] for _, _, f in entries])
             goals = np.stack(
                 [
-                    f.goal if (f.goal is not None and f.goal_view == g.name) else np.zeros_like(f.observations[g.name])
-                    for _, _, f in entries
+                    f.goal if f.goal is not None and goal_views[bi] == g.name
+                    else np.zeros_like(f.observations[g.name])
+                    for bi, _, f in entries
                 ]
             )
             lang = bank.embed_language(np.array([f.instruction for _, _, f in entries]))

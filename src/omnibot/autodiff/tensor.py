@@ -146,9 +146,6 @@ class Tensor:
     def __sub__(self, other) -> "Tensor":
         return self + (-self._binary_prep(other, "sub"))
 
-    def __rsub__(self, other) -> "Tensor":
-        return (-self) + other
-
     def __mul__(self, other) -> "Tensor":
         other = self._binary_prep(other, "mul")
         a, b = self, other
@@ -165,11 +162,6 @@ class Tensor:
         return Tensor._make(out, (a, b), factory, "mul")
 
     __rmul__ = __mul__
-
-    def __truediv__(self, scalar) -> "Tensor":
-        if isinstance(scalar, Tensor):
-            raise ContractError("tensor/tensor division unsupported; multiply by a constant")
-        return self * (1.0 / float(scalar))
 
     # -- matmul -------------------------------------------------------------
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from .embodiments import EMBODIMENTS
 from .errors import ConfigError
@@ -106,20 +106,27 @@ class Config:
                 groups=[GroupSpec(**g) for g in doc["layout"]["groups"]],
             )
             heads = [HeadSection(**h) for h in doc["heads"]]
-            encoders = EncoderSection(**{**doc.get("encoders", {})})
-            encoders.conv_channels = tuple(encoders.conv_channels)
+            encoders = EncoderSection(**doc.get("encoders", {}))
             backbone = BackboneSection(**doc.get("backbone", {}))
             mixture = doc.get("mixture", [])
             train = TrainSection(**doc.get("train", {}))
             ev = EvalSection(suites=[EvalSuite(**s) for s in doc.get("eval", {}).get("suites", [])])
-        except (KeyError, TypeError) as exc:
+        except (AttributeError, KeyError, TypeError) as exc:
             raise ConfigError(f"bad config document: {exc}") from exc
+        sections = [("layout", layout), ("encoders", encoders), ("backbone", backbone), ("train", train)]
+        sections += [(f"layout.groups[{i}]", g) for i, g in enumerate(layout.groups)]
+        sections += [(f"heads[{i}]", h) for i, h in enumerate(heads)]
+        sections += [(f"eval.suites[{i}]", suite) for i, suite in enumerate(ev.suites)]
+        for where, section in sections:
+            _check_fields(where, section)
+        if not 0 < train.val_fraction < 1:
+            raise ConfigError(f"train.val_fraction is {train.val_fraction}, want a fraction in (0, 1)")
         try:
             mixture = [(str(n), float(w)) for n, w in mixture]
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad mixture entry, want [dataset, weight]: {exc}") from exc
         for i, suite in enumerate(ev.suites):
-            if not isinstance(suite.embodiment, str) or suite.embodiment not in EMBODIMENTS:
+            if suite.embodiment not in EMBODIMENTS:
                 raise ConfigError(f"eval suite {i} names unknown embodiment {suite.embodiment!r}")
         return Config(layout, heads, encoders, backbone, mixture, train, ev)
 
@@ -144,6 +151,28 @@ class Config:
             if h.name == name:
                 return h
         raise ConfigError(f"unknown head {name!r}")
+
+
+_TYPES = {"int": (int,), "float": (int, float), "str": (str,), "str | None": (str, type(None))}
+# int fields that may be 0, or anything (seed); every other int field is a count, at least 1
+_FLOORS = {"seed": None, "warmup_steps": 0, "max_shift_px": 0}
+
+
+def _checked(name: str, value, kind: str):
+    """`value` if it fits field `name` of type `kind`, a list of counts as a tuple; else ConfigError."""
+    if kind == "tuple[int, ...]" and isinstance(value, (list, tuple)):
+        return tuple(_checked(f"{name}[{i}]", v, "int") for i, v in enumerate(value))
+    floor = _FLOORS.get(name.rsplit(".", 1)[-1], 1) if kind == "int" else None
+    if type(value) not in _TYPES.get(kind, ()) or (floor is not None and value < floor):
+        raise ConfigError(f"{name} is {value!r}, want {kind}" + ("" if floor is None else f" >= {floor}"))
+    return value
+
+
+def _check_fields(where: str, section) -> None:
+    """Check a section's scalar fields; its list fields are sections of their own."""
+    for f in fields(section):
+        if not f.type.startswith("list["):
+            setattr(section, f.name, _checked(f"{where}.{f.name}", getattr(section, f.name), f.type))
 
 
 DESK_HEADS = [

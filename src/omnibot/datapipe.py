@@ -1,11 +1,16 @@
 """Trajectory storage and the training-batch pipeline.
 
 Shards use the XEDS1 container: a 5-byte magic, a little-endian u32 header
-length, a UTF-8 JSON header describing the streams, then packed float32
-trajectories. The batch pipeline (mixture draw, window draw, hindsight
-goal relabeling, task-modality masking, augmentation) is a deterministic
-function of (shards, config, master seed): batch i always derives its rng
-from (seed, "batch", i), independent of any worker scheduling.
+length, a UTF-8 JSON header, then packed float32 trajectories. The header
+names only the embodiment, `{"embodiment": name}`; every other fact comes
+from its `embodiments` registry entry, and each record follows that entry:
+u32 steps, u32 instruction, each observation group in the entry's order,
+then the actions. A reader ignores any other header key.
+
+The batch pipeline (mixture draw, window draw, hindsight goal relabeling,
+task-modality masking, augmentation) is a deterministic function of
+(shards, config, master seed): batch i always derives its rng from
+(seed, "batch", i), independent of any worker scheduling.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import numpy as np
 
 from .assembler import ObservationFrame, SlotLayout
 from .config import Config
-from .embodiments import embodiment
+from .embodiments import EMBODIMENTS, EmbodimentSpec, embodiment
 from .errors import ConfigError, ContractError, CorruptionError, FormatError
 from .rng import generator
 
@@ -37,66 +42,51 @@ class TrajectoryRecord:
         return self.actions.shape[0]
 
 
-@dataclass
-class ShardSchema:
-    dataset: str
-    embodiment: str
-    head: str
-    action_dim: int
-    instruction_vocab: int
-    streams: list[tuple[str, tuple[int, ...]]]  # per-step shapes, observation streams only
-
-    def to_header(self) -> dict:
-        return {
-            "dataset": self.dataset,
-            "embodiment": self.embodiment,
-            "head": self.head,
-            "action_dim": self.action_dim,
-            "instruction_vocab": self.instruction_vocab,
-            "streams": [{"name": n, "shape": list(s), "dtype": "f32"} for n, s in self.streams],
-        }
-
-    @staticmethod
-    def from_header(doc: dict) -> "ShardSchema":
-        return ShardSchema(
-            dataset=doc["dataset"],
-            embodiment=doc["embodiment"],
-            head=doc["head"],
-            action_dim=int(doc["action_dim"]),
-            instruction_vocab=int(doc["instruction_vocab"]),
-            streams=[(s["name"], tuple(s["shape"])) for s in doc["streams"]],
-        )
-
-
-def write_shard(schema: ShardSchema, trajectories: list[TrajectoryRecord], path: str) -> None:
-    """Serialize trajectories; raises FormatError when one violates the schema."""
+def write_shard(name: str, trajectories: list[TrajectoryRecord], path: str) -> None:
+    """Serialize trajectories of embodiment `name`; raises FormatError when one
+    disagrees with its registry entry."""
+    spec = embodiment(name)
     for i, traj in enumerate(trajectories):
-        if traj.embodiment != schema.embodiment:
-            raise FormatError(
-                f"trajectory {i} is for {traj.embodiment!r}, shard is {schema.embodiment!r}"
-            )
-        if traj.actions.ndim != 2 or traj.actions.shape[1] != schema.action_dim:
-            raise FormatError(
-                f"trajectory {i} actions {traj.actions.shape} != action_dim {schema.action_dim}"
-            )
-        for name, shape in schema.streams:
-            arr = traj.observations.get(name)
+        if traj.embodiment != name:
+            raise FormatError(f"trajectory {i} is for {traj.embodiment!r}, shard is {name!r}")
+        if traj.actions.ndim != 2 or traj.actions.shape[1] != spec.action_dim:
+            raise FormatError(f"trajectory {i} actions {traj.actions.shape} != action_dim {spec.action_dim}")
+        for group, shape in spec.observations:
+            arr = traj.observations.get(group)
             if arr is None or arr.shape != (traj.steps, *shape):
                 got = None if arr is None else arr.shape
-                raise FormatError(f"trajectory {i} stream {name!r}: shape {got}, want (T, {shape})")
-    header = json.dumps(schema.to_header(), sort_keys=True).encode("utf-8")
+                raise FormatError(f"trajectory {i} stream {group!r}: shape {got}, want (T, {shape})")
+    header = json.dumps({"embodiment": name}).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", len(header)))
         fh.write(header)
         for traj in trajectories:
             fh.write(struct.pack("<II", traj.steps, traj.instruction))
-            for name, _ in schema.streams:
-                fh.write(np.ascontiguousarray(traj.observations[name], dtype="<f4").tobytes())
+            for group, _ in spec.observations:
+                fh.write(np.ascontiguousarray(traj.observations[group], dtype="<f4").tobytes())
             fh.write(np.ascontiguousarray(traj.actions, dtype="<f4").tobytes())
 
 
-def read_shard(path: str) -> tuple[ShardSchema, list[TrajectoryRecord]]:
+def _header_embodiment(raw: bytes) -> EmbodimentSpec:
+    """The registry entry a shard header names; FormatError for any other header."""
+    try:
+        doc = json.loads(raw.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"shard header is not UTF-8: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        raise FormatError(f"shard header is not JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise FormatError(f"shard header is a JSON {type(doc).__name__}, not an object")
+    name = doc.get("embodiment")
+    if not isinstance(name, str):
+        raise FormatError(f"shard header embodiment is {name!r}, not a name")
+    if name not in EMBODIMENTS:
+        raise FormatError(f"shard header names unknown embodiment {name!r}: the registry has {sorted(EMBODIMENTS)}")
+    return EMBODIMENTS[name]
+
+
+def read_shard(path: str) -> tuple[EmbodimentSpec, list[TrajectoryRecord]]:
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:5] != MAGIC:
@@ -107,10 +97,7 @@ def read_shard(path: str) -> tuple[ShardSchema, list[TrajectoryRecord]]:
     offset = 9 + header_len
     if len(blob) < offset:
         raise CorruptionError("truncated header", offset=len(blob))
-    try:
-        schema = ShardSchema.from_header(json.loads(blob[9:offset].decode("utf-8")))
-    except (json.JSONDecodeError, KeyError) as exc:
-        raise FormatError(f"bad shard header: {exc}") from exc
+    spec = _header_embodiment(blob[9:offset])
 
     trajectories = []
     n = len(blob)
@@ -120,24 +107,22 @@ def read_shard(path: str) -> tuple[ShardSchema, list[TrajectoryRecord]]:
         steps, instruction = struct.unpack_from("<II", blob, offset)
         offset += 8
         observations = {}
-        for name, shape in schema.streams:
+        for group, shape in spec.observations:
             count = steps * int(np.prod(shape, dtype=np.int64))
             nbytes = count * 4
             if offset + nbytes > n:
-                raise CorruptionError(f"truncated stream {name!r}", offset=offset)
+                raise CorruptionError(f"truncated stream {group!r}", offset=offset)
             arr = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
-            observations[name] = arr.reshape(steps, *shape).astype(np.float32)
+            observations[group] = arr.reshape(steps, *shape).astype(np.float32)
             offset += nbytes
-        nbytes = steps * schema.action_dim * 4
+        nbytes = steps * spec.action_dim * 4
         if offset + nbytes > n:
             raise CorruptionError("truncated action stream", offset=offset)
-        actions = np.frombuffer(blob, dtype="<f4", count=steps * schema.action_dim, offset=offset)
-        actions = actions.reshape(steps, schema.action_dim).astype(np.float32)
+        actions = np.frombuffer(blob, dtype="<f4", count=steps * spec.action_dim, offset=offset)
+        actions = actions.reshape(steps, spec.action_dim).astype(np.float32)
         offset += nbytes
-        trajectories.append(
-            TrajectoryRecord(schema.embodiment, observations, actions, int(instruction))
-        )
-    return schema, trajectories
+        trajectories.append(TrajectoryRecord(spec.name, observations, actions, int(instruction)))
+    return spec, trajectories
 
 
 # --------------------------------------------------------------- windowing
@@ -189,7 +174,7 @@ def mask_modality(example: TrainingExample, rng: np.random.Generator) -> Trainin
     if keep_goal:
         frames = [replace(f, instruction=0) for f in example.frames]
     else:
-        frames = [replace(f, goal=None, goal_view=None) for f in example.frames]
+        frames = [replace(f, goal=None) for f in example.frames]
     return replace(example, frames=frames)
 
 
@@ -325,8 +310,7 @@ class BatchSampler:
         k = self.layout.history
         robot = embodiment(traj.embodiment)
         spec = self.cfg.head(robot.head)
-        goal_view = robot.goal_view
-        goal = relabel_goal(end, traj, rng) if goal_view is not None else None
+        goal = relabel_goal(end, traj, rng) if robot.goal_view is not None else None
 
         start = max(0, end - k + 1)
         frames = [
@@ -335,7 +319,6 @@ class BatchSampler:
                 observations={name: traj.observations[name][u] for name in traj.observations},
                 instruction=traj.instruction,
                 goal=goal,
-                goal_view=goal_view,
             )
             for u in range(start, end + 1)
         ]

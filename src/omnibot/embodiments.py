@@ -5,7 +5,9 @@ dimension, episode horizon, instruction ids, goal-conditioning view and
 observation groups with their per-step shapes. Every other module reads
 these facts through `embodiment(name)` (or `group_shape`) at call time,
 so adding a robot means one entry here plus an environment class in
-`envs`. This module imports only `errors`, so every module can import it.
+`envs`. A shard header and an observation frame name their robot and
+restate nothing else. This module imports only `errors`, so every module
+can import it.
 
 Two related facts live elsewhere on purpose:
 - the slot layout's group order (the camera views, then `quad-proprio`,

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assembler import ObservationFrame
-from .datapipe import ShardSchema, TrajectoryRecord, write_shard
+from .datapipe import TrajectoryRecord, write_shard
 from .embodiments import CAMERA, EmbodimentSpec, embodiment
 from .errors import ExecutionError
 from .rng import derive_seed, generator
@@ -57,8 +57,7 @@ class Env:
         return self.success(state)
 
     def _frame(self, observations: dict, instruction: int, goal_img: np.ndarray | None) -> ObservationFrame:
-        goal_view = self.spec.goal_view if goal_img is not None else None
-        return ObservationFrame(self.name, observations, instruction, goal_img, goal_view)
+        return ObservationFrame(self.name, observations, instruction, goal_img)
 
     def _check(self, action: np.ndarray) -> None:
         if not np.all(np.isfinite(action)) or action.shape != (self.spec.action_dim,):
@@ -494,7 +493,7 @@ def run_expert_episode(env, seed: int, chunk: int):
     return frames, np.stack(actions), instruction, env.succeeded(state), state
 
 
-def generate_dataset(name: str, n_trajectories: int, seed: int, out_path: str, cfg) -> ShardSchema:
+def generate_dataset(name: str, n_trajectories: int, seed: int, out_path: str, cfg) -> None:
     """Seeded expert rollouts serialized as one XEDS1 shard."""
     env = make_env(name)
     spec = env.spec
@@ -508,13 +507,4 @@ def generate_dataset(name: str, n_trajectories: int, seed: int, out_path: str, c
             for g in spec.observation_groups
         }
         trajectories.append(TrajectoryRecord(name, streams, actions.astype(np.float32), instruction))
-    schema = ShardSchema(
-        dataset=name,
-        embodiment=name,
-        head=spec.head,
-        action_dim=spec.action_dim,
-        instruction_vocab=cfg.encoders.language_vocab,
-        streams=list(spec.observations),
-    )
-    write_shard(schema, trajectories, out_path)
-    return schema
+    write_shard(name, trajectories, out_path)

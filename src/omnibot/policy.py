@@ -57,12 +57,6 @@ class Policy:
     def dtype(self):
         return self.params["asm/pos"].data.dtype
 
-    def param_names(self) -> list[str]:
-        return sorted(self.params)
-
-    def parameter_count(self) -> int:
-        return sum(p.data.size for p in self.params.values())
-
     # -- forward -------------------------------------------------------------
 
     def assemble(self, windows) -> assembler.AssembledWindow:

@@ -40,6 +40,13 @@ def test_readout_group_chunk_mismatch_is_config_error(cfg):
         build_layout(bad)
 
 
+def test_head_action_dim_disagreeing_with_the_registry_is_config_error():
+    bad = desk_config()
+    bad.head("navigation").action_dim = 3  # nav and nav-shifted draw 2-D actions from it
+    with pytest.raises(ConfigError, match="navigation.*action_dim 3.*nav"):
+        build_layout(bad)
+
+
 def test_readout_ranges(layout):
     a, b = layout.readout_range("single-arm", 0)
     assert b - a == 4
@@ -112,7 +119,6 @@ def nav_frame(seed=0, instruction=0, goal=None):
         observations={"navigation": rng.random((3, 24, 24)).astype(np.float32)},
         instruction=instruction,
         goal=goal,
-        goal_view="navigation" if goal is not None else None,
     )
 
 

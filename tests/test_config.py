@@ -17,8 +17,20 @@ def test_from_dict_round_trips_the_desk_config():
         (lambda doc: doc["mixture"].append(["arm1", "heavy"]), "mixture"),
         (lambda doc: doc["mixture"].append(["arm1", 0.5, 1]), "mixture"),
         (lambda doc: doc["eval"]["suites"].append({"embodiment": "hexapod", "trials": 5}), "suite 4.*hexapod"),
+        (lambda doc: doc["heads"][0].update(action_dim="7"), r"heads\[0\]\.action_dim is '7'"),
+        (lambda doc: doc["layout"]["groups"][0].update(tokens="9"), r"layout\.groups\[0\]\.tokens is '9'"),
+        (lambda doc: doc["encoders"].update(conv_channels=16), r"encoders\.conv_channels is 16"),
+        (lambda doc: doc["backbone"].update(layers=True), r"backbone\.layers is True"),
+        (lambda doc: doc["train"].update(batch_size=-3), r"train\.batch_size is -3"),
+        (lambda doc: doc["train"].update(val_fraction=0), r"train\.val_fraction is 0"),
+        (lambda doc: doc["train"].update(val_fraction=1.5), r"train\.val_fraction is 1\.5"),
+        (lambda doc: doc.update(eval=[]), "bad config document"),
     ],
-    ids=["non-numeric-weight", "three-field-entry", "unknown-suite-embodiment"],
+    ids=[
+        "non-numeric-weight", "three-field-entry", "unknown-suite-embodiment", "string-action-dim",
+        "string-tokens", "scalar-conv-channels", "bool-layers", "negative-batch-size", "zero-val-fraction",
+        "val-fraction-above-one", "eval-not-an-object",
+    ],
 )
 def test_from_dict_rejects_bad_untrusted_documents(edit, match):
     doc = json.loads(desk_config().canonical_json())

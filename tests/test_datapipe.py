@@ -1,7 +1,10 @@
+import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from omnibot import datapipe as dp
@@ -9,7 +12,7 @@ from omnibot import envs
 from omnibot.assembler import build_layout
 from omnibot.config import desk_config
 from omnibot.embodiments import embodiment
-from omnibot.errors import ConfigError, ContractError, CorruptionError, FormatError
+from omnibot.errors import ConfigError, ContractError, CorruptionError, FormatError, OmnibotError
 from omnibot.rng import generator
 
 
@@ -29,15 +32,10 @@ def toy_traj(embodiment="nav", steps=10, instruction=0, seed=0):
     return dp.TrajectoryRecord(embodiment, obs, actions, instruction)
 
 
-def nav_schema():
-    return dp.ShardSchema(
-        dataset="navset",
-        embodiment="nav",
-        head="navigation",
-        action_dim=2,
-        instruction_vocab=32,
-        streams=[("navigation", (3, 24, 24))],
-    )
+def with_header(blob: bytes, header: bytes) -> bytes:
+    """`blob`, an XEDS1 shard, with its header replaced by `header`."""
+    end = 9 + int.from_bytes(blob[5:9], "little")
+    return blob[:5] + len(header).to_bytes(4, "little") + header + blob[end:]
 
 
 # ----------------------------------------------------------------- shards
@@ -46,9 +44,9 @@ def nav_schema():
 def test_shard_round_trip_bit_exact(tmp_path):
     trajs = [toy_traj(seed=i, steps=5 + i, instruction=i) for i in range(3)]
     path = str(tmp_path / "nav.xeds")
-    dp.write_shard(nav_schema(), trajs, path)
-    schema, back = dp.read_shard(path)
-    assert schema.dataset == "navset"
+    dp.write_shard("nav", trajs, path)
+    spec, back = dp.read_shard(path)
+    assert spec is embodiment("nav")
     assert len(back) == 3
     for a, b in zip(trajs, back):
         assert a.instruction == b.instruction
@@ -58,8 +56,8 @@ def test_shard_round_trip_bit_exact(tmp_path):
 
 def test_shard_empty_list_valid(tmp_path):
     path = str(tmp_path / "empty.xeds")
-    dp.write_shard(nav_schema(), [], path)
-    schema, back = dp.read_shard(path)
+    dp.write_shard("nav", [], path)
+    _, back = dp.read_shard(path)
     assert back == []
 
 
@@ -67,12 +65,12 @@ def test_shard_write_rejects_wrong_action_dim(tmp_path):
     bad = toy_traj(seed=0)
     bad.actions = bad.actions[:, :1]
     with pytest.raises(FormatError):
-        dp.write_shard(nav_schema(), [bad], str(tmp_path / "x.xeds"))
+        dp.write_shard("nav", [bad], str(tmp_path / "x.xeds"))
 
 
 def test_shard_write_rejects_foreign_embodiment(tmp_path):
     with pytest.raises(FormatError):
-        dp.write_shard(nav_schema(), [toy_traj("quad")], str(tmp_path / "x.xeds"))
+        dp.write_shard("nav", [toy_traj("quad")], str(tmp_path / "x.xeds"))
 
 
 def test_shard_magic_mismatch(tmp_path):
@@ -84,7 +82,7 @@ def test_shard_magic_mismatch(tmp_path):
 
 def test_shard_truncation_reports_offset(tmp_path):
     path = str(tmp_path / "nav.xeds")
-    dp.write_shard(nav_schema(), [toy_traj(seed=1)], path)
+    dp.write_shard("nav", [toy_traj(seed=1)], path)
     blob = open(path, "rb").read()
     cut = len(blob) - 100
     open(path, "wb").write(blob[:cut])
@@ -96,12 +94,82 @@ def test_shard_truncation_reports_offset(tmp_path):
 def test_shard_little_endian_on_disk(tmp_path):
     path = str(tmp_path / "nav.xeds")
     traj = toy_traj(seed=2, steps=1)
-    dp.write_shard(nav_schema(), [traj], path)
+    dp.write_shard("nav", [traj], path)
     blob = open(path, "rb").read()
     header_len = int.from_bytes(blob[5:9], "little")
     payload = blob[9 + header_len + 8 :]
     first = np.frombuffer(payload[:4], dtype="<f4")[0]
     assert first == traj.observations["navigation"][0].reshape(-1)[0]
+
+
+def test_shard_header_names_only_the_embodiment_and_extra_keys_are_ignored(tmp_path):
+    path = tmp_path / "nav.xeds"
+    traj = toy_traj(steps=3)
+    dp.write_shard("nav", [traj], str(path))
+    blob = path.read_bytes()
+    assert blob[9 : 9 + int.from_bytes(blob[5:9], "little")] == b'{"embodiment": "nav"}'
+    # a header that also restates registry facts, as XEDS1 headers once did, reads the same
+    verbose = {
+        "action_dim": 2, "dataset": "navset", "embodiment": "nav", "head": "navigation", "instruction_vocab": 32,
+        "streams": [{"dtype": "f32", "name": "navigation", "shape": [3, 24, 24]}],
+    }
+    path.write_bytes(with_header(blob, json.dumps(verbose, sort_keys=True).encode()))
+    spec, (back,) = dp.read_shard(str(path))
+    assert spec is embodiment("nav")
+    np.testing.assert_array_equal(back.actions, traj.actions)
+    np.testing.assert_array_equal(back.observations["navigation"], traj.observations["navigation"])
+
+
+def one_trajectory_nav_shard(path) -> bytes:
+    dp.write_shard("nav", [toy_traj(steps=2)], str(path))
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "header, match",
+    [
+        (b'{"embodiment": "n\xffv"}', "not UTF-8"),
+        (b'{"embodiment": "nav"', "not JSON"),
+        (b'["nav"]', "not an object"),
+        (b'{"robot": "nav"}', "embodiment is None"),
+        (b'{"embodiment": 7}', "embodiment is 7"),
+        (b'{"embodiment": "hexapod"}', "unknown embodiment 'hexapod'"),
+    ],
+    ids=["not-utf8", "not-json", "not-an-object", "no-embodiment", "non-string-embodiment", "unknown-embodiment"],
+)
+def test_bad_header_raises_format_error_naming_the_problem(header, match, tmp_path):
+    path = tmp_path / "bad.xeds"
+    path.write_bytes(with_header(one_trajectory_nav_shard(tmp_path / "nav.xeds"), header))
+    with pytest.raises(FormatError, match=match):
+        dp.read_shard(str(path))
+
+
+def test_every_header_truncation_raises_a_package_error(tmp_path):
+    blob = one_trajectory_nav_shard(tmp_path / "nav.xeds")
+    path = tmp_path / "cut.xeds"
+    for cut in range(9 + int.from_bytes(blob[5:9], "little")):
+        path.write_bytes(blob[:cut])
+        with pytest.raises(OmnibotError):
+            dp.read_shard(str(path))
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example(edits=[(12, 0xFF)])  # a header byte that is not UTF-8
+@example(edits=[(8, 0xFF)])  # a header length past the end of the file
+@example(edits=[(5, 0x14)])  # a header length one byte short
+@example(edits=[(25, ord("w"))])  # a name the registry lacks
+@given(edits=st.lists(st.tuples(st.integers(0, 2**16), st.integers(0, 255)), min_size=1, max_size=4))
+def test_header_byte_substitutions_read_or_raise_a_package_error(edits, tmp_path):
+    blob = bytearray(one_trajectory_nav_shard(tmp_path / "nav.xeds"))
+    end = 9 + int.from_bytes(blob[5:9], "little")
+    for at, byte in edits:
+        blob[at % end] = byte
+    path = tmp_path / "fuzzed.xeds"
+    path.write_bytes(bytes(blob))
+    try:
+        dp.read_shard(str(path))
+    except OmnibotError:
+        pass
 
 
 # ----------------------------------------------------------------- windows
@@ -167,7 +235,7 @@ def _example(instruction, with_goal=True):
         ex = dp.TrainingExample(
             ex.embodiment,
             ex.head,
-            [replace(f, goal=None, goal_view=None) for f in ex.frames],
+            [replace(f, goal=None) for f in ex.frames],
             ex.targets,
             ex.target_mask,
         )
@@ -409,12 +477,3 @@ def test_quad_examples_skip_goal_conditioning(small_world):
     out = dp.mask_modality(ex, generator(5))
     assert out.frames[-1].instruction == 8  # never masked away
 
-
-def test_shard_of_unknown_embodiment_fails_the_batch_with_contract_error(tmp_path):
-    path = str(tmp_path / "hexapod.xeds")
-    dp.write_shard(replace(nav_schema(), embodiment="hexapod"), [replace(toy_traj(), embodiment="hexapod")] * 3, path)
-    _, trajs = dp.read_shard(path)
-    cfg = desk_config()
-    sampler = dp.BatchSampler({"hexset": trajs}, dp.MixtureSpec([("hexset", 1.0)]), cfg, build_layout(cfg), seed=0)
-    with pytest.raises(ContractError, match="hexapod"):
-        sampler.batch(0, size=2)

@@ -74,8 +74,8 @@ def test_fifth_embodiment_trains_and_acts_from_its_registry_entry(aviation_cfg, 
     cfg = aviation_cfg
     path = str(tmp_path / "quadcopter.xeds")
     envs.generate_dataset("quadcopter", 4, seed=3, out_path=path, cfg=cfg)
-    schema, trajs = read_shard(path)
-    assert (schema.head, schema.action_dim, schema.streams) == ("aviation", 4, [("navigation", CAMERA)])
+    spec, trajs = read_shard(path)
+    assert spec is QUADCOPTER and len(trajs) == 4
 
     policy = Policy.init(cfg, seed=0)
     sampler = BatchSampler({"copters": trajs}, MixtureSpec([("copters", 1.0)]), cfg, policy.layout, seed=1)

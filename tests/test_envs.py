@@ -4,7 +4,7 @@ import pytest
 from omnibot import envs
 from omnibot.config import desk_config
 from omnibot.datapipe import read_shard
-from omnibot.embodiments import EMBODIMENTS
+from omnibot.embodiments import EMBODIMENTS, embodiment
 from omnibot.errors import ContractError, ExecutionError
 
 
@@ -185,9 +185,9 @@ def test_replay_reproduces_states_bit_exactly():
 def test_generate_dataset_round_trip(tmp_path):
     cfg = desk_config()
     path = tmp_path / "quad.xeds"
-    schema = envs.generate_dataset("quad", 3, seed=9, out_path=str(path), cfg=cfg)
-    schema2, trajs = read_shard(str(path))
-    assert schema2.embodiment == "quad" and len(trajs) == 3
+    envs.generate_dataset("quad", 3, seed=9, out_path=str(path), cfg=cfg)
+    spec, trajs = read_shard(str(path))
+    assert spec is embodiment("quad") and len(trajs) == 3
     assert trajs[0].observations["quad-proprio"].shape[1] == 59
     assert trajs[0].actions.shape[1] == 12
 
@@ -196,8 +196,8 @@ def test_generate_dataset_empty_is_valid(tmp_path):
     cfg = desk_config()
     path = tmp_path / "empty.xeds"
     envs.generate_dataset("nav", 0, seed=0, out_path=str(path), cfg=cfg)
-    schema, trajs = read_shard(str(path))
-    assert trajs == [] and schema.embodiment == "nav"
+    spec, trajs = read_shard(str(path))
+    assert trajs == [] and spec is embodiment("nav")
 
 
 def test_generate_dataset_deterministic_bytes(tmp_path):
