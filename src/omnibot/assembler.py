@@ -6,15 +6,18 @@ absolute position in the context window. Observations missing for an
 embodiment are zero-filled and pad-flagged; attention masking makes the
 pads and the readout slots provably inert for everyone else.
 
-That inertness is what lets `compact` drop slots before the backbone runs
-without changing any kept slot's output:
-- a pad slot is a key only for itself (mask rule a), so dropping it removes
-  no term from any other query's attention;
-- a readout slot is a key only for itself (rules b and c), so dropping
+That inertness is what lets `assemble_batch` build a head's compact window
+directly, with only the slots that head's readouts can see:
+- a pad slot is a key only for itself (mask rule a), so leaving it out
+  removes no term from any other query's attention;
+- a readout slot is a key only for itself (rules b and c), so leaving out
   another head's readouts, or this head's readouts at other steps, removes
   no term either.
-Every kept slot keeps its original position embedding and its row of the
-original mask, so the backbone computes the same numbers on fewer rows.
+Encoder rows go straight into their kept columns, every kept slot gets its
+original position embedding, and the mask is the layout's base mask
+restricted to the kept columns and the pads: the backbone computes the same
+numbers as on the full window, on fewer rows. The full window (no head) is
+the dense oracle the tests compare against.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .config import Config
-from .embodiments import EMBODIMENTS, embodiment
+from .embodiments import EMBODIMENTS, EmbodimentSpec, embodiment
 from .encoders import EncoderBank
 from .errors import ConfigError, ContractError, DimensionError
 
@@ -51,6 +54,7 @@ class SlotLayout:
     # derived lookups, filled in __post_init__
     token_step: np.ndarray = field(init=False)
     token_is_obs: np.ndarray = field(init=False)
+    token_readout_row: np.ndarray = field(init=False)  # row of the slot's readout embedding; 0 (zeros) for observations
     _base_mask: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -58,10 +62,16 @@ class SlotLayout:
         t = k * s
         self.token_step = np.repeat(np.arange(k), s)
         is_obs_step = np.zeros(s, dtype=bool)
+        readout_row = np.zeros(s, dtype=np.intp)
+        row = 1
         for g in self.groups:
             if g.kind != "readout":
                 is_obs_step[g.offset : g.offset + g.tokens] = True
+            else:
+                readout_row[g.offset : g.offset + g.tokens] = np.arange(row, row + g.tokens)
+                row += g.tokens
         self.token_is_obs = np.tile(is_obs_step, k)
+        self.token_readout_row = np.tile(readout_row, k)
         # rule (b)/(c): keys must be observation tokens at same-or-prior steps;
         # readout queries additionally see themselves.
         base = self.token_is_obs[None, :] & (self.token_step[None, :] <= self.token_step[:, None])
@@ -79,20 +89,21 @@ class SlotLayout:
                 return g
         raise KeyError(f"no slot group named {name!r}")
 
-    def readout_range(self, head: str, step: int) -> tuple[int, int]:
+    def readout_group(self, head: str) -> SlotGroup:
         for g in self.groups:
             if g.kind == "readout" and g.head == head:
-                start = step * self.step_tokens + g.offset
-                return start, start + g.tokens
+                return g
         raise KeyError(f"no readout group for head {head!r}")
+
+    def readout_range(self, head: str, step: int) -> tuple[int, int]:
+        g = self.readout_group(head)
+        start = step * self.step_tokens + g.offset
+        return start, start + g.tokens
 
     def readout_indices(self, head: str) -> np.ndarray:
         """Token indices of the head's readout slots, one row per step."""
-        rows = []
-        for s in range(self.history):
-            a, b = self.readout_range(head, s)
-            rows.append(np.arange(a, b))
-        return np.stack(rows)
+        g = self.readout_group(head)
+        return np.arange(self.history)[:, None] * self.step_tokens + g.offset + np.arange(g.tokens)
 
     def canonical(self) -> str:
         doc = {
@@ -158,40 +169,69 @@ class ObservationFrame:
 
 @dataclass
 class AssembledWindow:
-    tokens: Tensor  # [B, k*S, d_model]
-    pad: np.ndarray  # [B, k*S] bool, True where slot is padding
-    attn_mask: np.ndarray  # [B, k*S, k*S] bool, True where attention permitted
+    tokens: Tensor  # [B, T, d_model]; T = k*S for a full window
+    pad: np.ndarray  # [B, T] bool, True where slot is padding
+    attn_mask: np.ndarray  # [B, T, T] bool, True where attention permitted
     valid_steps: np.ndarray  # [B, k] bool
     layout: SlotLayout
     slots: np.ndarray  # [T] original slot index of each token column, ascending
 
 
-def build_attention_mask(layout: SlotLayout, pad: np.ndarray) -> np.ndarray:
-    """Block-wise causal mask.
+def window_embodiment(frames: list[ObservationFrame], history: int) -> EmbodimentSpec:
+    """The registry entry of a window's robot; ContractError for an empty,
+    overlong or mixed window, or for a robot the registry lacks."""
+    if not frames or len(frames) > history:
+        raise ContractError(f"window needs 1..{history} frames, got {len(frames)}")
+    names = {f.embodiment for f in frames}
+    if len(names) != 1:
+        raise ContractError(f"mixed embodiments within one window: {sorted(names)}")
+    return embodiment(frames[0].embodiment)
 
-    mask[i, j] is True iff all of:
+
+def conditioning_goal(frame: ObservationFrame, view: str) -> np.ndarray | None:
+    """The frame's goal image if it conditions `view`, its robot's registry goal view; else None."""
+    if frame.goal is None or embodiment(frame.embodiment).goal_view != view:
+        return None
+    return frame.goal
+
+
+def encode_group(bank: EncoderBank, group: SlotGroup, frames: list[ObservationFrame]) -> Tensor:
+    """Encoder rows [n, tokens, d_model] of one observation group for n frames, in one batched call.
+
+    An image group's goal channels carry a frame's goal where that goal
+    conditions the group, and zeros elsewhere.
+    """
+    obs = np.stack([f.observations[group.name] for f in frames])
+    if group.kind == "obs-proprio":
+        return bank.encode_proprio(group.name, obs)
+    goals = [conditioning_goal(f, group.name) for f in frames]
+    if all(g is None for g in goals):
+        goals = None
+    else:
+        goals = np.stack([np.zeros_like(o) if g is None else g for o, g in zip(obs, goals)])
+    lang = bank.embed_language(np.array([f.instruction for f in frames]))
+    return bank.encode_image(group.name, obs, goals=goals, lang=lang)
+
+
+def build_attention_mask(layout: SlotLayout, pad: np.ndarray, cols: np.ndarray | None = None) -> np.ndarray:
+    """Block-wise causal mask over the slots `cols` (every slot when None).
+
+    `pad` holds one flag per slot of `cols`. mask[i, j] is True iff all of:
       (a) j is not pad-flagged, or j == i;
       (b) observation queries see only observation keys at same-or-prior steps;
       (c) readout queries see observation keys at same-or-prior steps, plus self.
+    Rules (b) and (c) are the layout's base mask, restricted to `cols`; it
+    permits every slot itself, so rule (a) only sets the diagonal back.
     """
     pad = np.asarray(pad, dtype=bool)
-    t = layout.context_tokens
-    if pad.shape[-1] != t:
-        raise DimensionError(f"pad mask has {pad.shape[-1]} tokens, layout has {t}")
-    eye = np.eye(t, dtype=bool)
-    if pad.ndim == 1:
-        return layout._base_mask & (~pad[None, :] | eye)
-    return layout._base_mask[None] & (~pad[:, None, :] | eye[None])
-
-
-def _readout_step_content(layout: SlotLayout, params: dict[str, Tensor], dtype) -> Tensor:
-    pieces = []
-    for g in layout.groups:
-        if g.kind == "readout":
-            pieces.append(params[f"asm/readout/{g.head}"])
-        else:
-            pieces.append(ad.tensor(np.zeros((g.tokens, layout.d_model), dtype=dtype)))
-    return ad.concat(pieces, axis=0)
+    base = layout._base_mask if cols is None else layout._base_mask[cols][:, cols]
+    n = base.shape[0]
+    if pad.shape[-1] != n:
+        raise DimensionError(f"pad mask has {pad.shape[-1]} tokens, the mask covers {n}")
+    mask = base & ~pad[..., None, :]
+    diag = np.arange(n)
+    mask[..., diag, diag] = True
+    return mask
 
 
 def init_assembler_params(layout: SlotLayout, rng: np.random.Generator, dtype=np.float32) -> dict[str, Tensor]:
@@ -208,117 +248,85 @@ def init_assembler_params(layout: SlotLayout, rng: np.random.Generator, dtype=np
     return params
 
 
+def _slot_embeddings(layout: SlotLayout, params: dict[str, Tensor], cols: np.ndarray) -> Tensor:
+    """[len(cols), d_model]: each slot's position embedding plus, at a readout slot, its readout embedding."""
+    pos = params["asm/pos"]
+    readouts = [params[f"asm/readout/{g.head}"] for g in layout.groups if g.kind == "readout"]
+    table = ad.concat([ad.tensor(np.zeros((1, layout.d_model), dtype=pos.dtype)), *readouts], axis=0)
+    return ad.take(table, layout.token_readout_row[cols], axis=0) + ad.take(pos, cols, axis=0)
+
+
 def assemble_batch(
     windows: list[list[ObservationFrame]],
     layout: SlotLayout,
     bank: EncoderBank,
     params: dict[str, Tensor],
+    head: str | None = None,
+    steps=slice(None),
+    encode=encode_group,
 ) -> AssembledWindow:
-    """Encode and place a batch of frame histories into fixed slots."""
+    """Encode a batch of frame histories and place them into their slots.
+
+    With `head` None, the full window: every slot of every step. With a
+    head, the compact window for that head's readouts at `steps`, which
+    index the k window steps (every window ends at step k-1, so [-1] is the
+    newest): the observation slots live in at least one window, plus the
+    head's readout slots at `steps`. Encoder rows are scattered straight
+    into their kept columns. `encode(bank, group, frames)` gives each
+    observation group's encoder rows, `encode_group` by default.
+    """
     k, s, t, d = layout.history, layout.step_tokens, layout.context_tokens, layout.d_model
     b = len(windows)
-    dtype = bank.dtype
-
     valid = np.zeros((b, k), dtype=bool)
-    pad = np.ones((b, t), dtype=bool)
-    # per view kind: lists of (batch idx, step idx, frame)
-    present: dict[str, list[tuple[int, int, ObservationFrame]]] = {
+    entries: dict[str, list[tuple[int, int, ObservationFrame]]] = {
         g.name: [] for g in layout.groups if g.kind != "readout"
     }
-    goal_views = []  # per window: the view its goal images condition
     for bi, frames in enumerate(windows):
-        if not frames or len(frames) > k:
-            raise ContractError(f"window needs 1..{k} frames, got {len(frames)}")
-        if len({f.embodiment for f in frames}) != 1:
-            raise ContractError("mixed embodiments within one window")
-        goal_views.append(embodiment(frames[0].embodiment).goal_view)
+        window_embodiment(frames, k)
         lead = k - len(frames)
-        for si, frame in enumerate(frames):
-            step = lead + si
-            valid[bi, step] = True
-            base = step * s
-            for g in layout.groups:
-                if g.kind == "readout":
-                    pad[bi, base + g.offset : base + g.offset + g.tokens] = False
-                elif g.name in frame.observations:
-                    pad[bi, base + g.offset : base + g.offset + g.tokens] = False
-                    present[g.name].append((bi, step, frame))
+        valid[bi, lead:] = True
+        for step, frame in enumerate(frames, lead):
+            for name in frame.observations:
+                if name in entries:
+                    entries[name].append((bi, step, frame))
 
-    sources: list[Tensor] = []
-    b_idx_parts: list[np.ndarray] = []
-    t_idx_parts: list[np.ndarray] = []
+    live = valid[:, layout.token_step] & ~layout.token_is_obs  # readouts are live at valid steps
+    placed = []  # (group, frames, window and slot of each encoder row)
     for g in layout.groups:
-        entries = present.get(g.name)
-        if not entries:
-            continue
-        n = len(entries)
-        if g.kind == "obs-image":
-            imgs = np.stack([f.observations[g.name] for _, _, f in entries])
-            goals = np.stack(
-                [
-                    f.goal if f.goal is not None and goal_views[bi] == g.name
-                    else np.zeros_like(f.observations[g.name])
-                    for bi, _, f in entries
-                ]
-            )
-            lang = bank.embed_language(np.array([f.instruction for _, _, f in entries]))
-            encoded = bank.encode_image(g.name, imgs, goals=goals, lang=lang)
-        else:
-            vals = np.stack([f.observations[g.name] for _, _, f in entries])
-            encoded = bank.encode_proprio(g.name, vals)
-        rows = encoded.reshape(n * g.tokens, d)
-        sources.append(rows)
-        bs = np.repeat([e[0] for e in entries], g.tokens)
-        ts = np.concatenate(
-            [e[1] * s + g.offset + np.arange(g.tokens) for e in entries]
-        )
-        b_idx_parts.append(bs)
-        t_idx_parts.append(ts)
+        got = entries.get(g.name)
+        if got:
+            bs = np.repeat([bi for bi, _, _ in got], g.tokens)
+            slots = (np.array([step for _, step, _ in got])[:, None] * s + g.offset + np.arange(g.tokens)).ravel()
+            live[bs, slots] = True
+            placed.append((g, [f for _, _, f in got], bs, slots))
 
-    if sources:
-        all_rows = ad.concat(sources, axis=0) if len(sources) > 1 else sources[0]
+    if head is None:
+        cols = np.arange(t)
+    else:
+        keep = (live & layout.token_is_obs).any(axis=0)
+        keep[layout.readout_indices(head)[steps].ravel()] = True
+        cols = np.flatnonzero(keep)
+    column = np.zeros(t, dtype=np.intp)  # kept column of each slot
+    column[cols] = np.arange(cols.size)
+
+    if placed:
+        rows = [encode(bank, g, frames).reshape(-1, d) for g, frames, _, _ in placed]
         content = ad.scatter_tokens(
-            all_rows, np.concatenate(b_idx_parts), np.concatenate(t_idx_parts), b, t
+            ad.concat(rows, axis=0) if len(rows) > 1 else rows[0],
+            np.concatenate([bs for _, _, bs, _ in placed]),
+            column[np.concatenate([slots for _, _, _, slots in placed])],
+            b,
+            cols.size,
         )
     else:
-        content = ad.tensor(np.zeros((b, t, d), dtype=dtype))
-
-    step_readout = _readout_step_content(layout, params, dtype)
-    readout_tiled = ad.concat([step_readout] * k, axis=0)  # [t, d]
-    notpad = ad.tensor((~pad).astype(dtype)[:, :, None])
-    tokens = (content + readout_tiled + params["asm/pos"]) * notpad
-
-    attn = build_attention_mask(layout, pad)
-    return AssembledWindow(
-        tokens=tokens, pad=pad, attn_mask=attn, valid_steps=valid, layout=layout, slots=np.arange(t)
-    )
-
-
-def compact(window: AssembledWindow, rows: np.ndarray, head: str, steps=slice(None)) -> AssembledWindow:
-    """The slots of `rows` that `head`'s readouts at `steps` can see, as a window.
-
-    `window` is a full window from `assemble_batch`. Kept slots: every
-    observation slot that is live for at least one of `rows`, plus the
-    head's readout slots at `steps`. All other slots are pads or readouts,
-    which no kept slot attends to (see the module docstring). A kept slot
-    that is pad for some of `rows` still attends only to itself there, so
-    sharing one slot set across `rows` is exact too. Tokens (with their
-    position embeddings already added) and the mask are gathered, never
-    rebuilt. The mask is gathered one axis at a time, several times faster
-    than one three-axis `np.ix_` index.
-    """
-    layout = window.layout
-    keep = (~window.pad[rows] & layout.token_is_obs).any(axis=0)
-    keep[layout.readout_indices(head)[steps].ravel()] = True
-    cols = np.flatnonzero(keep)
-    b, t, d = window.tokens.shape
-    flat = (rows[:, None] * t + cols).ravel()  # unique, so the gather's backward is one assignment
-    tokens = ad.take(window.tokens.reshape(b * t, d), flat, axis=0).reshape(len(rows), len(cols), d)
+        content = ad.tensor(np.zeros((b, cols.size, d), dtype=bank.dtype))
+    pad = ~live[:, cols]
+    tokens = (content + _slot_embeddings(layout, params, cols)) * ad.tensor((~pad).astype(bank.dtype)[:, :, None])
     return AssembledWindow(
         tokens=tokens,
-        pad=window.pad[rows][:, cols],
-        attn_mask=window.attn_mask[rows][:, cols][:, :, cols],
-        valid_steps=window.valid_steps[rows],
+        pad=pad,
+        attn_mask=build_attention_mask(layout, pad, cols),
+        valid_steps=valid,
         layout=layout,
         slots=cols,
     )

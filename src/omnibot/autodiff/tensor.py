@@ -5,7 +5,9 @@ to its parents. Creation order doubles as a topological order (an op's
 output always has a larger id than its inputs), so reverse-mode traversal
 is simply "visit reachable nodes by descending id". Tensors are immutable
 by convention after creation; training code only mutates leaf `.data`
-buffers between steps.
+buffers between steps, and after such a write it calls
+`Policy.params_changed()`, because `Policy.act` caches encoder rows
+computed from the old values.
 
 Two float precisions are supported: float32 for training and float64 for
 gradient verification. Mixed-dtype arithmetic is an error rather than a

@@ -51,12 +51,12 @@ def forward(window: AssembledWindow, params: dict[str, Tensor], cfg: Config, hea
     With `head` None: [B, T, d_model], one row per token column. With a
     head: [B, steps, chunk, d_model], that head's readout embeddings at
     each step whose readouts the window holds (every step of a full window;
-    the steps a window from `assembler.compact` was compacted for), found
-    by original slot index in `window.slots`. Every layer but the last
-    runs on all rows, which later layers read as keys and values. The last
-    layer needs all rows only for its keys and values; its queries,
-    attention output, MLP and the final norm are row-wise, so they run on
-    the readout rows alone and give the same numbers as the full forward.
+    the steps a compact window was assembled for), found by original slot
+    index in `window.slots`. Every layer but the last runs on all rows,
+    which later layers read as keys and values. The last layer needs all
+    rows only for its keys and values; its queries, attention output, MLP
+    and the final norm are row-wise, so they run on the readout rows alone
+    and give the same numbers as the full forward.
     """
     bb = cfg.backbone
     x = window.tokens
@@ -67,7 +67,9 @@ def forward(window: AssembledWindow, params: dict[str, Tensor], cfg: Config, hea
     mask = ad.ops.AttentionMask(window.attn_mask) if bb.layers else None
     if head is not None:
         idx = window.layout.readout_indices(head)  # [k, chunk]
-        cols = np.flatnonzero(np.isin(window.slots, idx))
+        is_readout = np.zeros(window.layout.context_tokens, dtype=bool)
+        is_readout[idx] = True
+        cols = np.flatnonzero(is_readout[window.slots])
         if not bb.layers:
             x = ad.take(x, cols, axis=1)
 

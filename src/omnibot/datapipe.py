@@ -4,8 +4,8 @@ Shards use the XEDS1 container: a 5-byte magic, a little-endian u32 header
 length, a UTF-8 JSON header, then packed float32 trajectories. The header
 names only the embodiment, `{"embodiment": name}`; every other fact comes
 from its `embodiments` registry entry, and each record follows that entry:
-u32 steps, u32 instruction, each observation group in the entry's order,
-then the actions. A reader ignores any other header key.
+u32 steps (at least 1), u32 instruction, each observation group in the
+entry's order, then the actions. A reader ignores any other header key.
 
 The batch pipeline (mixture draw, window draw, hindsight goal relabeling,
 task-modality masking, augmentation) is a deterministic function of
@@ -51,6 +51,8 @@ def write_shard(name: str, trajectories: list[TrajectoryRecord], path: str) -> N
             raise FormatError(f"trajectory {i} is for {traj.embodiment!r}, shard is {name!r}")
         if traj.actions.ndim != 2 or traj.actions.shape[1] != spec.action_dim:
             raise FormatError(f"trajectory {i} actions {traj.actions.shape} != action_dim {spec.action_dim}")
+        if traj.steps == 0:
+            raise FormatError(f"trajectory {i} has zero steps")
         for group, shape in spec.observations:
             arr = traj.observations.get(group)
             if arr is None or arr.shape != (traj.steps, *shape):
@@ -105,6 +107,8 @@ def read_shard(path: str) -> tuple[EmbodimentSpec, list[TrajectoryRecord]]:
         if offset + 8 > n:
             raise CorruptionError("truncated trajectory prelude", offset=offset)
         steps, instruction = struct.unpack_from("<II", blob, offset)
+        if steps == 0:
+            raise FormatError(f"trajectory {len(trajectories)} has zero steps (at byte offset {offset})")
         offset += 8
         observations = {}
         for group, shape in spec.observations:
@@ -285,6 +289,12 @@ class BatchSampler:
             ]
             if keep:
                 self.datasets[name] = keep
+        vocab = cfg.encoders.language_vocab
+        for name, trajs in datasets.items():
+            for i, t in enumerate(trajs):
+                if not 0 <= t.instruction < vocab:
+                    raise ContractError(f"dataset {name!r} trajectory {i}: instruction id {t.instruction} "
+                                        f"is outside the language vocabulary [0, {vocab})")
         missing = [n for n in mixture.names if n not in self.datasets]
         if missing:
             raise ConfigError(f"mixture names {missing} have no {split} trajectories")

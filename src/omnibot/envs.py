@@ -22,6 +22,7 @@ appears in training mixtures.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -94,15 +95,15 @@ def render_nav(pos: np.ndarray, walls: list[tuple[float, float, float, float]]) 
 
 
 def _joint_bars(values: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """One bar per joint: a 3-pixel mark at the joint's clipped height, over a key strip."""
     img = np.zeros((3, IMG, IMG), dtype=np.float32)
     n = len(values)
     width = IMG // n
-    for j, v in enumerate(values):
-        frac = (np.clip(v, lo, hi) - lo) / (hi - lo)
-        row = int(round((1.0 - frac) * (IMG - 3)))
-        col = j * width
-        img[0, row : row + 3, col : col + max(1, width - 1)] = 1.0
-        img[1, IMG - 2 :, col : col + max(1, width - 1)] = 0.3 + 0.05 * j  # joint index key
+    frac = (np.clip(values, lo, hi) - lo) / (hi - lo)
+    rows = np.round((1.0 - frac) * (IMG - 3)).astype(np.intp)
+    cols = np.arange(n)[:, None] * width + np.arange(max(1, width - 1))  # [n, bar width]
+    img[0, rows[:, None, None] + np.arange(3)[:, None], cols[:, None, :]] = 1.0
+    img[1, IMG - 2 :, cols] = (0.3 + 0.05 * np.arange(n))[:, None, None]  # joint index key
     return img
 
 
@@ -307,7 +308,9 @@ class NavShiftedEnv(NavEnv):
 # ------------------------------------------------------------------ bimanual
 
 
+@functools.lru_cache(maxsize=None)  # keyed by the registry's few bimanual instruction ids
 def _reference_params(instruction: int, joints: int = 14):
+    """The reference of one instruction; the arrays are shared between calls, so read-only."""
     rng = generator(instruction, "bimanual", "reference")
     offsets = rng.uniform(-0.5, 0.5, joints)
     amps = np.stack(
@@ -315,6 +318,8 @@ def _reference_params(instruction: int, joints: int = 14):
     )
     periods = np.array([80.0, 40.0, 26.0])
     phases = rng.uniform(0, 2 * np.pi, (3, joints))
+    for arr in (offsets, amps, periods, phases):
+        arr.setflags(write=False)
     return offsets, amps, periods, phases
 
 

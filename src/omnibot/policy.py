@@ -2,24 +2,38 @@
 
 The backbone never runs on a whole assembled window. Each element owns one
 action head, the one its embodiment draws from, and only that head's loss
-sees the element. So `predict` runs the backbone once per owned head, on
-that head's owners and on the slots `assembler.compact` keeps for them:
-their live observation slots plus the head's readouts. The dropped slots
-are pads, which attend only to themselves, and readouts, which no query
-but themselves sees, so no kept slot's output changes (up to the order of
-floating-point sums). The other heads' readouts of an element would only
-have met a zero loss weight. `act` does the same for one window and the
-newest step's readouts of the requested head.
+sees the element. So `predict` assembles and runs one compact window per
+owned head, on that head's owners: their live observation slots plus the
+head's readouts (see `assembler`). The slots left out are pads, which
+attend only to themselves, and readouts, which no query but themselves
+sees, so no kept slot's output changes (up to the order of floating-point
+sums). The other heads' readouts of an element would only have met a zero
+loss weight. `act` does the same for one window and the newest step's
+readouts of the requested head.
 
-A third fact trims the last layer: the heads read only readout rows, and
+A second fact trims the last layer: the heads read only readout rows, and
 there every other row serves only as a key and a value, because an
 attention row depends on its own query alone and the rest of the block is
 row-wise. So both pass their head to `backbone.forward`, which runs the
 last layer's queries, attention rows, MLP and final norm on the readout
 rows alone; no readout's output changes.
+
+A third fact lets `act` encode each frame once. Encoder rows carry no
+position, because `asm/pos` is added after placement, so a frame's rows
+depend only on the frame (its observation, the goal image where that goal
+conditions the group, and the instruction) and on the parameters. `act`
+keeps the rows of the frames it saw last and encodes only new frames, all
+new frames of a group in one batched call. A cached row is a copy of the
+one computed when the frame was new; it can differ from encoding the same
+frame in a batch of another size only by BLAS summation order (float32
+relative 1e-6, float64 1e-15). Whoever writes parameters in place calls
+`params_changed`, which drops the cache.
 """
 
 from __future__ import annotations
+
+import hashlib
+from collections import OrderedDict
 
 import numpy as np
 
@@ -33,6 +47,46 @@ from .errors import ContractError
 from .rng import generator
 
 
+def frame_key(group: str, frame: assembler.ObservationFrame) -> bytes:
+    """Digest of what a frame's encoder rows for `group` depend on, parameters aside."""
+    arrays = [np.ascontiguousarray(frame.observations[group])]
+    goal = assembler.conditioning_goal(frame, group)
+    if goal is not None:
+        arrays.append(np.ascontiguousarray(goal))
+    # the prefix fixes every array's byte length, so no two inputs share a byte stream
+    shapes = ";".join(f"{a.dtype.str}{a.shape}" for a in arrays)
+    h = hashlib.sha256(f"{int(frame.instruction)};{shapes}".encode())
+    for a in arrays:
+        h.update(a)
+    return h.digest()
+
+
+class FrameTokenCache:
+    """Encoder rows of the frames `act` saw last: at most `history` per observation group."""
+
+    def __init__(self, history: int):
+        self.history = history
+        self.groups: dict[str, OrderedDict[bytes, np.ndarray]] = {}
+
+    def encode(self, bank: EncoderBank, group: assembler.SlotGroup, frames) -> Tensor:
+        """`assembler.encode_group`'s rows, encoding only the frames not cached."""
+        rows = self.groups.setdefault(group.name, OrderedDict())
+        keys = [frame_key(group.name, f) for f in frames]
+        misses = {}
+        for key, frame in zip(keys, frames):
+            if key not in rows:
+                misses.setdefault(key, frame)
+        if misses:
+            fresh = assembler.encode_group(bank, group, list(misses.values())).data
+            rows.update(zip(misses, fresh))
+        out = np.stack([rows[key] for key in keys])
+        for key in keys:
+            rows.move_to_end(key)
+        while len(rows) > self.history:
+            rows.popitem(last=False)
+        return ad.tensor(out)
+
+
 class Policy:
     """One shared network controlling every embodiment."""
 
@@ -42,6 +96,7 @@ class Policy:
         self.layout = assembler.build_layout(cfg)
         self.bank = EncoderBank(params, cfg)
         self.head_specs = {h.name: h for h in cfg.heads}
+        self.frame_tokens = FrameTokenCache(self.layout.history)
 
     @staticmethod
     def init(cfg: Config, seed: int, dtype=np.float32) -> "Policy":
@@ -57,9 +112,14 @@ class Policy:
     def dtype(self):
         return self.params["asm/pos"].data.dtype
 
+    def params_changed(self) -> None:
+        """Drop `act`'s cached encoder rows; call after writing any parameter's `.data` in place."""
+        self.frame_tokens = FrameTokenCache(self.layout.history)
+
     # -- forward -------------------------------------------------------------
 
     def assemble(self, windows) -> assembler.AssembledWindow:
+        """The full window of every slot: the dense oracle the compact paths are checked against."""
         return assembler.assemble_batch(windows, self.layout, self.bank, self.params)
 
     def predict(self, batch: TrainingBatch) -> dict[str, Tensor]:
@@ -70,12 +130,12 @@ class Policy:
         alone, so `batch.targets`, `batch.loss_masks` and `batch.heads` are
         not read.
         """
-        window = self.assemble(batch.windows)
-        owners = np.array([heads.owned_head(frames[0].embodiment) for frames in batch.windows])
+        windows = batch.windows
+        owners = np.array([assembler.window_embodiment(w, self.layout.history).head for w in windows])
         unknown = sorted(set(owners.tolist()) - set(self.head_specs))
         if unknown:
             raise ContractError(f"batch needs heads {unknown} that the config does not define")
-        b, k = window.valid_steps.shape
+        b, k = len(windows), self.layout.history
         out = {}
         for name, spec in self.head_specs.items():
             shape = (b, k, spec.chunk_size, spec.action_dim)
@@ -83,7 +143,7 @@ class Policy:
             if not rows.size:
                 out[name] = ad.zeros(shape, dtype=self.dtype)
                 continue
-            sub = assembler.compact(window, rows, name)
+            sub = assembler.assemble_batch([windows[r] for r in rows], self.layout, self.bank, self.params, name)
             pred = heads.project(backbone.forward(sub, self.params, self.cfg, head=name), self.params, name)
             # one scattered row per owner: [B, 1, k*chunk*action_dim], zeros elsewhere
             placed = ad.scatter_tokens(pred.reshape(rows.size, -1), rows, np.zeros_like(rows), b, 1)
@@ -100,12 +160,15 @@ class Policy:
     # -- rollout -------------------------------------------------------------
 
     def act(self, frames, head: str) -> heads.ActionChunk:
-        """Decode the newest valid step's readouts for one window of frames."""
+        """Decode the newest step's readouts of `head`, which the window's embodiment must draw from."""
         if head not in self.head_specs:
             raise ContractError(f"unknown head {head!r}")
+        robot = assembler.window_embodiment(frames, self.layout.history)
+        if robot.head != head:
+            raise ContractError(f"{robot.name!r} draws actions from head {robot.head!r}, not {head!r}")
         with ad.no_grad():
-            window = self.assemble([frames])
-            newest = np.flatnonzero(window.valid_steps[0])[-1:]
-            sub = assembler.compact(window, np.zeros(1, dtype=np.intp), head, newest)
-            readouts = backbone.forward(sub, self.params, self.cfg, head=head)
+            window = assembler.assemble_batch(
+                [frames], self.layout, self.bank, self.params, head, [-1], self.frame_tokens.encode
+            )
+            readouts = backbone.forward(window, self.params, self.cfg, head=head)
             return heads.decode(readouts.reshape(-1, readouts.shape[-1]), self.params, self.head_specs[head])

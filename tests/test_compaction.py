@@ -2,10 +2,10 @@
 
 The dense oracle runs `backbone.forward` without a head on the whole
 assembled window and reads every head's readouts from its rows.
-`Policy.predict` and `Policy.act` run the backbone only on the slots
-`assembler.compact` keeps, and its last layer only on the readout rows;
-everything that reaches a loss or an action must agree with the oracle to
-rounding.
+`Policy.predict` and `Policy.act` run the backbone only on the compact
+windows `assembler.assemble_batch` builds for a head, and its last layer
+only on the readout rows; everything that reaches a loss or an action must
+agree with the oracle to rounding.
 """
 
 import dataclasses
@@ -171,33 +171,41 @@ def test_act_matches_dense_newest_step(policy, name):
         assert rel_err(got, want) <= TOL, n
 
 
+def compact_window(policy, windows, head, steps=slice(None)):
+    return assembler.assemble_batch(windows, policy.layout, policy.bank, policy.params, head, steps)
+
+
 def test_compact_keeps_live_observations_and_the_heads_readouts(policy):
     layout = policy.layout
-    window = policy.assemble([rollout_frames("nav", 3, 1), rollout_frames("nav", 5, 2), rollout_frames("quad", 2, 3)])
-    sub = assembler.compact(window, np.array([0, 1]), "navigation")
+    windows = [rollout_frames("nav", 3, 1), rollout_frames("nav", 5, 2), rollout_frames("quad", 2, 3)]
+    window = policy.assemble(windows)
+    sub = compact_window(policy, windows[:2], "navigation")
     nav = layout.group("navigation")
     readouts = layout.readout_indices("navigation")
     assert sub.tokens.shape[:2] == (2, layout.history * nav.tokens + readouts.size)
     np.testing.assert_array_equal(sub.attn_mask, window.attn_mask[np.ix_([0, 1], sub.slots, sub.slots)])
-    np.testing.assert_array_equal(sub.tokens.data, window.tokens.data[[0, 1]][:, sub.slots])
-    newest = assembler.compact(window, np.array([2]), "quadruped", [layout.history - 1])
+    assert rel_err(sub.tokens.data, window.tokens.data[[0, 1]][:, sub.slots]) <= TOL
+    newest = compact_window(policy, windows[2:], "quadruped", [layout.history - 1])
     k, s = layout.history, layout.step_tokens
     proprio = layout.group("quad-proprio").offset + np.array([(k - 2) * s, (k - 1) * s])
     readout = layout.readout_indices("quadruped")[-1]
     np.testing.assert_array_equal(newest.slots, np.concatenate([proprio, readout]))  # two live proprio slots, one readout
+    assert rel_err(newest.tokens.data, window.tokens.data[[2]][:, newest.slots]) <= TOL
 
 
-def test_compact_gathers_the_mask_of_non_contiguous_rows_and_steps(policy):
+def test_compact_mask_of_non_contiguous_rows_and_steps_restricts_the_full_mask(policy):
     names = ("nav", "quad", "nav", "arm1", "nav")
-    window = policy.assemble([rollout_frames(n, 1 + i, i) for i, n in enumerate(names)])
+    windows = [rollout_frames(n, 1 + i, i) for i, n in enumerate(names)]
+    window = policy.assemble(windows)
     rows = np.array([0, 2, 4])
     for steps in (slice(None), [0, 2, 4], [3, 1]):
-        sub = assembler.compact(window, rows, "navigation", steps)
+        sub = compact_window(policy, [windows[r] for r in rows], "navigation", steps)
         assert np.any(np.diff(sub.slots) > 1)
         want = window.attn_mask[np.ix_(rows, sub.slots, sub.slots)]
         assert sub.attn_mask.dtype == want.dtype and sub.attn_mask.shape == want.shape
         assert sub.attn_mask.tobytes() == want.tobytes()
         np.testing.assert_array_equal(sub.pad, window.pad[np.ix_(rows, sub.slots)])
+        assert rel_err(sub.tokens.data, window.tokens.data[rows][:, sub.slots]) <= TOL
 
 
 def test_unknown_embodiment_raises_contract_error(policy):

@@ -73,6 +73,22 @@ def test_shard_write_rejects_foreign_embodiment(tmp_path):
         dp.write_shard("nav", [toy_traj("quad")], str(tmp_path / "x.xeds"))
 
 
+def test_shard_write_rejects_a_zero_step_trajectory(tmp_path):
+    trajs = [toy_traj(seed=0), toy_traj(steps=0, seed=1)]
+    with pytest.raises(FormatError, match="trajectory 1 has zero steps"):
+        dp.write_shard("nav", trajs, str(tmp_path / "x.xeds"))
+
+
+def test_shard_read_rejects_a_zero_step_trajectory(tmp_path):
+    path = tmp_path / "nav.xeds"
+    dp.write_shard("nav", [toy_traj(steps=2, seed=0)], str(path))
+    blob = path.read_bytes()
+    empty = (0).to_bytes(4, "little") + (0).to_bytes(4, "little")  # steps 0, instruction 0, no streams
+    path.write_bytes(blob + empty + blob[9 + int.from_bytes(blob[5:9], "little"):])
+    with pytest.raises(FormatError, match=f"trajectory 1 has zero steps \\(at byte offset {len(blob)}\\)"):
+        dp.read_shard(str(path))
+
+
 def test_shard_magic_mismatch(tmp_path):
     path = tmp_path / "bad.xeds"
     path.write_bytes(b"NOTIT" + b"\x00" * 20)
@@ -465,6 +481,13 @@ def test_train_val_split_disjoint_and_sized(small_world):
     tids = {id(t) for t in train.datasets["navset"]}
     vids = {id(t) for t in val.datasets["navset"]}
     assert not (tids & vids)
+
+
+def test_instruction_outside_the_vocabulary_is_rejected_naming_where(small_world):
+    cfg, layout, datasets, mixture = small_world
+    bad = dict(datasets, quadset=[*datasets["quadset"][:3], toy_traj("quad", steps=8, instruction=99)])
+    with pytest.raises(ContractError, match=r"'quadset' trajectory 3: instruction id 99 .*\[0, 32\)"):
+        dp.BatchSampler(bad, mixture, cfg, layout, seed=0)
 
 
 def test_quad_examples_skip_goal_conditioning(small_world):

@@ -182,6 +182,55 @@ def test_replay_reproduces_states_bit_exactly():
         state = env.step(state, a.astype(np.float64))
 
 
+def joint_bars_per_joint(values, lo, hi):
+    """The per-joint reference of `envs._joint_bars`: one scalar clip and round per joint."""
+    side = envs.IMG
+    img = np.zeros((3, side, side), dtype=np.float32)
+    width = side // len(values)
+    for j, v in enumerate(values):
+        frac = (np.clip(v, lo, hi) - lo) / (hi - lo)
+        row = int(round((1.0 - frac) * (side - 3)))
+        col = j * width
+        img[0, row : row + 3, col : col + max(1, width - 1)] = 1.0
+        img[1, side - 2 :, col : col + max(1, width - 1)] = 0.3 + 0.05 * j
+    return img
+
+
+def rounding_ties(lo, hi):
+    """Joint values whose bar row is exactly m + 0.5 before rounding, with their m."""
+    span = envs.IMG - 3
+    ties = []
+    for m in range(span):
+        v = lo + (hi - lo) * (1.0 - (m + 0.5) / span)
+        for c in (v, np.nextafter(v, hi), np.nextafter(v, lo)):
+            if (1.0 - (c - lo) / (hi - lo)) * span == m + 0.5:
+                ties.append((m, c))
+    return ties
+
+
+def test_joint_bars_match_the_per_joint_loop():
+    lo, hi = -2.0, 2.0
+    ties = rounding_ties(lo, hi)
+    assert {m % 2 for m, _ in ties} == {0, 1}  # ties that round down and up
+    rng = np.random.Generator(np.random.PCG64(0))
+    cases = [
+        np.array([lo, hi, lo - 1.0, hi + 1.0, 0.0, np.nextafter(lo, 0.0), np.nextafter(hi, 0.0)]),  # clip bounds
+        np.array([c for _, c in ties][:14]),
+        np.array([c for _, c in ties][14:28]),
+        *(rng.uniform(-3.0, 3.0, n) for n in (1, 3, 7, 14, 14, 24)),
+    ]
+    for values in cases:
+        np.testing.assert_array_equal(envs._joint_bars(values, lo, hi), joint_bars_per_joint(values, lo, hi))
+
+
+def test_bimanual_reference_params_are_shared_and_read_only():
+    first = envs._reference_params(5)
+    assert envs._reference_params(5) is first
+    for arr in first:
+        with pytest.raises(ValueError):
+            arr[...] = 0.0
+
+
 def test_generate_dataset_round_trip(tmp_path):
     cfg = desk_config()
     path = tmp_path / "quad.xeds"

@@ -1,0 +1,105 @@
+"""`Policy.act`'s frame-token cache against a fresh policy, in float64.
+
+A fresh `Policy` over the same parameters has an empty cache, so its `act`
+encodes every frame of the window in one batch. The cached policy encodes
+only the frames it has not seen; both must agree to rounding.
+"""
+
+import numpy as np
+import pytest
+
+from omnibot import envs, heads
+from omnibot.assembler import ObservationFrame
+from omnibot.config import desk_config
+from omnibot.errors import ContractError
+from omnibot.policy import Policy
+
+TOL = 1e-12
+
+
+@pytest.fixture(scope="module")
+def cfg():
+    return desk_config()
+
+
+def film_policy(cfg, seed=4):
+    """A float64 policy whose FiLM projections are non-zero, so the instruction changes image rows."""
+    policy = Policy.init(cfg, seed=seed, dtype=np.float64)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    for name, p in policy.params.items():
+        if "/film" in name:
+            p.data[...] = rng.standard_normal(p.shape) * 0.1
+    return policy
+
+
+def rel_err(a, b):
+    return float(np.linalg.norm(a - b)) / float(np.linalg.norm(b))
+
+
+def fresh_act(policy, frames, head):
+    return Policy(policy.cfg, policy.params).act(frames, head).values
+
+
+@pytest.mark.parametrize("name", ("arm1", "nav", "nav-shifted", "bimanual", "quad"))
+def test_sliding_window_rollout_matches_a_fresh_policy(cfg, name):
+    policy = film_policy(cfg)
+    k = policy.layout.history
+    bound = k * sum(g.kind != "readout" for g in policy.layout.groups)
+    env = envs.make_env(name)
+    head = heads.owned_head(name)
+    rng = np.random.Generator(np.random.PCG64(8))
+    state, _, instruction = env.reset(7)
+    goal = env.goal_frame_image(state) if env.spec.goal_view else None
+    frames = [env.frame(state, instruction, goal)]
+    for _ in range(60):
+        window = frames[-k:]
+        got = policy.act(window, head).values
+        assert rel_err(got, fresh_act(policy, window, head)) <= TOL
+        sizes = [len(rows) for rows in policy.frame_tokens.groups.values()]
+        assert sum(sizes) <= bound and max(sizes) <= k
+        # a noisy expert keeps the frames changing; a still robot repeats them, which hits the cache
+        action = env.expert_chunk(state, 1)[0] + rng.normal(0.0, 0.05, env.spec.action_dim)
+        state = env.step(state, action.astype(np.float64))
+        frames.append(env.frame(state, instruction, goal))
+
+
+def test_instruction_and_goal_are_part_of_the_key(cfg):
+    policy = film_policy(cfg)
+    img = np.random.Generator(np.random.PCG64(1)).random((3, 24, 24)).astype(np.float32)
+    goal = np.random.Generator(np.random.PCG64(2)).random((3, 24, 24)).astype(np.float32)
+    variants = [
+        ObservationFrame("arm1", {"workspace": img}, instruction=1),
+        ObservationFrame("arm1", {"workspace": img}, instruction=2),
+        ObservationFrame("arm1", {"workspace": img}, instruction=2, goal=goal),
+    ]
+    seen = []
+    for frame in variants:  # the same image each time, so only the key can tell them apart
+        got = policy.act([frame], "single-arm").values
+        assert rel_err(got, fresh_act(policy, [frame], "single-arm")) <= TOL
+        assert all(rel_err(got, other) > 1e-6 for other in seen)
+        seen.append(got)
+
+
+def test_params_changed_drops_rows_of_the_old_parameters(cfg):
+    policy = film_policy(cfg)
+    env = envs.make_env("nav")
+    state, frame, instruction = env.reset(3)
+    window = [frame]
+    for _ in range(4):
+        state = env.step(state, env.expert_chunk(state, 1)[0].astype(np.float64))
+        window.append(env.frame(state, instruction))
+    policy.act(window, "navigation")
+    policy.params["enc/img/navigation/conv0/w"].data *= 1.5  # in place, as an optimizer writes
+    want = fresh_act(policy, window, "navigation")
+    assert rel_err(policy.act(window, "navigation").values, want) > 1e-6  # stale rows until told
+    policy.params_changed()
+    assert not policy.frame_tokens.groups
+    assert rel_err(policy.act(window, "navigation").values, want) <= TOL
+
+
+def test_act_rejects_a_head_the_embodiment_does_not_draw_from(cfg):
+    policy = Policy.init(cfg, seed=0)
+    env = envs.make_env("nav")
+    _, frame, _ = env.reset(0)
+    with pytest.raises(ContractError, match="'nav'.*'navigation'.*'bimanual'"):
+        policy.act([frame], "bimanual")
