@@ -15,10 +15,8 @@ from .ops import (
     take,
 )
 from .tensor import (
-    ComputationRecord,
     Tensor,
     backward,
-    matmul,
     no_grad,
     param,
     tensor,
@@ -26,7 +24,6 @@ from .tensor import (
 )
 
 __all__ = [
-    "ComputationRecord",
     "GradCheckReport",
     "Tensor",
     "AttentionMask",
@@ -39,7 +36,6 @@ __all__ = [
     "layer_norm",
     "linear",
     "masked_attention",
-    "matmul",
     "no_grad",
     "param",
     "scatter_tokens",

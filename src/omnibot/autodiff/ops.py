@@ -24,40 +24,33 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     sizes = [t.shape[axis] for t in tensors]
     offsets = np.cumsum(sizes)[:-1]
 
-    def factory():
-        def bwd(g):
-            return tuple(np.split(g, offsets, axis=axis))
+    def bwd(g):
+        return tuple(np.split(g, offsets, axis=axis))
 
-        return bwd
-
-    return Tensor._make(out, tuple(tensors), factory, "concat")
+    return Tensor._make(out, tuple(tensors), bwd, "concat")
 
 
 def take(x: Tensor, indices: np.ndarray, axis: int) -> Tensor:
     """Gather along an axis; duplicate indices accumulate in backward.
 
     Backward writes the gradient by plain assignment when the indices are
-    unique, and falls back to the much slower `np.add.at` otherwise.
+    unique, and falls back to the much slower `np.add.at` otherwise; the
+    uniqueness test runs in backward, so only when a gradient is needed.
     """
     idx = np.asarray(indices)
     out = np.take(x.data, idx, axis=axis)
     shape, dtype = x.shape, x.data.dtype
 
-    def factory():
-        unique = np.unique(idx % shape[axis]).size == idx.size
+    def bwd(g):
+        buf = np.zeros(shape, dtype=dtype)
+        sel = (slice(None),) * axis + (idx,)
+        if np.unique(idx % shape[axis]).size == idx.size:
+            buf[sel] = g
+        else:
+            np.add.at(buf, sel, g)
+        return (buf,)
 
-        def bwd(g):
-            buf = np.zeros(shape, dtype=dtype)
-            sel = (slice(None),) * axis + (idx,)
-            if unique:
-                buf[sel] = g
-            else:
-                np.add.at(buf, sel, g)
-            return (buf,)
-
-        return bwd
-
-    return Tensor._make(out, (x,), factory, "take")
+    return Tensor._make(out, (x,), bwd, "take")
 
 
 def scatter_tokens(src: Tensor, b_idx: np.ndarray, t_idx: np.ndarray, batch: int, tokens: int) -> Tensor:
@@ -69,13 +62,10 @@ def scatter_tokens(src: Tensor, b_idx: np.ndarray, t_idx: np.ndarray, batch: int
     out = np.zeros((batch, tokens, src.shape[1]), dtype=src.data.dtype)
     out[b_idx, t_idx] = src.data
 
-    def factory():
-        def bwd(g):
-            return (g[b_idx, t_idx],)
+    def bwd(g):
+        return (g[b_idx, t_idx],)
 
-        return bwd
-
-    return Tensor._make(out, (src,), factory, "scatter_tokens")
+    return Tensor._make(out, (src,), bwd, "scatter_tokens")
 
 
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
@@ -86,15 +76,12 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     out = table.data[ids]
     shape, dtype = table.shape, table.data.dtype
 
-    def factory():
-        def bwd(g):
-            buf = np.zeros(shape, dtype=dtype)
-            np.add.at(buf, ids, g)
-            return (buf,)
+    def bwd(g):
+        buf = np.zeros(shape, dtype=dtype)
+        np.add.at(buf, ids, g)
+        return (buf,)
 
-        return bwd
-
-    return Tensor._make(out, (table,), factory, "embedding")
+    return Tensor._make(out, (table,), bwd, "embedding")
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -113,22 +100,19 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     xhat = xc * inv
     out = xhat * gain.data + bias.data
 
-    def factory():
-        def bwd(g):
-            lead = tuple(range(g.ndim - 1))
-            dgain = (g * xhat).sum(axis=lead)
-            dbias = g.sum(axis=lead)
-            dxhat = g * gain.data
-            dx = inv * (
-                dxhat
-                - dxhat.mean(axis=-1, keepdims=True)
-                - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-            )
-            return dx, dgain, dbias
+    def bwd(g):
+        lead = tuple(range(g.ndim - 1))
+        dgain = (g * xhat).sum(axis=lead)
+        dbias = g.sum(axis=lead)
+        dxhat = g * gain.data
+        dx = inv * (
+            dxhat
+            - dxhat.mean(axis=-1, keepdims=True)
+            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+        )
+        return dx, dgain, dbias
 
-        return bwd
-
-    return Tensor._make(out, (x, gain, bias), factory, "layer_norm")
+    return Tensor._make(out, (x, gain, bias), bwd, "layer_norm")
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -139,21 +123,18 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     out = np.matmul(x.data, w.data)
     out += b.data
 
-    def factory():
-        def bwd(g):
-            gx = gw = gb = None
-            if x.requires_grad:
-                gx = np.matmul(g, w.data.T)
-            g2 = g.reshape(-1, n)
-            if w.requires_grad:
-                gw = x.data.reshape(-1, k).T @ g2
-            if b.requires_grad:
-                gb = g2.sum(axis=0)
-            return gx, gw, gb
+    def bwd(g):
+        gx = gw = gb = None
+        if x.requires_grad:
+            gx = np.matmul(g, w.data.T)
+        g2 = g.reshape(-1, n)
+        if w.requires_grad:
+            gw = x.data.reshape(-1, k).T @ g2
+        if b.requires_grad:
+            gb = g2.sum(axis=0)
+        return gx, gw, gb
 
-        return bwd
-
-    return Tensor._make(out, (x, w, b), factory, "linear")
+    return Tensor._make(out, (x, w, b), bwd, "linear")
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
@@ -179,26 +160,23 @@ def gelu(x: Tensor) -> Tensor:
         t += one  # t = 1 + exp(-2u), so sigmoid(2u) = 1 / t
         out = xd / t
 
-    def factory():
-        def bwd(g):
-            # d/dx x*s = s * (1 + x * (1 - s) * 2u'), with s = sigmoid(2u);
-            # s * (1 - s) is formed first so that it stays 0 where s is 0
-            with np.errstate(over="ignore"):
-                s = one / t
-                du = one - s
-                du *= s
-                du *= xd
-                up = xd * xd
-                up *= xd.dtype.type(6.0 * _GELU_C * _GELU_A)
-                up += xd.dtype.type(2.0 * _GELU_C)  # up = 2u'
-                du *= up
-                du += s
-                du *= g
-            return (du,)
+    def bwd(g):
+        # d/dx x*s = s * (1 + x * (1 - s) * 2u'), with s = sigmoid(2u);
+        # s * (1 - s) is formed first so that it stays 0 where s is 0
+        with np.errstate(over="ignore"):
+            s = one / t
+            du = one - s
+            du *= s
+            du *= xd
+            up = xd * xd
+            up *= xd.dtype.type(6.0 * _GELU_C * _GELU_A)
+            up += xd.dtype.type(2.0 * _GELU_C)  # up = 2u'
+            du *= up
+            du += s
+            du *= g
+        return (du,)
 
-        return bwd
-
-    return Tensor._make(out, (x,), factory, "gelu")
+    return Tensor._make(out, (x,), bwd, "gelu")
 
 
 def _norm_qkv(t: Tensor) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -295,21 +273,18 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask) -> Tensor:
     r = 1.0 / zv[..., dh:]
     out4 = zv[..., :dh] * r
 
-    def factory():
-        def bwd(g):
-            gr = np.reshape(g, q4.shape) * r
-            gv = np.matmul(np.swapaxes(z, -1, -2), gr)
-            gs = np.matmul(gr, np.swapaxes(v4, -1, -2))  # r * dL/dw
-            gs -= np.einsum("...ij,...ij->...i", gr, out4)[..., None]
-            gs *= z  # dL/dscores
-            gq = np.matmul(gs, k4)
-            gq *= scale
-            gk = np.matmul(np.swapaxes(gs, -1, -2), qs)
-            return gq.reshape(q_shape), gk.reshape(k_shape), gv.reshape(k_shape)
+    def bwd(g):
+        gr = np.reshape(g, q4.shape) * r
+        gv = np.matmul(np.swapaxes(z, -1, -2), gr)
+        gs = np.matmul(gr, np.swapaxes(v4, -1, -2))  # r * dL/dw
+        gs -= np.einsum("...ij,...ij->...i", gr, out4)[..., None]
+        gs *= z  # dL/dscores
+        gq = np.matmul(gs, k4)
+        gq *= scale
+        gk = np.matmul(np.swapaxes(gs, -1, -2), qs)
+        return gq.reshape(q_shape), gk.reshape(k_shape), gv.reshape(k_shape)
 
-        return bwd
-
-    return Tensor._make(out4.reshape(q_shape), (q, k, v), factory, "masked_attention")
+    return Tensor._make(out4.reshape(q_shape), (q, k, v), bwd, "masked_attention")
 
 
 def _same_pad(extent: int, kernel: int, stride: int) -> tuple[int, int, int]:
@@ -358,25 +333,22 @@ def conv2d(x: Tensor, kernels: Tensor, stride: int) -> Tensor:
     if squeeze:
         out = out[0]
 
-    def factory():
-        def bwd(g):
-            g4 = g[None] if squeeze else g
-            g2 = np.ascontiguousarray(g4.transpose(0, 2, 3, 1)).reshape(nb * h2 * w2, c2)
-            gk = gx = None
-            if kernels.requires_grad:
-                gk = (g2.T @ mat).reshape(c2, kh, kw, c).transpose(0, 3, 1, 2)
-            if x.requires_grad:
-                gcols = (g2 @ wmat.T).reshape(nb, h2, w2, kh, kw, c)
-                gxp = np.zeros_like(xp)
-                gwin = sliding_window_view(gxp, (kh, kw), axis=(1, 2), writeable=True)[:, ::stride, ::stride]
-                for i in range(kh):
-                    for j in range(kw):  # windows overlap, but no two share (i, j) and a position
-                        gwin[..., i, j] += gcols[:, :, :, i, j]
-                gx = np.ascontiguousarray(gxp[:, top : top + h, left : left + w].transpose(0, 3, 1, 2))
-                if squeeze:
-                    gx = gx[0]
-            return gx, gk
+    def bwd(g):
+        g4 = g[None] if squeeze else g
+        g2 = np.ascontiguousarray(g4.transpose(0, 2, 3, 1)).reshape(nb * h2 * w2, c2)
+        gk = gx = None
+        if kernels.requires_grad:
+            gk = (g2.T @ mat).reshape(c2, kh, kw, c).transpose(0, 3, 1, 2)
+        if x.requires_grad:
+            gcols = (g2 @ wmat.T).reshape(nb, h2, w2, kh, kw, c)
+            gxp = np.zeros_like(xp)
+            gwin = sliding_window_view(gxp, (kh, kw), axis=(1, 2), writeable=True)[:, ::stride, ::stride]
+            for i in range(kh):
+                for j in range(kw):  # windows overlap, but no two share (i, j) and a position
+                    gwin[..., i, j] += gcols[:, :, :, i, j]
+            gx = np.ascontiguousarray(gxp[:, top : top + h, left : left + w].transpose(0, 3, 1, 2))
+            if squeeze:
+                gx = gx[0]
+        return gx, gk
 
-        return bwd
-
-    return Tensor._make(out, (x, kernels), factory, "conv2d")
+    return Tensor._make(out, (x, kernels), bwd, "conv2d")

@@ -1,13 +1,20 @@
 """Dense tensors with reverse-mode differentiation.
 
 A Tensor wraps a numpy array plus an optional backward closure linking it
-to its parents. Creation order doubles as a topological order (an op's
-output always has a larger id than its inputs), so reverse-mode traversal
-is simply "visit reachable nodes by descending id". Tensors are immutable
-by convention after creation; training code only mutates leaf `.data`
-buffers between steps, and after such a write it calls
-`Policy.params_changed()`, because `Policy.act` caches encoder rows
-computed from the old values.
+to its parents. Every op creates its output through one call,
+`Tensor._make(data, parents, bwd, op)`: it computes the forward, defines
+`bwd(g)` (the gradient of its output mapped to one gradient, or None, per
+parent) and passes both in. `_make` keeps `parents` and `bwd` only when
+grad mode is on and some parent requires a gradient; otherwise the node is
+a constant and the closure is dropped unused, so work a backward alone
+needs belongs inside `bwd`.
+
+Creation order doubles as a topological order (an op's output always has
+a larger id than its inputs), so reverse-mode traversal is simply "visit
+reachable nodes by descending id". Tensors are immutable by convention
+after creation; training code only mutates leaf `.data` buffers between
+steps, and after such a write it calls `Policy.params_changed()`, because
+`Policy.act` caches encoder rows computed from the old values.
 
 Two float precisions are supported: float32 for training and float64 for
 gradient verification. Mixed-dtype arithmetic is an error rather than a
@@ -98,16 +105,16 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(op={self.op!r}, shape={self.shape}, dtype={self.data.dtype})"
 
-    # -- graph construction helper ----------------------------------------
+    # -- graph construction: the one point where ops create nodes ----------
 
     @staticmethod
-    def _make(data: np.ndarray, parents: Sequence["Tensor"], bwd_factory, op: str) -> "Tensor":
+    def _make(data: np.ndarray, parents: Sequence["Tensor"], bwd, op: str) -> "Tensor":
         needs = _grad_enabled and any(p.requires_grad for p in parents)
         return Tensor(
             data,
             requires_grad=needs,
             parents=parents if needs else (),
-            bwd=bwd_factory() if needs else None,
+            bwd=bwd if needs else None,
             op=op,
         )
 
@@ -127,23 +134,15 @@ class Tensor:
         a, b = self, other
         out = a.data + b.data
 
-        def factory():
-            def bwd(g):
-                return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        def bwd(g):
+            return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
 
-            return bwd
-
-        return Tensor._make(out, (a, b), factory, "add")
+        return Tensor._make(out, (a, b), bwd, "add")
 
     __radd__ = __add__
 
     def __neg__(self) -> "Tensor":
-        a = self
-
-        def factory():
-            return lambda g: (-g,)
-
-        return Tensor._make(-a.data, (a,), factory, "neg")
+        return Tensor._make(-self.data, (self,), lambda g: (-g,), "neg")
 
     def __sub__(self, other) -> "Tensor":
         return self + (-self._binary_prep(other, "sub"))
@@ -153,89 +152,41 @@ class Tensor:
         a, b = self, other
         out = a.data * b.data
 
-        def factory():
-            def bwd(g):
-                ga = _unbroadcast(g * b.data, a.shape) if a.requires_grad else None
-                gb = _unbroadcast(g * a.data, b.shape) if b.requires_grad else None
-                return ga, gb
+        def bwd(g):
+            ga = _unbroadcast(g * b.data, a.shape) if a.requires_grad else None
+            gb = _unbroadcast(g * a.data, b.shape) if b.requires_grad else None
+            return ga, gb
 
-            return bwd
-
-        return Tensor._make(out, (a, b), factory, "mul")
+        return Tensor._make(out, (a, b), bwd, "mul")
 
     __rmul__ = __mul__
-
-    # -- matmul -------------------------------------------------------------
-
-    def __matmul__(self, other) -> "Tensor":
-        return matmul(self, other)
 
     # -- shape ops ------------------------------------------------------------
 
     def reshape(self, *shape) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        a = self
-        out = a.data.reshape(shape)
-        old = a.shape
-
-        def factory():
-            return lambda g: (g.reshape(old),)
-
-        return Tensor._make(out, (a,), factory, "reshape")
-
-    def swapaxes(self, ax1: int, ax2: int) -> "Tensor":
-        a = self
-        out = np.swapaxes(a.data, ax1, ax2)
-
-        def factory():
-            return lambda g: (np.swapaxes(g, ax1, ax2),)
-
-        return Tensor._make(out, (a,), factory, "swapaxes")
+        old = self.shape
+        return Tensor._make(self.data.reshape(shape), (self,), lambda g: (g.reshape(old),), "reshape")
 
     def transpose(self, axes: Sequence[int]) -> "Tensor":
-        a = self
         axes = tuple(axes)
         inv = tuple(np.argsort(axes))
-        out = np.transpose(a.data, axes)
-
-        def factory():
-            return lambda g: (np.transpose(g, inv),)
-
-        return Tensor._make(out, (a,), factory, "transpose")
-
-    def __getitem__(self, idx) -> "Tensor":
-        a = self
-        out = a.data[idx]
-        shape, dtype = a.shape, a.data.dtype
-
-        def factory():
-            def bwd(g):
-                buf = np.zeros(shape, dtype=dtype)
-                buf[idx] = g
-                return (buf,)
-
-            return bwd
-
-        return Tensor._make(out, (a,), factory, "getitem")
+        out = np.transpose(self.data, axes)
+        return Tensor._make(out, (self,), lambda g: (np.transpose(g, inv),), "transpose")
 
     # -- reductions ------------------------------------------------------------
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        a = self
-        out = a.data.sum(axis=axis, keepdims=keepdims)
-        shape = a.shape
+        shape = self.shape
 
-        def factory():
-            def bwd(g):
-                gg = np.asarray(g)
-                if not keepdims and axis is not None:
-                    gg = np.expand_dims(gg, axis)
-                return (np.broadcast_to(gg, shape).copy(),)
+        def bwd(g):
+            gg = np.asarray(g)
+            if not keepdims and axis is not None:
+                gg = np.expand_dims(gg, axis)
+            return (np.broadcast_to(gg, shape).copy(),)
 
-            return bwd
-
-        return Tensor._make(out, (a,), factory, "sum")
+        return Tensor._make(self.data.sum(axis=axis, keepdims=keepdims), (self,), bwd, "sum")
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
         if axis is None:
@@ -246,15 +197,9 @@ class Tensor:
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
 
     def abs(self) -> "Tensor":
-        a = self
-        out = np.abs(a.data)
         # subgradient at 0 is 0: np.sign(0) == 0
-        sign = np.sign(a.data)
-
-        def factory():
-            return lambda g: (g * sign,)
-
-        return Tensor._make(out, (a,), factory, "abs")
+        sign = np.sign(self.data)
+        return Tensor._make(np.abs(self.data), (self,), lambda g: (g * sign,), "abs")
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -270,61 +215,23 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product with broadcasting over leading batch dimensions."""
-    if not isinstance(a, Tensor) or not isinstance(b, Tensor):
-        raise ContractError("matmul expects Tensor operands")
-    if a.ndim < 2 or b.ndim < 2:
-        raise DimensionError(f"matmul needs ndim >= 2, got {a.shape} @ {b.shape}")
-    if a.data.dtype != b.data.dtype:
-        raise DimensionError(f"matmul: dtype mismatch {a.data.dtype} vs {b.data.dtype}")
-    if a.shape[-1] != b.shape[-2]:
-        raise DimensionError(f"matmul: inner extents differ for shapes {a.shape} and {b.shape}")
-    out = np.matmul(a.data, b.data)
-
-    def factory():
-        def bwd(g):
-            ga = gb = None
-            if a.requires_grad:
-                ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape)
-            if b.requires_grad:
-                if b.ndim == 2 and a.ndim > 2:
-                    # stacked @ weight: collapse the batch dims into one gemm
-                    k, n = b.shape
-                    gb = a.data.reshape(-1, k).T @ g.reshape(-1, n)
-                else:
-                    gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)
-            return ga, gb
-
-        return bwd
-
-    return Tensor._make(out, (a, b), factory, "matmul")
-
-
-class ComputationRecord:
-    """The nodes reachable from an output, in append (topological) order."""
-
-    def __init__(self, nodes: list[Tensor], parameters: set[Tensor]):
-        self.nodes = nodes
-        self.parameters = parameters
-
-    @staticmethod
-    def trace(output: Tensor) -> "ComputationRecord":
-        seen: set[int] = set()
-        nodes: list[Tensor] = []
-        params: set[Tensor] = set()
-        stack = [output]
-        while stack:
-            node = stack.pop()
-            if node.id in seen:
-                continue
-            seen.add(node.id)
-            nodes.append(node)
-            if node.requires_grad and not node.parents:
-                params.add(node)
-            stack.extend(p for p in node.parents if p.requires_grad)
-        nodes.sort(key=lambda n: n.id)
-        return ComputationRecord(nodes, params)
+def _reachable(output: Tensor) -> tuple[list[Tensor], set[Tensor]]:
+    """The nodes a gradient reaches from `output` in creation (topological) order, and its leaf parameters."""
+    seen: set[int] = set()
+    nodes: list[Tensor] = []
+    params: set[Tensor] = set()
+    stack = [output]
+    while stack:
+        node = stack.pop()
+        if node.id in seen:
+            continue
+        seen.add(node.id)
+        nodes.append(node)
+        if node.requires_grad and not node.parents:
+            params.add(node)
+        stack.extend(p for p in node.parents if p.requires_grad)
+    nodes.sort(key=lambda n: n.id)
+    return nodes, params
 
 
 def backward(loss: Tensor, params: Iterable[Tensor] | None = None) -> dict[Tensor, np.ndarray]:
@@ -335,9 +242,9 @@ def backward(loss: Tensor, params: Iterable[Tensor] | None = None) -> dict[Tenso
     """
     if loss.data.size != 1:
         raise ContractError(f"backward expects a scalar loss, got shape {loss.shape}")
-    record = ComputationRecord.trace(loss)
+    nodes, reached = _reachable(loss)
     grads: dict[int, np.ndarray] = {loss.id: np.ones_like(loss.data)}
-    for node in reversed(record.nodes):
+    for node in reversed(nodes):
         if node.bwd is None:
             continue
         g = grads.pop(node.id, None)
@@ -354,7 +261,7 @@ def backward(loss: Tensor, params: Iterable[Tensor] | None = None) -> dict[Tenso
             have = grads.get(parent.id)
             grads[parent.id] = pg if have is None else have + pg
     if params is None:
-        params = record.parameters
+        params = reached
     out: dict[Tensor, np.ndarray] = {}
     for p in params:
         out[p] = grads.get(p.id, np.zeros_like(p.data))

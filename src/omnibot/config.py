@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from dataclasses import asdict, dataclass, field, fields
 
 from .embodiments import EMBODIMENTS
@@ -123,8 +124,10 @@ class Config:
             raise ConfigError(f"train.val_fraction is {train.val_fraction}, want a fraction in (0, 1)")
         try:
             mixture = [(str(n), float(w)) for n, w in mixture]
-        except (TypeError, ValueError) as exc:
+        except (OverflowError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad mixture entry, want [dataset, weight]: {exc}") from exc
+        for i, (_, w) in enumerate(mixture):
+            _checked(f"mixture[{i}].weight", w, "float")
         for i, suite in enumerate(ev.suites):
             if suite.embodiment not in EMBODIMENTS:
                 raise ConfigError(f"eval suite {i} names unknown embodiment {suite.embodiment!r}")
@@ -165,6 +168,8 @@ def _checked(name: str, value, kind: str):
     floor = _FLOORS.get(name.rsplit(".", 1)[-1], 1) if kind == "int" else None
     if type(value) not in _TYPES.get(kind, ()) or (floor is not None and value < floor):
         raise ConfigError(f"{name} is {value!r}, want {kind}" + ("" if floor is None else f" >= {floor}"))
+    if kind == "float" and not abs(value) <= sys.float_info.max:  # NaN fails the comparison too
+        raise ConfigError(f"{name} is {value!r}, want a finite float")
     return value
 
 

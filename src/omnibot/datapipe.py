@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import struct
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -231,11 +232,12 @@ class MixtureSpec:
     def __post_init__(self):
         if not self.entries:
             raise ConfigError("empty mixture")
-        if any(w < 0 for _, w in self.entries):
-            raise ConfigError("negative mixture weight")
-        total = sum(w for _, w in self.entries)
-        if total <= 0:
-            raise ConfigError("mixture weights sum to zero")
+        weights = [w for _, w in self.entries]
+        if not all(0 <= w <= sys.float_info.max for w in weights):  # NaN fails the comparison too
+            raise ConfigError(f"mixture weights {weights}: each must be finite and >= 0")
+        total = sum(weights)
+        if not 0 < total <= sys.float_info.max:
+            raise ConfigError(f"mixture weights {weights} sum to {total}, want a positive finite sum")
         self._probs = np.array([w / total for _, w in self.entries])
 
     @property

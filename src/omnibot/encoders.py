@@ -17,7 +17,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .config import Config
 from .embodiments import group_shape
-from .errors import DimensionError
+from .errors import ContractError, DimensionError
 
 
 def init_encoder_params(cfg: Config, rng: np.random.Generator, dtype=np.float32) -> dict[str, Tensor]:
@@ -88,8 +88,11 @@ class EncoderBank:
         """Rows of the instruction table; id 0 yields the exact zero vector."""
         ids = np.atleast_1d(np.asarray(ids, dtype=np.int64))
         vocab = self.cfg.encoders.language_vocab
-        if ids.min() < 0 or ids.max() >= vocab:
-            raise IndexError(f"instruction id out of range [0, {vocab}): {ids}")
+        bad = ids[(ids < 0) | (ids >= vocab)]
+        if bad.size:
+            raise ContractError(
+                f"instruction id {int(bad[0])} is outside the language vocabulary of {vocab} ids"
+            )
         emb = ad.embedding(self.params["enc/lang/table"], ids)
         keep = (ids != 0).astype(self.dtype)[:, None]
         return emb * ad.tensor(keep)
@@ -138,7 +141,7 @@ class EncoderBank:
             )
             x = ad.gelu(x)
         c = x.shape[1]
-        tokens = x.reshape(n, c, -1).swapaxes(1, 2)  # [n, T_img, c]
+        tokens = x.reshape(n, c, -1).transpose((0, 2, 1))  # [n, T_img, c]
         return ad.linear(tokens, p[f"enc/img/{view}/proj/w"], p[f"enc/img/{view}/proj/b"])
 
     # -- proprioception -----------------------------------------------------

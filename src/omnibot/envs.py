@@ -221,8 +221,6 @@ class NavState:
     map_id: int
     goal: np.ndarray
     t: int
-    drift: np.ndarray = field(default_factory=lambda: np.zeros(2))
-    step_clamp: float = 0.2
 
 
 class NavEnv(Env):
@@ -248,7 +246,7 @@ class NavEnv(Env):
                 goal = np.array([rng.uniform(0.05, 0.3), rng.uniform(0.05, 0.35)])
             if np.linalg.norm(start - goal) >= 0.5 and not _in_walls(start, walls) and not _in_walls(goal, walls):
                 break
-        state = NavState(start, map_id, goal, 0, self.drift.copy(), self.step_clamp)
+        state = NavState(start, map_id, goal, 0)
         return state, self.frame(state, 0), 0
 
     def goal_frame_image(self, state: NavState) -> np.ndarray:
@@ -273,13 +271,13 @@ class NavEnv(Env):
         self._check(action)
         delta = np.asarray(action, dtype=np.float64)
         norm = np.linalg.norm(delta)
-        if norm > state.step_clamp:
-            delta = delta * (state.step_clamp / norm)
+        if norm > self.step_clamp:
+            delta = delta * (self.step_clamp / norm)
         walls = NAV_MAPS[state.map_id]
         pos = self._move(state.pos, delta, walls)
-        if np.linalg.norm(state.drift) > 0:
-            pos = self._move(pos, state.drift, walls)
-        return NavState(pos, state.map_id, state.goal, state.t + 1, state.drift, state.step_clamp)
+        if np.linalg.norm(self.drift) > 0:
+            pos = self._move(pos, self.drift, walls)
+        return NavState(pos, state.map_id, state.goal, state.t + 1)
 
     def success(self, state: NavState) -> bool:
         return bool(np.linalg.norm(state.pos - state.goal) <= self.SUCCESS_RADIUS)
@@ -371,9 +369,8 @@ class BimanualEnv(Env):
         delta = np.clip(action - state.joints, -self.RATE_LIMIT, self.RATE_LIMIT)
         joints = np.clip(state.joints + delta, -2.0, 2.0)
         t = state.t + 1
-        nxt = BimanualState(joints, state.instruction, t, state.errors)
-        nxt.errors.append(float(np.abs(joints - bimanual_reference(state.instruction, float(t))).mean()))
-        return nxt
+        err = float(np.abs(joints - bimanual_reference(state.instruction, float(t))).mean())
+        return BimanualState(joints, state.instruction, t, [*state.errors, err])
 
     def done(self, state: BimanualState) -> bool:
         return state.t >= self.spec.horizon
@@ -442,7 +439,7 @@ class QuadEnv(Env):
         delta = np.clip(action - state.joints, -self.RATE_LIMIT, self.RATE_LIMIT)
         joints = state.joints + delta
         nxt = QuadState(joints, delta, np.asarray(action, dtype=np.float64), state.instruction,
-                        state.t + 1, state.rewards)
+                        state.t + 1, list(state.rewards))
         nxt.rewards.append(self.reward(nxt))
         return nxt
 

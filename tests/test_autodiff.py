@@ -74,52 +74,29 @@ def numeric_grad(f, x, eps=1e-6):
     return g
 
 
-# ---------------------------------------------------------------- matmul
+# ---------------------------------------------------------------- linear
 
 
-def test_matmul_identity():
-    b = rand((3, 2), 0)
-    out = ad.matmul(ad.tensor(np.eye(3)), ad.tensor(b))
-    np.testing.assert_array_equal(out.data, b)
-
-
-def test_matmul_scalar_case():
-    out = ad.matmul(ad.tensor([[2.0]]), ad.tensor([[3.0]]))
-    assert out.data[0, 0] == 6.0
-
-
-def test_matmul_vs_triple_loop():
-    a = rand((4, 5), 1, np.float32)
-    b = rand((5, 3), 2, np.float32)
-    out = ad.matmul(ad.tensor(a), ad.tensor(b)).data
-    assert np.abs(out - matmul_oracle(a, b)).max() < 1e-6
-
-
-def test_matmul_shape_error_names_both_shapes():
-    with pytest.raises(DimensionError, match=r"\(4, 5\).*\(4, 3\)"):
-        ad.matmul(ad.tensor(rand((4, 5), 0)), ad.tensor(rand((4, 3), 1)))
-
-
-def test_matmul_grads():
-    a = ad.param(rand((4, 5), 3))
-    b = ad.param(rand((5, 3), 4))
-    loss = ad.matmul(a, b).sum()
-    grads = ad.backward(loss, [a, b])
+@pytest.mark.parametrize("x_shape", [(4, 5), (2, 3, 5)])
+def test_linear_grads_vs_central_differences(x_shape):
+    # a 3-D x exercises the backward's collapse of the batch dims into one gemm for w
+    x = ad.param(rand(x_shape, 3))
+    w = ad.param(rand((5, 3), 4))
+    b = ad.param(rand((3,), 5))
+    weights = rand(x_shape[:-1] + (3,), 6)
+    grads = ad.backward((ad.linear(x, w, b) * ad.tensor(weights)).sum(), [x, w, b])
 
     def loss_at():
-        return matmul_oracle(a.data, b.data).sum()
+        out = matmul_oracle(x.data.reshape(-1, 5), w.data) + b.data
+        return (out.reshape(weights.shape) * weights).sum()
 
-    np.testing.assert_allclose(grads[a], numeric_grad(loss_at, a.data), rtol=1e-7, atol=1e-9)
-    np.testing.assert_allclose(grads[b], numeric_grad(loss_at, b.data), rtol=1e-7, atol=1e-9)
+    for p in (x, w, b):
+        np.testing.assert_allclose(grads[p], numeric_grad(loss_at, p.data), rtol=1e-7, atol=1e-9)
 
 
-def test_matmul_batched_matches_loop():
-    a = rand((2, 3, 4, 5), 5)
-    b = rand((5, 6), 6)
-    out = ad.matmul(ad.tensor(a), ad.tensor(b)).data
-    for i in range(2):
-        for j in range(3):
-            np.testing.assert_allclose(out[i, j], matmul_oracle(a[i, j], b), rtol=1e-12)
+def test_linear_shape_error_names_every_shape():
+    with pytest.raises(DimensionError, match=r"\(4, 5\).*\(4, 3\).*\(3,\)"):
+        ad.linear(ad.tensor(rand((4, 5), 0)), ad.tensor(rand((4, 3), 1)), ad.tensor(np.zeros(3)))
 
 
 # ---------------------------------------------------------------- layer_norm
@@ -470,17 +447,21 @@ def test_backward_layer_norm_sum_grad_orthogonal_to_constants():
     np.testing.assert_allclose(g.sum(axis=-1), 0.0, atol=1e-9)
 
 
-def test_computation_record_is_topologically_ordered():
+def test_backward_accumulates_a_node_read_at_different_depths():
+    # u feeds linear and the add directly: its gradient must sum both
+    # consumers before u's own backward runs
     x = ad.param(rand((2, 2), 55))
     y = ad.param(rand((2, 2), 56))
-    loss = (ad.matmul(x, y) + x).abs().sum()
-    record = ad.ComputationRecord.trace(loss)
-    ids = [n.id for n in record.nodes]
-    assert ids == sorted(ids)
-    for node in record.nodes:
-        for parent in node.parents:
-            assert parent.id < node.id
-    assert {x, y} <= record.parameters
+    w = ad.param(rand((2, 2), 57))
+    u = x * y
+    h = ad.linear(u, w, ad.tensor(np.zeros(2))) + u
+    grads = ad.backward(h.abs().sum())
+    assert set(grads) == {x, y, w}
+    s = np.sign(u.data @ w.data + u.data)
+    gu = s @ w.data.T + s
+    np.testing.assert_allclose(grads[x], gu * y.data, rtol=1e-12)
+    np.testing.assert_allclose(grads[y], gu * x.data, rtol=1e-12)
+    np.testing.assert_allclose(grads[w], u.data.T @ s, rtol=1e-12)
 
 
 def test_determinism_same_inputs_same_bits():
@@ -689,7 +670,7 @@ def test_property_random_composite_grads_match(rows, cols, seed):
     bias = ad.param(np.zeros(cols))
 
     def forward():
-        h = ad.matmul(x, w)
+        h = ad.linear(x, w, ad.tensor(np.zeros(cols)))
         h = ad.layer_norm(h, gain, bias) if cols > 1 else h
         return ad.gelu(h).abs().sum()
 

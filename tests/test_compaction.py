@@ -165,7 +165,7 @@ def test_act_matches_dense_newest_step(policy, name):
     for n in range(1, 6):
         full = policy.assemble([frames[:n]])
         readouts = dense_readouts(policy, full, head)
-        want = heads.decode(readouts.reshape(readouts.shape[1:])[-1], policy.params, spec).values
+        want = heads.decode(ad.tensor(readouts.data[0, -1]), policy.params, spec).values
         got = policy.act(frames[:n], head).values
         assert got.shape == (spec.chunk_size, spec.action_dim)
         assert rel_err(got, want) <= TOL, n

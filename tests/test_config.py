@@ -25,11 +25,18 @@ def test_from_dict_round_trips_the_desk_config():
         (lambda doc: doc["train"].update(val_fraction=0), r"train\.val_fraction is 0"),
         (lambda doc: doc["train"].update(val_fraction=1.5), r"train\.val_fraction is 1\.5"),
         (lambda doc: doc.update(eval=[]), "bad config document"),
+        (lambda doc: doc["train"].update(jitter=float("nan")), r"train\.jitter is nan, want a finite float"),
+        (lambda doc: doc["train"].update(jitter=float("inf")), r"train\.jitter is inf, want a finite float"),
+        (lambda doc: doc["heads"][1].update(control_hz=-float("inf")), r"heads\[1\]\.control_hz is -inf"),
+        (lambda doc: doc["mixture"].append(["arm1", "nan"]), r"mixture\[4\]\.weight is nan"),
+        (lambda doc: doc["mixture"].append(["arm1", 1e999]), r"mixture\[4\]\.weight is inf"),
+        (lambda doc: doc["mixture"].append(["arm1", 10**400]), "bad mixture entry"),
     ],
     ids=[
         "non-numeric-weight", "three-field-entry", "unknown-suite-embodiment", "string-action-dim",
         "string-tokens", "scalar-conv-channels", "bool-layers", "negative-batch-size", "zero-val-fraction",
-        "val-fraction-above-one", "eval-not-an-object",
+        "val-fraction-above-one", "eval-not-an-object", "nan-jitter", "inf-jitter", "minus-inf-float",
+        "nan-string-weight", "inf-weight", "int-weight-beyond-float",
     ],
 )
 def test_from_dict_rejects_bad_untrusted_documents(edit, match):

@@ -303,6 +303,13 @@ def test_mixture_zero_weights_rejected():
         dp.MixtureSpec([])
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0, 1e308])
+def test_mixture_non_finite_or_negative_weights_rejected(bad):
+    # 1e308 is finite, but two of them sum to inf
+    with pytest.raises(ConfigError, match="mixture weights"):
+        dp.MixtureSpec([("a", bad), ("b", 1e308)])
+
+
 def test_mixture_desk_frequencies():
     spec = dp.MixtureSpec([("arm1", 0.4), ("nav", 0.3), ("bimanual", 0.2), ("quad", 0.1)])
     rng = generator(99, "mixture")

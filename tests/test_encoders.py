@@ -4,7 +4,7 @@ import pytest
 import omnibot.autodiff as ad
 from omnibot.config import desk_config
 from omnibot.encoders import EncoderBank, film
-from omnibot.errors import DimensionError
+from omnibot.errors import ContractError, DimensionError
 
 
 @pytest.fixture(scope="module")
@@ -34,8 +34,8 @@ def test_embed_language_distinct_ids_differ(bank):
 
 
 def test_embed_language_out_of_range(bank):
-    with pytest.raises(IndexError):
-        bank.embed_language(np.array([32]))
+    with pytest.raises(ContractError, match="instruction id 32 .* vocabulary of 32 ids"):
+        bank.embed_language(np.array([5, 32]))
 
 
 def test_embed_language_null_id_gets_no_gradient(bank):

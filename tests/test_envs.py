@@ -261,8 +261,20 @@ def test_nav_shifted_interface_identity():
     env = envs.make_env("nav-shifted")
     s, frame, _ = env.reset(0)
     assert set(frame.observations) == {"navigation"}
-    assert s.step_clamp == 0.12
-    np.testing.assert_array_equal(s.drift, [0.0, 0.02])
+    assert env.step_clamp == 0.12
+    np.testing.assert_array_equal(env.drift, [0.0, 0.02])
     s2 = env.step(s, np.zeros(2))
     # drift moves the robot even under a zero action (unless blocked)
     assert not np.array_equal(s2.pos, s.pos)
+
+
+@pytest.mark.parametrize("name, history", [("bimanual", "errors"), ("quad", "rewards")])
+def test_stepping_a_state_twice_leaves_its_history_unchanged(name, history):
+    env = envs.make_env(name)
+    s, _, _ = env.reset(0)
+    before = list(getattr(s, history))
+    action = np.zeros(env.spec.action_dim)
+    a, b = env.step(s, action), env.step(s, action)
+    assert getattr(s, history) == before
+    assert getattr(a, history) == getattr(b, history)
+    assert len(getattr(a, history)) == len(before) + 1

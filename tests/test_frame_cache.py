@@ -5,6 +5,8 @@ encodes every frame of the window in one batch. The cached policy encodes
 only the frames it has not seen; both must agree to rounding.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -103,3 +105,14 @@ def test_act_rejects_a_head_the_embodiment_does_not_draw_from(cfg):
     _, frame, _ = env.reset(0)
     with pytest.raises(ContractError, match="'nav'.*'navigation'.*'bimanual'"):
         policy.act([frame], "bimanual")
+
+
+def test_act_with_an_instruction_outside_the_vocabulary_raises_contract_error(cfg):
+    policy = Policy.init(cfg, seed=0)
+    env = envs.make_env("arm1")
+    _, frame, _ = env.reset(0)
+    with pytest.raises(ContractError, match="instruction id 99 .* vocabulary of 32 ids"):
+        policy.act([dataclasses.replace(frame, instruction=99)], "single-arm")
+    # the failed call left the frame cache consistent
+    got = policy.act([frame], "single-arm").values
+    np.testing.assert_array_equal(got, fresh_act(policy, [frame], "single-arm"))
