@@ -30,7 +30,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .config import Config
-from .embodiments import EMBODIMENTS, EmbodimentSpec, embodiment
+from .embodiments import EmbodimentSpec, embodiment, observation_groups
 from .encoders import EncoderBank
 from .errors import ConfigError, ContractError, DimensionError
 
@@ -95,11 +95,6 @@ class SlotLayout:
                 return g
         raise KeyError(f"no readout group for head {head!r}")
 
-    def readout_range(self, head: str, step: int) -> tuple[int, int]:
-        g = self.readout_group(head)
-        start = step * self.step_tokens + g.offset
-        return start, start + g.tokens
-
     def readout_indices(self, head: str) -> np.ndarray:
         """Token indices of the head's readout slots, one row per step."""
         g = self.readout_group(head)
@@ -119,42 +114,44 @@ class SlotLayout:
     @staticmethod
     def from_canonical(text: str) -> "SlotLayout":
         doc = json.loads(text)
-        groups, offset = [], 0
-        for g in doc["groups"]:
-            groups.append(SlotGroup(g["name"], g["kind"], g["tokens"], g["head"], offset))
-            offset += g["tokens"]
-        return SlotLayout(groups, doc["history"], offset, doc["d_model"])
+        groups = [(g["name"], g["kind"], g["tokens"], g["head"]) for g in doc["groups"]]
+        return _stacked(groups, doc["history"], doc["d_model"])
+
+
+def _stacked(groups: list[tuple[str, str, int, str | None]], history: int, d_model: int) -> SlotLayout:
+    """The layout of (name, kind, tokens, head) groups laid out one after another in each step."""
+    slots, offset = [], 0
+    for name, kind, tokens, head in groups:
+        slots.append(SlotGroup(name, kind, tokens, head, offset))
+        offset += tokens
+    return SlotLayout(slots, history, offset, d_model)
 
 
 def build_layout(cfg: Config) -> SlotLayout:
-    """Deterministic layout from the config; checks each head against its readouts and its robots."""
+    """The slot layout, derived from the registry and the heads; the config states no group.
+
+    The observation groups are the registry's, in slot order (see
+    `embodiments.observation_groups`): a vector group is one token, an image
+    group one token per cell of the conv stack's output grid over its
+    registry H x W. Then each head gets one readout group, `readout-{name}`,
+    of `chunk_size` tokens. A head name given twice is a ConfigError.
+    """
+    enc, groups = cfg.encoders, []
+    for name, kind, shape in observation_groups():
+        tokens = 1
+        if kind == "obs-image":
+            h, w = shape[1:]
+            for _ in enc.conv_channels:
+                h, w = -(-h // enc.conv_stride), -(-w // enc.conv_stride)
+            tokens = h * w
+        groups.append((name, kind, tokens, None))
     seen = set()
-    groups, offset = [], 0
-    for g in cfg.layout.groups:
-        if g.name in seen:
-            raise ConfigError(f"duplicate slot group {g.name!r}")
-        seen.add(g.name)
-        if g.tokens < 1:
-            raise ConfigError(f"group {g.name!r} has no tokens")
-        if g.kind == "readout":
-            head = cfg.head(g.head)
-            if g.tokens != head.chunk_size:
-                raise ConfigError(
-                    f"readout group {g.name!r} has {g.tokens} tokens but head "
-                    f"{head.name!r} has chunk size {head.chunk_size}"
-                )
-        elif g.kind not in ("obs-image", "obs-proprio"):
-            raise ConfigError(f"unknown group kind {g.kind!r}")
-        groups.append(SlotGroup(g.name, g.kind, g.tokens, g.head, offset))
-        offset += g.tokens
-    for h in cfg.heads:
-        if not any(g.head == h.name for g in groups if g.kind == "readout"):
-            raise ConfigError(f"head {h.name!r} has no readout group")
-        for robot in EMBODIMENTS.values():
-            if robot.head == h.name and robot.action_dim != h.action_dim:
-                raise ConfigError(f"head {h.name!r} has action_dim {h.action_dim}, but {robot.name!r} "
-                                  f"draws {robot.action_dim}-D actions from it")
-    return SlotLayout(groups, cfg.layout.history, offset, cfg.backbone.d_model)
+    for head in cfg.heads:
+        if head.name in seen:
+            raise ConfigError(f"duplicate head name {head.name!r}")
+        seen.add(head.name)
+        groups.append((f"readout-{head.name}", "readout", head.chunk_size, head.name))
+    return _stacked(groups, cfg.layout.history, cfg.backbone.d_model)
 
 
 @dataclass
@@ -179,13 +176,22 @@ class AssembledWindow:
 
 def window_embodiment(frames: list[ObservationFrame], history: int) -> EmbodimentSpec:
     """The registry entry of a window's robot; ContractError for an empty,
-    overlong or mixed window, or for a robot the registry lacks."""
+    overlong or mixed window, for a robot the registry lacks, or for a frame
+    whose observation groups are not exactly its robot's."""
     if not frames or len(frames) > history:
         raise ContractError(f"window needs 1..{history} frames, got {len(frames)}")
     names = {f.embodiment for f in frames}
     if len(names) != 1:
         raise ContractError(f"mixed embodiments within one window: {sorted(names)}")
-    return embodiment(frames[0].embodiment)
+    robot = embodiment(frames[0].embodiment)
+    want = set(robot.observation_groups)
+    for i, f in enumerate(frames):
+        if f.observations.keys() != want:
+            raise ContractError(
+                f"frame {i} of {robot.name!r} lacks observation groups {sorted(want - f.observations.keys())} "
+                f"and carries unexpected groups {sorted(f.observations.keys() - want)}"
+            )
+    return robot
 
 
 def conditioning_goal(frame: ObservationFrame, view: str) -> np.ndarray | None:
@@ -287,8 +293,7 @@ def assemble_batch(
         valid[bi, lead:] = True
         for step, frame in enumerate(frames, lead):
             for name in frame.observations:
-                if name in entries:
-                    entries[name].append((bi, step, frame))
+                entries[name].append((bi, step, frame))
 
     live = valid[:, layout.token_step] & ~layout.token_is_obs  # readouts are live at valid steps
     placed = []  # (group, frames, window and slot of each encoder row)

@@ -1,4 +1,10 @@
-"""Global configuration: one JSON document with per-subsystem sections."""
+"""Global configuration: one JSON document with per-subsystem sections.
+
+The document states choices, not robot facts. A robot's observation groups,
+their shapes and its action width live in the embodiment registry; the slot
+layout is derived from the registry and the heads (`assembler.build_layout`),
+and a head's `action_dim` is read from the robots that draw from it.
+"""
 
 from __future__ import annotations
 
@@ -8,36 +14,30 @@ import sys
 from dataclasses import asdict, dataclass, field, fields
 
 from .embodiments import EMBODIMENTS
-from .errors import ConfigError
-
-VIEWS = ("workspace", "navigation", "wrist-left", "wrist-right")
-
-
-@dataclass
-class GroupSpec:
-    name: str
-    kind: str  # obs-image | obs-proprio | readout
-    tokens: int
-    head: str | None = None  # readout groups only
+from .errors import ConfigError, ContractError
 
 
 @dataclass
 class LayoutSection:
     history: int
-    groups: list[GroupSpec]
 
 
 @dataclass
 class HeadSection:
     name: str
-    action_dim: int
     chunk_size: int
-    control_hz: float
+
+    @property
+    def action_dim(self) -> int:
+        """The action width of every robot that draws from this head, from the registry."""
+        dims = {spec.action_dim for spec in EMBODIMENTS.values() if spec.head == self.name}
+        if len(dims) != 1:
+            raise ContractError(f"head {self.name!r} has action widths {sorted(dims)} in the registry")
+        return dims.pop()
 
 
 @dataclass
 class EncoderSection:
-    image_size: int = 24
     conv_channels: tuple[int, ...] = (16, 32, 64)
     conv_kernel: int = 3
     conv_stride: int = 2
@@ -102,10 +102,7 @@ class Config:
     @staticmethod
     def from_dict(doc: dict) -> "Config":
         try:
-            layout = LayoutSection(
-                history=doc["layout"]["history"],
-                groups=[GroupSpec(**g) for g in doc["layout"]["groups"]],
-            )
+            layout = LayoutSection(**doc["layout"])
             heads = [HeadSection(**h) for h in doc["heads"]]
             encoders = EncoderSection(**doc.get("encoders", {}))
             backbone = BackboneSection(**doc.get("backbone", {}))
@@ -115,7 +112,6 @@ class Config:
         except (AttributeError, KeyError, TypeError) as exc:
             raise ConfigError(f"bad config document: {exc}") from exc
         sections = [("layout", layout), ("encoders", encoders), ("backbone", backbone), ("train", train)]
-        sections += [(f"layout.groups[{i}]", g) for i, g in enumerate(layout.groups)]
         sections += [(f"heads[{i}]", h) for i, h in enumerate(heads)]
         sections += [(f"eval.suites[{i}]", suite) for i, suite in enumerate(ev.suites)]
         for where, section in sections:
@@ -143,12 +139,6 @@ class Config:
             json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
 
-    def image_tokens(self) -> int:
-        side = self.encoders.image_size
-        for _ in self.encoders.conv_channels:
-            side = -(-side // self.encoders.conv_stride)
-        return side * side
-
     def head(self, name: str) -> HeadSection:
         for h in self.heads:
             if h.name == name:
@@ -156,7 +146,7 @@ class Config:
         raise ConfigError(f"unknown head {name!r}")
 
 
-_TYPES = {"int": (int,), "float": (int, float), "str": (str,), "str | None": (str, type(None))}
+_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
 # int fields that may be 0, or anything (seed); every other int field is a count, at least 1
 _FLOORS = {"seed": None, "warmup_steps": 0, "max_shift_px": 0}
 
@@ -181,38 +171,27 @@ def _check_fields(where: str, section) -> None:
 
 
 DESK_HEADS = [
-    HeadSection("single-arm", action_dim=7, chunk_size=4, control_hz=10.0),
-    HeadSection("navigation", action_dim=2, chunk_size=4, control_hz=4.0),
-    HeadSection("bimanual", action_dim=14, chunk_size=20, control_hz=20.0),
-    HeadSection("quadruped", action_dim=12, chunk_size=1, control_hz=20.0),
+    HeadSection("single-arm", chunk_size=4),
+    HeadSection("navigation", chunk_size=4),
+    HeadSection("bimanual", chunk_size=20),
+    HeadSection("quadruped", chunk_size=1),
 ]
 
 # paper-scale chunk sizes: bimanual predicts 100 steps ahead
 PAPER_HEADS = [
-    HeadSection("single-arm", action_dim=7, chunk_size=4, control_hz=10.0),
-    HeadSection("navigation", action_dim=2, chunk_size=4, control_hz=4.0),
-    HeadSection("bimanual", action_dim=14, chunk_size=100, control_hz=20.0),
-    HeadSection("quadruped", action_dim=12, chunk_size=1, control_hz=20.0),
+    HeadSection("single-arm", chunk_size=4),
+    HeadSection("navigation", chunk_size=4),
+    HeadSection("bimanual", chunk_size=100),
+    HeadSection("quadruped", chunk_size=1),
 ]
 
 DESK_MIXTURE = [("arm1", 0.4), ("nav", 0.3), ("bimanual", 0.2), ("quad", 0.1)]
 
 
-def _layout_for(heads: list[HeadSection], history: int, image_tokens: int) -> LayoutSection:
-    groups = [GroupSpec(v, "obs-image", image_tokens) for v in VIEWS]
-    groups += [
-        GroupSpec("quad-proprio", "obs-proprio", 1),
-        GroupSpec("bimanual-proprio", "obs-proprio", 1),
-    ]
-    groups += [GroupSpec(f"readout-{h.name}", "readout", h.chunk_size, head=h.name) for h in heads]
-    return LayoutSection(history=history, groups=groups)
-
-
 def desk_config() -> Config:
-    heads = [HeadSection(**asdict(h)) for h in DESK_HEADS]
     return Config(
-        layout=_layout_for(heads, history=5, image_tokens=9),
-        heads=heads,
+        layout=LayoutSection(history=5),
+        heads=[HeadSection(**asdict(h)) for h in DESK_HEADS],
         encoders=EncoderSection(),
         backbone=BackboneSection(),
         mixture=list(DESK_MIXTURE),
@@ -225,12 +204,10 @@ def desk_config() -> Config:
 
 def paper_scale_config() -> Config:
     """Paper hyperparameters behind the desk interface (shape checks only)."""
-    heads = [HeadSection(**asdict(h)) for h in PAPER_HEADS]
-    cfg = desk_config()
     return Config(
-        layout=_layout_for(heads, history=5, image_tokens=cfg.image_tokens()),
-        heads=heads,
-        encoders=cfg.encoders,
+        layout=LayoutSection(history=5),
+        heads=[HeadSection(**asdict(h)) for h in PAPER_HEADS],
+        encoders=EncoderSection(),
         backbone=BackboneSection(layers=12, heads=8, d_model=512, d_mlp=2048),
         mixture=list(DESK_MIXTURE),
         train=TrainSection(learning_rate=3e-4, warmup_steps=2000, batch_size=512, total_steps=300000),

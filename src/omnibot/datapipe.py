@@ -24,7 +24,7 @@ import numpy as np
 
 from .assembler import ObservationFrame, SlotLayout
 from .config import Config
-from .embodiments import EMBODIMENTS, EmbodimentSpec, embodiment
+from .embodiments import EMBODIMENTS, EmbodimentSpec, embodiment, observation_groups
 from .errors import ConfigError, ContractError, CorruptionError, FormatError
 from .rng import generator
 
@@ -130,14 +130,7 @@ def read_shard(path: str) -> tuple[EmbodimentSpec, list[TrajectoryRecord]]:
     return spec, trajectories
 
 
-# --------------------------------------------------------------- windowing
-
-
-def window_trajectory(traj: TrajectoryRecord, history: int) -> list[int]:
-    """Window start indices; entry t is the window ending at step t."""
-    if traj.steps < 1:
-        raise ContractError("cannot window an empty trajectory")
-    return [max(0, t - history + 1) for t in range(traj.steps)]
+# --------------------------------------------------------------- goals
 
 
 def relabel_goal(end: int, traj: TrajectoryRecord, rng: np.random.Generator) -> np.ndarray:
@@ -204,7 +197,7 @@ def augment_example(example: TrainingExample, rng: np.random.Generator, cfg: Con
     """One augmentation draw per camera view (shared across the history);
     the goal image gets an independent draw."""
     max_shift, jitter = cfg.train.max_shift_px, cfg.train.jitter
-    views = [g.name for g in cfg.layout.groups if g.kind == "obs-image"]
+    views = [g for g, kind, _ in observation_groups() if kind == "obs-image"]
     frames = [replace(f, observations=dict(f.observations)) for f in example.frames]
     for view in views:
         having = [f for f in frames if view in f.observations]

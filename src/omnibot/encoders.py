@@ -4,9 +4,10 @@ Images go through a small strided conv stack with per-stage FiLM language
 conditioning; an optional goal image rides along as three extra input
 channels (zero-filled when absent, so conditioned and unconditioned passes
 share one parameter set). Proprioception is a single affine projection to
-one token. One tokenizer exists per observation group of the config's
-slot layout, shared by every embodiment that has that group; a proprio
-tokenizer's input width is the group's per-step shape in the registry.
+one token. One tokenizer exists per observation group of the registry,
+shared by every embodiment that has that group; the group's per-step shape
+in the registry fixes an image tokenizer's input size and a proprio
+tokenizer's input width.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .config import Config
-from .embodiments import group_shape
+from .embodiments import group_shape, observation_groups
 from .errors import ContractError, DimensionError
 
 
@@ -32,9 +33,8 @@ def init_encoder_params(cfg: Config, rng: np.random.Generator, dtype=np.float32)
         return ad.param(np.zeros(shape, dtype=dtype))
 
     kk = enc.conv_kernel
-    for group in cfg.layout.groups:  # layout order is init order
-        name = group.name
-        if group.kind == "obs-image":
+    for name, kind, shape in observation_groups():  # slot order is init order
+        if kind == "obs-image":
             c_in = 6  # current image + goal channels
             for i, c_out in enumerate(enc.conv_channels):
                 fan_in = c_in * kk * kk
@@ -46,8 +46,8 @@ def init_encoder_params(cfg: Config, rng: np.random.Generator, dtype=np.float32)
                 c_in = c_out
             params[f"enc/img/{name}/proj/w"] = normal((c_in, d_model), 1.0 / np.sqrt(c_in))
             params[f"enc/img/{name}/proj/b"] = zeros(d_model)
-        elif group.kind == "obs-proprio":
-            (dim,) = group_shape(name)
+        else:
+            (dim,) = shape
             params[f"enc/proprio/{name}/w"] = normal((dim, d_model), 1.0 / np.sqrt(dim))
             params[f"enc/proprio/{name}/b"] = zeros(d_model)
 
@@ -99,9 +99,6 @@ class EncoderBank:
 
     # -- images ------------------------------------------------------------
 
-    def image_tokens(self) -> int:
-        return self.cfg.image_tokens()
-
     def encode_image(
         self,
         view: str,
@@ -114,10 +111,9 @@ class EncoderBank:
             raise KeyError(f"no image tokenizer for group {view!r}")
         enc = self.cfg.encoders
         images = np.asarray(images, dtype=self.dtype)
-        if images.ndim != 4 or images.shape[1] != 3 or images.shape[2:] != (enc.image_size,) * 2:
-            raise DimensionError(
-                f"{view} images must be [n, 3, {enc.image_size}, {enc.image_size}], got {images.shape}"
-            )
+        shape = group_shape(view)
+        if images.shape[1:] != shape:
+            raise DimensionError(f"{view} images must be [n, {', '.join(map(str, shape))}], got {images.shape}")
         n = images.shape[0]
         if goals is None:
             goals = np.zeros_like(images)

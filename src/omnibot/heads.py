@@ -9,17 +9,12 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .config import Config, HeadSection
-from .embodiments import EMBODIMENTS, embodiment
+from .embodiments import EMBODIMENTS
 from .errors import ContractError, DimensionError
 
 # which action head each embodiment draws from; a view of the registry
 # kept for `perfbench/workloads.py`, which imports it
 EMBODIMENT_HEADS = {name: spec.head for name, spec in EMBODIMENTS.items()}
-
-
-def owned_head(name: str) -> str:
-    """The action head an embodiment draws from; raises ContractError for an unknown one."""
-    return embodiment(name).head
 
 
 @dataclass

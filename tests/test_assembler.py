@@ -1,10 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from omnibot import assembler
+from omnibot import assembler, embodiments
 from omnibot.assembler import ObservationFrame, build_attention_mask, build_layout
-from omnibot.config import desk_config
-from omnibot.errors import ConfigError, ContractError
+from omnibot.config import HeadSection, desk_config
+from omnibot.datapipe import TrainingBatch
+from omnibot.embodiments import embodiment
+from omnibot.errors import ContractError
 
 
 @pytest.fixture(scope="module")
@@ -33,27 +37,35 @@ def test_layout_offsets_partition_context(layout):
     assert (covered == 1).all()
 
 
-def test_readout_group_chunk_mismatch_is_config_error(cfg):
-    bad = desk_config()
-    bad.layout.groups[-4].tokens = 3  # single-arm readout, head chunk is 4
-    with pytest.raises(ConfigError):
-        build_layout(bad)
+def test_readout_groups_follow_the_heads():
+    cfg = desk_config()
+    cfg.head("single-arm").chunk_size = 3
+    cfg.heads.append(HeadSection("aviation", chunk_size=2))
+    layout = build_layout(cfg)
+    assert layout.group("readout-single-arm").tokens == 3
+    last = layout.groups[-1]
+    assert (last.name, last.kind, last.tokens, last.head) == ("readout-aviation", "readout", 2, "aviation")
+    assert layout.step_tokens == 67 - 1 + 2
 
 
-def test_head_action_dim_disagreeing_with_the_registry_is_config_error():
-    bad = desk_config()
-    bad.head("navigation").action_dim = 3  # nav and nav-shifted draw 2-D actions from it
-    with pytest.raises(ConfigError, match="navigation.*action_dim 3.*nav"):
-        build_layout(bad)
+def test_head_action_dim_with_disagreeing_robots_is_contract_error(monkeypatch):
+    cfg = desk_config()
+    assert cfg.head("navigation").action_dim == 2
+    crawler = dataclasses.replace(embodiment("nav"), name="crawler", action_dim=3)  # a 3-D robot on the nav head
+    monkeypatch.setitem(embodiments.EMBODIMENTS, "crawler", crawler)
+    with pytest.raises(ContractError, match=r"'navigation' has action widths \[2, 3\]"):
+        cfg.head("navigation").action_dim
+    with pytest.raises(ContractError, match=r"'aviation' has action widths \[\]"):
+        HeadSection("aviation", chunk_size=2).action_dim
 
 
 def test_readout_ranges(layout):
-    a, b = layout.readout_range("single-arm", 0)
-    assert b - a == 4
-    a2, b2 = layout.readout_range("single-arm", 1)
-    assert a2 == a + layout.step_tokens
+    rows = layout.readout_indices("single-arm")
+    assert rows.shape == (layout.history, 4)
+    assert (np.diff(rows[0]) == 1).all()
+    np.testing.assert_array_equal(rows[1], rows[0] + layout.step_tokens)
     with pytest.raises(KeyError):
-        layout.readout_range("no-such-head", 0)
+        layout.readout_indices("no-such-head")
 
 
 def test_canonical_round_trip(layout):
@@ -80,8 +92,8 @@ def test_mask_obs_rule_same_or_prior_step(layout):
 def test_mask_readout_rule_obs_plus_self(layout):
     pad = np.zeros(layout.context_tokens, dtype=bool)
     mask = build_attention_mask(layout, pad)
-    r0 = layout.readout_range("single-arm", 0)[0]
-    nav_r0 = layout.readout_range("navigation", 0)[0]
+    r0 = layout.readout_indices("single-arm")[0, 0]
+    nav_r0 = layout.readout_indices("navigation")[0, 0]
     obs0 = layout.group("workspace").offset
     assert mask[r0, obs0]
     assert mask[r0, r0]  # self only
@@ -150,8 +162,7 @@ def test_single_nav_frame_padding(policy, layout):
     ws = layout.group("workspace")
     assert win.pad[0, base + ws.offset : base + ws.offset + ws.tokens].all()
     for head in ("single-arm", "navigation", "bimanual", "quadruped"):
-        a, b = layout.readout_range(head, 4)
-        assert not win.pad[0, a:b].any()
+        assert not win.pad[0, layout.readout_indices(head)[4]].any()
     # padded slots carry exactly zero content
     np.testing.assert_array_equal(
         win.tokens.data[0, win.pad[0]], np.zeros((win.pad[0].sum(), 64), dtype=np.float32)
@@ -174,6 +185,45 @@ def test_full_quad_window(policy, layout):
 def test_mixed_embodiment_window_rejected(policy):
     with pytest.raises(ContractError):
         policy.assemble([[nav_frame(), quad_frame()]])
+
+
+def bimanual_frame(seed=0):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    obs = {g: rng.random(shape).astype(np.float32) for g, shape in embodiment("bimanual").observations}
+    return ObservationFrame(embodiment="bimanual", observations=obs, instruction=5)
+
+
+def without(frame, group):
+    return dataclasses.replace(frame, observations={g: v for g, v in frame.observations.items() if g != group})
+
+
+def carrying(frame, group, value):
+    return dataclasses.replace(frame, observations={**frame.observations, group: value})
+
+
+CAMERA_IMAGE = np.zeros((3, 24, 24), dtype=np.float32)
+OFF_REGISTRY_FRAMES = [
+    # (window, head, frame index, robot, group)
+    ([bimanual_frame(0), without(bimanual_frame(1), "wrist-left")], "bimanual", 1, "bimanual", "wrist-left"),
+    ([carrying(nav_frame(), "wrist-left", CAMERA_IMAGE)], "navigation", 0, "nav", "wrist-left"),
+    ([nav_frame(0), nav_frame(1), carrying(nav_frame(2), "sonar", np.zeros(8, np.float32))],
+     "navigation", 2, "nav", "sonar"),
+]
+
+
+@pytest.mark.parametrize("window, head, index, robot, group", OFF_REGISTRY_FRAMES,
+                         ids=["bimanual-without-wrist-left", "nav-with-wrist-left", "nav-with-sonar"])
+def test_act_rejects_a_frame_whose_groups_differ_from_the_registry(policy, window, head, index, robot, group):
+    with pytest.raises(ContractError, match=rf"frame {index} of '{robot}'.*'{group}'"):
+        policy.act(window, head)
+
+
+@pytest.mark.parametrize("window, head, index, robot, group", OFF_REGISTRY_FRAMES,
+                         ids=["bimanual-without-wrist-left", "nav-with-wrist-left", "nav-with-sonar"])
+def test_predict_rejects_a_frame_whose_groups_differ_from_the_registry(policy, window, head, index, robot, group):
+    batch = TrainingBatch([[quad_frame()], window], {}, {}, [], [])
+    with pytest.raises(ContractError, match=rf"frame {index} of '{robot}'.*'{group}'"):
+        policy.predict(batch)
 
 
 def test_goal_absent_equals_zero_goal_image(policy):

@@ -158,7 +158,7 @@ def test_causality_perturbation(policy):
 def test_readout_passivity_perturbation(policy):
     win = policy.assemble([frames_for("arm1", 5, seed=11)])
     base = backbone.forward(win, policy.params, policy.cfg).data
-    a, b = policy.layout.readout_range("single-arm", 3)
+    a = policy.layout.readout_indices("single-arm")[3, 0]
     tokens = win.tokens.data.copy()
     tokens[0, a] += 7.0
     out = _forward_tokens(policy, win, tokens)

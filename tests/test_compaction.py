@@ -17,6 +17,7 @@ import omnibot.autodiff as ad
 from omnibot import assembler, backbone, datapipe, envs, heads
 from omnibot.assembler import ObservationFrame
 from omnibot.config import desk_config
+from omnibot.embodiments import embodiment
 from omnibot.errors import ContractError
 from omnibot.policy import Policy
 
@@ -86,7 +87,7 @@ def rel_err(a, b):
 
 def assert_matches_dense(policy, batch):
     """Predictions, loss and the whole gradient against the dense oracle."""
-    owners = [heads.owned_head(w[0].embodiment) for w in batch.windows]
+    owners = [embodiment(w[0].embodiment).head for w in batch.windows]
     preds = policy.predict(batch)
     dense = dense_predictions(policy, batch.windows)
     for h, pred in preds.items():
@@ -159,7 +160,7 @@ def test_predict_ignores_targets_and_masks(policy, sampler):
 
 @pytest.mark.parametrize("name", ("arm1", "nav", "nav-shifted", "bimanual", "quad"))
 def test_act_matches_dense_newest_step(policy, name):
-    head = heads.owned_head(name)
+    head = embodiment(name).head
     spec = policy.head_specs[head]
     frames = rollout_frames(name, 5, seed=21)
     for n in range(1, 6):

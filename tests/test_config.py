@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from omnibot.assembler import build_layout
 from omnibot.config import Config, desk_config
 from omnibot.errors import ConfigError
 
@@ -17,8 +18,8 @@ def test_from_dict_round_trips_the_desk_config():
         (lambda doc: doc["mixture"].append(["arm1", "heavy"]), "mixture"),
         (lambda doc: doc["mixture"].append(["arm1", 0.5, 1]), "mixture"),
         (lambda doc: doc["eval"]["suites"].append({"embodiment": "hexapod", "trials": 5}), "suite 4.*hexapod"),
-        (lambda doc: doc["heads"][0].update(action_dim="7"), r"heads\[0\]\.action_dim is '7'"),
-        (lambda doc: doc["layout"]["groups"][0].update(tokens="9"), r"layout\.groups\[0\]\.tokens is '9'"),
+        (lambda doc: doc["heads"][0].update(action_dim="7"), "'action_dim'"),
+        (lambda doc: doc["heads"][0].update(chunk_size="4"), r"heads\[0\]\.chunk_size is '4'"),
         (lambda doc: doc["encoders"].update(conv_channels=16), r"encoders\.conv_channels is 16"),
         (lambda doc: doc["backbone"].update(layers=True), r"backbone\.layers is True"),
         (lambda doc: doc["train"].update(batch_size=-3), r"train\.batch_size is -3"),
@@ -27,14 +28,14 @@ def test_from_dict_round_trips_the_desk_config():
         (lambda doc: doc.update(eval=[]), "bad config document"),
         (lambda doc: doc["train"].update(jitter=float("nan")), r"train\.jitter is nan, want a finite float"),
         (lambda doc: doc["train"].update(jitter=float("inf")), r"train\.jitter is inf, want a finite float"),
-        (lambda doc: doc["heads"][1].update(control_hz=-float("inf")), r"heads\[1\]\.control_hz is -inf"),
+        (lambda doc: doc["train"].update(jitter=-float("inf")), r"train\.jitter is -inf"),
         (lambda doc: doc["mixture"].append(["arm1", "nan"]), r"mixture\[4\]\.weight is nan"),
         (lambda doc: doc["mixture"].append(["arm1", 1e999]), r"mixture\[4\]\.weight is inf"),
         (lambda doc: doc["mixture"].append(["arm1", 10**400]), "bad mixture entry"),
     ],
     ids=[
         "non-numeric-weight", "three-field-entry", "unknown-suite-embodiment", "string-action-dim",
-        "string-tokens", "scalar-conv-channels", "bool-layers", "negative-batch-size", "zero-val-fraction",
+        "string-chunk-size", "scalar-conv-channels", "bool-layers", "negative-batch-size", "zero-val-fraction",
         "val-fraction-above-one", "eval-not-an-object", "nan-jitter", "inf-jitter", "minus-inf-float",
         "nan-string-weight", "inf-weight", "int-weight-beyond-float",
     ],
@@ -44,3 +45,26 @@ def test_from_dict_rejects_bad_untrusted_documents(edit, match):
     edit(doc)
     with pytest.raises(ConfigError, match=match):
         Config.from_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("layout", "groups", [{"name": "workspace", "kind": "obs-image", "tokens": 9, "head": None}]),
+        ("heads", "action_dim", 7),
+        ("heads", "control_hz", 10.0),
+        ("encoders", "image_size", 24),
+    ],
+)
+def test_from_dict_rejects_keys_the_registry_or_the_heads_own(section, key, value):
+    doc = json.loads(desk_config().canonical_json())
+    (doc[section][0] if section == "heads" else doc[section])[key] = value
+    with pytest.raises(ConfigError, match=f"'{key}'"):
+        Config.from_dict(doc)
+
+
+def test_duplicate_head_names_are_config_error():
+    doc = json.loads(desk_config().canonical_json())
+    doc["heads"].append({"name": "navigation", "chunk_size": 2})
+    with pytest.raises(ConfigError, match="duplicate head name 'navigation'"):
+        build_layout(Config.from_dict(doc))

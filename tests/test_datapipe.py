@@ -192,11 +192,16 @@ def test_header_byte_substitutions_read_or_raise_a_package_error(edits, tmp_path
 
 
 def test_window_counts():
-    assert len(dp.window_trajectory(toy_traj(steps=1), 5)) == 1
-    assert dp.window_trajectory(toy_traj(steps=1), 5)[0] == 0
-    assert len(dp.window_trajectory(toy_traj(steps=10), 5)) == 10
-    starts = dp.window_trajectory(toy_traj(steps=10), 5)
-    assert starts[7] == 3  # window ending at t=7 covers steps 3..7
+    cfg = desk_config()
+    one, ten = toy_traj(steps=1), toy_traj(steps=10)
+    mixture = dp.MixtureSpec([("one", 1.0), ("ten", 1.0)])
+    sampler = dp.BatchSampler({"one": [one], "ten": [ten]}, mixture, cfg, build_layout(cfg), seed=0)
+    rng = generator(0)
+    assert len(sampler.build_example(one, 0, rng).frames) == 1
+    assert [len(sampler.build_example(ten, t, rng).frames) for t in range(10)] == [1, 2, 3, 4] + [5] * 6
+    frames = sampler.build_example(ten, 7, rng).frames  # the window ending at t=7 covers steps 3..7
+    for u, f in enumerate(frames, 3):
+        np.testing.assert_array_equal(f.observations["navigation"], ten.observations["navigation"][u])
 
 
 def test_relabel_final_step_deterministic():
@@ -378,7 +383,7 @@ def augment_per_frame(example, rng, cfg):
     Each frame re-seeds a view's transform from a copy of that view's
     generator, so all steps get the same draw; the goal likewise.
     """
-    views = [g.name for g in cfg.layout.groups if g.kind == "obs-image"]
+    views = [g.name for g in build_layout(cfg).groups if g.kind == "obs-image"]
     plans = {}
     for view in views:
         if any(view in f.observations for f in example.frames):

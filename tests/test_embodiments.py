@@ -2,10 +2,11 @@
 
 A fifth robot, the paper's aviation head flown as a quadcopter, is added
 here as a test fixture only: one registry entry, one env class and a
-config with its head. Nothing else learns about it, yet data generation,
+config with its head; its action width and readout slots follow. Nothing else learns about it, yet data generation,
 batching, training and control all run on it.
 """
 
+import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,7 +14,8 @@ import pytest
 
 import omnibot.autodiff as ad
 from omnibot import embodiments, envs
-from omnibot.config import GroupSpec, HeadSection, desk_config, paper_scale_config
+from omnibot.assembler import build_layout
+from omnibot.config import HeadSection, desk_config, paper_scale_config
 from omnibot.datapipe import BatchSampler, MixtureSpec, read_shard
 from omnibot.embodiments import CAMERA, EMBODIMENTS, EmbodimentSpec, group_shape
 from omnibot.policy import Policy
@@ -65,8 +67,7 @@ def aviation_cfg(monkeypatch):
     monkeypatch.setitem(embodiments.EMBODIMENTS, "quadcopter", QUADCOPTER)
     monkeypatch.setitem(envs.ENVS, "quadcopter", QuadcopterEnv)
     cfg = desk_config()
-    cfg.heads.append(HeadSection("aviation", action_dim=4, chunk_size=2, control_hz=10.0))
-    cfg.layout.groups.append(GroupSpec("readout-aviation", "readout", 2, head="aviation"))
+    cfg.heads.append(HeadSection("aviation", chunk_size=2))
     return cfg
 
 
@@ -94,15 +95,42 @@ def test_fifth_embodiment_trains_and_acts_from_its_registry_entry(aviation_cfg, 
 @pytest.mark.parametrize("make_cfg", [desk_config, paper_scale_config])
 def test_config_agrees_with_the_registry(make_cfg):
     cfg = make_cfg()
-    groups = {g.name: g for g in cfg.layout.groups}
-    side = cfg.encoders.image_size
+    groups = {g.name: g for g in build_layout(cfg).groups}
     for spec in EMBODIMENTS.values():
         assert cfg.head(spec.head).action_dim == spec.action_dim, spec.name
+        assert groups[f"readout-{spec.head}"].tokens == cfg.head(spec.head).chunk_size, spec.name
         for name, shape in spec.observations:
             assert name in groups and group_shape(name) == shape, name
-            if groups[name].kind == "obs-image":
-                assert shape == (3, side, side), name
-            else:
-                assert groups[name].kind == "obs-proprio" and len(shape) == 1, name
+            assert groups[name].kind == ("obs-image" if len(shape) == 3 else "obs-proprio"), name
         assert spec.goal_view is None or groups[spec.goal_view].kind == "obs-image"
         assert spec.goal_view is None or spec.goal_view in spec.observation_groups
+
+
+def _groups(bimanual_chunk):
+    """Today's slot groups as (name, kind, tokens, offset): four camera views of 9 tokens, two proprio tokens, readouts."""
+    return [
+        ("workspace", "obs-image", 9, 0), ("navigation", "obs-image", 9, 9),
+        ("wrist-left", "obs-image", 9, 18), ("wrist-right", "obs-image", 9, 27),
+        ("quad-proprio", "obs-proprio", 1, 36), ("bimanual-proprio", "obs-proprio", 1, 37),
+        ("readout-single-arm", "readout", 4, 38), ("readout-navigation", "readout", 4, 42),
+        ("readout-bimanual", "readout", bimanual_chunk, 46),
+        ("readout-quadruped", "readout", 1, 46 + bimanual_chunk),
+    ]
+
+
+@pytest.mark.parametrize("make_cfg, bimanual_chunk, context", [(desk_config, 20, 335), (paper_scale_config, 100, 735)])
+def test_derived_layout_keeps_the_desk_and_paper_groups(make_cfg, bimanual_chunk, context):
+    layout = build_layout(make_cfg())
+    assert [(g.name, g.kind, g.tokens, g.offset) for g in layout.groups] == _groups(bimanual_chunk)
+    assert layout.context_tokens == context
+
+
+def test_desk_init_is_pinned():
+    """Registry order is init order: the desk parameters, by name and bytes in order, are fixed."""
+    params = Policy.init(desk_config(), 0).params
+    digest = hashlib.sha256()
+    for name, p in params.items():
+        digest.update(name.encode())
+        digest.update(p.data.tobytes())
+    assert (len(params), sum(p.data.size for p in params.values())) == (132, 258_915)
+    assert digest.hexdigest() == "f7daeb07de7e15589d0d53b73604b0c136e86353e1c9e75aecae121750d49bb8"

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import omnibot.autodiff as ad
+from omnibot.assembler import build_layout
 from omnibot.config import desk_config
 from omnibot.encoders import EncoderBank, film
 from omnibot.errors import ContractError, DimensionError
@@ -87,8 +88,7 @@ def test_film_channel_mismatch(bank):
 
 def test_encode_image_token_count(bank):
     out = bank.encode_image("workspace", imgs(2))
-    assert out.shape == (2, 9, 64)
-    assert bank.image_tokens() == 9
+    assert out.shape == (2, build_layout(desk_config()).group("workspace").tokens, 64) == (2, 9, 64)
 
 
 def test_encode_image_goal_absent_equals_zero_goal(bank):

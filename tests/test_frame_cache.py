@@ -10,9 +10,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from omnibot import envs, heads
+from omnibot import envs
 from omnibot.assembler import ObservationFrame
 from omnibot.config import desk_config
+from omnibot.embodiments import embodiment
 from omnibot.errors import ContractError
 from omnibot.policy import Policy
 
@@ -48,7 +49,7 @@ def test_sliding_window_rollout_matches_a_fresh_policy(cfg, name):
     k = policy.layout.history
     bound = k * sum(g.kind != "readout" for g in policy.layout.groups)
     env = envs.make_env(name)
-    head = heads.owned_head(name)
+    head = embodiment(name).head
     rng = np.random.Generator(np.random.PCG64(8))
     state, _, instruction = env.reset(7)
     goal = env.goal_frame_image(state) if env.spec.goal_view else None
