@@ -7,6 +7,7 @@ from .ops import (
     concat,
     conv2d,
     embedding,
+    film,
     gelu,
     layer_norm,
     linear,
@@ -31,6 +32,7 @@ __all__ = [
     "concat",
     "conv2d",
     "embedding",
+    "film",
     "finite_diff_check",
     "gelu",
     "layer_norm",

@@ -1,8 +1,13 @@
-"""Structured ops: attention, normalization, convolution, gathers.
+"""Structured ops: attention, normalization, convolution, FiLM, gathers.
 
 Each op is a single tape node with a hand-written backward, which keeps
-the tape short and lets the hot paths (attention, conv2d) choose their
-own intermediates and memory layout.
+the tape short and lets the hot paths choose their own intermediates and
+memory layout. Each takes and returns the layout its matmuls read:
+`masked_attention` takes [B, T, d] and splits heads as strided views,
+`conv2d` and `film` run channels-last [B, H, W, C], and `linear` and
+`conv2d` add their bias in place on the product. So an op's output is
+C-contiguous as computed, and no reshape or transpose node sits between
+two ops on the hot paths.
 """
 
 from __future__ import annotations
@@ -179,25 +184,34 @@ def gelu(x: Tensor) -> Tensor:
     return Tensor._make(out, (x,), bwd, "gelu")
 
 
-def _norm_qkv(t: Tensor) -> tuple[np.ndarray, tuple[int, ...]]:
-    if t.ndim == 2:
-        return t.data[None, None], t.shape
-    if t.ndim == 3:
-        return t.data[:, None], t.shape
-    if t.ndim == 4:
-        return t.data, t.shape
-    raise DimensionError(f"attention operand must have 2-4 dims, got {t.shape}")
+# The fixed cost of one more attention tile, in score entries. A least-squares
+# fit of forward + backward time over 20 one-tile shapes (B 2 and 8, 4 heads,
+# dh 16, 16-48 query rows, 48-240 keys; float32, one OpenBLAS thread, 2-core
+# x86-64) gave 146 us per tile plus 9.6 ns per score entry: 15,000 entries.
+TILE_ENTRIES = 15_000
 
 
 class AttentionMask:
-    """A validated boolean key mask plus its cached additive sentinel.
+    """A validated boolean key mask plus its cached additive sentinel and query tiles.
 
     The mask is [Tq, Tk] or [B, Tq, Tk], True where key j is permitted for
     query i; queries and keys may differ in number. Every row must permit at
     least one key (`DegenerateMaskError` otherwise), which is what lets the
     softmax zero forbidden weights with the sentinel alone. Wrapping once
     and passing the wrapper to many attention calls (e.g. every transformer
-    layer) amortizes that check and the sentinel's construction.
+    layer) amortizes that check and the construction of the sentinel and
+    the tiles.
+
+    A tile is a run of query rows that reads only a prefix of the keys. Per
+    row, take the last key that any batch element permits, then its running
+    maximum over rows: the key prefix a row needs. A tile grows row by row
+    while the scores its growth adds for rows that do not need them (rows
+    so far x added keys x B x heads) stay within `TILE_ENTRIES`, the cost of
+    one more tile; otherwise a new tile starts. Every key a tile skips lies
+    past the last key that any of its rows permits in any batch element, so
+    it is forbidden by construction. A window whose rows all need about the
+    same keys stays one tile, and so does a mask whose B x heads x Tq x Tk
+    is within `TILE_ENTRIES`, without the derivation: one tile of all keys.
     """
 
     def __init__(self, permitted: np.ndarray):
@@ -213,6 +227,7 @@ class AttentionMask:
             raise DegenerateMaskError(f"mask row {tuple(bad)} permits no keys")
         self.permitted = np.ascontiguousarray(permitted)
         self._buffers: dict = {}
+        self._tiles: dict = {}
 
     def buffers(self, dtype) -> np.ndarray:
         """The additive sentinel, [B, 1, Tq, Tk]: 0 where permitted, -inf elsewhere."""
@@ -221,36 +236,70 @@ class AttentionMask:
             self._buffers[key] = np.where(self.permitted, dtype.type(0), dtype.type(-np.inf))[:, None]
         return self._buffers[key]
 
+    def tiles(self, heads: int) -> list[tuple[int, int, int]]:
+        """(first row, end row, keys) of each query tile, in row order, for `heads` heads."""
+        if heads not in self._tiles:
+            nb, tq, tk = self.permitted.shape
+            tiles = [(0, tq, tk)]
+            if nb * heads * tq * tk > TILE_ENTRIES:  # else no cut could save a tile's cost
+                seen = self.permitted.any(axis=0)
+                need = np.maximum.accumulate(tk - np.argmax(seen[:, ::-1], axis=1))
+                tiles, first, keys = [], 0, int(need[0])
+                for row in (np.flatnonzero(need[1:] != need[:-1]) + 1).tolist():  # need grows only here
+                    grow = int(need[row])
+                    if (row - first) * (grow - keys) * nb * heads > TILE_ENTRIES:
+                        tiles.append((first, row, keys))
+                        first = row
+                    keys = grow
+                tiles.append((first, tq, keys))
+            self._tiles[heads] = tiles
+        return self._tiles[heads]
 
-def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask) -> Tensor:
-    """Scaled dot-product attention restricted to a boolean key mask.
 
-    q: [Tq, d], [B, Tq, d] or [B, h, Tq, d]; k and v: the same with Tk
-    rows; mask: [Tq, Tk] or [B, Tq, Tk] boolean (or a prebuilt
-    AttentionMask), True where key j is permitted for query i.
+def _split_heads(a: np.ndarray, heads: int) -> np.ndarray:
+    """[B, T, d] -> the strided view [B, heads, T, d / heads]; no copy."""
+    nb, t, d = a.shape
+    return a.reshape(nb, t, heads, d // heads).transpose(0, 2, 1, 3)
+
+
+def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask, heads: int) -> Tensor:
+    """Multi-head scaled dot-product attention restricted to a boolean key mask.
+
+    q: [B, Tq, d]; k and v: [B, Tk, d]; `heads` divides d, and head h
+    reads features [h * d / heads, (h + 1) * d / heads). mask: [Tq, Tk] or
+    [B, Tq, Tk] boolean (or a prebuilt AttentionMask), True where key j is
+    permitted for query i. Heads are strided views of the [B, T, d]
+    operands, and the output and the gradients are written through such
+    views into C-contiguous [B, T, d] buffers, so no layout copy is made on
+    either side.
+
+    The queries run one tile at a time against the tile's key prefix (see
+    `AttentionMask`); a skipped key is forbidden for every row of the tile,
+    so it would have had weight exactly 0.0.
 
     Forbidden keys get weight exactly 0.0, so perturbing their key or value
     rows cannot change any permitted output bit: the -inf sentinel makes
     their shifted scores -inf, and exp(-inf) is exactly +0.0. Every row
     permits some key, so its max is finite and its row sum at least 1; no
-    0/1 rewrite is needed. q is scaled by 1/sqrt(d) before the product,
-    which is exact when d is a power of four (d = 16 gives 1/4). The
-    weights stay unnormalised, z = exp(s - rowmax) = w / r: one product
-    with [v | 1] gives z @ v and the row sums 1/r, and r scales the
-    [.., Tq, d] output rather than the [.., Tq, Tk] weights.
+    0/1 rewrite is needed. q is scaled by 1/sqrt(d / heads) before the
+    product, which is exact when d / heads is a power of four (16 gives
+    1/4). The weights stay unnormalised, z = exp(s - rowmax) = w / r: one
+    product with [v | 1] gives z @ v and the row sums 1/r, and r scales the
+    [.., Tq, dh] output rather than the [.., Tq, Tk] weights.
 
     Backward uses sum_j w_ij * dL/dw_ij = g_i . out_i (Dao et al., 2022,
-    FlashAttention), a [.., Tq, d] reduction in place of a [.., Tq, Tk] one.
+    FlashAttention), a [.., Tq, dh] reduction in place of a [.., Tq, Tk] one.
     With gr = r * g, the score gradient is z * (gr @ v^T - gr . out),
-    exactly 0 where z is 0.
+    exactly 0 where z is 0. The key and value gradients sum the tiles'
+    contributions to their prefixes.
     """
-    if k.shape != v.shape or q.shape[:-2] != k.shape[:-2] or q.shape[-1] != k.shape[-1]:
-        raise DimensionError(f"attention q/k/v shapes do not match: {q.shape}, {k.shape}, {v.shape}")
-    q4, q_shape = _norm_qkv(q)
-    k4, k_shape = _norm_qkv(k)
-    v4, _ = _norm_qkv(v)
-    nb, nh, tq, dh = q4.shape
-    tk = k4.shape[2]
+    if q.ndim != 3 or k.shape != v.shape or k.ndim != 3 or q.shape[0] != k.shape[0] or q.shape[2] != k.shape[2]:
+        raise DimensionError(f"attention q/k/v must be [B, T, d] alike, got {q.shape}, {k.shape}, {v.shape}")
+    nb, tq, d = q.shape
+    tk = k.shape[1]
+    if heads < 1 or d % heads:
+        raise DimensionError(f"attention width {d} does not split into {heads} heads")
+    dh = d // heads
 
     amask = mask if isinstance(mask, AttentionMask) else AttentionMask(mask)
     if amask.permitted.shape != (nb, tq, tk):
@@ -260,31 +309,52 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask) -> Tensor:
             raise DimensionError(
                 f"attention mask shape {amask.permitted.shape} incompatible with q {q.shape} and k {k.shape}"
             )
-    additive = amask.buffers(q4.dtype)
+    dtype = q.data.dtype
+    additive = amask.buffers(dtype)
+    tiles = amask.tiles(heads)
 
-    scale = q4.dtype.type(1.0 / math.sqrt(dh))
-    qs = q4 * scale
-    z = np.matmul(qs, np.ascontiguousarray(np.swapaxes(k4, -1, -2)))
-    z += additive
-    z -= z.max(axis=-1, keepdims=True)
-    np.exp(z, out=z)  # unnormalised weights: w = z * r
-    ones = np.ones(v4.shape[:-1] + (1,), dtype=v4.dtype)
-    zv = np.matmul(z, np.concatenate([v4, ones], axis=-1))  # z @ v and the row sums of z
-    r = 1.0 / zv[..., dh:]
-    out4 = zv[..., :dh] * r
+    q4, k4, v4 = (_split_heads(t.data, heads) for t in (q, k, v))
+    scale = dtype.type(1.0 / math.sqrt(dh))
+    kt = np.ascontiguousarray(np.swapaxes(k4, -1, -2))
+    vx = np.empty((nb, heads, tk, dh + 1), dtype=dtype)  # [v | 1]
+    vx[..., :dh] = v4
+    vx[..., dh] = 1
+    out = np.empty((nb, tq, d), dtype=dtype)
+    out4 = _split_heads(out, heads)
+    saved = []
+    for r0, r1, nk in tiles:
+        qs = q4[:, :, r0:r1] * scale
+        z = np.matmul(qs, kt[..., :nk])
+        z += additive[:, :, r0:r1, :nk]
+        z -= z.max(axis=-1, keepdims=True)
+        np.exp(z, out=z)  # unnormalised weights: w = z * r
+        zv = np.matmul(z, vx[:, :, :nk])  # z @ v and the row sums of z
+        r = 1.0 / zv[..., dh:]
+        np.multiply(zv[..., :dh], r, out=out4[:, :, r0:r1])
+        saved.append((qs, z, r))
 
     def bwd(g):
-        gr = np.reshape(g, q4.shape) * r
-        gv = np.matmul(np.swapaxes(z, -1, -2), gr)
-        gs = np.matmul(gr, np.swapaxes(v4, -1, -2))  # r * dL/dw
-        gs -= np.einsum("...ij,...ij->...i", gr, out4)[..., None]
-        gs *= z  # dL/dscores
-        gq = np.matmul(gs, k4)
-        gq *= scale
-        gk = np.matmul(np.swapaxes(gs, -1, -2), qs)
-        return gq.reshape(q_shape), gk.reshape(k_shape), gv.reshape(k_shape)
+        g4 = _split_heads(g, heads)
+        gq, gk, gv = (np.empty((nb, t, d), dtype=dtype) for t in (tq, tk, tk))
+        gq4, gk4, gv4 = (_split_heads(a, heads) for a in (gq, gk, gv))
+        widest = tiles[-1][2]
+        gk[:, widest:] = 0  # keys no tile reads
+        gv[:, widest:] = 0
+        for (r0, r1, nk), (qs, z, r) in reversed(list(zip(tiles, saved))):
+            gr = g4[:, :, r0:r1] * r
+            gs = np.matmul(gr, np.swapaxes(v4[:, :, :nk], -1, -2))  # r * dL/dw
+            gs -= np.einsum("...ij,...ij->...i", gr, out4[:, :, r0:r1])[..., None]
+            gs *= z  # dL/dscores
+            np.multiply(np.matmul(gs, k4[:, :, :nk]), scale, out=gq4[:, :, r0:r1])
+            if nk == widest:  # the widest tile is visited first and covers the others' prefixes
+                np.matmul(np.swapaxes(z, -1, -2), gr, out=gv4[:, :, :nk])
+                np.matmul(np.swapaxes(gs, -1, -2), qs, out=gk4[:, :, :nk])
+            else:
+                gv4[:, :, :nk] += np.matmul(np.swapaxes(z, -1, -2), gr)
+                gk4[:, :, :nk] += np.matmul(np.swapaxes(gs, -1, -2), qs)
+        return gq, gk, gv
 
-    return Tensor._make(out4.reshape(q_shape), (q, k, v), bwd, "masked_attention")
+    return Tensor._make(out, (q, k, v), bwd, "masked_attention")
 
 
 def _same_pad(extent: int, kernel: int, stride: int) -> tuple[int, int, int]:
@@ -293,30 +363,32 @@ def _same_pad(extent: int, kernel: int, stride: int) -> tuple[int, int, int]:
     return out, total // 2, total - total // 2
 
 
-def conv2d(x: Tensor, kernels: Tensor, stride: int) -> Tensor:
-    """Same-padded strided cross-correlation.
+def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int) -> Tensor:
+    """Same-padded strided cross-correlation plus a per-channel bias, channels-last.
 
-    x: [C, H, W] or [B, C, H, W]; kernels: [C2, C, kh, kw].
-    Output spatial extent is ceil(extent / stride).
+    x: [B, H, W, C]; kernels: [C2, C, kh, kw]; bias: [C2]. Returns
+    [B, ceil(H / stride), ceil(W / stride), C2].
 
-    The API is NCHW, but im2col runs channels-last: the padded input is
-    [B, H, W, C], and the columns are one copy of its strided window view as
-    [B, h2, w2, kh, kw, C], so every run copied is whole channels; the
-    kernel matrix is `kernels` in (kh, kw, C, C2) order. col2im in backward
-    adds the column gradients back through the same window view.
+    im2col pads x into a [B, H, W, C] buffer, and the columns are one copy
+    of its strided window view as [B, h2, w2, kh, kw, C], so every run
+    copied is whole channels; the kernel matrix is `kernels` in (kh, kw, C,
+    C2) order, and the bias is added in place on the product, which already
+    is the output. col2im in backward adds the column gradients back
+    through the same window view.
     """
-    squeeze = x.ndim == 3
-    xd = x.data[None] if squeeze else x.data
+    xd = x.data
     if xd.ndim != 4:
-        raise DimensionError(f"conv2d input must be [C,H,W] or [B,C,H,W], got {x.shape}")
+        raise DimensionError(f"conv2d input must be [B,H,W,C], got {x.shape}")
     if kernels.ndim != 4:
         raise DimensionError(f"conv2d kernels must be [C2,C,kh,kw], got {kernels.shape}")
-    nb, c, h, w = xd.shape
+    nb, h, w, c = xd.shape
     c2, ck, kh, kw = kernels.shape
     if kh < 1 or kw < 1:
         raise DimensionError(f"conv2d kernel has zero-sized window: {kernels.shape}")
     if ck != c:
         raise DimensionError(f"conv2d channel mismatch: input {x.shape} vs kernels {kernels.shape}")
+    if bias.shape != (c2,):
+        raise DimensionError(f"conv2d bias {bias.shape} does not match {c2} output channels")
     if stride < 1:
         raise DimensionError(f"conv2d stride must be >= 1, got {stride}")
     h2, top, bot = _same_pad(h, kh, stride)
@@ -325,20 +397,20 @@ def conv2d(x: Tensor, kernels: Tensor, stride: int) -> Tensor:
         raise DimensionError(f"conv2d kernel {kh}x{kw} exceeds padded input {h}x{w}")
 
     xp = np.zeros((nb, h + top + bot, w + left + right, c), dtype=xd.dtype)
-    xp[:, top : top + h, left : left + w] = xd.transpose(0, 2, 3, 1)
+    xp[:, top : top + h, left : left + w] = xd
     win = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]  # [B, h2, w2, C, kh, kw]
     mat = np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3)).reshape(nb * h2 * w2, kh * kw * c)
     wmat = kernels.data.transpose(2, 3, 1, 0).reshape(kh * kw * c, c2)
-    out = (mat @ wmat).reshape(nb, h2, w2, c2).transpose(0, 3, 1, 2)
-    if squeeze:
-        out = out[0]
+    out = mat @ wmat
+    out += bias.data
 
     def bwd(g):
-        g4 = g[None] if squeeze else g
-        g2 = np.ascontiguousarray(g4.transpose(0, 2, 3, 1)).reshape(nb * h2 * w2, c2)
-        gk = gx = None
+        g2 = g.reshape(nb * h2 * w2, c2)
+        gx = gk = gb = None
         if kernels.requires_grad:
             gk = (g2.T @ mat).reshape(c2, kh, kw, c).transpose(0, 3, 1, 2)
+        if bias.requires_grad:
+            gb = g2.sum(axis=0)
         if x.requires_grad:
             gcols = (g2 @ wmat.T).reshape(nb, h2, w2, kh, kw, c)
             gxp = np.zeros_like(xp)
@@ -346,9 +418,42 @@ def conv2d(x: Tensor, kernels: Tensor, stride: int) -> Tensor:
             for i in range(kh):
                 for j in range(kw):  # windows overlap, but no two share (i, j) and a position
                     gwin[..., i, j] += gcols[:, :, :, i, j]
-            gx = np.ascontiguousarray(gxp[:, top : top + h, left : left + w].transpose(0, 3, 1, 2))
-            if squeeze:
-                gx = gx[0]
-        return gx, gk
+            gx = gxp[:, top : top + h, left : left + w]
+        return gx, gk, gb
 
-    return Tensor._make(out, (x, kernels), bwd, "conv2d")
+    return Tensor._make(out.reshape(nb, h2, w2, c2), (x, kernels, bias), bwd, "conv2d")
+
+
+def film(x: Tensor, lang: Tensor, gamma_w: Tensor, gamma_b: Tensor, beta_w: Tensor, beta_b: Tensor) -> Tensor:
+    """FiLM conditioning, channels-last: (1 + gamma) * x + beta per sample and channel.
+
+    x: [n, ..., C]; lang: [n, L]; gamma = lang @ gamma_w + gamma_b and
+    beta = lang @ beta_w + beta_b, each [n, C] ([L, C] weights, [C]
+    biases). One tape node holds both projections and the modulation.
+    """
+    n, c = x.shape[0], x.shape[-1]
+    if lang.ndim != 2 or lang.shape[0] != n:
+        raise DimensionError(f"film language {lang.shape} does not match {n} samples")
+    for w_, b_ in ((gamma_w, gamma_b), (beta_w, beta_b)):
+        if w_.shape != (lang.shape[1], c) or b_.shape != (c,):
+            raise DimensionError(
+                f"film projections {w_.shape}/{b_.shape} do not map {lang.shape[1]} language dims to {c} channels"
+            )
+    bshape = (n,) + (1,) * (x.ndim - 2) + (c,)
+    gamma1 = lang.data @ gamma_w.data
+    gamma1 += gamma_b.data
+    gamma1 += 1.0
+    beta = lang.data @ beta_w.data
+    beta += beta_b.data
+    out = x.data * gamma1.reshape(bshape)
+    out += beta.reshape(bshape)
+
+    def bwd(g):
+        lead = tuple(range(1, g.ndim - 1))
+        dgamma = (g * x.data).sum(axis=lead)
+        dbeta = g.sum(axis=lead)
+        gx = g * gamma1.reshape(bshape) if x.requires_grad else None
+        glang = dgamma @ gamma_w.data.T + dbeta @ beta_w.data.T if lang.requires_grad else None
+        return gx, glang, lang.data.T @ dgamma, dgamma.sum(axis=0), lang.data.T @ dbeta, dbeta.sum(axis=0)
+
+    return Tensor._make(out, (x, lang, gamma_w, gamma_b, beta_w, beta_b), bwd, "film")

@@ -264,7 +264,8 @@ def backward(loss: Tensor, params: Iterable[Tensor] | None = None) -> dict[Tenso
         params = reached
     out: dict[Tensor, np.ndarray] = {}
     for p in params:
-        out[p] = grads.get(p.id, np.zeros_like(p.data))
+        g = grads.get(p.id)
+        out[p] = np.zeros_like(p.data) if g is None else g
     return out
 
 

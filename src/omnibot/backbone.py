@@ -57,13 +57,15 @@ def forward(window: AssembledWindow, params: dict[str, Tensor], cfg: Config, hea
     rows only for its keys and values; its queries, attention output, MLP
     and the final norm are row-wise, so they run on the readout rows alone
     and give the same numbers as the full forward.
+
+    Every op reads and writes [B, rows, d_model]: `masked_attention`
+    splits the heads itself, as strided views, so a layer is two norms,
+    six linears, one attention, one gelu and two residual adds.
     """
     bb = cfg.backbone
     x = window.tokens
     if x.shape[-1] != bb.d_model:
         raise DimensionError(f"window has d_model {x.shape[-1]}, backbone expects {bb.d_model}")
-    b, t, d = x.shape
-    nh, dh = bb.heads, bb.d_model // bb.heads
     mask = ad.ops.AttentionMask(window.attn_mask) if bb.layers else None
     if head is not None:
         idx = window.layout.readout_indices(head)  # [k, chunk]
@@ -81,13 +83,8 @@ def forward(window: AssembledWindow, params: dict[str, Tensor], cfg: Config, hea
         if head is not None and i == bb.layers - 1:
             x, h = ad.take(x, cols, axis=1), ad.take(h, cols, axis=1)
             mask = ad.ops.AttentionMask(window.attn_mask[:, cols])
-        tq = x.shape[1]
         q = ad.linear(h, params[f"{p}/attn/wq"], params[f"{p}/attn/qb"])
-        q = q.reshape(b, tq, nh, dh).transpose((0, 2, 1, 3))
-        k = k.reshape(b, t, nh, dh).transpose((0, 2, 1, 3))
-        v = v.reshape(b, t, nh, dh).transpose((0, 2, 1, 3))
-        att = ad.masked_attention(q, k, v, mask)
-        att = att.transpose((0, 2, 1, 3)).reshape(b, tq, d)
+        att = ad.masked_attention(q, k, v, mask, bb.heads)
         x = x + ad.linear(att, params[f"{p}/attn/wo"], params[f"{p}/attn/ob"])
 
         h2 = ad.layer_norm(x, params[f"{p}/ln2/g"], params[f"{p}/ln2/b"])
@@ -95,4 +92,4 @@ def forward(window: AssembledWindow, params: dict[str, Tensor], cfg: Config, hea
         x = x + ad.linear(m, params[f"{p}/mlp/w2"], params[f"{p}/mlp/b2"])
 
     out = ad.layer_norm(x, params["bb/final_ln/g"], params["bb/final_ln/b"])
-    return out if head is None else out.reshape(b, -1, idx.shape[1], d)
+    return out if head is None else out.reshape(x.shape[0], -1, idx.shape[1], bb.d_model)

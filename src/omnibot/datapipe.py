@@ -176,21 +176,33 @@ def mask_modality(example: TrainingExample, rng: np.random.Generator) -> Trainin
     return replace(example, frames=frames)
 
 
+def _shifted_overlap(n: int, d: int) -> tuple[slice, slice]:
+    """The index ranges i of an output and i + d of its input that both lie in [0, n)."""
+    lo = max(0, -d)
+    hi = max(lo, min(n, n - d))
+    return slice(lo, hi), slice(lo + d, hi + d)
+
+
 def augment(img: np.ndarray, rng: np.random.Generator, max_shift: int = 2, jitter: float = 0.1) -> np.ndarray:
-    """Pad-and-crop shift plus brightness/contrast jitter, clamped to [0, 1].
+    """Crop-shift plus brightness/contrast jitter, clamped to [0, 1].
 
     img: [..., C, H, W]. One draw covers every image on the leading axes,
-    so a stacked history gets the same transform at each step.
+    so a stacked history gets the same transform at each step. The shift
+    (dy, dx) reads out[y, x] = img[y + dy, x + dx], zero outside the image:
+    padding by `max_shift` and cropping gives the same image, but this
+    writes the overlap into a zeroed buffer and jitters it in place.
     """
-    out = img
+    dy = dx = 0
     if max_shift > 0:
         dy, dx = (int(v) for v in rng.integers(-max_shift, max_shift + 1, size=2))
-        padded = np.pad(img, ((0, 0),) * (img.ndim - 2) + ((max_shift, max_shift),) * 2)
-        h, w = img.shape[-2:]
-        out = padded[..., max_shift + dy : max_shift + dy + h, max_shift + dx : max_shift + dx + w]
+    (ys, yd), (xs, xd) = (_shifted_overlap(n, d) for n, d in zip(img.shape[-2:], (dy, dx)))
+    out = np.zeros(img.shape, dtype=np.result_type(img, np.float32))
+    out[..., ys, xs] = img[..., yd, xd]
     scale = 1.0 + rng.uniform(-jitter, jitter)
     shift = rng.uniform(-jitter, jitter)
-    return np.clip(out * np.float32(scale) + np.float32(shift), 0.0, 1.0).astype(np.float32)
+    out *= np.float32(scale)
+    out += np.float32(shift)
+    return np.clip(out, 0.0, 1.0, out=out).astype(np.float32, copy=False)
 
 
 def augment_example(example: TrainingExample, rng: np.random.Generator, cfg: Config) -> TrainingExample:

@@ -57,17 +57,9 @@ def init_encoder_params(cfg: Config, rng: np.random.Generator, dtype=np.float32)
     return params
 
 
-def film(features: Tensor, lang: Tensor, gamma_w: Tensor, gamma_b: Tensor,
-         beta_w: Tensor, beta_b: Tensor) -> Tensor:
-    """Per-channel (1 + gamma(lang)) * x + beta(lang), gamma/beta linear in lang."""
-    n, c = features.shape[0], features.shape[1]
-    if gamma_w.shape[1] != c:
-        raise DimensionError(
-            f"film projections are for {gamma_w.shape[1]} channels, features have {c}"
-        )
-    gamma = ad.linear(lang, gamma_w, gamma_b).reshape(n, c, 1, 1)
-    beta = ad.linear(lang, beta_w, beta_b).reshape(n, c, 1, 1)
-    return features * (gamma + 1.0) + beta
+def _no_tokenizer(group: str, kind: str) -> ContractError:
+    have = [name for name, k, _ in observation_groups() if k == kind]
+    return ContractError(f"no {kind} tokenizer for group {group!r}; the {kind} groups are {have}")
 
 
 class EncoderBank:
@@ -106,38 +98,39 @@ class EncoderBank:
         goals: np.ndarray | None = None,
         lang: Tensor | None = None,
     ) -> Tensor:
-        """[n, 3, H, W] images (+ optional goals, optional language) -> [n, T_img, d_model]."""
+        """[n, 3, H, W] images (+ optional goals, optional language) -> [n, T_img, d_model].
+
+        The stack runs channels-last: images and goals are transposed once
+        into one [n, H, W, 6] input, each stage is `conv2d` (with its bias),
+        `film` and `gelu`, and the last stage's [n, h, w, c] output is read
+        as [n, h * w, c] tokens in row-major (h, w) order, without a copy.
+        """
         if f"enc/img/{view}/proj/w" not in self.params:
-            raise KeyError(f"no image tokenizer for group {view!r}")
+            raise _no_tokenizer(view, "obs-image")
         enc = self.cfg.encoders
         images = np.asarray(images, dtype=self.dtype)
         shape = group_shape(view)
         if images.shape[1:] != shape:
             raise DimensionError(f"{view} images must be [n, {', '.join(map(str, shape))}], got {images.shape}")
         n = images.shape[0]
-        if goals is None:
-            goals = np.zeros_like(images)
-        else:
+        x = np.zeros(images.shape[:1] + images.shape[2:] + (2 * shape[0],), dtype=self.dtype)
+        x[..., : shape[0]] = images.transpose(0, 2, 3, 1)
+        if goals is not None:
             goals = np.asarray(goals, dtype=self.dtype)
             if goals.shape != images.shape:
                 raise DimensionError(f"goal shape {goals.shape} != image shape {images.shape}")
+            x[..., shape[0] :] = goals.transpose(0, 2, 3, 1)
         if lang is None:
             lang = ad.tensor(np.zeros((n, enc.language_dim), dtype=self.dtype))
 
-        x = ad.tensor(np.concatenate([images, goals], axis=1))
+        x = ad.tensor(x)
         p = self.params
         for i in range(len(enc.conv_channels)):
-            k = p[f"enc/img/{view}/conv{i}/w"]
-            x = ad.conv2d(x, k, stride=enc.conv_stride)
-            x = x + p[f"enc/img/{view}/conv{i}/b"].reshape(1, -1, 1, 1)
-            x = film(
-                x, lang,
-                p[f"enc/img/{view}/film{i}/gamma_w"], p[f"enc/img/{view}/film{i}/gamma_b"],
-                p[f"enc/img/{view}/film{i}/beta_w"], p[f"enc/img/{view}/film{i}/beta_b"],
-            )
+            conv, film = f"enc/img/{view}/conv{i}", f"enc/img/{view}/film{i}"
+            x = ad.conv2d(x, p[f"{conv}/w"], p[f"{conv}/b"], stride=enc.conv_stride)
+            x = ad.film(x, lang, p[f"{film}/gamma_w"], p[f"{film}/gamma_b"], p[f"{film}/beta_w"], p[f"{film}/beta_b"])
             x = ad.gelu(x)
-        c = x.shape[1]
-        tokens = x.reshape(n, c, -1).transpose((0, 2, 1))  # [n, T_img, c]
+        tokens = x.reshape(n, -1, x.shape[-1])
         return ad.linear(tokens, p[f"enc/img/{view}/proj/w"], p[f"enc/img/{view}/proj/b"])
 
     # -- proprioception -----------------------------------------------------
@@ -145,7 +138,7 @@ class EncoderBank:
     def encode_proprio(self, group: str, values: np.ndarray) -> Tensor:
         """[n, dim] readings of one proprio group -> [n, 1, d_model], one token per reading vector."""
         if f"enc/proprio/{group}/w" not in self.params:
-            raise KeyError(f"no proprio tokenizer for group {group!r}")
+            raise _no_tokenizer(group, "obs-proprio")
         w = self.params[f"enc/proprio/{group}/w"]
         b = self.params[f"enc/proprio/{group}/b"]
         values = np.asarray(values, dtype=self.dtype)

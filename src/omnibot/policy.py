@@ -61,6 +61,28 @@ def frame_key(group: str, frame: assembler.ObservationFrame) -> bytes:
     return h.digest()
 
 
+def _check_instruction(index: int, frame: assembler.ObservationFrame) -> None:
+    """ContractError unless the frame's instruction is an integer id (bools are not)."""
+    ins = frame.instruction
+    if not isinstance(ins, (int, np.integer)) or isinstance(ins, bool):
+        raise ContractError(f"frame {index}: instruction {ins!r} is not an integer id")
+
+
+def _check_arrays(index: int, group: str, frame: assembler.ObservationFrame) -> None:
+    """ContractError unless the frame's `group` observation, and its goal where
+    that conditions the group, are finite float arrays."""
+    named = [(f"{group} observation", frame.observations[group])]
+    goal = assembler.conditioning_goal(frame, group)
+    if goal is not None:
+        named.append((f"goal of {group}", goal))
+    for what, values in named:
+        values = np.asarray(values)
+        if values.dtype.kind != "f":
+            raise ContractError(f"frame {index}: {what} has dtype {values.dtype}, want a float array")
+        if not np.isfinite(values).all():
+            raise ContractError(f"frame {index}: {what} holds non-finite values")
+
+
 class FrameTokenCache:
     """Encoder rows of the frames `act` saw last: at most `history` per observation group."""
 
@@ -69,13 +91,20 @@ class FrameTokenCache:
         self.groups: dict[str, OrderedDict[bytes, np.ndarray]] = {}
 
     def encode(self, bank: EncoderBank, group: assembler.SlotGroup, frames) -> Tensor:
-        """`assembler.encode_group`'s rows, encoding only the frames not cached."""
+        """`assembler.encode_group`'s rows, encoding only the frames not cached.
+
+        Frames come from a client, so they are checked here (ContractError
+        naming the frame's index in `frames`) before any is encoded.
+        """
         rows = self.groups.setdefault(group.name, OrderedDict())
-        keys = [frame_key(group.name, f) for f in frames]
-        misses = {}
-        for key, frame in zip(keys, frames):
-            if key not in rows:
-                misses.setdefault(key, frame)
+        keys, misses = [], {}
+        for i, frame in enumerate(frames):
+            _check_instruction(i, frame)  # every frame: its key reads the instruction
+            key = frame_key(group.name, frame)
+            if key not in rows and key not in misses:
+                _check_arrays(i, group.name, frame)  # a cached frame passed when it was new
+                misses[key] = frame
+            keys.append(key)
         if misses:
             fresh = assembler.encode_group(bank, group, list(misses.values())).data
             rows.update(zip(misses, fresh))

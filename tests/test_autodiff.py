@@ -1,11 +1,15 @@
 """Autodiff core: oracles for forward math, finite differences for gradients."""
 
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import omnibot.autodiff as ad
+from omnibot.autodiff import ops
+from omnibot.autodiff.ops import AttentionMask
 from omnibot.errors import ContractError, DegenerateMaskError, DimensionError
 
 
@@ -152,82 +156,136 @@ def test_layer_norm_grad_sums_to_zero():
 # ---------------------------------------------------------------- masked_attention
 
 
+def heads_oracle(q, k, v, mask, heads):
+    """`attention_oracle` per batch element and head of [B, T, d] operands."""
+    mask = np.broadcast_to(mask, (q.shape[0],) + mask.shape[-2:])
+    dh = q.shape[-1] // heads
+    out = np.zeros(q.shape, dtype=np.float64)
+    for b in range(q.shape[0]):
+        for h in range(heads):
+            f = slice(h * dh, (h + 1) * dh)
+            out[b, :, f] = attention_oracle(q[b, :, f], k[b, :, f], v[b, :, f], mask[b])
+    return out
+
+
+def step_mask(rng, nb, steps, per, pad_frac):
+    """A block-causal mask over `steps` steps of `per` tokens: a query sees keys
+    at its own and earlier steps; a pad key (drawn per element) only itself."""
+    t = steps * per
+    step = np.repeat(np.arange(steps), per)
+    pad = rng.random((nb, t)) < pad_frac
+    mask = (step[None, :] <= step[:, None]) & ~pad[:, None, :]
+    mask[:, np.arange(t), np.arange(t)] = True
+    return mask
+
+
+def tiled(shape_seed=60, nb=4, heads=4, dh=16, steps=3, per=40):
+    """q, k, v and a step mask at a shape that `TILE_ENTRIES` splits into tiles."""
+    rng = np.random.Generator(np.random.PCG64(shape_seed))
+    mask = step_mask(rng, nb, steps, per, 0.2)
+    assert len(AttentionMask(mask).tiles(heads)) > 1
+    q, k, v = (rng.standard_normal((nb, steps * per, heads * dh)) for _ in range(3))
+    return q, k, v, mask, heads
+
+
+@contextlib.contextmanager
+def tile_entries(value):
+    """Run with `ops.TILE_ENTRIES` at `value`: 0 tiles at every step, a huge value never."""
+    keep = ops.TILE_ENTRIES
+    ops.TILE_ENTRIES = value
+    try:
+        yield
+    finally:
+        ops.TILE_ENTRIES = keep
+
+
 def test_attention_one_hot_mask_selects_value_row():
-    q = rand((3, 4), 20)
-    k = rand((3, 4), 21)
-    v = rand((3, 4), 22)
+    q = rand((1, 3, 4), 20)
+    k = rand((1, 3, 4), 21)
+    v = rand((1, 3, 4), 22)
     mask = np.zeros((3, 3), dtype=bool)
     mask[0, 2] = mask[1, 0] = mask[2, 1] = True
-    out = ad.masked_attention(ad.tensor(q), ad.tensor(k), ad.tensor(v), mask).data
-    np.testing.assert_array_equal(out, v[[2, 0, 1]])
+    out = ad.masked_attention(ad.tensor(q), ad.tensor(k), ad.tensor(v), mask, 1).data
+    np.testing.assert_array_equal(out[0], v[0, [2, 0, 1]])
 
 
 def test_attention_equal_scores_average_values():
     # two permitted keys with identical key vectors -> equal scores
-    q = rand((2, 4), 23)
-    k = np.tile(rand((1, 4), 24), (2, 1))
-    v = rand((2, 4), 25)
+    q = rand((1, 2, 4), 23)
+    k = np.tile(rand((1, 1, 4), 24), (1, 2, 1))
+    v = rand((1, 2, 4), 25)
     mask = np.ones((2, 2), dtype=bool)
-    out = ad.masked_attention(ad.tensor(q), ad.tensor(k), ad.tensor(v), mask).data
-    np.testing.assert_allclose(out, np.tile(v.mean(0), (2, 1)), rtol=1e-6)
+    out = ad.masked_attention(ad.tensor(q), ad.tensor(k), ad.tensor(v), mask, 1).data
+    np.testing.assert_allclose(out[0], np.tile(v[0].mean(0), (2, 1)), rtol=1e-6)
 
 
 def test_attention_vs_dense_oracle():
     rng = np.random.Generator(np.random.PCG64(26))
-    q, k, v = (rng.standard_normal((6, 4)).astype(np.float32) for _ in range(3))
+    q, k, v = (rng.standard_normal((1, 6, 4)).astype(np.float32) for _ in range(3))
     mask = rng.random((6, 6)) < 0.6
     mask[np.arange(6), np.arange(6)] = True
-    out = ad.masked_attention(ad.tensor(q), ad.tensor(k), ad.tensor(v), mask).data
-    ref = attention_oracle(q.astype(np.float64), k.astype(np.float64), v.astype(np.float64), mask)
-    assert np.abs(out - ref).max() < 1e-6
+    for heads in (1, 2):
+        out = ad.masked_attention(ad.tensor(q), ad.tensor(k), ad.tensor(v), mask, heads).data
+        ref = heads_oracle(q.astype(np.float64), k.astype(np.float64), v.astype(np.float64), mask, heads)
+        assert np.abs(out - ref).max() < 1e-6
 
 
 def test_attention_forbidden_keys_have_exactly_zero_influence():
     rng = np.random.Generator(np.random.PCG64(27))
-    q, k = (ad.tensor(rng.standard_normal((5, 4))) for _ in range(2))
-    v1 = rng.standard_normal((5, 4))
+    q, k = (ad.tensor(rng.standard_normal((1, 5, 4))) for _ in range(2))
+    v1 = rng.standard_normal((1, 5, 4))
     mask = rng.random((5, 5)) < 0.5
     mask[:, 0] = True  # every row keeps at least key 0
     mask[3, :] = False
     mask[3, 1] = True
-    out1 = ad.masked_attention(q, k, ad.tensor(v1), mask).data
-    v2 = v1.copy()
-    v2[~mask.any(axis=0)] += 100.0  # rows never used as keys
+    out1 = ad.masked_attention(q, k, ad.tensor(v1), mask, 2).data
     forbidden_rows = [j for j in range(5) if not mask[:, j].all() and mask[:, j].any()]
     # perturb one value row forbidden for SOME queries; those outputs must not move
     j = forbidden_rows[0]
     v3 = v1.copy()
-    v3[j] += 123.456
-    out3 = ad.masked_attention(q, k, ad.tensor(v3), mask).data
+    v3[0, j] += 123.456
+    out3 = ad.masked_attention(q, k, ad.tensor(v3), mask, 2).data
     unaffected = ~mask[:, j]
-    np.testing.assert_array_equal(out1[unaffected], out3[unaffected])
+    np.testing.assert_array_equal(out1[0, unaffected], out3[0, unaffected])
+
+    # the same at a tiled shape: moving every key and value row a query may
+    # not see moves none of its output bits
+    q, k, v, mask, heads = tiled()
+    out = ad.masked_attention(ad.tensor(q), ad.tensor(k), ad.tensor(v), mask, heads).data
+    for b, i in ((0, 0), (1, 45), (3, 119)):
+        unseen = ~mask[b, i]
+        k2, v2 = k.copy(), v.copy()
+        k2[b, unseen] += 77.0
+        v2[b, unseen] -= 123.456
+        out2 = ad.masked_attention(ad.tensor(q), ad.tensor(k2), ad.tensor(v2), mask, heads).data
+        np.testing.assert_array_equal(out2[b, i], out[b, i])
 
 
 def test_attention_all_false_row_raises():
-    q = ad.tensor(rand((3, 4), 28))
+    q = ad.tensor(rand((1, 3, 4), 28))
     mask = np.ones((3, 3), dtype=bool)
     mask[1, :] = False
     with pytest.raises(DegenerateMaskError):
-        ad.masked_attention(q, q, q, mask)
+        ad.masked_attention(q, q, q, mask, 1)
 
 
 def test_attention_grads_vs_central_differences():
     for tq, tk in ((5, 5), (3, 6)):  # square, and fewer queries than keys
-        q = ad.param(rand((tq, 3), 30))
-        k = ad.param(rand((tk, 3), 31))
-        v = ad.param(rand((tk, 3), 32))
+        q = ad.param(rand((2, tq, 4), 30))
+        k = ad.param(rand((2, tk, 4), 31))
+        v = ad.param(rand((2, tk, 4), 32))
         rng = np.random.Generator(np.random.PCG64(33))
-        mask = rng.random((tq, tk)) < 0.7
-        mask[np.arange(tq), np.arange(tq)] = True
-        wsum = rand((tq, 3), 34)
+        mask = rng.random((2, tq, tk)) < 0.7
+        mask[:, np.arange(tq), np.arange(tq)] = True
+        wsum = rand((2, tq, 4), 34)
 
         def forward():
-            return (ad.masked_attention(q, k, v, mask) * ad.tensor(wsum)).sum()
+            return (ad.masked_attention(q, k, v, mask, 2) * ad.tensor(wsum)).sum()
 
         grads = ad.backward(forward(), [q, k, v])
 
         def f():
-            return (attention_oracle(q.data, k.data, v.data, mask) * wsum).sum()
+            return (heads_oracle(q.data, k.data, v.data, mask, 2) * wsum).sum()
 
         for t in (q, k, v):
             num = numeric_grad(f, t.data)
@@ -240,34 +298,55 @@ def test_attention_grads_vs_central_differences():
     [
         ((2, 3, 4), (2, 5, 4), (2, 5, 5)),  # mask rows follow k, not q
         ((2, 3, 4), (2, 5, 4), (2, 3, 3)),  # mask columns follow q, not k
-        ((2, 3, 4), (2, 5, 2), (2, 3, 5)),  # q and k head widths differ
+        ((2, 3, 4), (2, 5, 2), (2, 3, 5)),  # q and k widths differ
         ((2, 3, 4), (1, 5, 4), (2, 3, 5)),  # q and k batches differ
     ],
 )
 def test_attention_shape_mismatch_raises(q_shape, k_shape, mask_shape):
     q, k = ad.tensor(np.ones(q_shape)), ad.tensor(np.ones(k_shape))
     with pytest.raises(DimensionError):
-        ad.masked_attention(q, k, k, np.ones(mask_shape, dtype=bool))
+        ad.masked_attention(q, k, k, np.ones(mask_shape, dtype=bool), 2)
+
+
+def test_attention_width_must_split_into_the_heads():
+    q = ad.tensor(np.ones((1, 3, 6)))
+    for heads in (0, 4):
+        with pytest.raises(DimensionError, match="6 does not split"):
+            ad.masked_attention(q, q, q, np.ones((3, 3), dtype=bool), heads)
 
 
 def test_attention_grad_of_forbidden_value_row_is_zero():
-    q = ad.param(rand((4, 3), 35))
-    k = ad.param(rand((4, 3), 37))
-    v = ad.param(rand((4, 3), 36))
+    q = ad.param(rand((1, 4, 3), 35))
+    k = ad.param(rand((1, 4, 3), 37))
+    v = ad.param(rand((1, 4, 3), 36))
     mask = np.ones((4, 4), dtype=bool)
     mask[:, 2] = False
     mask[2, 2] = True  # key 2 visible only to query 2... keep row 2 alive
-    loss = ad.masked_attention(q, k, v, mask).sum()
+    loss = ad.masked_attention(q, k, v, mask, 1).sum()
     grads = ad.backward(loss, [k, v])
     # key and value row 2 receive weight only from query 2
-    assert grads[k][2].any() and grads[v][2].any()
+    assert grads[k][0, 2].any() and grads[v][0, 2].any()
     mask2 = np.ones((4, 4), dtype=bool)
     mask2[:, 2] = False
     mask2[:, 0] = True
-    loss2 = ad.masked_attention(q, k, v, mask2).sum()
+    loss2 = ad.masked_attention(q, k, v, mask2, 1).sum()
     grads2 = ad.backward(loss2, [k, v])
-    np.testing.assert_array_equal(grads2[k][2], np.zeros(3))
-    np.testing.assert_array_equal(grads2[v][2], np.zeros(3))
+    np.testing.assert_array_equal(grads2[k][0, 2], np.zeros(3))
+    np.testing.assert_array_equal(grads2[v][0, 2], np.zeros(3))
+
+    # at a tiled shape, a key that no query of its element sees (a pad key
+    # whose own row is cut away) gets exactly zero gradient
+    q, k, v, mask, heads = tiled()
+    rows = np.arange(60)  # the first step and a half: no query at the last step
+    q, k, v = ad.param(q[:, rows]), ad.param(k), ad.param(v)
+    mask = mask[:, rows]
+    wsum = ad.tensor(rand(q.shape, 38))
+    grads = ad.backward((ad.masked_attention(q, k, v, mask, heads) * wsum).sum(), [k, v])
+    unseen = ~mask.any(axis=1)  # [B, Tk]
+    assert unseen[:, 80:].all() and unseen[:, 60:80].any()  # the last step, and pads of cut rows
+    np.testing.assert_array_equal(grads[k][unseen], 0.0)
+    np.testing.assert_array_equal(grads[v][unseen], 0.0)
+    assert grads[k][~unseen].any(axis=-1).all()
 
 
 def test_attention_with_large_scores_ignores_unseen_keys_exactly():
@@ -275,63 +354,137 @@ def test_attention_with_large_scores_ignores_unseen_keys_exactly():
     # weights must still be exactly 0.0, so key/value rows no query sees
     # move no output bit and get exactly zero gradient
     rng = np.random.Generator(np.random.PCG64(41))
-    q = ad.param((rng.standard_normal((2, 3, 5, 16)) * 50).astype(np.float32))
-    k = ad.param(rng.standard_normal((2, 3, 7, 16)).astype(np.float32))
-    v = ad.param(rng.standard_normal((2, 3, 7, 16)).astype(np.float32))
+    q = ad.param((rng.standard_normal((2, 5, 48)) * 50).astype(np.float32))
+    k = ad.param(rng.standard_normal((2, 7, 48)).astype(np.float32))
+    v = ad.param(rng.standard_normal((2, 7, 48)).astype(np.float32))
     mask = rng.random((2, 5, 7)) < 0.5
     mask[:, :, 0] = True
     mask[:, :, 4] = False  # key 4 is seen by no query
-    wsum = ad.tensor(rng.standard_normal((2, 3, 5, 16)).astype(np.float32))
-    out = ad.masked_attention(q, k, v, mask)
+    wsum = ad.tensor(rng.standard_normal((2, 5, 48)).astype(np.float32))
+    out = ad.masked_attention(q, k, v, mask, 3)
     grads = ad.backward((out * wsum).sum(), [q, k, v])
-    np.testing.assert_array_equal(grads[k][:, :, 4], 0.0)
-    np.testing.assert_array_equal(grads[v][:, :, 4], 0.0)
+    np.testing.assert_array_equal(grads[k][:, 4], 0.0)
+    np.testing.assert_array_equal(grads[v][:, 4], 0.0)
     assert np.all(np.isfinite(grads[q]))
     k2, v2 = k.data.copy(), v.data.copy()
-    k2[:, :, 4] = 1e4
-    v2[:, :, 4] = -1e4
-    out2 = ad.masked_attention(q, ad.tensor(k2), ad.tensor(v2), mask)
+    k2[:, 4] = 1e4
+    v2[:, 4] = -1e4
+    out2 = ad.masked_attention(q, ad.tensor(k2), ad.tensor(v2), mask, 3)
     np.testing.assert_array_equal(out2.data, out.data)
+
+    # the same at a tiled shape, where the later steps' keys are skipped for
+    # the early tiles: ±1e4 in every key and value row a query may not see
+    q, k, v, mask, heads = tiled(shape_seed=61)
+    q, k, v = (ad.param(a.astype(np.float32)) for a in (q * 50, k, v))
+    out = ad.masked_attention(q, k, v, mask, heads)
+    grads = ad.backward((out * ad.tensor(rand(q.shape, 42, np.float32))).sum(), [q])
+    assert np.all(np.isfinite(grads[q]))
+    for b, i in ((0, 3), (2, 70)):
+        unseen = ~mask[b, i]
+        k2, v2 = k.data.copy(), v.data.copy()
+        k2[b, unseen] = 1e4
+        v2[b, unseen] = -1e4
+        out2 = ad.masked_attention(q, ad.tensor(k2), ad.tensor(v2), mask, heads)
+        np.testing.assert_array_equal(out2.data[b, i], out.data[b, i])
 
 
 def test_attention_batched_matches_per_sequence():
     rng = np.random.Generator(np.random.PCG64(37))
-    q = rng.standard_normal((2, 3, 6, 4))
-    k = rng.standard_normal((2, 3, 6, 4))
-    v = rng.standard_normal((2, 3, 6, 4))
+    q = rng.standard_normal((2, 6, 12))
+    k = rng.standard_normal((2, 6, 12))
+    v = rng.standard_normal((2, 6, 12))
     mask = rng.random((2, 6, 6)) < 0.5
     mask[:, np.arange(6), np.arange(6)] = True
-    out = ad.masked_attention(ad.tensor(q), ad.tensor(k), ad.tensor(v), mask).data
+    out = ad.masked_attention(ad.tensor(q), ad.tensor(k), ad.tensor(v), mask, 3).data
     for b in range(2):
         for h in range(3):
+            f = slice(4 * h, 4 * h + 4)
             ref = ad.masked_attention(
-                ad.tensor(q[b, h]), ad.tensor(k[b, h]), ad.tensor(v[b, h]), mask[b]
+                ad.tensor(q[b : b + 1, :, f]), ad.tensor(k[b : b + 1, :, f]), ad.tensor(v[b : b + 1, :, f]), mask[b], 1
             ).data
-            np.testing.assert_allclose(out[b, h], ref, rtol=1e-12, atol=1e-14)
+            np.testing.assert_allclose(out[b, :, f], ref[0], rtol=1e-12, atol=1e-14)
 
 
 def test_masked_softmax_forbidden_weights_exactly_zero():
-    from omnibot.autodiff.ops import AttentionMask
-
-    # with v the identity, each output row is that query's weight row
+    # with each head's v the identity, each head's output row is that query's weight row
     rng = np.random.Generator(np.random.PCG64(39))
-    q = (rng.standard_normal((2, 2, 6, 6)) * 50).astype(np.float32)
-    k = rng.standard_normal((2, 2, 6, 6)).astype(np.float32)
-    eye = np.broadcast_to(np.eye(6, dtype=np.float32), (2, 2, 6, 6))
+    q = (rng.standard_normal((2, 6, 12)) * 50).astype(np.float32)
+    k = rng.standard_normal((2, 6, 12)).astype(np.float32)
+    eye = np.broadcast_to(np.tile(np.eye(6, dtype=np.float32), (1, 2)), (2, 6, 12))
     mask = rng.random((2, 6, 6)) < 0.4
     mask[:, np.arange(6), np.arange(6)] = True
     amask = AttentionMask(mask)
     additive = amask.buffers(q.dtype)
     assert additive.shape == (2, 1, 6, 6) and additive.dtype == np.float32
     np.testing.assert_array_equal(additive[:, 0] == 0.0, mask)
-    w = ad.masked_attention(ad.tensor(q), ad.tensor(k), ad.tensor(eye), amask).data
+    out = ad.masked_attention(ad.tensor(q), ad.tensor(k), ad.tensor(eye), amask, 2).data
     for b in range(2):
-        assert (w[b][:, ~mask[b]] == 0.0).all()
-        assert (w[b][:, mask[b]] > 0.0).any()
-        np.testing.assert_allclose(w[b].sum(-1), 1.0, rtol=1e-5)
+        for w in (out[b, :, :6], out[b, :, 6:]):
+            assert (w[~mask[b]] == 0.0).all()
+            assert (w[mask[b]] > 0.0).any()
+            np.testing.assert_allclose(w.sum(-1), 1.0, rtol=1e-5)
+
+
+step_layouts = st.tuples(
+    st.integers(1, 4),  # batch
+    st.sampled_from((1, 2, 4)),  # heads
+    st.integers(1, 5),  # steps
+    st.integers(1, 9),  # tokens per step
+    st.floats(0.0, 0.6),  # pad fraction
+    st.integers(0, 2**32 - 1),  # seed
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(layout=step_layouts, queries=st.sampled_from(("all", "last-step", "sparse")))
+def test_property_no_tile_skips_a_permitted_key(layout, queries):
+    nb, heads, steps, per, pad_frac, seed = layout
+    rng = np.random.Generator(np.random.PCG64(seed))
+    mask = step_mask(rng, nb, steps, per, pad_frac)
+    t = steps * per
+    rows = {"all": np.arange(t), "last-step": np.arange(t - per, t), "sparse": np.arange(0, t, 3)}[queries]
+    mask = mask[:, rows]
+    for entries in (0, 15_000, 10**18):
+        with tile_entries(entries):
+            tiles = AttentionMask(mask).tiles(heads)
+        assert [r0 for r0, _, _ in tiles] == [0] + [r1 for _, r1, _ in tiles[:-1]]
+        assert tiles[-1][1] == rows.size
+        assert all(a[2] < b[2] for a, b in zip(tiles, tiles[1:]))
+        for r0, r1, keys in tiles:
+            assert 1 <= keys <= t
+            assert not mask[:, r0:r1, keys:].any()
+
+
+@settings(max_examples=60, deadline=None)
+@given(layout=step_layouts)
+def test_property_tiled_attention_matches_one_tile_and_the_oracle(layout):
+    nb, heads, steps, per, pad_frac, seed = layout
+    rng = np.random.Generator(np.random.PCG64(seed))
+    mask = step_mask(rng, nb, steps, per, pad_frac)
+    t, d = steps * per, heads * 4
+    q, k, v = (ad.param(rng.standard_normal((nb, t, d))) for _ in range(3))
+    wsum = ad.tensor(rng.standard_normal((nb, t, d)))
+    runs = []
+    for entries in (0, 10**18):  # a tile per step, and one tile
+        with tile_entries(entries):
+            amask = AttentionMask(mask)
+            out = ad.masked_attention(q, k, v, amask, heads)
+            runs.append((len(amask.tiles(heads)), out.data, ad.backward((out * wsum).sum(), [q, k, v])))
+    (n_tiled, tiled_out, tiled_grads), (n_one, one_out, one_grads) = runs
+    assert n_one == 1
+    # not bitwise: a shorter key prefix changes BLAS's blocking of the sums
+    np.testing.assert_allclose(tiled_out, one_out, rtol=1e-12, atol=1e-15)
+    for p in (q, k, v):
+        np.testing.assert_allclose(tiled_grads[p], one_grads[p], rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(tiled_out, heads_oracle(q.data, k.data, v.data, mask, heads), rtol=1e-10, atol=1e-12)
 
 
 # ---------------------------------------------------------------- conv2d
+
+
+def nhwc(x):
+    """[C, H, W] (or [B, C, H, W]) -> channels-last [1, H, W, C] ([B, H, W, C])."""
+    return x.transpose(1, 2, 0)[None] if x.ndim == 3 else x.transpose(0, 2, 3, 1)
 
 
 def test_conv_identity_kernel():
@@ -339,46 +492,48 @@ def test_conv_identity_kernel():
     k = np.zeros((3, 3, 1, 1), dtype=np.float32)
     for c in range(3):
         k[c, c, 0, 0] = 1.0
-    out = ad.conv2d(ad.tensor(x), ad.tensor(k), stride=1).data
-    np.testing.assert_array_equal(out, x)
+    out = ad.conv2d(ad.tensor(nhwc(x)), ad.tensor(k), ad.tensor(np.zeros(3, np.float32)), stride=1).data
+    np.testing.assert_array_equal(out, nhwc(x))
 
 
 def test_conv_stride_two_spatial_arithmetic():
-    x = ad.tensor(rand((3, 24, 24), 41, np.float32))
+    x = ad.tensor(nhwc(rand((3, 24, 24), 41, np.float32)))
     k = ad.tensor(rand((5, 3, 3, 3), 42, np.float32))
-    out = ad.conv2d(x, k, stride=2)
-    assert out.shape == (5, 12, 12)
+    out = ad.conv2d(x, k, ad.tensor(np.zeros(5, np.float32)), stride=2)
+    assert out.shape == (1, 12, 12, 5)
 
 
 def test_conv_vs_naive_loop():
     x = rand((3, 8, 8), 43, np.float32)
     k = rand((4, 3, 3, 3), 44, np.float32) * 0.2
+    b = rand((4,), 45, np.float32)
     for stride in (1, 2, 3):
-        out = ad.conv2d(ad.tensor(x), ad.tensor(k), stride=stride).data
-        ref = conv_oracle(x, k, stride)
+        out = ad.conv2d(ad.tensor(nhwc(x)), ad.tensor(k), ad.tensor(b), stride=stride).data
+        ref = nhwc(conv_oracle(x, k, stride) + b[:, None, None])
         assert out.shape == ref.shape
         assert np.abs(out - ref).max() < 1e-6
 
 
 def test_conv_zero_sized_kernel_error():
     with pytest.raises(DimensionError):
-        ad.conv2d(ad.tensor(rand((3, 8, 8), 45)), ad.tensor(np.zeros((4, 3, 0, 3))), stride=1)
+        ad.conv2d(ad.tensor(nhwc(rand((3, 8, 8), 45))), ad.tensor(np.zeros((4, 3, 0, 3))), ad.tensor(np.zeros(4)), 1)
 
 
 def test_conv_grads_vs_central_differences():
-    x = ad.param(rand((2, 5, 5), 46))
+    x = ad.param(nhwc(rand((2, 5, 5), 46)).copy())
     k = ad.param(rand((3, 2, 3, 3), 47) * 0.3)
-    w = rand((3, 3, 3), 48)
+    b = ad.param(rand((3,), 51))
+    w = rand((1, 3, 3, 3), 48)
 
     def forward():
-        return (ad.conv2d(x, k, stride=2) * ad.tensor(w)).sum()
+        return (ad.conv2d(x, k, b, stride=2) * ad.tensor(w)).sum()
 
-    grads = ad.backward(forward(), [x, k])
+    grads = ad.backward(forward(), [x, k, b])
 
     def f():
-        return (conv_oracle(x.data, k.data, 2) * w).sum()
+        return (nhwc(conv_oracle(x.data[0].transpose(2, 0, 1), k.data, 2) + b.data[:, None, None]) * w).sum()
 
-    for t in (x, k):
+    for t in (x, k, b):
         num = numeric_grad(f, t.data)
         rel = np.abs(grads[t] - num) / (np.abs(num) + 1e-12)
         assert rel.max() < 1e-5
@@ -387,33 +542,73 @@ def test_conv_grads_vs_central_differences():
 def test_conv_rectangular_kernel_vs_oracle_and_central_differences():
     # kh != kw and C != C2 pin the kernel matrix's (kh, kw, C, C2) order,
     # which square kernels with equal channel counts cannot tell apart
-    x = ad.param(rand((3, 2, 5, 7), 53))
+    x = ad.param(nhwc(rand((3, 2, 5, 7), 53)).copy())
     k = ad.param(rand((4, 2, 2, 3), 54) * 0.3)
+    b = ad.param(rand((4,), 52))
+
+    def oracle(stride):
+        return nhwc(np.stack([conv_oracle(x.data[i].transpose(2, 0, 1), k.data, stride) for i in range(3)])
+                    + b.data[:, None, None])
+
     for stride in (1, 2, 3):
-        out = ad.conv2d(x, k, stride=stride)
-        ref = np.stack([conv_oracle(x.data[b], k.data, stride) for b in range(3)])
+        out = ad.conv2d(x, k, b, stride=stride)
+        ref = oracle(stride)
         assert out.shape == ref.shape
         np.testing.assert_allclose(out.data, ref, rtol=1e-12, atol=1e-12)
 
         w = rand(ref.shape, 55 + stride)
-        grads = ad.backward((ad.conv2d(x, k, stride=stride) * ad.tensor(w)).sum(), [x, k])
+        grads = ad.backward((ad.conv2d(x, k, b, stride=stride) * ad.tensor(w)).sum(), [x, k, b])
 
         def f():
-            return sum((conv_oracle(x.data[b], k.data, stride) * w[b]).sum() for b in range(3))
+            return (oracle(stride) * w).sum()
 
-        for t in (x, k):
+        for t in (x, k, b):
             num = numeric_grad(f, t.data)
             rel = np.abs(grads[t] - num) / (np.abs(num) + 1e-12)
             assert rel.max() < 1e-5, f"stride {stride}: max rel err {rel.max()}"
 
 
 def test_conv_batched_matches_single():
-    x = rand((4, 3, 6, 6), 49, np.float32)
+    x = nhwc(rand((4, 3, 6, 6), 49, np.float32))
     k = rand((2, 3, 3, 3), 50, np.float32)
-    out = ad.conv2d(ad.tensor(x), ad.tensor(k), stride=2).data
-    for b in range(4):
-        single = ad.conv2d(ad.tensor(x[b]), ad.tensor(k), stride=2).data
-        np.testing.assert_array_equal(out[b], single)
+    b = ad.tensor(rand((2,), 51, np.float32))
+    out = ad.conv2d(ad.tensor(x), ad.tensor(k), b, stride=2).data
+    for i in range(4):
+        single = ad.conv2d(ad.tensor(x[i : i + 1]), ad.tensor(k), b, stride=2).data
+        np.testing.assert_array_equal(out[i], single[0])
+
+
+# ---------------------------------------------------------------- film
+
+
+def film_composite(x, lang, gamma_w, gamma_b, beta_w, beta_b):
+    """FiLM as the tape ops it replaces: two linears, reshapes, a multiply and two adds."""
+    shape = (x.shape[0],) + (1,) * (x.ndim - 2) + (x.shape[-1],)
+    gamma = ad.linear(lang, gamma_w, gamma_b).reshape(shape)
+    beta = ad.linear(lang, beta_w, beta_b).reshape(shape)
+    return x * (gamma + 1.0) + beta
+
+
+def test_film_matches_the_composite_and_central_differences():
+    rng = np.random.Generator(np.random.PCG64(70))
+    for dtype in (np.float32, np.float64):
+        args = [ad.param(rng.standard_normal(s).astype(dtype)) for s in ((3, 4, 5, 6), (3, 7), (7, 6), (6,), (7, 6), (6,))]
+        np.testing.assert_array_equal(ad.film(*args).data, film_composite(*args).data)
+    w = rng.standard_normal(args[0].shape)
+
+    def loss(fn):
+        return (fn(*args) * ad.tensor(w)).sum()
+
+    grads = ad.backward(loss(ad.film), args)
+    composite = ad.backward(loss(film_composite), args)
+
+    def f():
+        return loss(film_composite).item()
+
+    for t in args:
+        np.testing.assert_allclose(grads[t], composite[t], rtol=1e-12, atol=1e-12)
+        num = numeric_grad(f, t.data)
+        assert np.abs(grads[t] - num).max() < 1e-5 * np.abs(num).max()  # x's gradient has entries near 0
 
 
 # ---------------------------------------------------------------- backward
@@ -466,10 +661,10 @@ def test_backward_accumulates_a_node_read_at_different_depths():
 
 def test_determinism_same_inputs_same_bits():
     def run():
-        a = ad.tensor(rand((6, 6), 57, np.float32))
-        b = ad.tensor(rand((6, 6), 58, np.float32))
+        a = ad.tensor(rand((1, 6, 6), 57, np.float32))
+        b = ad.tensor(rand((1, 6, 6), 58, np.float32))
         mask = np.ones((6, 6), dtype=bool)
-        return ad.masked_attention(a, b, b, mask).data
+        return ad.masked_attention(a, b, b, mask, 2).data
 
     np.testing.assert_array_equal(run(), run())
 

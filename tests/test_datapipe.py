@@ -341,6 +341,37 @@ def test_augment_zero_magnitudes_identity():
     np.testing.assert_array_equal(out, img)
 
 
+def augment_oracle(img, rng, max_shift, jitter):
+    """The pad-and-crop form of `augment`: pad by max_shift, then crop at the shift."""
+    out = img
+    if max_shift > 0:
+        dy, dx = (int(v) for v in rng.integers(-max_shift, max_shift + 1, size=2))
+        padded = np.pad(img, ((0, 0),) * (img.ndim - 2) + ((max_shift, max_shift),) * 2)
+        h, w = img.shape[-2:]
+        out = padded[..., max_shift + dy : max_shift + dy + h, max_shift + dx : max_shift + dx + w]
+    scale = 1.0 + rng.uniform(-jitter, jitter)
+    shift = rng.uniform(-jitter, jitter)
+    return np.clip(out * np.float32(scale) + np.float32(shift), 0.0, 1.0).astype(np.float32)
+
+
+@pytest.mark.parametrize("max_shift", (0, 1, 2, 4))
+def test_augment_matches_the_pad_and_crop_oracle_at_every_shift(max_shift):
+    # a 3 x 4 image, so max_shift 4 also shifts it out of view entirely
+    img = np.random.Generator(np.random.PCG64(9)).random((2, 3, 3, 4)).astype(np.float32) * 1.2 - 0.1
+    want = {(dy, dx) for dy in range(-max_shift, max_shift + 1) for dx in range(-max_shift, max_shift + 1)}
+    seen = set()
+    for seed in range(2000):
+        got = dp.augment(img, generator(seed), max_shift, 0.1)
+        np.testing.assert_array_equal(got, augment_oracle(img, generator(seed), max_shift, 0.1))
+        if max_shift:
+            seen.add(tuple(int(v) for v in generator(seed).integers(-max_shift, max_shift + 1, size=2)))
+        else:
+            seen.add((0, 0))
+        if seen == want:
+            break
+    assert seen == want
+
+
 def test_augment_stays_in_range():
     rng = generator(6)
     img = np.random.Generator(np.random.PCG64(1)).random((3, 24, 24)).astype(np.float32)

@@ -4,7 +4,7 @@ import pytest
 import omnibot.autodiff as ad
 from omnibot.assembler import build_layout
 from omnibot.config import desk_config
-from omnibot.encoders import EncoderBank, film
+from omnibot.encoders import EncoderBank
 from omnibot.errors import ContractError, DimensionError
 
 
@@ -49,11 +49,11 @@ def test_embed_language_null_id_gets_no_gradient(bank):
 
 def test_film_zero_projections_are_identity():
     rng = np.random.Generator(np.random.PCG64(1))
-    x = ad.tensor(rng.random((2, 4, 3, 3)).astype(np.float32))
+    x = ad.tensor(rng.random((2, 3, 3, 4)).astype(np.float32))
     lang = ad.tensor(rng.random((2, 8)).astype(np.float32))
     zero_w = ad.tensor(np.zeros((8, 4), dtype=np.float32))
     zero_b = ad.tensor(np.zeros(4, dtype=np.float32))
-    out = film(x, lang, zero_w, zero_b, zero_w, zero_b)
+    out = ad.film(x, lang, zero_w, zero_b, zero_w, zero_b)
     np.testing.assert_array_equal(out.data, x.data)
 
 
@@ -63,7 +63,7 @@ def test_film_gamma_minus_one_zeroes_features():
     gw = ad.tensor(np.full((1, 2), -1.0, dtype=np.float32))
     zb = ad.tensor(np.zeros(2, dtype=np.float32))
     zw = ad.tensor(np.zeros((1, 2), dtype=np.float32))
-    out = film(x, lang, gw, zb, zw, zb)
+    out = ad.film(x, lang, gw, zb, zw, zb)
     np.testing.assert_array_equal(out.data, np.zeros_like(x.data))
 
 
@@ -73,16 +73,16 @@ def test_film_arithmetic_example():
     gw = ad.tensor(np.full((1, 1), 0.5, dtype=np.float32))
     bw = ad.tensor(np.full((1, 1), 0.25, dtype=np.float32))
     zb = ad.tensor(np.zeros(1, dtype=np.float32))
-    out = film(x, lang, gw, zb, bw, zb)
+    out = ad.film(x, lang, gw, zb, bw, zb)
     assert out.data.reshape(()) == np.float32(2.0 * 1.5 + 0.25)
 
 
 def test_film_channel_mismatch(bank):
-    x = ad.tensor(np.zeros((1, 5, 2, 2), dtype=np.float32))
+    x = ad.tensor(np.zeros((1, 2, 2, 5), dtype=np.float32))
     lang = ad.tensor(np.zeros((1, 16), dtype=np.float32))
     p = bank.params
     with pytest.raises(DimensionError):
-        film(x, lang, p["enc/img/workspace/film0/gamma_w"], p["enc/img/workspace/film0/gamma_b"],
+        ad.film(x, lang, p["enc/img/workspace/film0/gamma_w"], p["enc/img/workspace/film0/gamma_b"],
              p["enc/img/workspace/film0/beta_w"], p["enc/img/workspace/film0/beta_b"])
 
 
@@ -150,3 +150,10 @@ def test_encode_proprio_zero_vector_zero_bias(bank):
     assert not w.data.any()  # bias init is zero
     out = bank.encode_proprio("bimanual-proprio", np.zeros((1, 14), dtype=np.float32))
     np.testing.assert_array_equal(out.data, np.zeros((1, 1, 64), dtype=np.float32))
+
+
+def test_a_group_without_a_tokenizer_raises_contract_error(bank):
+    with pytest.raises(ContractError, match=r"no obs-image tokenizer for group 'sonar'; the obs-image groups are \['workspace'"):
+        bank.encode_image("sonar", imgs(1))
+    with pytest.raises(ContractError, match=r"no obs-proprio tokenizer for group 'workspace'; the obs-proprio groups are \["):
+        bank.encode_proprio("workspace", np.zeros((1, 3), dtype=np.float32))

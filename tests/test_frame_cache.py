@@ -6,6 +6,7 @@ only the frames it has not seen; both must agree to rounding.
 """
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -115,5 +116,82 @@ def test_act_with_an_instruction_outside_the_vocabulary_raises_contract_error(cf
     with pytest.raises(ContractError, match="instruction id 99 .* vocabulary of 32 ids"):
         policy.act([dataclasses.replace(frame, instruction=99)], "single-arm")
     # the failed call left the frame cache consistent
+    got = policy.act([frame], "single-arm").values
+    np.testing.assert_array_equal(got, fresh_act(policy, [frame], "single-arm"))
+
+
+def _bad(frame, group=None, value=None, goal=None, instruction=None):
+    obs = dict(frame.observations)
+    if group is not None:
+        obs[group] = value
+    return dataclasses.replace(
+        frame,
+        observations=obs,
+        goal=frame.goal if goal is None else goal,
+        instruction=frame.instruction if instruction is None else instruction,
+    )
+
+
+def _nav_window(policy):
+    env = envs.make_env("nav")
+    state, frame, _ = env.reset(0)
+    goal = env.goal_frame_image(state).astype(np.float32)
+    return [dataclasses.replace(frame, goal=goal)] * 2
+
+
+def test_act_rejects_a_non_finite_observation(cfg):
+    policy = Policy.init(cfg, seed=0)
+    env = envs.make_env("arm1")
+    _, frame, _ = env.reset(0)
+    img = frame.observations["workspace"].copy()
+    img[1, 5, 7] = np.nan
+    with pytest.raises(ContractError, match=r"frame 1: workspace observation holds non-finite values"):
+        policy.act([frame, _bad(frame, "workspace", img)], "single-arm")
+
+
+def test_act_rejects_a_non_float_observation(cfg):
+    policy = Policy.init(cfg, seed=0)
+    env = envs.make_env("arm1")
+    _, frame, _ = env.reset(0)
+    img = (frame.observations["workspace"] * 255).astype(np.uint8)
+    with pytest.raises(ContractError, match=r"frame 0: workspace observation has dtype uint8, want a float"):
+        policy.act([_bad(frame, "workspace", img)], "single-arm")
+
+
+def test_act_rejects_a_non_finite_goal(cfg):
+    policy = Policy.init(cfg, seed=0)
+    window = _nav_window(policy)
+    goal = window[1].goal.copy()
+    goal[0, 0, 0] = np.inf
+    with pytest.raises(ContractError, match=r"frame 1: goal of navigation holds non-finite values"):
+        policy.act([window[0], _bad(window[1], goal=goal)], "navigation")
+
+
+def test_act_rejects_a_non_float_goal(cfg):
+    policy = Policy.init(cfg, seed=0)
+    window = _nav_window(policy)
+    goal = np.ones(window[0].goal.shape, dtype=np.int64)
+    with pytest.raises(ContractError, match=r"frame 0: goal of navigation has dtype int64"):
+        policy.act([_bad(window[0], goal=goal)], "navigation")
+
+
+@pytest.mark.parametrize("instruction", (1.5, np.float32(2.0), True, "3"))
+def test_act_rejects_an_instruction_that_is_not_an_integer_id(cfg, instruction):
+    policy = Policy.init(cfg, seed=0)
+    env = envs.make_env("arm1")
+    _, frame, _ = env.reset(0)
+    policy.act([frame], "single-arm")  # cached: the key still sees the instruction
+    with pytest.raises(ContractError, match=re.escape(f"frame 1: instruction {instruction!r} is not an integer id")):
+        policy.act([frame, _bad(frame, instruction=instruction)], "single-arm")
+
+
+def test_a_rejected_frame_leaves_the_cache_consistent(cfg):
+    policy = Policy.init(cfg, seed=0)
+    env = envs.make_env("arm1")
+    _, frame, _ = env.reset(0)
+    img = frame.observations["workspace"].copy()
+    img[0, 0, 0] = -np.inf
+    with pytest.raises(ContractError):
+        policy.act([frame, _bad(frame, "workspace", img)], "single-arm")
     got = policy.act([frame], "single-arm").values
     np.testing.assert_array_equal(got, fresh_act(policy, [frame], "single-arm"))
