@@ -169,12 +169,6 @@ class Tensor:
         old = self.shape
         return Tensor._make(self.data.reshape(shape), (self,), lambda g: (g.reshape(old),), "reshape")
 
-    def transpose(self, axes: Sequence[int]) -> "Tensor":
-        axes = tuple(axes)
-        inv = tuple(np.argsort(axes))
-        out = np.transpose(self.data, axes)
-        return Tensor._make(out, (self,), lambda g: (np.transpose(g, inv),), "transpose")
-
     # -- reductions ------------------------------------------------------------
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":

@@ -7,10 +7,13 @@ from its `embodiments` registry entry, and each record follows that entry:
 u32 steps (at least 1), u32 instruction, each observation group in the
 entry's order, then the actions. A reader ignores any other header key.
 
-The batch pipeline (mixture draw, window draw, hindsight goal relabeling,
-task-modality masking, augmentation) is a deterministic function of
-(shards, config, master seed): batch i always derives its rng from
-(seed, "batch", i), independent of any worker scheduling.
+A training batch is a deterministic function of (shards, config, master
+seed): batch i always derives its rng from (seed, "batch", i), independent
+of any worker scheduling. Each example draws its dataset, trajectory and
+window end; `BatchSampler.build_example` then builds it once from that
+window, drawing the hindsight goal step, the task-modality coin, one
+augmentation seed per camera view and one for the goal, in that order.
+The order is what keeps every batch bit-identical.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 import json
 import struct
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -156,26 +159,6 @@ class TrainingExample:
     target_mask: np.ndarray  # [k, chunk] float32; 0 where padded or past episode end
 
 
-def mask_modality(example: TrainingExample, rng: np.random.Generator) -> TrainingExample:
-    """Keep exactly one task modality when both are available.
-
-    With a non-null instruction, a fair coin keeps either the goal image
-    (instruction zeroed) or the instruction (goal dropped, its channels are
-    zero-filled downstream). Goal-only examples always keep the goal;
-    instruction-only examples keep the instruction.
-    """
-    has_goal = example.frames[-1].goal is not None
-    instruction = example.frames[-1].instruction
-    if instruction == 0 or not has_goal:
-        return example
-    keep_goal = bool(rng.integers(0, 2))
-    if keep_goal:
-        frames = [replace(f, instruction=0) for f in example.frames]
-    else:
-        frames = [replace(f, goal=None) for f in example.frames]
-    return replace(example, frames=frames)
-
-
 def _shifted_overlap(n: int, d: int) -> tuple[slice, slice]:
     """The index ranges i of an output and i + d of its input that both lie in [0, n)."""
     lo = max(0, -d)
@@ -203,28 +186,6 @@ def augment(img: np.ndarray, rng: np.random.Generator, max_shift: int = 2, jitte
     out *= np.float32(scale)
     out += np.float32(shift)
     return np.clip(out, 0.0, 1.0, out=out).astype(np.float32, copy=False)
-
-
-def augment_example(example: TrainingExample, rng: np.random.Generator, cfg: Config) -> TrainingExample:
-    """One augmentation draw per camera view (shared across the history);
-    the goal image gets an independent draw."""
-    max_shift, jitter = cfg.train.max_shift_px, cfg.train.jitter
-    views = [g for g, kind, _ in observation_groups() if kind == "obs-image"]
-    frames = [replace(f, observations=dict(f.observations)) for f in example.frames]
-    for view in views:
-        having = [f for f in frames if view in f.observations]
-        if having:
-            view_rng = generator(int(rng.integers(0, 2**63)))
-            stacked = augment(np.stack([f.observations[view] for f in having]), view_rng, max_shift, jitter)
-            for f, img in zip(having, stacked):
-                f.observations[view] = img
-    # frames share one goal array; augment each distinct one once, with one draw
-    goals = {id(f.goal): f.goal for f in frames if f.goal is not None}
-    if goals:
-        goal_rng = generator(int(rng.integers(0, 2**63)))
-        done = dict(zip(goals, augment(np.stack(list(goals.values())), goal_rng, max_shift, jitter)))
-        frames = [f if f.goal is None else replace(f, goal=done[id(f.goal)]) for f in frames]
-    return replace(example, frames=frames)
 
 
 # --------------------------------------------------------------- mixtures
@@ -317,27 +278,41 @@ class BatchSampler:
         trajs = self.datasets[name]
         traj = trajs[int(rng.integers(0, len(trajs)))]
         end = int(rng.integers(0, traj.steps))
-        example = self.build_example(traj, end, rng)
-        example = mask_modality(example, rng)
-        if self.augmentation:
-            example = augment_example(example, rng, self.cfg)
-        return example
+        return self.build_example(traj, end, rng)
 
     def build_example(self, traj: TrajectoryRecord, end: int, rng: np.random.Generator) -> TrainingExample:
+        """The example whose window ends at step `end` of `traj`, built once from that window.
+
+        It draws from `rng` in this order, which is what keeps batches bit-identical:
+        (1) the hindsight goal step, for a robot with a goal view; (2) with a goal and
+        a non-zero instruction, a fair coin that keeps the goal (instruction zeroed) or
+        the instruction (goal dropped, zero-filled downstream); (3) with augmentation,
+        one seed per camera view the robot has, in `observation_groups()` order, so
+        each view's stacked history gets one transform; (4) one seed for a kept goal.
+        """
         k = self.layout.history
         robot = embodiment(traj.embodiment)
         spec = self.cfg.head(robot.head)
         goal = relabel_goal(end, traj, rng) if robot.goal_view is not None else None
+        instruction = traj.instruction
+        if goal is not None and instruction != 0:
+            if rng.integers(0, 2):
+                instruction = 0
+            else:
+                goal = None
 
         start = max(0, end - k + 1)
+        streams = {name: stream[start : end + 1] for name, stream in traj.observations.items()}
+        if self.augmentation:
+            max_shift, jitter = self.cfg.train.max_shift_px, self.cfg.train.jitter
+            for view, kind, _ in observation_groups():
+                if kind == "obs-image" and view in streams:
+                    streams[view] = augment(streams[view], generator(int(rng.integers(0, 2**63))), max_shift, jitter)
+            if goal is not None:
+                goal = augment(goal, generator(int(rng.integers(0, 2**63))), max_shift, jitter)
         frames = [
-            ObservationFrame(
-                embodiment=traj.embodiment,
-                observations={name: traj.observations[name][u] for name in traj.observations},
-                instruction=traj.instruction,
-                goal=goal,
-            )
-            for u in range(start, end + 1)
+            ObservationFrame(traj.embodiment, {name: stream[i] for name, stream in streams.items()}, instruction, goal)
+            for i in range(end + 1 - start)
         ]
 
         targets = np.zeros((k, spec.chunk_size, spec.action_dim), dtype=np.float32)

@@ -70,10 +70,6 @@ class EncoderBank:
         self.cfg = cfg
         self.dtype = params["enc/lang/table"].data.dtype
 
-    @staticmethod
-    def init(cfg: Config, rng: np.random.Generator, dtype=np.float32) -> "EncoderBank":
-        return EncoderBank(init_encoder_params(cfg, rng, dtype), cfg)
-
     # -- language ----------------------------------------------------------
 
     def embed_language(self, ids: np.ndarray) -> Tensor:

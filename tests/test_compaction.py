@@ -53,8 +53,7 @@ def batch_of(sampler, cfg, picks, seed=0):
     examples = []
     for i, (name, end) in enumerate(picks):
         trajs = sampler.datasets[name]
-        example = sampler.build_example(trajs[i % len(trajs)], end, rng)
-        examples.append(datapipe.augment_example(datapipe.mask_modality(example, rng), rng, cfg))
+        examples.append(sampler.build_example(trajs[i % len(trajs)], end, rng))
     return datapipe.collate(examples, cfg)
 
 

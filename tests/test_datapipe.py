@@ -1,6 +1,5 @@
 import hashlib
 import json
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +9,7 @@ from scipy import stats
 
 from omnibot import datapipe as dp
 from omnibot import envs
-from omnibot.assembler import build_layout
+from omnibot.assembler import ObservationFrame, build_layout
 from omnibot.config import DESK_MIXTURE, desk_config
 from omnibot.embodiments import embodiment
 from omnibot.errors import ConfigError, ContractError, CorruptionError, FormatError, OmnibotError
@@ -196,7 +195,7 @@ def test_window_counts():
     cfg = desk_config()
     one, ten = toy_traj(steps=1), toy_traj(steps=10)
     mixture = dp.MixtureSpec([("one", 1.0), ("ten", 1.0)])
-    sampler = dp.BatchSampler({"one": [one], "ten": [ten]}, mixture, cfg, build_layout(cfg), seed=0)
+    sampler = dp.BatchSampler({"one": [one], "ten": [ten]}, mixture, cfg, build_layout(cfg), seed=0, augmentation=False)
     rng = generator(0)
     assert len(sampler.build_example(one, 0, rng).frames) == 1
     assert [len(sampler.build_example(ten, t, rng).frames) for t in range(10)] == [1, 2, 3, 4] + [5] * 6
@@ -241,54 +240,42 @@ def test_relabel_goal_view_matches_embodiment():
 # ----------------------------------------------------------------- modality
 
 
-def _example(instruction, with_goal=True):
+def nav_sampler(traj):
     cfg = desk_config()
-    layout = build_layout(cfg)
-    sampler_cfg = cfg
-    traj = toy_traj("nav", steps=8, instruction=instruction)
-    sampler = dp.BatchSampler(
-        {"navset": [traj] * 21}, dp.MixtureSpec([("navset", 1.0)]), sampler_cfg, layout, seed=0
-    )
-    rng = generator(7)
-    ex = sampler.build_example(traj, 5, rng)
-    if not with_goal:
-        from dataclasses import replace
-
-        ex = dp.TrainingExample(
-            ex.embodiment,
-            ex.head,
-            [replace(f, goal=None) for f in ex.frames],
-            ex.targets,
-            ex.target_mask,
-        )
-    return ex
+    mixture = dp.MixtureSpec([("navset", 1.0)])
+    return dp.BatchSampler({"navset": [traj] * 21}, mixture, cfg, build_layout(cfg), seed=0, augmentation=False)
 
 
 def test_mask_modality_goal_only_always_keeps_goal():
-    ex = _example(instruction=0)
-    rng = generator(1)
+    traj = toy_traj("nav", steps=8, instruction=0)
+    sampler, rng = nav_sampler(traj), generator(1)
     for _ in range(20):
-        out = dp.mask_modality(ex, rng)
-        assert out.frames[-1].goal is not None
-        assert out.frames[-1].instruction == 0
+        frames = sampler.build_example(traj, 5, rng).frames
+        assert all(f.goal is not None and f.instruction == 0 for f in frames)
 
 
-def test_mask_modality_instruction_only_keeps_instruction():
-    ex = _example(instruction=5, with_goal=False)
-    out = dp.mask_modality(ex, generator(2))
-    assert out.frames[-1].instruction == 5
+def test_mask_modality_instruction_only_keeps_instruction(small_world):
+    cfg, layout, datasets, mixture = small_world
+    sampler = dp.BatchSampler(datasets, mixture, cfg, layout, seed=0, augmentation=False)
+    traj = toy_traj("quad", steps=8, instruction=5)
+    rng = generator(2)
+    before = rng.bit_generator.state
+    frames = sampler.build_example(traj, 5, rng).frames
+    assert all(f.goal is None and f.instruction == 5 for f in frames)
+    assert rng.bit_generator.state == before  # no goal, so no coin is drawn
 
 
 def test_mask_modality_frequency():
-    ex = _example(instruction=5)
-    rng = generator(3)
+    traj = toy_traj("nav", steps=8, instruction=5)
+    sampler, rng = nav_sampler(traj), generator(3)
     kept_goal = 0
     n = 10000
     for _ in range(n):
-        out = dp.mask_modality(ex, rng)
-        has_goal = out.frames[-1].goal is not None
-        has_lang = out.frames[-1].instruction != 0
+        frames = sampler.build_example(traj, 5, rng).frames
+        has_goal = frames[-1].goal is not None
+        has_lang = frames[-1].instruction != 0
         assert has_goal != has_lang  # exactly one survives
+        assert all((f.goal is not None, f.instruction) == (has_goal, frames[-1].instruction) for f in frames)
         kept_goal += has_goal
     assert abs(kept_goal / n - 0.5) < 0.02
 
@@ -390,17 +377,13 @@ def test_augment_deterministic_given_seed():
 
 def test_augment_goal_draw_independent():
     cfg = desk_config()
-    layout = build_layout(cfg)
     traj = toy_traj("nav", steps=8, instruction=0, seed=3)
-    sampler = dp.BatchSampler(
-        {"navset": [traj] * 21}, dp.MixtureSpec([("navset", 1.0)]), cfg, layout, seed=0
-    )
-    ex = sampler.build_example(traj, 5, generator(8))
-    out = dp.augment_example(ex, generator(9), cfg)
-    f = out.frames[-1]
-    # augmented views differ from the raw trajectory content in general
+    sampler = dp.BatchSampler({"navset": [traj] * 21}, dp.MixtureSpec([("navset", 1.0)]), cfg, build_layout(cfg), seed=0)
+    # at the last step the hindsight goal is the newest frame itself, so only the draws differ
+    f = sampler.build_example(traj, 7, generator(8)).frames[-1]
     assert f.goal is not None
-    assert f.goal.shape == (3, 24, 24)
+    assert f.goal.shape == (3, 24, 24) and f.goal.dtype == np.float32
+    assert not np.array_equal(f.goal, f.observations["navigation"])
 
 
 def copy_rng(g):
@@ -409,30 +392,28 @@ def copy_rng(g):
     return out
 
 
-def augment_per_frame(example, rng, cfg):
-    """Reference: augment every frame's views and goal one at a time.
+def augment_per_frame(traj, end, rng, cfg):
+    """Reference for `build_example`'s frames: relabel, coin, then augment frame by frame.
 
     Each frame re-seeds a view's transform from a copy of that view's
     generator, so all steps get the same draw; the goal likewise.
     """
+    goal = dp.relabel_goal(end, traj, rng) if embodiment(traj.embodiment).goal_view is not None else None
+    instruction = traj.instruction
+    if goal is not None and instruction != 0:
+        keep_goal = bool(rng.integers(0, 2))
+        instruction, goal = (0, goal) if keep_goal else (instruction, None)
     views = [g.name for g in build_layout(cfg).groups if g.kind == "obs-image"]
-    plans = {}
-    for view in views:
-        if any(view in f.observations for f in example.frames):
-            plans[view] = generator(int(rng.integers(0, 2**63)))
-    frames, goal_rng = [], None
-    for f in example.frames:
-        obs = dict(f.observations)
+    plans = {view: generator(int(rng.integers(0, 2**63))) for view in views if view in traj.observations}
+    goal_rng = None if goal is None else generator(int(rng.integers(0, 2**63)))
+    frames = []
+    for u in range(max(0, end - cfg.layout.history + 1), end + 1):
+        obs = {name: stream[u] for name, stream in traj.observations.items()}
         for view, view_rng in plans.items():
-            if view in obs:
-                obs[view] = dp.augment(obs[view], copy_rng(view_rng), cfg.train.max_shift_px, cfg.train.jitter)
-        goal = f.goal
-        if goal is not None:
-            if goal_rng is None:
-                goal_rng = generator(int(rng.integers(0, 2**63)))
-            goal = dp.augment(goal, copy_rng(goal_rng), cfg.train.max_shift_px, cfg.train.jitter)
-        frames.append(replace(f, observations=obs, goal=goal))
-    return replace(example, frames=frames)
+            obs[view] = dp.augment(obs[view], copy_rng(view_rng), cfg.train.max_shift_px, cfg.train.jitter)
+        goal_u = None if goal is None else dp.augment(goal, copy_rng(goal_rng), cfg.train.max_shift_px, cfg.train.jitter)
+        frames.append(ObservationFrame(traj.embodiment, obs, instruction, goal_u))
+    return frames
 
 
 @pytest.mark.parametrize("name", ("arm1", "nav", "bimanual", "quad"))
@@ -445,13 +426,13 @@ def test_augment_example_matches_per_frame_reference(name, tmp_path):
     sampler = dp.BatchSampler({name: trajs * 10}, dp.MixtureSpec([(name, 1.0)]), cfg, build_layout(cfg), seed=0)
     for i, end in enumerate((0, 1, 3, traj.steps - 1)):  # short windows and a full one
         rng = generator(40 + i)
-        example = dp.mask_modality(sampler.build_example(traj, end, rng), rng)
         rng_ref = copy_rng(rng)
-        want = augment_per_frame(example, rng_ref, cfg)
-        got = dp.augment_example(example, rng, cfg)
+        want = augment_per_frame(traj, end, rng_ref, cfg)
+        got = sampler.build_example(traj, end, rng).frames
         assert rng.bit_generator.state == rng_ref.bit_generator.state
-        assert len(got.frames) == len(want.frames) == min(end + 1, cfg.layout.history)
-        for g, w in zip(got.frames, want.frames):
+        assert len(got) == len(want) == min(end + 1, cfg.layout.history)
+        for g, w in zip(got, want):
+            assert (g.embodiment, g.instruction) == (w.embodiment, w.instruction)
             assert g.observations.keys() == w.observations.keys()
             for view in w.observations:
                 np.testing.assert_array_equal(g.observations[view], w.observations[view])
@@ -459,6 +440,7 @@ def test_augment_example_matches_per_frame_reference(name, tmp_path):
             assert (g.goal is None) == (w.goal is None)
             if w.goal is not None:
                 np.testing.assert_array_equal(g.goal, w.goal)
+                assert g.goal.dtype == w.goal.dtype
 
 
 # ----------------------------------------------------------------- batches
@@ -536,14 +518,12 @@ def test_instruction_outside_the_vocabulary_is_rejected_naming_where(small_world
 
 def test_quad_examples_skip_goal_conditioning(small_world):
     cfg, layout, datasets, mixture = small_world
-    sampler = dp.BatchSampler(datasets, mixture, cfg, layout, seed=3)
+    sampler = dp.BatchSampler(datasets, mixture, cfg, layout, seed=3, augmentation=False)
     traj = datasets["quadset"][0]
-    ex = sampler.build_example(traj, 5, generator(4))
-    assert all(f.goal is None for f in ex.frames)
-    assert ex.frames[-1].instruction == 8
-    out = dp.mask_modality(ex, generator(5))
-    assert out.frames[-1].instruction == 8  # never masked away
-
+    for seed in range(20):
+        ex = sampler.build_example(traj, 5, generator(seed))
+        assert all(f.goal is None for f in ex.frames)
+        assert all(f.instruction == 8 for f in ex.frames)  # never masked away
 
 
 # ----------------------------------------------------------------- pinned stream
@@ -590,8 +570,8 @@ def hash_batch(h, batch):
     h.update(repr((batch.heads, batch.embodiments)).encode())
 
 
-# sha256 over the batches below, drawn before each example was built in one pass;
-# a change to it means some batch changed by even one bit
+# sha256 over the batches below: a datapipe change that keeps every batch bit-identical
+# keeps it; one that changes the stream on purpose must say so and pin the new value
 PINNED_BATCH_STREAM = "b1e968f8ce85c9ec7fb50c07f1494b1fefcf93d697d3319e4f15b1f751c07f31"
 
 

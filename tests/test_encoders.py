@@ -4,14 +4,15 @@ import pytest
 import omnibot.autodiff as ad
 from omnibot.assembler import build_layout
 from omnibot.config import desk_config
-from omnibot.encoders import EncoderBank
+from omnibot.encoders import EncoderBank, init_encoder_params
 from omnibot.errors import ContractError, DimensionError
 
 
 @pytest.fixture(scope="module")
 def bank():
     rng = np.random.Generator(np.random.PCG64(0))
-    return EncoderBank.init(desk_config(), rng)
+    cfg = desk_config()
+    return EncoderBank(init_encoder_params(cfg, rng), cfg)
 
 
 def imgs(n, seed=0):
