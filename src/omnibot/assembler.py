@@ -31,7 +31,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .config import Config
 from .embodiments import EmbodimentSpec, embodiment, observation_groups
-from .encoders import EncoderBank
+from .encoders import EncoderBank, image_tokens
 from .errors import ConfigError, ContractError, DimensionError
 
 
@@ -128,23 +128,18 @@ def _stacked(groups: list[tuple[str, str, int, str | None]], history: int, d_mod
 
 
 def build_layout(cfg: Config) -> SlotLayout:
-    """The slot layout, derived from the registry and the heads; the config states no group.
+    """The slot layout, derived from the registry, the tokenizers and the heads.
 
     The observation groups are the registry's, in slot order (see
     `embodiments.observation_groups`): a vector group is one token, an image
-    group one token per cell of the conv stack's output grid over its
-    registry H x W. Then each head gets one readout group, `readout-{name}`,
-    of `chunk_size` tokens. A head name given twice is a ConfigError.
+    group `encoders.image_tokens` of its registry shape. Then each head gets
+    one readout group, `readout-{name}`, of `chunk_size` tokens. The config
+    states no group; a head name given twice is a ConfigError.
     """
-    enc, groups = cfg.encoders, []
-    for name, kind, shape in observation_groups():
-        tokens = 1
-        if kind == "obs-image":
-            h, w = shape[1:]
-            for _ in enc.conv_channels:
-                h, w = -(-h // enc.conv_stride), -(-w // enc.conv_stride)
-            tokens = h * w
-        groups.append((name, kind, tokens, None))
+    groups = [
+        (name, kind, image_tokens(shape) if kind == "obs-image" else 1, None)
+        for name, kind, shape in observation_groups()
+    ]
     seen = set()
     for head in cfg.heads:
         if head.name in seen:

@@ -1,9 +1,11 @@
 """Global configuration: one JSON document with per-subsystem sections.
 
-The document states choices, not robot facts. A robot's observation groups,
-their shapes and its action width live in the embodiment registry; the slot
-layout is derived from the registry and the heads (`assembler.build_layout`),
+The document states choices, not facts fixed elsewhere. A robot's
+observation groups, their shapes and its action width live in the
+embodiment registry, and the tokenizers are constants in `encoders`; the
+slot layout is derived from both and the heads (`assembler.build_layout`),
 and a head's `action_dim` is read from the robots that draw from it.
+`Config.from_dict` rejects a section or field it does not know.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ import hashlib
 import json
 import sys
 from dataclasses import asdict, dataclass, field, fields
+
+import numpy as np
 
 from .embodiments import EMBODIMENTS
 from .errors import ConfigError, ContractError
@@ -34,15 +38,6 @@ class HeadSection:
         if len(dims) != 1:
             raise ContractError(f"head {self.name!r} has action widths {sorted(dims)} in the registry")
         return dims.pop()
-
-
-@dataclass
-class EncoderSection:
-    conv_channels: tuple[int, ...] = (16, 32, 64)
-    conv_kernel: int = 3
-    conv_stride: int = 2
-    language_dim: int = 16
-    language_vocab: int = 32
 
 
 @dataclass
@@ -81,10 +76,33 @@ class EvalSection:
 
 
 @dataclass
+class MixtureSpec:
+    """A dataset mixture: each (dataset, weight) entry is drawn with probability weight / sum.
+
+    It holds the one rule for a valid mixture, which `Config.from_dict` applies too: at
+    least one entry, every weight finite and >= 0, and a positive finite sum.
+    """
+
+    entries: list[tuple[str, float]]
+
+    def __post_init__(self):
+        if not self.entries:
+            raise ConfigError("empty mixture")
+        weights = [w for _, w in self.entries]
+        for i, w in enumerate(weights):
+            if not 0 <= w <= sys.float_info.max:  # NaN fails the comparison too
+                raise ConfigError(f"mixture[{i}].weight is {w!r}, want a finite float >= 0 (mixture weights {weights})")
+        total = sum(weights)
+        if not 0 < total <= sys.float_info.max:
+            raise ConfigError(f"mixture weights {weights} sum to {total}, want a positive finite sum")
+        self.names = [n for n, _ in self.entries]
+        self.probabilities = np.array([w / total for w in weights])
+
+
+@dataclass
 class Config:
     layout: LayoutSection
     heads: list[HeadSection]
-    encoders: EncoderSection
     backbone: BackboneSection
     mixture: list[tuple[str, float]]
     train: TrainSection
@@ -102,16 +120,19 @@ class Config:
     @staticmethod
     def from_dict(doc: dict) -> "Config":
         try:
+            unknown = sorted(doc.keys() - {f.name for f in fields(Config)})
+            if unknown:
+                raise ConfigError(f"unknown config sections {unknown}")
             layout = LayoutSection(**doc["layout"])
             heads = [HeadSection(**h) for h in doc["heads"]]
-            encoders = EncoderSection(**doc.get("encoders", {}))
             backbone = BackboneSection(**doc.get("backbone", {}))
-            mixture = doc.get("mixture", [])
+            mixture = doc["mixture"]
             train = TrainSection(**doc.get("train", {}))
-            ev = EvalSection(suites=[EvalSuite(**s) for s in doc.get("eval", {}).get("suites", [])])
+            ev = EvalSection(**doc.get("eval", {}))
+            ev.suites = [EvalSuite(**s) for s in ev.suites]
         except (AttributeError, KeyError, TypeError) as exc:
             raise ConfigError(f"bad config document: {exc}") from exc
-        sections = [("layout", layout), ("encoders", encoders), ("backbone", backbone), ("train", train)]
+        sections = [("layout", layout), ("backbone", backbone), ("train", train)]
         sections += [(f"heads[{i}]", h) for i, h in enumerate(heads)]
         sections += [(f"eval.suites[{i}]", suite) for i, suite in enumerate(ev.suites)]
         for where, section in sections:
@@ -122,12 +143,11 @@ class Config:
             mixture = [(str(n), float(w)) for n, w in mixture]
         except (OverflowError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad mixture entry, want [dataset, weight]: {exc}") from exc
-        for i, (_, w) in enumerate(mixture):
-            _checked(f"mixture[{i}].weight", w, "float")
+        MixtureSpec(mixture)  # ConfigError unless the mixture is valid
         for i, suite in enumerate(ev.suites):
             if suite.embodiment not in EMBODIMENTS:
                 raise ConfigError(f"eval suite {i} names unknown embodiment {suite.embodiment!r}")
-        return Config(layout, heads, encoders, backbone, mixture, train, ev)
+        return Config(layout, heads, backbone, mixture, train, ev)
 
     @staticmethod
     def load(path: str) -> "Config":
@@ -151,23 +171,20 @@ _TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
 _FLOORS = {"seed": None, "warmup_steps": 0, "max_shift_px": 0}
 
 
-def _checked(name: str, value, kind: str):
-    """`value` if it fits field `name` of type `kind`, a list of counts as a tuple; else ConfigError."""
-    if kind == "tuple[int, ...]" and isinstance(value, (list, tuple)):
-        return tuple(_checked(f"{name}[{i}]", v, "int") for i, v in enumerate(value))
+def _checked(name: str, value, kind: str) -> None:
+    """ConfigError unless `value` fits field `name` of type `kind`."""
     floor = _FLOORS.get(name.rsplit(".", 1)[-1], 1) if kind == "int" else None
     if type(value) not in _TYPES.get(kind, ()) or (floor is not None and value < floor):
         raise ConfigError(f"{name} is {value!r}, want {kind}" + ("" if floor is None else f" >= {floor}"))
     if kind == "float" and not abs(value) <= sys.float_info.max:  # NaN fails the comparison too
         raise ConfigError(f"{name} is {value!r}, want a finite float")
-    return value
 
 
 def _check_fields(where: str, section) -> None:
     """Check a section's scalar fields; its list fields are sections of their own."""
     for f in fields(section):
         if not f.type.startswith("list["):
-            setattr(section, f.name, _checked(f"{where}.{f.name}", getattr(section, f.name), f.type))
+            _checked(f"{where}.{f.name}", getattr(section, f.name), f.type)
 
 
 DESK_HEADS = [
@@ -192,7 +209,6 @@ def desk_config() -> Config:
     return Config(
         layout=LayoutSection(history=5),
         heads=[HeadSection(**asdict(h)) for h in DESK_HEADS],
-        encoders=EncoderSection(),
         backbone=BackboneSection(),
         mixture=list(DESK_MIXTURE),
         train=TrainSection(),
@@ -207,7 +223,6 @@ def paper_scale_config() -> Config:
     return Config(
         layout=LayoutSection(history=5),
         heads=[HeadSection(**asdict(h)) for h in PAPER_HEADS],
-        encoders=EncoderSection(),
         backbone=BackboneSection(layers=12, heads=8, d_model=512, d_mlp=2048),
         mixture=list(DESK_MIXTURE),
         train=TrainSection(learning_rate=3e-4, warmup_steps=2000, batch_size=512, total_steps=300000),

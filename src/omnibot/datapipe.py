@@ -20,14 +20,14 @@ from __future__ import annotations
 
 import json
 import struct
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .assembler import ObservationFrame, SlotLayout
-from .config import Config
+from .config import Config, MixtureSpec
 from .embodiments import EMBODIMENTS, EmbodimentSpec, embodiment, observation_groups
+from .encoders import LANGUAGE_VOCAB
 from .errors import ConfigError, ContractError, CorruptionError, FormatError
 from .rng import generator
 
@@ -93,6 +93,7 @@ def _header_embodiment(raw: bytes) -> EmbodimentSpec:
 
 
 def read_shard(path: str) -> tuple[EmbodimentSpec, list[TrajectoryRecord]]:
+    """The registry entry a shard names, and its trajectories as read-only float32 views of the file's bytes."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:5] != MAGIC:
@@ -121,13 +122,13 @@ def read_shard(path: str) -> tuple[EmbodimentSpec, list[TrajectoryRecord]]:
             if offset + nbytes > n:
                 raise CorruptionError(f"truncated stream {group!r}", offset=offset)
             arr = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
-            observations[group] = arr.reshape(steps, *shape).astype(np.float32)
+            observations[group] = arr.reshape(steps, *shape)
             offset += nbytes
         nbytes = steps * spec.action_dim * 4
         if offset + nbytes > n:
             raise CorruptionError("truncated action stream", offset=offset)
         actions = np.frombuffer(blob, dtype="<f4", count=steps * spec.action_dim, offset=offset)
-        actions = actions.reshape(steps, spec.action_dim).astype(np.float32)
+        actions = actions.reshape(steps, spec.action_dim)
         offset += nbytes
         trajectories.append(TrajectoryRecord(spec.name, observations, actions, int(instruction)))
     return spec, trajectories
@@ -191,30 +192,6 @@ def augment(img: np.ndarray, rng: np.random.Generator, max_shift: int = 2, jitte
 # --------------------------------------------------------------- mixtures
 
 
-@dataclass
-class MixtureSpec:
-    entries: list[tuple[str, float]]
-
-    def __post_init__(self):
-        if not self.entries:
-            raise ConfigError("empty mixture")
-        weights = [w for _, w in self.entries]
-        if not all(0 <= w <= sys.float_info.max for w in weights):  # NaN fails the comparison too
-            raise ConfigError(f"mixture weights {weights}: each must be finite and >= 0")
-        total = sum(weights)
-        if not 0 < total <= sys.float_info.max:
-            raise ConfigError(f"mixture weights {weights} sum to {total}, want a positive finite sum")
-        self._probs = np.array([w / total for _, w in self.entries])
-
-    @property
-    def names(self) -> list[str]:
-        return [n for n, _ in self.entries]
-
-    @property
-    def probabilities(self) -> np.ndarray:
-        return self._probs
-
-
 def sample_mixture(spec: MixtureSpec, rng: np.random.Generator) -> str:
     """Categorical dataset draw proportional to normalized weights."""
     return spec.names[int(rng.choice(len(spec.names), p=spec.probabilities))]
@@ -257,12 +234,11 @@ class BatchSampler:
             ]
             if keep:
                 self.datasets[name] = keep
-        vocab = cfg.encoders.language_vocab
         for name, trajs in datasets.items():
             for i, t in enumerate(trajs):
-                if not 0 <= t.instruction < vocab:
+                if not 0 <= t.instruction < LANGUAGE_VOCAB:
                     raise ContractError(f"dataset {name!r} trajectory {i}: instruction id {t.instruction} "
-                                        f"is outside the language vocabulary [0, {vocab})")
+                                        f"is outside the language vocabulary [0, {LANGUAGE_VOCAB})")
         missing = [n for n in mixture.names if n not in self.datasets]
         if missing:
             raise ConfigError(f"mixture names {missing} have no {split} trajectories")

@@ -1,13 +1,15 @@
-"""Observation tokenizers.
+"""Observation tokenizers, a fixed part of the model: the config does not choose them.
 
 Images go through a small strided conv stack with per-stage FiLM language
-conditioning; an optional goal image rides along as three extra input
-channels (zero-filled when absent, so conditioned and unconditioned passes
-share one parameter set). Proprioception is a single affine projection to
-one token. One tokenizer exists per observation group of the registry,
-shared by every embodiment that has that group; the group's per-step shape
-in the registry fixes an image tokenizer's input size and a proprio
-tokenizer's input width.
+conditioning; an optional goal image rides along as one extra input channel
+per image channel (zero-filled when absent, so conditioned and
+unconditioned passes share one parameter set). Proprioception is a single
+affine projection to one token. One tokenizer exists per observation group
+of the registry, shared by every embodiment that has that group; the
+group's per-step shape in the registry fixes an image tokenizer's input
+size and a proprio tokenizer's input width. The constants below are the
+tokenizers' one source, and `image_tokens` is the one count of an image
+group's tokens.
 """
 
 from __future__ import annotations
@@ -20,9 +22,22 @@ from .config import Config
 from .embodiments import group_shape, observation_groups
 from .errors import ContractError, DimensionError
 
+CONV_CHANNELS = (16, 32, 64)  # output channels of each conv stage
+CONV_KERNEL = 3
+CONV_STRIDE = 2
+LANGUAGE_DIM = 16  # width of an instruction embedding
+LANGUAGE_VOCAB = 32  # instruction ids 0..31; id 0 is the null instruction
+
+
+def image_tokens(shape: tuple[int, ...]) -> int:
+    """Tokens of one [C, H, W] image: one per cell of the conv stack's output grid."""
+    h, w = shape[1:]
+    for _ in CONV_CHANNELS:
+        h, w = -(-h // CONV_STRIDE), -(-w // CONV_STRIDE)
+    return h * w
+
 
 def init_encoder_params(cfg: Config, rng: np.random.Generator, dtype=np.float32) -> dict[str, Tensor]:
-    enc = cfg.encoders
     d_model = cfg.backbone.d_model
     params: dict[str, Tensor] = {}
 
@@ -32,16 +47,16 @@ def init_encoder_params(cfg: Config, rng: np.random.Generator, dtype=np.float32)
     def zeros(shape):
         return ad.param(np.zeros(shape, dtype=dtype))
 
-    kk = enc.conv_kernel
+    kk = CONV_KERNEL
     for name, kind, shape in observation_groups():  # slot order is init order
         if kind == "obs-image":
-            c_in = 6  # current image + goal channels
-            for i, c_out in enumerate(enc.conv_channels):
+            c_in = 2 * shape[0]  # current image + goal channels
+            for i, c_out in enumerate(CONV_CHANNELS):
                 fan_in = c_in * kk * kk
                 params[f"enc/img/{name}/conv{i}/w"] = normal((c_out, c_in, kk, kk), np.sqrt(2.0 / fan_in))
                 params[f"enc/img/{name}/conv{i}/b"] = zeros(c_out)
                 for nm in ("gamma", "beta"):  # FiLM starts as identity
-                    params[f"enc/img/{name}/film{i}/{nm}_w"] = zeros((enc.language_dim, c_out))
+                    params[f"enc/img/{name}/film{i}/{nm}_w"] = zeros((LANGUAGE_DIM, c_out))
                     params[f"enc/img/{name}/film{i}/{nm}_b"] = zeros(c_out)
                 c_in = c_out
             params[f"enc/img/{name}/proj/w"] = normal((c_in, d_model), 1.0 / np.sqrt(c_in))
@@ -51,7 +66,7 @@ def init_encoder_params(cfg: Config, rng: np.random.Generator, dtype=np.float32)
             params[f"enc/proprio/{name}/w"] = normal((dim, d_model), 1.0 / np.sqrt(dim))
             params[f"enc/proprio/{name}/b"] = zeros(d_model)
 
-    table = rng.standard_normal((enc.language_vocab, enc.language_dim)).astype(dtype) * dtype(0.02)
+    table = rng.standard_normal((LANGUAGE_VOCAB, LANGUAGE_DIM)).astype(dtype) * dtype(0.02)
     table[0] = 0.0  # null instruction embeds to zero
     params["enc/lang/table"] = ad.param(table)
     return params
@@ -63,11 +78,10 @@ def _no_tokenizer(group: str, kind: str) -> ContractError:
 
 
 class EncoderBank:
-    """All tokenizer parameters, keyed by observation group."""
+    """The tokenizers over the `enc/...` parameters; they read this module's constants, no config."""
 
-    def __init__(self, params: dict[str, Tensor], cfg: Config):
+    def __init__(self, params: dict[str, Tensor]):
         self.params = params
-        self.cfg = cfg
         self.dtype = params["enc/lang/table"].data.dtype
 
     # -- language ----------------------------------------------------------
@@ -75,11 +89,10 @@ class EncoderBank:
     def embed_language(self, ids: np.ndarray) -> Tensor:
         """Rows of the instruction table; id 0 yields the exact zero vector."""
         ids = np.atleast_1d(np.asarray(ids, dtype=np.int64))
-        vocab = self.cfg.encoders.language_vocab
-        bad = ids[(ids < 0) | (ids >= vocab)]
+        bad = ids[(ids < 0) | (ids >= LANGUAGE_VOCAB)]
         if bad.size:
             raise ContractError(
-                f"instruction id {int(bad[0])} is outside the language vocabulary of {vocab} ids"
+                f"instruction id {int(bad[0])} is outside the language vocabulary of {LANGUAGE_VOCAB} ids"
             )
         emb = ad.embedding(self.params["enc/lang/table"], ids)
         keep = (ids != 0).astype(self.dtype)[:, None]
@@ -94,16 +107,15 @@ class EncoderBank:
         goals: np.ndarray | None = None,
         lang: Tensor | None = None,
     ) -> Tensor:
-        """[n, 3, H, W] images (+ optional goals, optional language) -> [n, T_img, d_model].
+        """[n, C, H, W] images (+ optional goals, optional language) -> [n, image_tokens((C, H, W)), d_model].
 
         The stack runs channels-last: images and goals are transposed once
-        into one [n, H, W, 6] input, each stage is `conv2d` (with its bias),
+        into one [n, H, W, 2C] input, each stage is `conv2d` (with its bias),
         `film` and `gelu`, and the last stage's [n, h, w, c] output is read
         as [n, h * w, c] tokens in row-major (h, w) order, without a copy.
         """
         if f"enc/img/{view}/proj/w" not in self.params:
             raise _no_tokenizer(view, "obs-image")
-        enc = self.cfg.encoders
         images = np.asarray(images, dtype=self.dtype)
         shape = group_shape(view)
         if images.shape[1:] != shape:
@@ -117,13 +129,13 @@ class EncoderBank:
                 raise DimensionError(f"goal shape {goals.shape} != image shape {images.shape}")
             x[..., shape[0] :] = goals.transpose(0, 2, 3, 1)
         if lang is None:
-            lang = ad.tensor(np.zeros((n, enc.language_dim), dtype=self.dtype))
+            lang = ad.tensor(np.zeros((n, LANGUAGE_DIM), dtype=self.dtype))
 
         x = ad.tensor(x)
         p = self.params
-        for i in range(len(enc.conv_channels)):
+        for i in range(len(CONV_CHANNELS)):
             conv, film = f"enc/img/{view}/conv{i}", f"enc/img/{view}/film{i}"
-            x = ad.conv2d(x, p[f"{conv}/w"], p[f"{conv}/b"], stride=enc.conv_stride)
+            x = ad.conv2d(x, p[f"{conv}/w"], p[f"{conv}/b"], stride=CONV_STRIDE)
             x = ad.film(x, lang, p[f"{film}/gamma_w"], p[f"{film}/gamma_b"], p[f"{film}/beta_w"], p[f"{film}/beta_b"])
             x = ad.gelu(x)
         tokens = x.reshape(n, -1, x.shape[-1])

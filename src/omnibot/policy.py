@@ -123,7 +123,7 @@ class Policy:
         self.cfg = cfg
         self.params = params
         self.layout = assembler.build_layout(cfg)
-        self.bank = EncoderBank(params, cfg)
+        self.bank = EncoderBank(params)
         self.head_specs = {h.name: h for h in cfg.heads}
         self.frame_tokens = FrameTokenCache(self.layout.history)
 

@@ -20,7 +20,9 @@ def test_from_dict_round_trips_the_desk_config():
         (lambda doc: doc["eval"]["suites"].append({"embodiment": "hexapod", "trials": 5}), "suite 4.*hexapod"),
         (lambda doc: doc["heads"][0].update(action_dim="7"), "'action_dim'"),
         (lambda doc: doc["heads"][0].update(chunk_size="4"), r"heads\[0\]\.chunk_size is '4'"),
-        (lambda doc: doc["encoders"].update(conv_channels=16), r"encoders\.conv_channels is 16"),
+        (lambda doc: doc.update(encoders={"image_size": 24}), "unknown config sections.*'encoders'"),
+        (lambda doc: doc.update(backbon=doc.pop("backbone") | {"layers": 12}), "unknown config sections.*'backbon'"),
+        (lambda doc: doc["eval"].update(suits=[]), "'suits'"),
         (lambda doc: doc["backbone"].update(layers=True), r"backbone\.layers is True"),
         (lambda doc: doc["train"].update(batch_size=-3), r"train\.batch_size is -3"),
         (lambda doc: doc["train"].update(val_fraction=0), r"train\.val_fraction is 0"),
@@ -32,12 +34,15 @@ def test_from_dict_round_trips_the_desk_config():
         (lambda doc: doc["mixture"].append(["arm1", "nan"]), r"mixture\[4\]\.weight is nan"),
         (lambda doc: doc["mixture"].append(["arm1", 1e999]), r"mixture\[4\]\.weight is inf"),
         (lambda doc: doc["mixture"].append(["arm1", 10**400]), "bad mixture entry"),
+        (lambda doc: doc["mixture"].append(["arm1", -1.0]), r"mixture\[4\]\.weight is -1\.0, want a finite float"),
+        (lambda doc: doc.update(mixture=[["arm1", 0.0]]), r"mixture weights \[0\.0\] sum to 0\.0"),
     ],
     ids=[
         "non-numeric-weight", "three-field-entry", "unknown-suite-embodiment", "string-action-dim",
-        "string-chunk-size", "scalar-conv-channels", "bool-layers", "negative-batch-size", "zero-val-fraction",
-        "val-fraction-above-one", "eval-not-an-object", "nan-jitter", "inf-jitter", "minus-inf-float",
-        "nan-string-weight", "inf-weight", "int-weight-beyond-float",
+        "string-chunk-size", "encoder-section", "misspelled-backbone", "misspelled-eval-suites", "bool-layers",
+        "negative-batch-size", "zero-val-fraction", "val-fraction-above-one", "eval-not-an-object", "nan-jitter",
+        "inf-jitter", "minus-inf-float", "nan-string-weight", "inf-weight", "int-weight-beyond-float",
+        "negative-weight", "zero-weight-sum",
     ],
 )
 def test_from_dict_rejects_bad_untrusted_documents(edit, match):
@@ -53,7 +58,6 @@ def test_from_dict_rejects_bad_untrusted_documents(edit, match):
         ("layout", "groups", [{"name": "workspace", "kind": "obs-image", "tokens": 9, "head": None}]),
         ("heads", "action_dim", 7),
         ("heads", "control_hz", 10.0),
-        ("encoders", "image_size", 24),
     ],
 )
 def test_from_dict_rejects_keys_the_registry_or_the_heads_own(section, key, value):

@@ -54,6 +54,16 @@ def test_shard_round_trip_bit_exact(tmp_path):
         np.testing.assert_array_equal(a.observations["navigation"], b.observations["navigation"])
 
 
+def test_shard_arrays_are_read_only_float32_views(tmp_path):
+    path = str(tmp_path / "nav.xeds")
+    dp.write_shard("nav", [toy_traj(seed=0, steps=3)], path)
+    _, (traj,) = dp.read_shard(path)
+    for arr in (traj.observations["navigation"], traj.actions):
+        assert arr.dtype == np.float32 and not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+
+
 def test_shard_empty_list_valid(tmp_path):
     path = str(tmp_path / "empty.xeds")
     dp.write_shard("nav", [], path)
@@ -97,21 +107,21 @@ def test_shard_magic_mismatch(tmp_path):
 
 
 def test_shard_truncation_reports_offset(tmp_path):
-    path = str(tmp_path / "nav.xeds")
-    dp.write_shard("nav", [toy_traj(seed=1)], path)
-    blob = open(path, "rb").read()
+    path = tmp_path / "nav.xeds"
+    dp.write_shard("nav", [toy_traj(seed=1)], str(path))
+    blob = path.read_bytes()
     cut = len(blob) - 100
-    open(path, "wb").write(blob[:cut])
+    path.write_bytes(blob[:cut])
     with pytest.raises(CorruptionError) as err:
-        dp.read_shard(path)
+        dp.read_shard(str(path))
     assert err.value.offset <= cut
 
 
 def test_shard_little_endian_on_disk(tmp_path):
-    path = str(tmp_path / "nav.xeds")
+    path = tmp_path / "nav.xeds"
     traj = toy_traj(seed=2, steps=1)
-    dp.write_shard("nav", [traj], path)
-    blob = open(path, "rb").read()
+    dp.write_shard("nav", [traj], str(path))
+    blob = path.read_bytes()
     header_len = int.from_bytes(blob[5:9], "little")
     payload = blob[9 + header_len + 8 :]
     first = np.frombuffer(payload[:4], dtype="<f4")[0]

@@ -11,8 +11,7 @@ from omnibot.errors import ContractError, DimensionError
 @pytest.fixture(scope="module")
 def bank():
     rng = np.random.Generator(np.random.PCG64(0))
-    cfg = desk_config()
-    return EncoderBank(init_encoder_params(cfg, rng), cfg)
+    return EncoderBank(init_encoder_params(desk_config(), rng))
 
 
 def imgs(n, seed=0):
