@@ -165,14 +165,14 @@ class AssembledWindow:
     pad: np.ndarray  # [B, T] bool, True where slot is padding
     attn_mask: np.ndarray  # [B, T, T] bool, True where attention permitted
     valid_steps: np.ndarray  # [B, k] bool
-    layout: SlotLayout
     slots: np.ndarray  # [T] original slot index of each token column, ascending
+    readouts: np.ndarray | None  # [steps, chunk] token columns of the head's readouts; None for a full window
 
 
 def window_embodiment(frames: list[ObservationFrame], history: int) -> EmbodimentSpec:
     """The registry entry of a window's robot; ContractError for an empty,
     overlong or mixed window, for a robot the registry lacks, or for a frame
-    whose observation groups are not exactly its robot's."""
+    whose observations are not a dict of exactly its robot's groups."""
     if not frames or len(frames) > history:
         raise ContractError(f"window needs 1..{history} frames, got {len(frames)}")
     names = {f.embodiment for f in frames}
@@ -181,6 +181,8 @@ def window_embodiment(frames: list[ObservationFrame], history: int) -> Embodimen
     robot = embodiment(frames[0].embodiment)
     want = set(robot.observation_groups)
     for i, f in enumerate(frames):
+        if not isinstance(f.observations, dict):
+            raise ContractError(f"frame {i} observations are a {type(f.observations).__name__}, want a dict of arrays")
         if f.observations.keys() != want:
             raise ContractError(
                 f"frame {i} of {robot.name!r} lacks observation groups {sorted(want - f.observations.keys())} "
@@ -211,11 +213,11 @@ def encode_group(bank: EncoderBank, group: SlotGroup, frames: list[ObservationFr
     else:
         goals = np.stack([np.zeros_like(o) if g is None else g for o, g in zip(obs, goals)])
     lang = bank.embed_language(np.array([f.instruction for f in frames]))
-    return bank.encode_image(group.name, obs, goals=goals, lang=lang)
+    return bank.encode_image(group.name, obs, goals, lang)
 
 
-def build_attention_mask(layout: SlotLayout, pad: np.ndarray, cols: np.ndarray | None = None) -> np.ndarray:
-    """Block-wise causal mask over the slots `cols` (every slot when None).
+def build_attention_mask(layout: SlotLayout, pad: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Block-wise causal mask over the slots `cols`, ascending slot indices.
 
     `pad` holds one flag per slot of `cols`. mask[i, j] is True iff all of:
       (a) j is not pad-flagged, or j == i;
@@ -225,7 +227,7 @@ def build_attention_mask(layout: SlotLayout, pad: np.ndarray, cols: np.ndarray |
     permits every slot itself, so rule (a) only sets the diagonal back.
     """
     pad = np.asarray(pad, dtype=bool)
-    base = layout._base_mask if cols is None else layout._base_mask[cols][:, cols]
+    base = layout._base_mask[cols][:, cols]
     n = base.shape[0]
     if pad.shape[-1] != n:
         raise DimensionError(f"pad mask has {pad.shape[-1]} tokens, the mask covers {n}")
@@ -235,16 +237,16 @@ def build_attention_mask(layout: SlotLayout, pad: np.ndarray, cols: np.ndarray |
     return mask
 
 
-def init_assembler_params(layout: SlotLayout, rng: np.random.Generator, dtype=np.float32) -> dict[str, Tensor]:
+def init_assembler_params(layout: SlotLayout, rng: np.random.Generator) -> dict[str, Tensor]:
     params = {
         "asm/pos": ad.param(
-            rng.standard_normal((layout.context_tokens, layout.d_model)).astype(dtype) * dtype(0.02)
+            rng.standard_normal((layout.context_tokens, layout.d_model)).astype(np.float32) * np.float32(0.02)
         )
     }
     for g in layout.groups:
         if g.kind == "readout":
             params[f"asm/readout/{g.head}"] = ad.param(
-                rng.standard_normal((g.tokens, layout.d_model)).astype(dtype) * dtype(0.02)
+                rng.standard_normal((g.tokens, layout.d_model)).astype(np.float32) * np.float32(0.02)
             )
     return params
 
@@ -272,9 +274,10 @@ def assemble_batch(
     head, the compact window for that head's readouts at `steps`, which
     index the k window steps (every window ends at step k-1, so [-1] is the
     newest): the observation slots live in at least one window, plus the
-    head's readout slots at `steps`. Encoder rows are scattered straight
-    into their kept columns. `encode(bank, group, frames)` gives each
-    observation group's encoder rows, `encode_group` by default.
+    head's readout slots at `steps`, whose columns it names in `readouts`.
+    Encoder rows are scattered straight into their kept columns.
+    `encode(bank, group, frames)` gives each observation group's encoder
+    rows, `encode_group` by default.
     """
     k, s, t, d = layout.history, layout.step_tokens, layout.context_tokens, layout.d_model
     b = len(windows)
@@ -303,8 +306,9 @@ def assemble_batch(
     if head is None:
         cols = np.arange(t)
     else:
+        readout_slots = layout.readout_indices(head)[steps]
         keep = (live & layout.token_is_obs).any(axis=0)
-        keep[layout.readout_indices(head)[steps].ravel()] = True
+        keep[readout_slots.ravel()] = True
         cols = np.flatnonzero(keep)
     column = np.zeros(t, dtype=np.intp)  # kept column of each slot
     column[cols] = np.arange(cols.size)
@@ -327,6 +331,6 @@ def assemble_batch(
         pad=pad,
         attn_mask=build_attention_mask(layout, pad, cols),
         valid_steps=valid,
-        layout=layout,
         slots=cols,
+        readouts=None if head is None else column[readout_slots],
     )

@@ -18,6 +18,7 @@ from .tensor import Tensor, backward
 # of 4 leaves room above it and stays far below a wrong formula.
 _NOISE_FACTOR = 4.0
 _EPS_MACH = float(np.finfo(np.float64).eps)
+EPS = 1e-5  # the step of each central difference
 
 
 @dataclass
@@ -50,11 +51,10 @@ class GradCheckReport:
 def finite_diff_check(
     f: Callable[[], Tensor],
     params: dict[str, Tensor],
-    eps: float = 1e-5,
     probes: int = 64,
     seed: int = 0,
 ) -> GradCheckReport:
-    """Compare analytic gradients of f() against central differences.
+    """Compare analytic gradients of f() against central differences of step eps = EPS.
 
     f must be a deterministic closure over `params` returning a scalar
     Tensor; params must be float64. Probed coordinates are sampled
@@ -110,11 +110,11 @@ def finite_diff_check(
                 raise EvaluationError(f"perturbed loss non-finite at {name}[{idx}]")
             return f_plus, f_minus
 
-        f_plus, f_minus = at(eps)
-        numeric = (f_plus - f_minus) / (2.0 * eps)
+        f_plus, f_minus = at(EPS)
+        numeric = (f_plus - f_minus) / (2.0 * EPS)
         analytic = float(grads[p].reshape(-1)[idx])
         rel = abs(analytic - numeric) / (abs(numeric) + 1e-12)
-        noise = _NOISE_FACTOR * _EPS_MACH * max(abs(f0), abs(f_plus), abs(f_minus)) / eps
+        noise = _NOISE_FACTOR * _EPS_MACH * max(abs(f0), abs(f_plus), abs(f_minus)) / EPS
 
         if abs(analytic) <= noise and abs(numeric) <= noise:
             report.probes.append(Probe(name, idx, analytic, numeric, 0.0, "consistent-zero"))
@@ -123,7 +123,7 @@ def finite_diff_check(
             report.probes.append(Probe(name, idx, analytic, numeric, rel, "below-noise"))
             continue
         second = abs(f_plus + f_minus - 2.0 * f0)
-        if rel > 1e-5 and second > 0.1 * eps * (abs(numeric) + 1.0):
+        if rel > 1e-5 and second > 0.1 * EPS * (abs(numeric) + 1.0):
             # slope change inside [x-eps, x+eps]: central difference invalid
             report.probes.append(Probe(name, idx, analytic, numeric, rel, "kink-skipped"))
             continue
@@ -134,8 +134,8 @@ def finite_diff_check(
             # value still misses, the miss is no eps² term but a kink near
             # the interval's edge, which the second difference can miss
             coarse = numeric
-            half_plus, half_minus = at(eps / 2)
-            half = (half_plus - half_minus) / eps
+            half_plus, half_minus = at(EPS / 2)
+            half = (half_plus - half_minus) / EPS
             numeric = (4.0 * half - coarse) / 3.0
             rel = abs(analytic - numeric) / (abs(numeric) + 1e-12)
             if rel > 1e-5 and abs(coarse - half) > abs(analytic - numeric):

@@ -89,10 +89,11 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     return Tensor._make(out, (table,), bwd, "embedding")
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+LAYER_NORM_EPS = 1e-5  # added to the variance before the square root
+
+
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
-    if eps <= 0:
-        raise DimensionError(f"layer_norm eps must be positive, got {eps}")
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise DimensionError(
@@ -101,7 +102,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     mu = x.data.mean(axis=-1, keepdims=True)
     xc = x.data - mu
     var = np.mean(xc * xc, axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + x.data.dtype.type(eps))
+    inv = 1.0 / np.sqrt(var + x.data.dtype.type(LAYER_NORM_EPS))
     xhat = xc * inv
     out = xhat * gain.data + bias.data
 
@@ -194,13 +195,13 @@ TILE_ENTRIES = 15_000
 class AttentionMask:
     """A validated boolean key mask plus its cached additive sentinel and query tiles.
 
-    The mask is [Tq, Tk] or [B, Tq, Tk], True where key j is permitted for
-    query i; queries and keys may differ in number. Every row must permit at
-    least one key (`DegenerateMaskError` otherwise), which is what lets the
-    softmax zero forbidden weights with the sentinel alone. Wrapping once
-    and passing the wrapper to many attention calls (e.g. every transformer
-    layer) amortizes that check and the construction of the sentinel and
-    the tiles.
+    The mask is [B, Tq, Tk], True where key j is permitted for query i of
+    batch element b; queries and keys may differ in number. Every row must
+    permit at least one key (`DegenerateMaskError` otherwise), which is what
+    lets the softmax zero forbidden weights with the sentinel alone.
+    Wrapping once and passing the wrapper to many attention calls (e.g.
+    every transformer layer) amortizes that check and the construction of
+    the sentinel and the tiles.
 
     A tile is a run of query rows that reads only a prefix of the keys. Per
     row, take the last key that any batch element permits, then its running
@@ -218,10 +219,8 @@ class AttentionMask:
         permitted = np.asarray(permitted)
         if permitted.dtype != np.bool_:
             raise DimensionError("attention mask must be boolean")
-        if permitted.ndim == 2:
-            permitted = permitted[None]
         if permitted.ndim != 3:
-            raise DimensionError(f"attention mask must be [Tq, Tk] or [B, Tq, Tk], got {permitted.shape}")
+            raise DimensionError(f"attention mask must be [B, Tq, Tk], got {permitted.shape}")
         if not permitted.any(axis=-1).all():
             bad = np.argwhere(~permitted.any(axis=-1))[0]
             raise DegenerateMaskError(f"mask row {tuple(bad)} permits no keys")
@@ -262,16 +261,16 @@ def _split_heads(a: np.ndarray, heads: int) -> np.ndarray:
     return a.reshape(nb, t, heads, d // heads).transpose(0, 2, 1, 3)
 
 
-def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask, heads: int) -> Tensor:
+def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask: AttentionMask, heads: int) -> Tensor:
     """Multi-head scaled dot-product attention restricted to a boolean key mask.
 
     q: [B, Tq, d]; k and v: [B, Tk, d]; `heads` divides d, and head h
-    reads features [h * d / heads, (h + 1) * d / heads). mask: [Tq, Tk] or
-    [B, Tq, Tk] boolean (or a prebuilt AttentionMask), True where key j is
-    permitted for query i. Heads are strided views of the [B, T, d]
-    operands, and the output and the gradients are written through such
-    views into C-contiguous [B, T, d] buffers, so no layout copy is made on
-    either side.
+    reads features [h * d / heads, (h + 1) * d / heads). mask: an
+    AttentionMask of shape [B, Tq, Tk], True where key j is permitted for
+    query i. Heads are strided views of the [B, T, d] operands, and the
+    output and the gradients are written through such views into
+    C-contiguous [B, T, d] buffers, so no layout copy is made on either
+    side.
 
     The queries run one tile at a time against the tile's key prefix (see
     `AttentionMask`); a skipped key is forbidden for every row of the tile,
@@ -301,17 +300,13 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask, heads: int) -> Tenso
         raise DimensionError(f"attention width {d} does not split into {heads} heads")
     dh = d // heads
 
-    amask = mask if isinstance(mask, AttentionMask) else AttentionMask(mask)
-    if amask.permitted.shape != (nb, tq, tk):
-        if amask.permitted.shape == (1, tq, tk):
-            amask = AttentionMask(np.broadcast_to(amask.permitted[0], (nb, tq, tk)))
-        else:
-            raise DimensionError(
-                f"attention mask shape {amask.permitted.shape} incompatible with q {q.shape} and k {k.shape}"
-            )
+    if mask.permitted.shape != (nb, tq, tk):
+        raise DimensionError(
+            f"attention mask shape {mask.permitted.shape} incompatible with q {q.shape} and k {k.shape}"
+        )
     dtype = q.data.dtype
-    additive = amask.buffers(dtype)
-    tiles = amask.tiles(heads)
+    additive = mask.buffers(dtype)
+    tiles = mask.tiles(heads)
 
     q4, k4, v4 = (_split_heads(t.data, heads) for t in (q, k, v))
     scale = dtype.type(1.0 / math.sqrt(dh))

@@ -17,8 +17,9 @@ steps, and after such a write it calls `Policy.params_changed()`, because
 `Policy.act` caches encoder rows computed from the old values.
 
 Two float precisions are supported: float32 for training and float64 for
-gradient verification. Mixed-dtype arithmetic is an error rather than a
-silent upcast.
+gradient verification. Parameters are created in float32; a float64 copy
+of a model is a cast of its parameters (`ad.param(p.data.astype(np.float64))`).
+Mixed-dtype arithmetic is an error rather than a silent upcast.
 """
 
 from __future__ import annotations
@@ -171,24 +172,20 @@ class Tensor:
 
     # -- reductions ------------------------------------------------------------
 
-    def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
+    def sum(self, axis=None) -> "Tensor":
         shape = self.shape
 
         def bwd(g):
             gg = np.asarray(g)
-            if not keepdims and axis is not None:
+            if axis is not None:
                 gg = np.expand_dims(gg, axis)
             return (np.broadcast_to(gg, shape).copy(),)
 
-        return Tensor._make(self.data.sum(axis=axis, keepdims=keepdims), (self,), bwd, "sum")
+        return Tensor._make(self.data.sum(axis=axis), (self,), bwd, "sum")
 
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        if axis is None:
-            n = self.data.size
-        else:
-            axes = (axis,) if isinstance(axis, int) else tuple(axis)
-            n = int(np.prod([self.shape[ax] for ax in axes]))
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
+    def mean(self) -> "Tensor":
+        """The mean of every entry, a scalar."""
+        return self.sum() * (1.0 / self.data.size)
 
     def abs(self) -> "Tensor":
         # subgradient at 0 is 0: np.sign(0) == 0
@@ -209,11 +206,10 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g
 
 
-def _reachable(output: Tensor) -> tuple[list[Tensor], set[Tensor]]:
-    """The nodes a gradient reaches from `output` in creation (topological) order, and its leaf parameters."""
+def _reachable(output: Tensor) -> list[Tensor]:
+    """The nodes a gradient reaches from `output`, in creation (topological) order."""
     seen: set[int] = set()
     nodes: list[Tensor] = []
-    params: set[Tensor] = set()
     stack = [output]
     while stack:
         node = stack.pop()
@@ -221,22 +217,20 @@ def _reachable(output: Tensor) -> tuple[list[Tensor], set[Tensor]]:
             continue
         seen.add(node.id)
         nodes.append(node)
-        if node.requires_grad and not node.parents:
-            params.add(node)
         stack.extend(p for p in node.parents if p.requires_grad)
     nodes.sort(key=lambda n: n.id)
-    return nodes, params
+    return nodes
 
 
-def backward(loss: Tensor, params: Iterable[Tensor] | None = None) -> dict[Tensor, np.ndarray]:
+def backward(loss: Tensor, params: Iterable[Tensor]) -> dict[Tensor, np.ndarray]:
     """Reverse-mode gradients of a scalar loss.
 
-    Returns a map from parameter tensor to gradient array. Parameters
-    passed explicitly but unreachable from the loss get zero gradients.
+    Returns a map from each of `params` to its gradient array; a parameter
+    the loss does not reach gets zeros.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward expects a scalar loss, got shape {loss.shape}")
-    nodes, reached = _reachable(loss)
+    nodes = _reachable(loss)
     grads: dict[int, np.ndarray] = {loss.id: np.ones_like(loss.data)}
     for node in reversed(nodes):
         if node.bwd is None:
@@ -254,8 +248,6 @@ def backward(loss: Tensor, params: Iterable[Tensor] | None = None) -> dict[Tenso
                 )
             have = grads.get(parent.id)
             grads[parent.id] = pg if have is None else have + pg
-    if params is None:
-        params = reached
     out: dict[Tensor, np.ndarray] = {}
     for p in params:
         g = grads.get(p.id)
@@ -268,10 +260,10 @@ def tensor(data, dtype=None) -> Tensor:
     return Tensor(data, dtype=dtype)
 
 
-def param(data, dtype=None) -> Tensor:
+def param(data) -> Tensor:
     """A trainable leaf tensor."""
-    return Tensor(data, requires_grad=True, dtype=dtype)
+    return Tensor(data, requires_grad=True)
 
 
-def zeros(shape, dtype=np.float32) -> Tensor:
+def zeros(shape, dtype) -> Tensor:
     return Tensor(np.zeros(shape, dtype=dtype))

@@ -139,11 +139,15 @@ class Config:
             _check_fields(where, section)
         if not 0 < train.val_fraction < 1:
             raise ConfigError(f"train.val_fraction is {train.val_fraction}, want a fraction in (0, 1)")
-        try:
-            mixture = [(str(n), float(w)) for n, w in mixture]
-        except (OverflowError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad mixture entry, want [dataset, weight]: {exc}") from exc
-        MixtureSpec(mixture)  # ConfigError unless the mixture is valid
+        if not isinstance(mixture, list):
+            raise ConfigError(f"mixture is {mixture!r}, want a list of [dataset, weight] entries")
+        for i, entry in enumerate(mixture):
+            if not isinstance(entry, (list, tuple)) or len(entry) != 2:
+                raise ConfigError(f"mixture[{i}] is {entry!r}, want [dataset, weight]")
+            _checked(f"mixture[{i}].dataset", entry[0], "str")
+            _checked(f"mixture[{i}].weight", entry[1], "float")
+        mixture = [(name, float(weight)) for name, weight in mixture]
+        MixtureSpec(mixture)  # ConfigError unless the weights are >= 0 with a positive sum
         for i, suite in enumerate(ev.suites):
             if suite.embodiment not in EMBODIMENTS:
                 raise ConfigError(f"eval suite {i} names unknown embodiment {suite.embodiment!r}")

@@ -4,8 +4,10 @@ Shards use the XEDS1 container: a 5-byte magic, a little-endian u32 header
 length, a UTF-8 JSON header, then packed float32 trajectories. The header
 names only the embodiment, `{"embodiment": name}`; every other fact comes
 from its `embodiments` registry entry, and each record follows that entry:
-u32 steps (at least 1), u32 instruction, each observation group in the
-entry's order, then the actions. A reader ignores any other header key.
+u32 steps (at least 1), u32 instruction (an id of the language
+vocabulary), each observation group in the entry's order, then the
+actions; every stream value is finite. A reader ignores any other header
+key.
 
 A training batch is a deterministic function of (shards, config, master
 seed): batch i always derives its rng from (seed, "batch", i), independent
@@ -19,6 +21,7 @@ The order is what keeps every batch bit-identical.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass
 
@@ -46,9 +49,17 @@ class TrajectoryRecord:
         return self.actions.shape[0]
 
 
+def _non_finite(values: np.ndarray) -> int | None:
+    """Flat index of the first non-finite value, or None when every value is finite."""
+    finite = np.isfinite(values)
+    return None if finite.all() else int(np.argmin(finite.ravel()))
+
+
 def write_shard(name: str, trajectories: list[TrajectoryRecord], path: str) -> None:
     """Serialize trajectories of embodiment `name`; raises FormatError when one
-    disagrees with its registry entry."""
+    disagrees with its registry entry, has an instruction outside the
+    language vocabulary, or holds a value that is not finite as float32.
+    A shard that fails part-way is removed."""
     spec = embodiment(name)
     for i, traj in enumerate(trajectories):
         if traj.embodiment != name:
@@ -57,21 +68,34 @@ def write_shard(name: str, trajectories: list[TrajectoryRecord], path: str) -> N
             raise FormatError(f"trajectory {i} actions {traj.actions.shape} != action_dim {spec.action_dim}")
         if traj.steps == 0:
             raise FormatError(f"trajectory {i} has zero steps")
+        if not isinstance(traj.instruction, (int, np.integer)) or not 0 <= traj.instruction < LANGUAGE_VOCAB:
+            raise FormatError(f"trajectory {i} instruction {traj.instruction!r} is outside the language "
+                              f"vocabulary [0, {LANGUAGE_VOCAB})")
         for group, shape in spec.observations:
             arr = traj.observations.get(group)
             if arr is None or arr.shape != (traj.steps, *shape):
                 got = None if arr is None else arr.shape
                 raise FormatError(f"trajectory {i} stream {group!r}: shape {got}, want (T, {shape})")
     header = json.dumps({"embodiment": name}).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", len(header)))
-        fh.write(header)
-        for traj in trajectories:
-            fh.write(struct.pack("<II", traj.steps, traj.instruction))
-            for group, _ in spec.observations:
-                fh.write(np.ascontiguousarray(traj.observations[group], dtype="<f4").tobytes())
-            fh.write(np.ascontiguousarray(traj.actions, dtype="<f4").tobytes())
+    try:
+        with open(path, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<I", len(header)))
+            fh.write(header)
+            for i, traj in enumerate(trajectories):
+                fh.write(struct.pack("<II", traj.steps, traj.instruction))
+                streams = [(group, traj.observations[group]) for group, _ in spec.observations]
+                for stream, values in streams + [("actions", traj.actions)]:
+                    with np.errstate(over="ignore"):  # a float64 beyond float32's range casts to inf
+                        values = np.ascontiguousarray(values, dtype="<f4")
+                    bad = _non_finite(values)
+                    if bad is not None:
+                        raise FormatError(f"trajectory {i} stream {stream!r} holds {values.flat[bad]} "
+                                          f"at flat index {bad} as float32")
+                    fh.write(values)
+    except FormatError:
+        os.remove(path)
+        raise
 
 
 def _header_embodiment(raw: bytes) -> EmbodimentSpec:
@@ -109,28 +133,30 @@ def read_shard(path: str) -> tuple[EmbodimentSpec, list[TrajectoryRecord]]:
     trajectories = []
     n = len(blob)
     while offset < n:
+        i = len(trajectories)
         if offset + 8 > n:
             raise CorruptionError("truncated trajectory prelude", offset=offset)
         steps, instruction = struct.unpack_from("<II", blob, offset)
         if steps == 0:
-            raise FormatError(f"trajectory {len(trajectories)} has zero steps (at byte offset {offset})")
+            raise FormatError(f"trajectory {i} has zero steps (at byte offset {offset})")
+        if instruction >= LANGUAGE_VOCAB:
+            raise FormatError(f"trajectory {i} instruction {instruction} is outside the language vocabulary "
+                              f"[0, {LANGUAGE_VOCAB}) (at byte offset {offset + 4})")
         offset += 8
-        observations = {}
-        for group, shape in spec.observations:
+        streams = {}
+        for stream, shape in (*spec.observations, ("actions", (spec.action_dim,))):
             count = steps * int(np.prod(shape, dtype=np.int64))
-            nbytes = count * 4
-            if offset + nbytes > n:
-                raise CorruptionError(f"truncated stream {group!r}", offset=offset)
+            if offset + 4 * count > n:
+                raise CorruptionError(f"truncated stream {stream!r}", offset=offset)
             arr = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
-            observations[group] = arr.reshape(steps, *shape)
-            offset += nbytes
-        nbytes = steps * spec.action_dim * 4
-        if offset + nbytes > n:
-            raise CorruptionError("truncated action stream", offset=offset)
-        actions = np.frombuffer(blob, dtype="<f4", count=steps * spec.action_dim, offset=offset)
-        actions = actions.reshape(steps, spec.action_dim)
-        offset += nbytes
-        trajectories.append(TrajectoryRecord(spec.name, observations, actions, int(instruction)))
+            bad = _non_finite(arr)
+            if bad is not None:
+                raise FormatError(f"trajectory {i} stream {stream!r} holds {arr[bad]} "
+                                  f"(at byte offset {offset + 4 * bad})")
+            streams[stream] = arr.reshape(steps, *shape)
+            offset += 4 * count
+        actions = streams.pop("actions")
+        trajectories.append(TrajectoryRecord(spec.name, streams, actions, int(instruction)))
     return spec, trajectories
 
 
@@ -167,7 +193,7 @@ def _shifted_overlap(n: int, d: int) -> tuple[slice, slice]:
     return slice(lo, hi), slice(lo + d, hi + d)
 
 
-def augment(img: np.ndarray, rng: np.random.Generator, max_shift: int = 2, jitter: float = 0.1) -> np.ndarray:
+def augment(img: np.ndarray, rng: np.random.Generator, max_shift: int, jitter: float) -> np.ndarray:
     """Crop-shift plus brightness/contrast jitter, clamped to [0, 1].
 
     img: [..., C, H, W]. One draw covers every image on the leading axes,

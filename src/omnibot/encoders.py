@@ -37,15 +37,15 @@ def image_tokens(shape: tuple[int, ...]) -> int:
     return h * w
 
 
-def init_encoder_params(cfg: Config, rng: np.random.Generator, dtype=np.float32) -> dict[str, Tensor]:
+def init_encoder_params(cfg: Config, rng: np.random.Generator) -> dict[str, Tensor]:
     d_model = cfg.backbone.d_model
     params: dict[str, Tensor] = {}
 
     def normal(shape, std):
-        return ad.param(rng.standard_normal(shape).astype(dtype) * dtype(std))
+        return ad.param(rng.standard_normal(shape).astype(np.float32) * np.float32(std))
 
     def zeros(shape):
-        return ad.param(np.zeros(shape, dtype=dtype))
+        return ad.param(np.zeros(shape, dtype=np.float32))
 
     kk = CONV_KERNEL
     for name, kind, shape in observation_groups():  # slot order is init order
@@ -66,7 +66,7 @@ def init_encoder_params(cfg: Config, rng: np.random.Generator, dtype=np.float32)
             params[f"enc/proprio/{name}/w"] = normal((dim, d_model), 1.0 / np.sqrt(dim))
             params[f"enc/proprio/{name}/b"] = zeros(d_model)
 
-    table = rng.standard_normal((LANGUAGE_VOCAB, LANGUAGE_DIM)).astype(dtype) * dtype(0.02)
+    table = rng.standard_normal((LANGUAGE_VOCAB, LANGUAGE_DIM)).astype(np.float32) * np.float32(0.02)
     table[0] = 0.0  # null instruction embeds to zero
     params["enc/lang/table"] = ad.param(table)
     return params
@@ -100,19 +100,16 @@ class EncoderBank:
 
     # -- images ------------------------------------------------------------
 
-    def encode_image(
-        self,
-        view: str,
-        images: np.ndarray,
-        goals: np.ndarray | None = None,
-        lang: Tensor | None = None,
-    ) -> Tensor:
-        """[n, C, H, W] images (+ optional goals, optional language) -> [n, image_tokens((C, H, W)), d_model].
+    def encode_image(self, view: str, images: np.ndarray, goals: np.ndarray | None, lang: Tensor) -> Tensor:
+        """[n, C, H, W] images -> [n, image_tokens((C, H, W)), d_model] tokens.
 
-        The stack runs channels-last: images and goals are transposed once
-        into one [n, H, W, 2C] input, each stage is `conv2d` (with its bias),
-        `film` and `gelu`, and the last stage's [n, h, w, c] output is read
-        as [n, h * w, c] tokens in row-major (h, w) order, without a copy.
+        `goals` is [n, C, H, W], or None when no image has a goal (zero goal
+        channels); `lang` holds the [n, LANGUAGE_DIM] instruction rows that
+        FiLM reads. The stack runs channels-last: images and goals are
+        transposed once into one [n, H, W, 2C] input, each stage is `conv2d`
+        (with its bias), `film` and `gelu`, and the last stage's [n, h, w, c]
+        output is read as [n, h * w, c] tokens in row-major (h, w) order,
+        without a copy.
         """
         if f"enc/img/{view}/proj/w" not in self.params:
             raise _no_tokenizer(view, "obs-image")
@@ -128,8 +125,6 @@ class EncoderBank:
             if goals.shape != images.shape:
                 raise DimensionError(f"goal shape {goals.shape} != image shape {images.shape}")
             x[..., shape[0] :] = goals.transpose(0, 2, 3, 1)
-        if lang is None:
-            lang = ad.tensor(np.zeros((n, LANGUAGE_DIM), dtype=self.dtype))
 
         x = ad.tensor(x)
         p = self.params

@@ -307,8 +307,9 @@ class NavShiftedEnv(NavEnv):
 
 
 @functools.lru_cache(maxsize=None)  # keyed by the registry's few bimanual instruction ids
-def _reference_params(instruction: int, joints: int = 14):
+def _reference_params(instruction: int):
     """The reference of one instruction; the arrays are shared between calls, so read-only."""
+    joints = embodiment("bimanual").action_dim
     rng = generator(instruction, "bimanual", "reference")
     offsets = rng.uniform(-0.5, 0.5, joints)
     amps = np.stack(
@@ -331,7 +332,7 @@ def bimanual_reference(instruction: int, t: float) -> np.ndarray:
 
 @dataclass
 class BimanualState:
-    joints: np.ndarray  # 14
+    joints: np.ndarray  # [action_dim]
     instruction: int
     t: int
     errors: list = field(default_factory=list)  # per-step mean |joints - ref|
@@ -345,7 +346,7 @@ class BimanualEnv(Env):
     def reset(self, seed: int):
         rng = generator(seed, "bimanual", "reset")
         instruction = int(rng.choice(self.spec.instructions))
-        joints = bimanual_reference(instruction, 0.0) + rng.normal(0, 0.02, 14)
+        joints = bimanual_reference(instruction, 0.0) + rng.normal(0, 0.02, self.spec.action_dim)
         state = BimanualState(joints, instruction, 0)
         state.errors.append(float(np.abs(joints - bimanual_reference(instruction, 0.0)).mean()))
         return state, self.frame(state, instruction), instruction

@@ -23,14 +23,14 @@ class ActionChunk:
     values: np.ndarray  # [chunk_size, action_dim]
 
 
-def init_head_params(cfg: Config, rng: np.random.Generator, dtype=np.float32) -> dict[str, Tensor]:
+def init_head_params(cfg: Config, rng: np.random.Generator) -> dict[str, Tensor]:
     d = cfg.backbone.d_model
     params: dict[str, Tensor] = {}
     for h in cfg.heads:
         params[f"head/{h.name}/w"] = ad.param(
-            rng.standard_normal((d, h.action_dim)).astype(dtype) / dtype(np.sqrt(d))
+            rng.standard_normal((d, h.action_dim)).astype(np.float32) / np.float32(np.sqrt(d))
         )
-        params[f"head/{h.name}/b"] = ad.param(np.zeros(h.action_dim, dtype=dtype))
+        params[f"head/{h.name}/b"] = ad.param(np.zeros(h.action_dim, dtype=np.float32))
     return params
 
 

@@ -14,9 +14,10 @@ readouts of the requested head.
 A second fact trims the last layer: the heads read only readout rows, and
 there every other row serves only as a key and a value, because an
 attention row depends on its own query alone and the rest of the block is
-row-wise. So both pass their head to `backbone.forward`, which runs the
-last layer's queries, attention rows, MLP and final norm on the readout
-rows alone; no readout's output changes.
+row-wise. A compact window names its head's readout columns
+(`AssembledWindow.readouts`), and `backbone.forward` runs the last layer's
+queries, attention rows, MLP and final norm on those rows alone; no
+readout's output changes.
 
 A third fact lets `act` encode each frame once. Encoder rows carry no
 position, because `asm/pos` is added after placement, so a frame's rows
@@ -42,8 +43,9 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .config import Config
 from .datapipe import TrainingBatch
-from .encoders import EncoderBank, init_encoder_params
-from .errors import ContractError
+from .embodiments import group_shape
+from .encoders import LANGUAGE_VOCAB, EncoderBank, init_encoder_params
+from .errors import ContractError, DimensionError, EvaluationError
 from .rng import generator
 
 
@@ -61,26 +63,40 @@ def frame_key(group: str, frame: assembler.ObservationFrame) -> bytes:
     return h.digest()
 
 
-def _check_instruction(index: int, frame: assembler.ObservationFrame) -> None:
-    """ContractError unless the frame's instruction is an integer id (bools are not)."""
+def _named_arrays(group: str, frame: assembler.ObservationFrame) -> list[tuple[str, np.ndarray]]:
+    """The frame's `group` observation, and its goal where that conditions the group, each with its name."""
+    named = [(f"{group} observation", np.asarray(frame.observations[group]))]
+    goal = assembler.conditioning_goal(frame, group)
+    if goal is not None:
+        named.append((f"goal of {group}", np.asarray(goal)))
+    return named
+
+
+def _check_frame(index: int, group: str, shape: tuple[int, ...], frame: assembler.ObservationFrame) -> None:
+    """What a frame's key reads: ContractError unless its instruction is an integer id
+    (bools are not) of the language vocabulary; DimensionError or ContractError unless
+    its `_named_arrays` are float arrays of the group's registry `shape`."""
     ins = frame.instruction
     if not isinstance(ins, (int, np.integer)) or isinstance(ins, bool):
         raise ContractError(f"frame {index}: instruction {ins!r} is not an integer id")
-
-
-def _check_arrays(index: int, group: str, frame: assembler.ObservationFrame) -> None:
-    """ContractError unless the frame's `group` observation, and its goal where
-    that conditions the group, are finite float arrays."""
-    named = [(f"{group} observation", frame.observations[group])]
-    goal = assembler.conditioning_goal(frame, group)
-    if goal is not None:
-        named.append((f"goal of {group}", goal))
-    for what, values in named:
-        values = np.asarray(values)
+    if not 0 <= ins < LANGUAGE_VOCAB:
+        raise ContractError(
+            f"frame {index}: instruction id {ins} is outside the language vocabulary of {LANGUAGE_VOCAB} ids"
+        )
+    for what, values in _named_arrays(group, frame):
+        if values.shape != shape:
+            raise DimensionError(f"frame {index}: {what} has shape {values.shape}, want {shape}")
         if values.dtype.kind != "f":
             raise ContractError(f"frame {index}: {what} has dtype {values.dtype}, want a float array")
+
+
+def _check_finite(index: int, group: str, frame: assembler.ObservationFrame, dtype) -> None:
+    """ContractError unless the frame's `_named_arrays` hold values finite in `dtype`, the
+    policy's: a float64 beyond float32's range is inf as float32."""
+    for what, values in _named_arrays(group, frame):
+        values = values.astype(dtype, copy=False)
         if not np.isfinite(values).all():
-            raise ContractError(f"frame {index}: {what} holds non-finite values")
+            raise ContractError(f"frame {index}: {what} holds non-finite values as {values.dtype}")
 
 
 class FrameTokenCache:
@@ -94,15 +110,16 @@ class FrameTokenCache:
         """`assembler.encode_group`'s rows, encoding only the frames not cached.
 
         Frames come from a client, so they are checked here (ContractError
-        naming the frame's index in `frames`) before any is encoded.
+        or DimensionError naming the frame's index in `frames` and the
+        group) before any is encoded.
         """
         rows = self.groups.setdefault(group.name, OrderedDict())
-        keys, misses = [], {}
+        keys, misses, shape = [], {}, group_shape(group.name)
         for i, frame in enumerate(frames):
-            _check_instruction(i, frame)  # every frame: its key reads the instruction
+            _check_frame(i, group.name, shape, frame)  # every frame: its key reads these
             key = frame_key(group.name, frame)
             if key not in rows and key not in misses:
-                _check_arrays(i, group.name, frame)  # a cached frame passed when it was new
+                _check_finite(i, group.name, frame, bank.dtype)  # a cached frame passed when it was new
                 misses[key] = frame
             keys.append(key)
         if misses:
@@ -128,13 +145,14 @@ class Policy:
         self.frame_tokens = FrameTokenCache(self.layout.history)
 
     @staticmethod
-    def init(cfg: Config, seed: int, dtype=np.float32) -> "Policy":
+    def init(cfg: Config, seed: int) -> "Policy":
+        """A float32 policy; a float64 one is a cast of its parameters, `ad.param(p.data.astype(np.float64))`."""
         layout = assembler.build_layout(cfg)
         params: dict[str, Tensor] = {}
-        params.update(init_encoder_params(cfg, generator(seed, "init", "enc"), dtype))
-        params.update(assembler.init_assembler_params(layout, generator(seed, "init", "asm"), dtype))
-        params.update(backbone.init_backbone_params(cfg, generator(seed, "init", "bb"), dtype))
-        params.update(heads.init_head_params(cfg, generator(seed, "init", "head"), dtype))
+        params.update(init_encoder_params(cfg, generator(seed, "init", "enc")))
+        params.update(assembler.init_assembler_params(layout, generator(seed, "init", "asm")))
+        params.update(backbone.init_backbone_params(cfg, generator(seed, "init", "bb")))
+        params.update(heads.init_head_params(cfg, generator(seed, "init", "head")))
         return Policy(cfg, params)
 
     @property
@@ -170,10 +188,10 @@ class Policy:
             shape = (b, k, spec.chunk_size, spec.action_dim)
             rows = np.flatnonzero(owners == name)
             if not rows.size:
-                out[name] = ad.zeros(shape, dtype=self.dtype)
+                out[name] = ad.zeros(shape, self.dtype)
                 continue
             sub = assembler.assemble_batch([windows[r] for r in rows], self.layout, self.bank, self.params, name)
-            pred = heads.project(backbone.forward(sub, self.params, self.cfg, head=name), self.params, name)
+            pred = heads.project(backbone.forward(sub, self.params, self.cfg), self.params, name)
             # one scattered row per owner: [B, 1, k*chunk*action_dim], zeros elsewhere
             placed = ad.scatter_tokens(pred.reshape(rows.size, -1), rows, np.zeros_like(rows), b, 1)
             out[name] = placed.reshape(shape)
@@ -189,15 +207,22 @@ class Policy:
     # -- rollout -------------------------------------------------------------
 
     def act(self, frames, head: str) -> heads.ActionChunk:
-        """Decode the newest step's readouts of `head`, which the window's embodiment must draw from."""
+        """Decode the newest step's readouts of `head`, which the window's embodiment must draw from.
+
+        Finite inputs can still be too large for the network's precision;
+        then the chunk is not finite, and that is an EvaluationError.
+        """
         if head not in self.head_specs:
             raise ContractError(f"unknown head {head!r}")
         robot = assembler.window_embodiment(frames, self.layout.history)
         if robot.head != head:
             raise ContractError(f"{robot.name!r} draws actions from head {robot.head!r}, not {head!r}")
-        with ad.no_grad():
+        with ad.no_grad(), np.errstate(all="ignore"):  # an overflow shows as a non-finite chunk below
             window = assembler.assemble_batch(
                 [frames], self.layout, self.bank, self.params, head, [-1], self.frame_tokens.encode
             )
-            readouts = backbone.forward(window, self.params, self.cfg, head=head)
-            return heads.decode(readouts.reshape(-1, readouts.shape[-1]), self.params, self.head_specs[head])
+            readouts = backbone.forward(window, self.params, self.cfg)
+            chunk = heads.decode(readouts.reshape(-1, readouts.shape[-1]), self.params, self.head_specs[head])
+        if not np.isfinite(chunk.values).all():
+            raise EvaluationError(f"{robot.name!r}: head {head!r} decoded non-finite actions from finite inputs")
+        return chunk

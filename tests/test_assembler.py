@@ -78,9 +78,13 @@ def test_canonical_round_trip(layout):
 # ------------------------------------------------------------------ masks
 
 
+def every_slot(layout):
+    return np.arange(layout.context_tokens)
+
+
 def test_mask_obs_rule_same_or_prior_step(layout):
     pad = np.zeros(layout.context_tokens, dtype=bool)
-    mask = build_attention_mask(layout, pad)
+    mask = build_attention_mask(layout, pad, every_slot(layout))
     s = layout.step_tokens
     obs1 = 1 * s + layout.group("workspace").offset  # obs token at step 1
     obs0 = 0 * s + layout.group("navigation").offset
@@ -91,7 +95,7 @@ def test_mask_obs_rule_same_or_prior_step(layout):
 
 def test_mask_readout_rule_obs_plus_self(layout):
     pad = np.zeros(layout.context_tokens, dtype=bool)
-    mask = build_attention_mask(layout, pad)
+    mask = build_attention_mask(layout, pad, every_slot(layout))
     r0 = layout.readout_indices("single-arm")[0, 0]
     nav_r0 = layout.readout_indices("navigation")[0, 0]
     obs0 = layout.group("workspace").offset
@@ -106,7 +110,7 @@ def test_mask_pad_rule(layout):
     pad = np.zeros(layout.context_tokens, dtype=bool)
     g = layout.group("wrist-left")
     pad[g.offset : g.offset + g.tokens] = True
-    mask = build_attention_mask(layout, pad)
+    mask = build_attention_mask(layout, pad, every_slot(layout))
     other = layout.group("workspace").offset
     assert not mask[other, g.offset]
     assert mask[g.offset, g.offset]  # pads still see themselves
@@ -116,9 +120,9 @@ def test_mask_pad_rule(layout):
 def test_mask_batched_matches_single(layout):
     rng = np.random.Generator(np.random.PCG64(0))
     pads = rng.random((3, layout.context_tokens)) < 0.3
-    batched = build_attention_mask(layout, pads)
+    batched = build_attention_mask(layout, pads, every_slot(layout))
     for i in range(3):
-        np.testing.assert_array_equal(batched[i], build_attention_mask(layout, pads[i]))
+        np.testing.assert_array_equal(batched[i], build_attention_mask(layout, pads[i], every_slot(layout)))
 
 
 # ------------------------------------------------------------------ assembly

@@ -30,9 +30,15 @@ def cfg():
     return desk_config()
 
 
+def float64_policy(cfg, seed):
+    """The float32 policy of `seed`, cast to float64."""
+    p32 = Policy.init(cfg, seed)
+    return Policy(cfg, {name: ad.param(p.data.astype(np.float64)) for name, p in p32.params.items()})
+
+
 @pytest.fixture(scope="module")
 def policy(cfg):
-    return Policy.init(cfg, seed=4, dtype=np.float64)
+    return float64_policy(cfg, seed=4)
 
 
 @pytest.fixture(scope="module")
@@ -214,3 +220,23 @@ def test_unknown_embodiment_raises_contract_error(policy):
     batch = datapipe.TrainingBatch([frames], {}, {}, [], [])
     with pytest.raises(ContractError, match="aviation"):
         policy.predict(batch)
+
+
+@pytest.mark.parametrize("steps", ([-1], slice(None)), ids=["newest", "every-step"])
+def test_compact_window_names_the_readout_rows_of_the_full_window(policy, sampler, steps):
+    layout = policy.layout
+    windows = sampler.batch(3, 8).windows
+    owners = np.array([embodiment(w[0].embodiment).head for w in windows])
+    assert len(set(owners)) > 1
+    full = policy.assemble(windows)
+    assert full.readouts is None
+    dense = backbone.forward(full, policy.params, policy.cfg).data
+    for head in sorted(set(owners)):
+        rows = np.flatnonzero(owners == head)
+        sub = compact_window(policy, [windows[r] for r in rows], head, steps)
+        want = layout.readout_indices(head)[steps]
+        assert sub.readouts.shape == want.shape
+        np.testing.assert_array_equal(sub.slots[sub.readouts], want)
+        got = backbone.forward(sub, policy.params, policy.cfg).data
+        assert got.shape == (rows.size, *want.shape, policy.cfg.backbone.d_model)
+        assert rel_err(got, dense[rows][:, want]) <= TOL, head

@@ -31,18 +31,26 @@ def test_from_dict_round_trips_the_desk_config():
         (lambda doc: doc["train"].update(jitter=float("nan")), r"train\.jitter is nan, want a finite float"),
         (lambda doc: doc["train"].update(jitter=float("inf")), r"train\.jitter is inf, want a finite float"),
         (lambda doc: doc["train"].update(jitter=-float("inf")), r"train\.jitter is -inf"),
-        (lambda doc: doc["mixture"].append(["arm1", "nan"]), r"mixture\[4\]\.weight is nan"),
+        (lambda doc: doc["mixture"].append(["arm1", "nan"]), r"mixture\[4\]\.weight is 'nan', want float"),
         (lambda doc: doc["mixture"].append(["arm1", 1e999]), r"mixture\[4\]\.weight is inf"),
-        (lambda doc: doc["mixture"].append(["arm1", 10**400]), "bad mixture entry"),
+        (lambda doc: doc["mixture"].append(["arm1", 10**400]), r"mixture\[4\]\.weight is 10{400}, want a finite float"),
         (lambda doc: doc["mixture"].append(["arm1", -1.0]), r"mixture\[4\]\.weight is -1\.0, want a finite float"),
         (lambda doc: doc.update(mixture=[["arm1", 0.0]]), r"mixture weights \[0\.0\] sum to 0\.0"),
+        (lambda doc: doc.update(mixture=[[True, True], [None, 1]]), r"mixture\[0\]\.dataset is True, want str"),
+        (lambda doc: doc.update(mixture=[["arm1", 1], [None, 1]]), r"mixture\[1\]\.dataset is None, want str"),
+        (lambda doc: doc.update(mixture=[[3, 1.0]]), r"mixture\[0\]\.dataset is 3, want str"),
+        (lambda doc: doc["mixture"].append(["arm1", True]), r"mixture\[4\]\.weight is True, want float"),
+        (lambda doc: doc["mixture"].append(["arm1", None]), r"mixture\[4\]\.weight is None, want float"),
+        (lambda doc: doc["mixture"].append("arm1"), r"mixture\[4\] is 'arm1', want \[dataset, weight\]"),
+        (lambda doc: doc.update(mixture={"arm1": 1.0}), r"mixture is \{'arm1': 1\.0\}, want a list"),
     ],
     ids=[
         "non-numeric-weight", "three-field-entry", "unknown-suite-embodiment", "string-action-dim",
         "string-chunk-size", "encoder-section", "misspelled-backbone", "misspelled-eval-suites", "bool-layers",
         "negative-batch-size", "zero-val-fraction", "val-fraction-above-one", "eval-not-an-object", "nan-jitter",
         "inf-jitter", "minus-inf-float", "nan-string-weight", "inf-weight", "int-weight-beyond-float",
-        "negative-weight", "zero-weight-sum",
+        "negative-weight", "zero-weight-sum", "bool-dataset", "null-dataset", "int-dataset", "bool-weight",
+        "null-weight", "entry-not-a-pair", "mixture-not-a-list",
     ],
 )
 def test_from_dict_rejects_bad_untrusted_documents(edit, match):

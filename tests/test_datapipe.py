@@ -99,6 +99,81 @@ def test_shard_read_rejects_a_zero_step_trajectory(tmp_path):
         dp.read_shard(str(path))
 
 
+@pytest.mark.parametrize("instruction", (-1, 32, 4000, 2**32, 1.5))
+def test_shard_write_rejects_an_instruction_outside_the_vocabulary(instruction, tmp_path):
+    path = tmp_path / "x.xeds"
+    trajs = [toy_traj(seed=0), toy_traj(seed=1, instruction=instruction)]
+    with pytest.raises(FormatError, match=r"trajectory 1 instruction .* outside the language vocabulary \[0, 32\)"):
+        dp.write_shard("nav", trajs, str(path))
+    assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "stream, value",
+    [("navigation", np.inf), ("navigation", np.nan), ("actions", -np.inf), ("actions", 1e39)],
+    ids=["inf-observation", "nan-observation", "minus-inf-action", "float64-beyond-float32"],
+)
+def test_shard_write_rejects_values_that_are_not_finite_as_float32(stream, value, tmp_path):
+    bad = toy_traj(seed=1, steps=3)
+    arrays = {"navigation": bad.observations["navigation"].astype(np.float64), "actions": bad.actions.astype(np.float64)}
+    arrays[stream][2].flat[1] = value
+    bad = dp.TrajectoryRecord("nav", {"navigation": arrays["navigation"]}, arrays["actions"])
+    path = tmp_path / "x.xeds"
+    with pytest.raises(FormatError, match=f"trajectory 1 stream '{stream}' holds .* at flat index"):
+        dp.write_shard("nav", [toy_traj(seed=0), bad], str(path))  # no RuntimeWarning from the cast either
+    assert not path.exists()
+
+
+def quad_shard(path, trajectories=2):
+    """The bytes of a small quad shard, whose records are short enough to fuzz."""
+    dp.write_shard("quad", [toy_traj("quad", steps=2 + i, seed=i, instruction=8) for i in range(trajectories)], str(path))
+    return path.read_bytes()
+
+
+def test_shard_read_rejects_an_instruction_outside_the_vocabulary(tmp_path):
+    blob = bytearray(quad_shard(tmp_path / "quad.xeds"))
+    second = 9 + int.from_bytes(blob[5:9], "little") + 8 + 2 * (59 + 12) * 4  # trajectory 1's prelude
+    blob[second + 4 : second + 8] = (4000).to_bytes(4, "little")
+    path = tmp_path / "bad.xeds"
+    path.write_bytes(bytes(blob))
+    with pytest.raises(FormatError, match=rf"trajectory 1 instruction 4000 .* \(at byte offset {second + 4}\)"):
+        dp.read_shard(str(path))
+
+
+@pytest.mark.parametrize("value", (np.inf, -np.inf, np.nan))
+def test_shard_read_rejects_a_value_that_is_not_finite(value, tmp_path):
+    blob = bytearray(quad_shard(tmp_path / "quad.xeds"))
+    start = 9 + int.from_bytes(blob[5:9], "little")
+    at = start + 8 + 2 * 59 * 4 + 3 * 4  # trajectory 0, the fourth action value
+    blob[at : at + 4] = np.array([value], dtype="<f4").tobytes()
+    path = tmp_path / "bad.xeds"
+    path.write_bytes(bytes(blob))
+    with pytest.raises(FormatError, match=rf"trajectory 0 stream 'actions' holds .* \(at byte offset {at}\)"):
+        dp.read_shard(str(path))
+
+
+@settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example(edits=[(3 + 8 + 4 * 7, 0x7F), (2 + 8 + 4 * 7, 0xC0)])  # a NaN observation value
+@example(edits=[(3 + 8 + 4 * 118, 0xFF), (2 + 8 + 4 * 118, 0x80)])  # a non-finite first action value
+@example(edits=[(5, 0x01)])  # instruction 264
+@example(edits=[(0, 0x40)])  # 64 steps, more than the file holds
+@given(edits=st.lists(st.tuples(st.integers(0, 2**16), st.integers(0, 255)), min_size=1, max_size=4))
+def test_body_byte_substitutions_read_finite_values_or_raise_a_package_error(edits, tmp_path):
+    blob = bytearray(quad_shard(tmp_path / "quad.xeds"))
+    start = 9 + int.from_bytes(blob[5:9], "little")
+    for at, byte in edits:
+        blob[start + at % (len(blob) - start)] = byte
+    path = tmp_path / "fuzzed.xeds"
+    path.write_bytes(bytes(blob))
+    try:
+        _, trajectories = dp.read_shard(str(path))
+    except OmnibotError:
+        return
+    for traj in trajectories:
+        assert 0 <= traj.instruction < 32
+        assert np.isfinite(traj.actions).all() and np.isfinite(traj.observations["quad-proprio"]).all()
+
+
 def test_shard_magic_mismatch(tmp_path):
     path = tmp_path / "bad.xeds"
     path.write_bytes(b"NOTIT" + b"\x00" * 20)
@@ -374,14 +449,14 @@ def test_augment_stays_in_range():
     rng = generator(6)
     img = np.random.Generator(np.random.PCG64(1)).random((3, 24, 24)).astype(np.float32)
     for _ in range(50):
-        out = dp.augment(img, rng)
+        out = dp.augment(img, rng, 2, 0.1)
         assert out.min() >= 0.0 and out.max() <= 1.0
 
 
 def test_augment_deterministic_given_seed():
     img = np.random.Generator(np.random.PCG64(2)).random((3, 24, 24)).astype(np.float32)
-    a = dp.augment(img, generator(7))
-    b = dp.augment(img, generator(7))
+    a = dp.augment(img, generator(7), 2, 0.1)
+    b = dp.augment(img, generator(7), 2, 0.1)
     np.testing.assert_array_equal(a, b)
 
 

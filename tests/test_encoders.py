@@ -86,46 +86,52 @@ def test_film_channel_mismatch(bank):
              p["enc/img/workspace/film0/beta_w"], p["enc/img/workspace/film0/beta_b"])
 
 
+def silent(bank, n):
+    """n rows of the null instruction, which embeds to exact zeros."""
+    return bank.embed_language(np.zeros(n, dtype=np.int64))
+
+
 def test_encode_image_token_count(bank):
-    out = bank.encode_image("workspace", imgs(2))
+    out = bank.encode_image("workspace", imgs(2), None, silent(bank, 2))
     assert out.shape == (2, build_layout(desk_config()).group("workspace").tokens, 64) == (2, 9, 64)
 
 
 def test_encode_image_goal_absent_equals_zero_goal(bank):
     x = imgs(3, seed=2)
-    a = bank.encode_image("navigation", x, goals=None)
-    b = bank.encode_image("navigation", x, goals=np.zeros_like(x))
+    a = bank.encode_image("navigation", x, None, silent(bank, 3))
+    b = bank.encode_image("navigation", x, np.zeros_like(x), silent(bank, 3))
     np.testing.assert_array_equal(a.data, b.data)
 
 
 def test_encode_image_deterministic(bank):
     x = imgs(1, seed=3)
-    a = bank.encode_image("workspace", x)
-    b = bank.encode_image("workspace", x)
+    a = bank.encode_image("workspace", x, None, silent(bank, 1))
+    b = bank.encode_image("workspace", x, None, silent(bank, 1))
     np.testing.assert_array_equal(a.data, b.data)
 
 
 def test_encode_image_film_identity_at_init(bank):
     # FiLM projections are zero-initialized: language cannot change the output
     x = imgs(2, seed=4)
-    silent = bank.encode_image("workspace", x, lang=None)
-    spoken = bank.encode_image("workspace", x, lang=bank.embed_language(np.array([5, 9])))
-    np.testing.assert_array_equal(silent.data, spoken.data)
+    quiet = bank.encode_image("workspace", x, None, silent(bank, 2))
+    spoken = bank.encode_image("workspace", x, None, bank.embed_language(np.array([5, 9])))
+    np.testing.assert_array_equal(quiet.data, spoken.data)
 
 
 def test_encode_image_resolution_mismatch(bank):
     with pytest.raises(DimensionError):
-        bank.encode_image("workspace", np.zeros((1, 3, 16, 16), dtype=np.float32))
+        bank.encode_image("workspace", np.zeros((1, 3, 16, 16), dtype=np.float32), None, silent(bank, 1))
 
 
 def test_weight_sharing_one_parameter_set_per_view(bank):
     x = imgs(1, seed=5)
-    before = bank.encode_image("workspace", x).data.copy()
-    nav_before = bank.encode_image("navigation", x).data.copy()
+    lang = silent(bank, 1)
+    before = bank.encode_image("workspace", x, None, lang).data.copy()
+    nav_before = bank.encode_image("navigation", x, None, lang).data.copy()
     w = bank.params["enc/img/workspace/conv0/w"]
     w.data[...] += 0.05
-    after = bank.encode_image("workspace", x).data
-    nav_after = bank.encode_image("navigation", x).data
+    after = bank.encode_image("workspace", x, None, lang).data
+    nav_after = bank.encode_image("navigation", x, None, lang).data
     w.data[...] -= 0.05
     assert (before != after).any()
     np.testing.assert_array_equal(nav_before, nav_after)
@@ -154,6 +160,6 @@ def test_encode_proprio_zero_vector_zero_bias(bank):
 
 def test_a_group_without_a_tokenizer_raises_contract_error(bank):
     with pytest.raises(ContractError, match=r"no obs-image tokenizer for group 'sonar'; the obs-image groups are \['workspace'"):
-        bank.encode_image("sonar", imgs(1))
+        bank.encode_image("sonar", imgs(1), None, silent(bank, 1))
     with pytest.raises(ContractError, match=r"no obs-proprio tokenizer for group 'workspace'; the obs-proprio groups are \["):
         bank.encode_proprio("workspace", np.zeros((1, 3), dtype=np.float32))

@@ -6,16 +6,20 @@ only the frames it has not seen; both must agree to rounding.
 """
 
 import dataclasses
+import functools
 import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import omnibot.autodiff as ad
 from omnibot import envs
 from omnibot.assembler import ObservationFrame
 from omnibot.config import desk_config
 from omnibot.embodiments import embodiment
-from omnibot.errors import ContractError
+from omnibot.errors import ContractError, DimensionError, EvaluationError, OmnibotError
 from omnibot.policy import Policy
 
 TOL = 1e-12
@@ -28,7 +32,8 @@ def cfg():
 
 def film_policy(cfg, seed=4):
     """A float64 policy whose FiLM projections are non-zero, so the instruction changes image rows."""
-    policy = Policy.init(cfg, seed=seed, dtype=np.float64)
+    p32 = Policy.init(cfg, seed=seed)
+    policy = Policy(cfg, {name: ad.param(p.data.astype(np.float64)) for name, p in p32.params.items()})
     rng = np.random.Generator(np.random.PCG64(seed))
     for name, p in policy.params.items():
         if "/film" in name:
@@ -195,3 +200,121 @@ def test_a_rejected_frame_leaves_the_cache_consistent(cfg):
         policy.act([frame, _bad(frame, "workspace", img)], "single-arm")
     got = policy.act([frame], "single-arm").values
     np.testing.assert_array_equal(got, fresh_act(policy, [frame], "single-arm"))
+
+
+# ------------------------------------------------------------ untrusted frames
+
+
+def test_act_rejects_untrusted_frames_naming_the_frame_and_the_group(cfg):
+    policy = Policy.init(cfg, seed=0)
+    window = _nav_window(policy)
+    img = window[1].observations["navigation"]
+    beyond = img.astype(np.float64)
+    beyond[0, 0, 0] = 1e39  # finite in float64, inf in the policy's float32
+    cases = [
+        (_bad(window[1], instruction=2**70), ContractError, "frame 1: instruction id 1180591620717411303424 is outside"),
+        (_bad(window[1], "navigation", beyond), ContractError, "frame 1: navigation observation holds non-finite values as float32"),
+        (dataclasses.replace(window[1], observations=[img]), ContractError, "frame 1 observations are a list"),
+        (_bad(window[1], "navigation", img[:, :-1]), DimensionError, r"frame 1: navigation observation has shape \(3, 23, 24\)"),
+        (_bad(window[1], goal=window[1].goal[:, :, :-1]), DimensionError, r"frame 1: goal of navigation has shape \(3, 24, 23\)"),
+    ]
+    for frame, error, match in cases:
+        with pytest.raises(error, match=match):
+            policy.act([window[0], frame], "navigation")
+    img = np.full(img.shape, 3e38, dtype=np.float32)  # finite, but the network's sums overflow
+    with pytest.raises(EvaluationError, match="'nav': head 'navigation' decoded non-finite actions"):
+        policy.act([window[0], _bad(window[1], "navigation", img)], "navigation")
+
+
+FUZZ_ROBOTS = ("arm1", "nav", "bimanual", "quad")
+
+
+@functools.lru_cache(maxsize=None)
+def fuzz_window(name):
+    """Three frames of a short rollout, with the goal image on each where the robot has a goal view."""
+    env = envs.make_env(name)
+    state, _, instruction = env.reset(5)
+    goal = env.goal_frame_image(state) if env.spec.goal_view else None
+    frames = [env.frame(state, instruction, goal)]
+    while len(frames) < 3:
+        state = env.step(state, env.expert_chunk(state, 1)[0].astype(np.float64))
+        frames.append(env.frame(state, instruction, goal))
+    return tuple(frames)
+
+
+def mutated(frame, field, kind, how, at):
+    """`frame` with one field changed: one value, every value, the dtype or the shape of an
+    observation group's array or of the goal (`field`), the instruction, or the observation
+    dict itself."""
+    if kind == "instruction":
+        return dataclasses.replace(frame, instruction=how)
+    if kind == "keys":
+        obs = dict(frame.observations)
+        if how == "not-a-dict":
+            return dataclasses.replace(frame, observations=list(obs.values()))
+        group = next(iter(obs)) if field == "goal" else field
+        values = obs.pop(group) if how in ("drop", "rename") else obs[group]
+        if how != "drop":
+            obs[group + "-extra" if how == "add" else "sonar"] = values
+        return dataclasses.replace(frame, observations=obs)
+    values = np.asarray(frame.goal if field == "goal" else frame.observations[field])
+    if kind == "dtype":
+        values = values.astype(how)
+    elif kind == "shape":
+        values = {"drop-row": values[:-1], "add-axis": values[None], "flatten": values.ravel(),
+                  "transpose": values.T, "scalar": values.ravel()[0]}[how]
+    else:
+        values = values.astype(np.float64)  # holds 1e39 exactly
+        if kind == "fill":
+            values[...] = how
+        else:
+            values.flat[at % values.size] = how
+    if field == "goal":
+        return dataclasses.replace(frame, goal=values)
+    return dataclasses.replace(frame, observations={**frame.observations, field: values})
+
+
+fuzz_mutations = st.one_of(
+    st.tuples(st.just("dtype"), st.sampled_from((np.float16, np.float64, np.int32, np.uint8, np.bool_, np.complex64, object))),
+    st.tuples(st.just("shape"), st.sampled_from(("drop-row", "add-axis", "flatten", "transpose", "scalar"))),
+    st.tuples(st.sampled_from(("value", "fill")), st.sampled_from((np.nan, np.inf, -np.inf, 1e39, -1e39, 3e38, 1e30, -1e4, 0.0, 1e-45))),
+    st.tuples(st.just("instruction"), st.sampled_from(
+        (-1, 0, 1, 31, 32, 2**31, 2**64, 2**70, -(2**70), np.int64(4), np.uint8(200), 1.0, True, "3", None)
+    )),
+    st.tuples(st.just("keys"), st.sampled_from(("drop", "add", "rename", "not-a-dict"))),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_policy(cfg):
+    return Policy.init(cfg, seed=0)
+
+
+@settings(max_examples=200)
+@example(name="arm1", length=2, which=1, field=0, mutation=("instruction", 2**70), at=0)  # was a raw OverflowError
+@example(name="nav", length=2, which=1, field=0, mutation=("value", 1e39), at=5)  # was a RuntimeWarning and NaNs
+@example(name="quad", length=3, which=2, field=0, mutation=("fill", 3e38), at=0)  # finite, but overflows inside
+@example(name="bimanual", length=2, which=0, field=4, mutation=("shape", "drop-row"), at=0)  # was a raw ValueError
+@example(name="nav", length=3, which=1, field=0, mutation=("keys", "not-a-dict"), at=0)  # was a raw AttributeError
+@given(
+    name=st.sampled_from(FUZZ_ROBOTS),
+    length=st.integers(1, 3),
+    which=st.integers(0, 2),
+    field=st.integers(0, 4),
+    mutation=fuzz_mutations,
+    at=st.integers(0, 2**16),
+)
+def test_act_on_mutated_frames_returns_a_finite_chunk_or_raises_a_package_error(
+    fuzz_policy, name, length, which, field, mutation, at
+):
+    window = list(fuzz_window(name)[3 - length :])
+    i = which % length
+    fields = list(window[i].observations) + (["goal"] if window[i].goal is not None else [])
+    window[i] = mutated(window[i], fields[field % len(fields)], *mutation, at)
+    spec = fuzz_policy.head_specs[embodiment(name).head]
+    try:
+        chunk = fuzz_policy.act(window, spec.name)
+    except OmnibotError:
+        return
+    assert chunk.values.shape == (spec.chunk_size, spec.action_dim)
+    assert np.isfinite(chunk.values).all()

@@ -31,7 +31,7 @@ def test_specs_have_paper_dims_and_ownership(cfg):
 
 def test_decode_zero_readouts_zero_bias(cfg, params):
     spec = cfg.head("single-arm")
-    chunk = heads.decode(ad.zeros((4, 64)), params, spec)
+    chunk = heads.decode(ad.zeros((4, 64), np.float32), params, spec)
     np.testing.assert_array_equal(chunk.values, np.zeros((4, 7), dtype=np.float32))
     assert chunk.head == "single-arm"
 
@@ -42,7 +42,7 @@ def test_decode_shapes(cfg, params):
     out = heads.decode(ad.tensor(rng.standard_normal((4, 64)).astype(np.float32)), params, spec)
     assert out.values.shape == (4, 7)
     with pytest.raises(DimensionError):
-        heads.decode(ad.zeros((3, 64)), params, spec)
+        heads.decode(ad.zeros((3, 64), np.float32), params, spec)
 
 
 def test_decode_paper_bimanual_chunk_100():
@@ -61,7 +61,7 @@ def test_decode_is_affine(cfg, params):
     b = rng.standard_normal((4, 64)).astype(np.float32)
     da = heads.decode(ad.tensor(a), params, spec).values
     db = heads.decode(ad.tensor(b), params, spec).values
-    dz = heads.decode(ad.zeros((4, 64)), params, spec).values
+    dz = heads.decode(ad.zeros((4, 64), np.float32), params, spec).values
     dab = heads.decode(ad.tensor(a + b), params, spec).values
     np.testing.assert_allclose(dab, da + db - dz, rtol=1e-4, atol=1e-6)
 
