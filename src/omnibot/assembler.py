@@ -31,7 +31,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .config import Config
 from .embodiments import EmbodimentSpec, embodiment, observation_groups
-from .encoders import EncoderBank, image_tokens
+from .encoders import LANGUAGE_VOCAB, EncoderBank, image_tokens
 from .errors import ConfigError, ContractError, DimensionError
 
 
@@ -170,15 +170,22 @@ class AssembledWindow:
 
 
 def window_embodiment(frames: list[ObservationFrame], history: int) -> EmbodimentSpec:
-    """The registry entry of a window's robot; ContractError for an empty,
-    overlong or mixed window, for a robot the registry lacks, or for a frame
-    whose observations are not a dict of exactly its robot's groups."""
+    """The registry entry of a window's robot, after the window's one structural check.
+
+    `Policy.act`, `predict` and `assemble` run it once per window. It wants
+    1..`history` frames of one registry robot, each with a dict of exactly
+    its groups, an integer instruction id (not a bool) of the language
+    vocabulary, and float arrays (or array-likes) of the registry shape for
+    each group and for the goal where that conditions one. A wrong shape is
+    a DimensionError, any other fault a ContractError naming the frame's
+    index and the group; `encode_group` checks that the values are finite.
+    """
     if not frames or len(frames) > history:
         raise ContractError(f"window needs 1..{history} frames, got {len(frames)}")
-    names = {f.embodiment for f in frames}
-    if len(names) != 1:
-        raise ContractError(f"mixed embodiments within one window: {sorted(names)}")
-    robot = embodiment(frames[0].embodiment)
+    robots = [embodiment(f.embodiment) for f in frames]
+    if any(r is not robots[0] for r in robots):
+        raise ContractError(f"mixed embodiments within one window: {sorted({r.name for r in robots})}")
+    robot = robots[0]
     want = set(robot.observation_groups)
     for i, f in enumerate(frames):
         if not isinstance(f.observations, dict):
@@ -188,6 +195,27 @@ def window_embodiment(frames: list[ObservationFrame], history: int) -> Embodimen
                 f"frame {i} of {robot.name!r} lacks observation groups {sorted(want - f.observations.keys())} "
                 f"and carries unexpected groups {sorted(f.observations.keys() - want)}"
             )
+        ins = f.instruction
+        if not isinstance(ins, (int, np.integer)) or isinstance(ins, bool):
+            raise ContractError(f"frame {i}: instruction {ins!r} is not an integer id")
+        if not 0 <= ins < LANGUAGE_VOCAB:
+            raise ContractError(
+                f"frame {i}: instruction id {ins} is outside the language vocabulary of {LANGUAGE_VOCAB} ids"
+            )
+        for group, shape in robot.observations:
+            named = [(f"{group} observation", f.observations[group])]
+            goal = conditioning_goal(f, group)
+            if goal is not None:
+                named.append((f"goal of {group}", goal))
+            for what, values in named:
+                try:
+                    values = np.asarray(values)
+                except ValueError as exc:  # a ragged nested list
+                    raise ContractError(f"frame {i}: {what} is not an array: {exc}") from None
+                if values.shape != shape:
+                    raise DimensionError(f"frame {i}: {what} has shape {values.shape}, want {shape}")
+                if values.dtype.kind != "f":
+                    raise ContractError(f"frame {i}: {what} has dtype {values.dtype}, want a float array")
     return robot
 
 
@@ -198,20 +226,34 @@ def conditioning_goal(frame: ObservationFrame, view: str) -> np.ndarray | None:
     return frame.goal
 
 
-def encode_group(bank: EncoderBank, group: SlotGroup, frames: list[ObservationFrame]) -> Tensor:
+def _finite(bank: EncoderBank, arrays: list, what: str, index: list[int]) -> np.ndarray:
+    """`arrays` stacked in the policy's dtype; ContractError naming frame `index[i]` of the first not finite in it."""
+    with np.errstate(over="ignore"):
+        values = np.stack(arrays, dtype=bank.dtype)
+    finite = np.isfinite(values).reshape(len(values), -1).all(axis=1)
+    if not finite.all():
+        raise ContractError(f"frame {index[int(np.argmin(finite))]}: {what} holds non-finite values as {values.dtype}")
+    return values
+
+
+def encode_group(bank: EncoderBank, group: SlotGroup, frames: list[ObservationFrame], index: list[int]) -> Tensor:
     """Encoder rows [n, tokens, d_model] of one observation group for n frames, in one batched call.
 
-    An image group's goal channels carry a frame's goal where that goal
-    conditions the group, and zeros elsewhere.
+    The frames have passed `window_embodiment`; `index[i]` is the position of
+    `frames[i]` in its window. This is the one reader of frame values into
+    the model, so it checks them finite in the policy's dtype (a float64 1e39
+    is inf as float32). An image group's goal channels carry a frame's goal
+    where that goal conditions the group, and zeros elsewhere.
     """
-    obs = np.stack([f.observations[group.name] for f in frames])
+    obs = _finite(bank, [f.observations[group.name] for f in frames], f"{group.name} observation", index)
     if group.kind == "obs-proprio":
         return bank.encode_proprio(group.name, obs)
     goals = [conditioning_goal(f, group.name) for f in frames]
     if all(g is None for g in goals):
         goals = None
     else:
-        goals = np.stack([np.zeros_like(o) if g is None else g for o, g in zip(obs, goals)])
+        goals = _finite(bank, [np.zeros_like(o) if g is None else g for o, g in zip(obs, goals)],
+                        f"goal of {group.name}", index)
     lang = bank.embed_language(np.array([f.instruction for f in frames]))
     return bank.encode_image(group.name, obs, goals, lang)
 
@@ -276,32 +318,33 @@ def assemble_batch(
     newest): the observation slots live in at least one window, plus the
     head's readout slots at `steps`, whose columns it names in `readouts`.
     Encoder rows are scattered straight into their kept columns.
-    `encode(bank, group, frames)` gives each observation group's encoder
-    rows, `encode_group` by default.
+    `encode(bank, group, frames, index)` gives each observation group's
+    encoder rows, `encode_group` by default. The windows must have passed
+    `window_embodiment`; this does not check them again.
     """
     k, s, t, d = layout.history, layout.step_tokens, layout.context_tokens, layout.d_model
     b = len(windows)
     valid = np.zeros((b, k), dtype=bool)
-    entries: dict[str, list[tuple[int, int, ObservationFrame]]] = {
+    entries: dict[str, list[tuple[int, int, int, ObservationFrame]]] = {  # window, step, frame index, frame
         g.name: [] for g in layout.groups if g.kind != "readout"
     }
     for bi, frames in enumerate(windows):
-        window_embodiment(frames, k)
         lead = k - len(frames)
         valid[bi, lead:] = True
-        for step, frame in enumerate(frames, lead):
+        for i, frame in enumerate(frames):
             for name in frame.observations:
-                entries[name].append((bi, step, frame))
+                entries[name].append((bi, lead + i, i, frame))
 
     live = valid[:, layout.token_step] & ~layout.token_is_obs  # readouts are live at valid steps
-    placed = []  # (group, frames, window and slot of each encoder row)
+    placed = []  # (group, frames, their indices, window and slot of each encoder row)
     for g in layout.groups:
         got = entries.get(g.name)
         if got:
-            bs = np.repeat([bi for bi, _, _ in got], g.tokens)
-            slots = (np.array([step for _, step, _ in got])[:, None] * s + g.offset + np.arange(g.tokens)).ravel()
+            bis, at, index, frames = zip(*got)
+            bs = np.repeat(bis, g.tokens)
+            slots = (np.array(at)[:, None] * s + g.offset + np.arange(g.tokens)).ravel()
             live[bs, slots] = True
-            placed.append((g, [f for _, _, f in got], bs, slots))
+            placed.append((g, list(frames), list(index), bs, slots))
 
     if head is None:
         cols = np.arange(t)
@@ -314,11 +357,11 @@ def assemble_batch(
     column[cols] = np.arange(cols.size)
 
     if placed:
-        rows = [encode(bank, g, frames).reshape(-1, d) for g, frames, _, _ in placed]
+        rows = [encode(bank, g, frames, index).reshape(-1, d) for g, frames, index, _, _ in placed]
         content = ad.scatter_tokens(
             ad.concat(rows, axis=0) if len(rows) > 1 else rows[0],
-            np.concatenate([bs for _, _, bs, _ in placed]),
-            column[np.concatenate([slots for _, _, _, slots in placed])],
+            np.concatenate([bs for *_, bs, _ in placed]),
+            column[np.concatenate([slots for *_, slots in placed])],
             b,
             cols.size,
         )

@@ -65,10 +65,8 @@ def forward(window: AssembledWindow, params: dict[str, Tensor], cfg: Config) -> 
     x = window.tokens
     if x.shape[-1] != bb.d_model:
         raise DimensionError(f"window has d_model {x.shape[-1]}, backbone expects {bb.d_model}")
-    mask = ad.AttentionMask(window.attn_mask) if bb.layers else None
+    mask = ad.AttentionMask(window.attn_mask)
     rows = None if window.readouts is None else window.readouts.ravel()
-    if rows is not None and not bb.layers:
-        x = ad.take(x, rows, axis=1)
 
     for i in range(bb.layers):
         p = f"bb/layer{i}"

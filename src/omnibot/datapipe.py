@@ -7,7 +7,8 @@ from its `embodiments` registry entry, and each record follows that entry:
 u32 steps (at least 1), u32 instruction (an id of the language
 vocabulary), each observation group in the entry's order, then the
 actions; every stream value is finite. A reader ignores any other header
-key.
+key. `record_fault` checks a record in memory, for `write_shard` and
+`BatchSampler`; `read_shard` checks the bytes, naming byte offsets.
 
 A training batch is a deterministic function of (shards, config, master
 seed): batch i always derives its rng from (seed, "batch", i), independent
@@ -21,7 +22,6 @@ The order is what keeps every batch bit-identical.
 from __future__ import annotations
 
 import json
-import os
 import struct
 from dataclasses import dataclass
 
@@ -55,47 +55,52 @@ def _non_finite(values: np.ndarray) -> int | None:
     return None if finite.all() else int(np.argmin(finite.ravel()))
 
 
+def record_fault(spec: EmbodimentSpec, traj: TrajectoryRecord) -> str | None:
+    """What keeps `traj` from being a record of `spec`'s robot (read after "trajectory i"), or
+    None: the one check of a record's robot, [T >= 1, action_dim] actions, integer instruction
+    id (not a bool) of the vocabulary, [T, *shape] streams of exactly the registry's groups,
+    and values finite as float32. `write_shard` raises it as FormatError, `BatchSampler` as
+    ContractError."""
+    if traj.embodiment != spec.name:
+        return f"is for {traj.embodiment!r}, not {spec.name!r}"
+    if traj.actions.ndim != 2 or traj.actions.shape[1] != spec.action_dim:
+        return f"actions {traj.actions.shape} != action_dim {spec.action_dim}"
+    if traj.steps == 0:
+        return "has zero steps"
+    ins = traj.instruction
+    if not isinstance(ins, (int, np.integer)) or isinstance(ins, bool) or not 0 <= ins < LANGUAGE_VOCAB:
+        return f"instruction id {ins!r} is outside the language vocabulary [0, {LANGUAGE_VOCAB})"
+    shapes = {group: np.shape(values) for group, values in traj.observations.items()}
+    want = {group: (traj.steps, *shape) for group, shape in spec.observations}
+    if shapes != want:
+        return f"has stream shapes {shapes}, want {want}"
+    for stream, values in (*traj.observations.items(), ("actions", traj.actions)):
+        with np.errstate(over="ignore"):  # a float64 beyond float32's range casts to inf
+            values = np.asarray(values, dtype=np.float32)
+        bad = _non_finite(values)
+        if bad is not None:
+            return f"stream {stream!r} holds {values.flat[bad]} at flat index {bad} as float32"
+    return None
+
+
 def write_shard(name: str, trajectories: list[TrajectoryRecord], path: str) -> None:
-    """Serialize trajectories of embodiment `name`; raises FormatError when one
-    disagrees with its registry entry, has an instruction outside the
-    language vocabulary, or holds a value that is not finite as float32.
-    A shard that fails part-way is removed."""
+    """Serialize trajectories of embodiment `name`; FormatError, before any byte is
+    written, for the first one that `record_fault` rejects."""
     spec = embodiment(name)
     for i, traj in enumerate(trajectories):
-        if traj.embodiment != name:
-            raise FormatError(f"trajectory {i} is for {traj.embodiment!r}, shard is {name!r}")
-        if traj.actions.ndim != 2 or traj.actions.shape[1] != spec.action_dim:
-            raise FormatError(f"trajectory {i} actions {traj.actions.shape} != action_dim {spec.action_dim}")
-        if traj.steps == 0:
-            raise FormatError(f"trajectory {i} has zero steps")
-        if not isinstance(traj.instruction, (int, np.integer)) or not 0 <= traj.instruction < LANGUAGE_VOCAB:
-            raise FormatError(f"trajectory {i} instruction {traj.instruction!r} is outside the language "
-                              f"vocabulary [0, {LANGUAGE_VOCAB})")
-        for group, shape in spec.observations:
-            arr = traj.observations.get(group)
-            if arr is None or arr.shape != (traj.steps, *shape):
-                got = None if arr is None else arr.shape
-                raise FormatError(f"trajectory {i} stream {group!r}: shape {got}, want (T, {shape})")
+        fault = record_fault(spec, traj)
+        if fault is not None:
+            raise FormatError(f"trajectory {i} {fault}")
     header = json.dumps({"embodiment": name}).encode("utf-8")
-    try:
-        with open(path, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<I", len(header)))
-            fh.write(header)
-            for i, traj in enumerate(trajectories):
-                fh.write(struct.pack("<II", traj.steps, traj.instruction))
-                streams = [(group, traj.observations[group]) for group, _ in spec.observations]
-                for stream, values in streams + [("actions", traj.actions)]:
-                    with np.errstate(over="ignore"):  # a float64 beyond float32's range casts to inf
-                        values = np.ascontiguousarray(values, dtype="<f4")
-                    bad = _non_finite(values)
-                    if bad is not None:
-                        raise FormatError(f"trajectory {i} stream {stream!r} holds {values.flat[bad]} "
-                                          f"at flat index {bad} as float32")
-                    fh.write(values)
-    except FormatError:
-        os.remove(path)
-        raise
+    with open(path, "wb") as fh:
+        fh.write(MAGIC)
+        fh.write(struct.pack("<I", len(header)))
+        fh.write(header)
+        for traj in trajectories:
+            fh.write(struct.pack("<II", traj.steps, traj.instruction))
+            for group, _ in spec.observations:
+                fh.write(np.ascontiguousarray(traj.observations[group], dtype="<f4"))
+            fh.write(np.ascontiguousarray(traj.actions, dtype="<f4"))
 
 
 def _header_embodiment(raw: bytes) -> EmbodimentSpec:
@@ -261,10 +266,13 @@ class BatchSampler:
             if keep:
                 self.datasets[name] = keep
         for name, trajs in datasets.items():
-            for i, t in enumerate(trajs):
-                if not 0 <= t.instruction < LANGUAGE_VOCAB:
-                    raise ContractError(f"dataset {name!r} trajectory {i}: instruction id {t.instruction} "
-                                        f"is outside the language vocabulary [0, {LANGUAGE_VOCAB})")
+            for i, traj in enumerate(trajs):
+                try:  # a dataset holds one robot, its first record's
+                    fault = record_fault(embodiment(trajs[0].embodiment), traj)
+                except ContractError as exc:  # a robot the registry lacks
+                    fault = str(exc)
+                if fault is not None:
+                    raise ContractError(f"dataset {name!r} trajectory {i}: {fault}")
         missing = [n for n in mixture.names if n not in self.datasets]
         if missing:
             raise ConfigError(f"mixture names {missing} have no {split} trajectories")

@@ -63,7 +63,7 @@ EMBODIMENTS = {
 
 def embodiment(name: str) -> EmbodimentSpec:
     """The registry entry for `name`; raises ContractError naming an unknown embodiment."""
-    spec = EMBODIMENTS.get(name)
+    spec = EMBODIMENTS.get(name) if isinstance(name, str) else None
     if spec is None:
         raise ContractError(f"unknown embodiment {name!r}: the registry has {sorted(EMBODIMENTS)}")
     return spec

@@ -60,9 +60,18 @@ class Env:
     def _frame(self, observations: dict, instruction: int, goal_img: np.ndarray | None) -> ObservationFrame:
         return ObservationFrame(self.name, observations, instruction, goal_img)
 
-    def _check(self, action: np.ndarray) -> None:
-        if not np.all(np.isfinite(action)) or action.shape != (self.spec.action_dim,):
-            raise ExecutionError(f"bad {self.name} action {action!r}")
+    def _check(self, action) -> np.ndarray:
+        """`action` as the array `step` uses; ExecutionError unless it is `action_dim` finite numbers."""
+        try:
+            values = np.asarray(action)
+        except ValueError as exc:  # a ragged nested list
+            raise ExecutionError(f"bad {self.name} action {action!r}: {exc}") from None
+        if values.dtype.kind not in "fiu" or values.shape != (self.spec.action_dim,) or not np.isfinite(values).all():
+            raise ExecutionError(
+                f"bad {self.name} action of shape {values.shape} and dtype {values.dtype}: "
+                f"want {self.spec.action_dim} finite numbers, got {action!r}"
+            )
+        return values
 
 
 # ------------------------------------------------------------------ rendering
@@ -152,7 +161,7 @@ class Arm1Env(Env):
                            instruction, goal_img)
 
     def step(self, state: Arm1State, action: np.ndarray) -> Arm1State:
-        self._check(action)
+        action = self._check(action)
         delta = np.clip(action[:3], -self.STEP_CLAMP, self.STEP_CLAMP)
         ee = np.clip(state.ee + delta, 0.0, 1.0)
         grip = float(action[6])
@@ -268,7 +277,7 @@ class NavEnv(Env):
         return pos.copy()
 
     def step(self, state: NavState, action: np.ndarray) -> NavState:
-        self._check(action)
+        action = self._check(action)
         delta = np.asarray(action, dtype=np.float64)
         norm = np.linalg.norm(delta)
         if norm > self.step_clamp:
@@ -366,7 +375,7 @@ class BimanualEnv(Env):
         return self._frame(observations, instruction, goal_img)
 
     def step(self, state: BimanualState, action: np.ndarray) -> BimanualState:
-        self._check(action)
+        action = self._check(action)
         delta = np.clip(action - state.joints, -self.RATE_LIMIT, self.RATE_LIMIT)
         joints = np.clip(state.joints + delta, -2.0, 2.0)
         t = state.t + 1
@@ -436,7 +445,7 @@ class QuadEnv(Env):
         return self._frame({"quad-proprio": self.proprio(state)}, instruction, None)
 
     def step(self, state: QuadState, action: np.ndarray) -> QuadState:
-        self._check(action)
+        action = self._check(action)
         delta = np.clip(action - state.joints, -self.RATE_LIMIT, self.RATE_LIMIT)
         joints = state.joints + delta
         nxt = QuadState(joints, delta, np.asarray(action, dtype=np.float64), state.instruction,

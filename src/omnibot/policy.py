@@ -43,9 +43,8 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .config import Config
 from .datapipe import TrainingBatch
-from .embodiments import group_shape
-from .encoders import LANGUAGE_VOCAB, EncoderBank, init_encoder_params
-from .errors import ContractError, DimensionError, EvaluationError
+from .encoders import EncoderBank, init_encoder_params
+from .errors import ContractError, EvaluationError
 from .rng import generator
 
 
@@ -63,42 +62,6 @@ def frame_key(group: str, frame: assembler.ObservationFrame) -> bytes:
     return h.digest()
 
 
-def _named_arrays(group: str, frame: assembler.ObservationFrame) -> list[tuple[str, np.ndarray]]:
-    """The frame's `group` observation, and its goal where that conditions the group, each with its name."""
-    named = [(f"{group} observation", np.asarray(frame.observations[group]))]
-    goal = assembler.conditioning_goal(frame, group)
-    if goal is not None:
-        named.append((f"goal of {group}", np.asarray(goal)))
-    return named
-
-
-def _check_frame(index: int, group: str, shape: tuple[int, ...], frame: assembler.ObservationFrame) -> None:
-    """What a frame's key reads: ContractError unless its instruction is an integer id
-    (bools are not) of the language vocabulary; DimensionError or ContractError unless
-    its `_named_arrays` are float arrays of the group's registry `shape`."""
-    ins = frame.instruction
-    if not isinstance(ins, (int, np.integer)) or isinstance(ins, bool):
-        raise ContractError(f"frame {index}: instruction {ins!r} is not an integer id")
-    if not 0 <= ins < LANGUAGE_VOCAB:
-        raise ContractError(
-            f"frame {index}: instruction id {ins} is outside the language vocabulary of {LANGUAGE_VOCAB} ids"
-        )
-    for what, values in _named_arrays(group, frame):
-        if values.shape != shape:
-            raise DimensionError(f"frame {index}: {what} has shape {values.shape}, want {shape}")
-        if values.dtype.kind != "f":
-            raise ContractError(f"frame {index}: {what} has dtype {values.dtype}, want a float array")
-
-
-def _check_finite(index: int, group: str, frame: assembler.ObservationFrame, dtype) -> None:
-    """ContractError unless the frame's `_named_arrays` hold values finite in `dtype`, the
-    policy's: a float64 beyond float32's range is inf as float32."""
-    for what, values in _named_arrays(group, frame):
-        values = values.astype(dtype, copy=False)
-        if not np.isfinite(values).all():
-            raise ContractError(f"frame {index}: {what} holds non-finite values as {values.dtype}")
-
-
 class FrameTokenCache:
     """Encoder rows of the frames `act` saw last: at most `history` per observation group."""
 
@@ -106,24 +69,21 @@ class FrameTokenCache:
         self.history = history
         self.groups: dict[str, OrderedDict[bytes, np.ndarray]] = {}
 
-    def encode(self, bank: EncoderBank, group: assembler.SlotGroup, frames) -> Tensor:
+    def encode(self, bank: EncoderBank, group: assembler.SlotGroup, frames, index) -> Tensor:
         """`assembler.encode_group`'s rows, encoding only the frames not cached.
 
-        Frames come from a client, so they are checked here (ContractError
-        or DimensionError naming the frame's index in `frames` and the
-        group) before any is encoded.
+        Only those reach `encode_group`'s finiteness check; a rejected frame caches nothing.
         """
         rows = self.groups.setdefault(group.name, OrderedDict())
-        keys, misses, shape = [], {}, group_shape(group.name)
-        for i, frame in enumerate(frames):
-            _check_frame(i, group.name, shape, frame)  # every frame: its key reads these
+        keys, misses = [], {}
+        for i, frame in zip(index, frames):
             key = frame_key(group.name, frame)
             if key not in rows and key not in misses:
-                _check_finite(i, group.name, frame, bank.dtype)  # a cached frame passed when it was new
-                misses[key] = frame
+                misses[key] = (i, frame)
             keys.append(key)
         if misses:
-            fresh = assembler.encode_group(bank, group, list(misses.values())).data
+            at, new = zip(*misses.values())
+            fresh = assembler.encode_group(bank, group, list(new), list(at)).data
             rows.update(zip(misses, fresh))
         out = np.stack([rows[key] for key in keys])
         for key in keys:
@@ -167,6 +127,8 @@ class Policy:
 
     def assemble(self, windows) -> assembler.AssembledWindow:
         """The full window of every slot: the dense oracle the compact paths are checked against."""
+        for window in windows:
+            assembler.window_embodiment(window, self.layout.history)
         return assembler.assemble_batch(windows, self.layout, self.bank, self.params)
 
     def predict(self, batch: TrainingBatch) -> dict[str, Tensor]:
@@ -175,7 +137,8 @@ class Policy:
         An element owns the head of its window's embodiment; its rows of
         every other head are exact zeros. Ownership comes from the windows
         alone, so `batch.targets`, `batch.loss_masks` and `batch.heads` are
-        not read.
+        not read. Frames are checked as in `act`, and finite inputs that
+        give a non-finite prediction raise EvaluationError.
         """
         windows = batch.windows
         owners = np.array([assembler.window_embodiment(w, self.layout.history).head for w in windows])
@@ -190,8 +153,11 @@ class Policy:
             if not rows.size:
                 out[name] = ad.zeros(shape, self.dtype)
                 continue
-            sub = assembler.assemble_batch([windows[r] for r in rows], self.layout, self.bank, self.params, name)
-            pred = heads.project(backbone.forward(sub, self.params, self.cfg), self.params, name)
+            with np.errstate(all="ignore"):  # an overflow shows as a non-finite prediction below
+                sub = assembler.assemble_batch([windows[r] for r in rows], self.layout, self.bank, self.params, name)
+                pred = heads.project(backbone.forward(sub, self.params, self.cfg), self.params, name)
+            if not np.isfinite(pred.data).all():
+                raise EvaluationError(f"head {name!r} predicted non-finite actions from finite inputs")
             # one scattered row per owner: [B, 1, k*chunk*action_dim], zeros elsewhere
             placed = ad.scatter_tokens(pred.reshape(rows.size, -1), rows, np.zeros_like(rows), b, 1)
             out[name] = placed.reshape(shape)
@@ -209,6 +175,8 @@ class Policy:
     def act(self, frames, head: str) -> heads.ActionChunk:
         """Decode the newest step's readouts of `head`, which the window's embodiment must draw from.
 
+        The window is checked once, by `assembler.window_embodiment`;
+        `assembler.encode_group` checks the values of frames not cached.
         Finite inputs can still be too large for the network's precision;
         then the chunk is not finite, and that is an EvaluationError.
         """

@@ -8,7 +8,7 @@ from omnibot.assembler import ObservationFrame, build_attention_mask, build_layo
 from omnibot.config import HeadSection, desk_config
 from omnibot.datapipe import TrainingBatch
 from omnibot.embodiments import embodiment
-from omnibot.errors import ContractError
+from omnibot.errors import ContractError, DimensionError
 
 
 @pytest.fixture(scope="module")
@@ -228,6 +228,65 @@ def test_predict_rejects_a_frame_whose_groups_differ_from_the_registry(policy, w
     batch = TrainingBatch([[quad_frame()], window], {}, {}, [], [])
     with pytest.raises(ContractError, match=rf"frame {index} of '{robot}'.*'{group}'"):
         policy.predict(batch)
+
+
+# ------------------------------------------------------------------ the frame contract
+
+
+def test_window_embodiment_rejects_an_image_of_another_resolution():
+    frame = carrying(nav_frame(), "navigation", np.zeros((3, 16, 16), np.float32))
+    with pytest.raises(DimensionError, match=r"frame 0: navigation observation has shape \(3, 16, 16\), want \(3, 24, 24\)"):
+        assembler.window_embodiment([frame], 5)
+
+
+def test_window_embodiment_rejects_an_instruction_outside_the_vocabulary():
+    with pytest.raises(ContractError, match="frame 1: instruction id 32 is outside the language vocabulary of 32 ids"):
+        assembler.window_embodiment([nav_frame(), nav_frame(instruction=32)], 5)
+
+
+def test_window_embodiment_admits_only_registry_groups_each_of_which_has_a_tokenizer(policy):
+    tokenizer = {"obs-image": "enc/img/{}/proj/w", "obs-proprio": "enc/proprio/{}/w"}
+    for name, kind, _ in embodiments.observation_groups():
+        assert tokenizer[kind].format(name) in policy.params
+    frame = dataclasses.replace(nav_frame(), observations={"sonar": CAMERA_IMAGE})
+    with pytest.raises(ContractError, match=r"frame 0 of 'nav' lacks observation groups \['navigation'\] "
+                                            r"and carries unexpected groups \['sonar'\]"):
+        assembler.window_embodiment([frame], 5)
+
+
+@pytest.mark.parametrize("name", (["nav"], None, "aviation"), ids=["unhashable", "none", "unknown"])
+def test_window_embodiment_rejects_an_embodiment_the_registry_lacks(name):
+    with pytest.raises(ContractError, match="unknown embodiment"):
+        assembler.window_embodiment([nav_frame(), dataclasses.replace(nav_frame(), embodiment=name)], 5)
+
+
+def test_window_embodiment_rejects_a_ragged_list_and_accepts_a_nested_list_of_floats():
+    image = nav_frame().observations["navigation"]
+    assert assembler.window_embodiment([carrying(nav_frame(), "navigation", image.tolist())], 5).name == "nav"
+    ragged = [image.tolist(), image.tolist()[:-1]]
+    with pytest.raises(ContractError, match="frame 0: navigation observation is not an array"):
+        assembler.window_embodiment([carrying(nav_frame(), "navigation", ragged)], 5)
+
+
+def nan_image():
+    image = nav_frame().observations["navigation"].copy()
+    image[2, 3, 4] = np.nan
+    return image
+
+
+@pytest.mark.parametrize("frame, match", [
+    (carrying(nav_frame(), "navigation", (nav_frame().observations["navigation"] * 255).astype(np.uint8)),
+     "frame 1: navigation observation has dtype uint8, want a float array"),
+    (nav_frame(instruction=1.5), "frame 1: instruction 1.5 is not an integer id"),
+    (carrying(nav_frame(), "navigation", nan_image()), "frame 1: navigation observation holds non-finite values as float32"),
+], ids=["uint8-image", "float-instruction", "nan-image"])
+def test_predict_and_assemble_reject_the_frames_act_rejects(policy, frame, match):
+    window = [nav_frame(seed=3), frame]
+    for call in (lambda: policy.act(window, "navigation"),
+                 lambda: policy.predict(TrainingBatch([[quad_frame()], window], {}, {}, [], [])),
+                 lambda: policy.assemble([window])):
+        with pytest.raises(ContractError, match=match):
+            call()
 
 
 def test_goal_absent_equals_zero_goal_image(policy):

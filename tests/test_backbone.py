@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import omnibot.autodiff as ad
-from omnibot import assembler, backbone
+from omnibot import backbone
 from omnibot.assembler import ObservationFrame
 from omnibot.config import BackboneSection, desk_config
 from omnibot.errors import DimensionError
@@ -46,21 +46,6 @@ def test_output_shape_equals_input_shape(policy, cfg):
     win = policy.assemble([frames_for("nav", 3), frames_for("quad", 5, seed=2)])
     emb = backbone.forward(win, policy.params, policy.cfg)
     assert emb.shape == win.tokens.shape
-
-
-def test_zero_layer_backbone_is_final_norm_only(policy, cfg):
-    cfg0 = desk_config()
-    cfg0.backbone = BackboneSection(layers=0, heads=4, d_model=64, d_mlp=256)
-    windows = [frames_for("nav", 2)]
-    win = policy.assemble(windows)
-    out = backbone.forward(win, policy.params, cfg0)
-    ref = ad.layer_norm(win.tokens, policy.params["bb/final_ln/g"], policy.params["bb/final_ln/b"])
-    np.testing.assert_array_equal(out.data, ref.data)
-    idx = policy.layout.readout_indices("navigation")
-    sub = assembler.assemble_batch(windows, policy.layout, policy.bank, policy.params, "navigation")
-    readouts = backbone.forward(sub, policy.params, cfg0)
-    assert readouts.shape == (1,) + idx.shape + (cfg0.backbone.d_model,)
-    np.testing.assert_array_equal(readouts.data, ref.data[:, idx])
 
 
 def test_d_model_mismatch_raises(policy):

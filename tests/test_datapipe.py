@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -599,6 +600,50 @@ def test_instruction_outside_the_vocabulary_is_rejected_naming_where(small_world
     bad = dict(datasets, quadset=[*datasets["quadset"][:3], toy_traj("quad", steps=8, instruction=99)])
     with pytest.raises(ContractError, match=r"'quadset' trajectory 3: instruction id 99 .*\[0, 32\)"):
         dp.BatchSampler(bad, mixture, cfg, layout, seed=0)
+
+
+def faulty_nav_record(fault):
+    """A nav record with one fault, built in memory as a client would."""
+    traj = toy_traj("nav", steps=8, seed=7)
+    obs, actions = {"navigation": traj.observations["navigation"].copy()}, traj.actions.copy()
+    if fault == "nan-action":
+        actions[3, 1] = np.nan
+    elif fault == "inf-observation":
+        obs["navigation"][2, 0, 5, 5] = np.inf
+    elif fault == "wrong-stream-shape":
+        obs["navigation"] = obs["navigation"][:, :, :-1]
+    elif fault == "zero-steps":
+        return toy_traj("nav", steps=0)
+    elif fault == "bad-instruction":
+        return toy_traj("nav", steps=8, instruction=40)
+    elif fault == "another-robot":
+        return toy_traj("quad", steps=8, instruction=8)
+    return dp.TrajectoryRecord("nav", obs, actions)
+
+
+RECORD_FAULTS = {  # fault -> what the sampler says of it
+    "nan-action": "stream 'actions' holds nan at flat index 7 as float32",
+    "inf-observation": "stream 'navigation' holds inf at flat index 3581 as float32",
+    "wrong-stream-shape": re.escape("has stream shapes {'navigation': (8, 3, 23, 24)}, want {'navigation': (8, 3, 24, 24)}"),
+    "zero-steps": "has zero steps",
+    "bad-instruction": r"instruction id 40 is outside the language vocabulary \[0, 32\)",
+    "another-robot": "is for 'quad', not 'nav'",
+}
+
+
+@pytest.mark.parametrize("fault", RECORD_FAULTS)
+def test_sampler_rejects_a_faulty_in_memory_record_naming_the_dataset_and_trajectory(small_world, fault):
+    cfg, layout, datasets, mixture = small_world
+    bad = dict(datasets, navset=[*datasets["navset"][:5], faulty_nav_record(fault), *datasets["navset"][5:]])
+    with pytest.raises(ContractError, match=f"dataset 'navset' trajectory 5: {RECORD_FAULTS[fault]}"):
+        dp.BatchSampler(bad, mixture, cfg, layout, seed=0)
+
+
+def test_sampler_rejects_a_dataset_of_a_robot_the_registry_lacks(small_world):
+    cfg, layout, datasets, _ = small_world
+    flights = [dp.TrajectoryRecord("aviation", {}, np.zeros((3, 2), np.float32))]
+    with pytest.raises(ContractError, match="dataset 'flights' trajectory 0: unknown embodiment 'aviation'"):
+        dp.BatchSampler(dict(datasets, flights=flights), dp.MixtureSpec([("flights", 1.0)]), cfg, layout, seed=0)
 
 
 def test_quad_examples_skip_goal_conditioning(small_world):

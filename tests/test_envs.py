@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -141,11 +143,45 @@ def test_nonfinite_action_rejected():
         env.step(s, np.array([np.nan, 0.0]))
 
 
-def test_wrong_action_dim_rejected():
-    env = envs.make_env("quad")
+ACTING_ROBOTS = ("arm1", "nav", "bimanual", "quad")
+BAD_ACTIONS = {  # name -> action, given the robot's action_dim
+    "one-too-many": lambda dim: np.zeros(dim + 1),
+    "batched": lambda dim: np.zeros((1, dim)),
+    "str": lambda dim: "0.1",
+    "object": lambda dim: object(),
+    "none": lambda dim: None,
+    "complex": lambda dim: np.zeros(dim, dtype=np.complex64),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_ACTIONS)
+@pytest.mark.parametrize("name", ACTING_ROBOTS)
+def test_wrong_action_dim_rejected(name, bad):
+    env = envs.make_env(name)
     s, _, _ = env.reset(0)
-    with pytest.raises(ExecutionError):
-        env.step(s, np.zeros(14))
+    action = BAD_ACTIONS[bad](env.spec.action_dim)
+    got = np.asarray(action)
+    want = f"bad {name} action of shape {got.shape} and dtype {got.dtype}: want {env.spec.action_dim} finite numbers"
+    with pytest.raises(ExecutionError, match=re.escape(want)):
+        env.step(s, action)
+
+
+@pytest.mark.parametrize("name", ACTING_ROBOTS)
+def test_a_ragged_action_raises_execution_error(name):
+    env = envs.make_env(name)
+    s, _, _ = env.reset(0)
+    with pytest.raises(ExecutionError, match=f"bad {name} action"):
+        env.step(s, [[0.0] * env.spec.action_dim, [0.0]])
+
+
+@pytest.mark.parametrize("name", ACTING_ROBOTS)
+def test_a_list_action_steps_like_its_array(name):
+    env = envs.make_env(name)
+    s, _, instruction = env.reset(0)
+    action = env.expert_chunk(s, 1)[0].astype(np.float64)
+    by_array, by_list = (env.frame(env.step(s, a), instruction) for a in (action, action.tolist()))
+    for group, values in by_array.observations.items():
+        np.testing.assert_array_equal(by_list.observations[group], values)
 
 
 @pytest.mark.parametrize("name", ["arm1", "nav", "bimanual"])

@@ -18,6 +18,7 @@ import omnibot.autodiff as ad
 from omnibot import envs
 from omnibot.assembler import ObservationFrame
 from omnibot.config import desk_config
+from omnibot.datapipe import TrainingBatch
 from omnibot.embodiments import embodiment
 from omnibot.errors import ContractError, DimensionError, EvaluationError, OmnibotError
 from omnibot.policy import Policy
@@ -244,10 +245,10 @@ def fuzz_window(name):
 
 def mutated(frame, field, kind, how, at):
     """`frame` with one field changed: one value, every value, the dtype or the shape of an
-    observation group's array or of the goal (`field`), the instruction, or the observation
-    dict itself."""
-    if kind == "instruction":
-        return dataclasses.replace(frame, instruction=how)
+    observation group's array or of the goal (`field`), the instruction, the embodiment, or
+    the observation dict itself."""
+    if kind in ("instruction", "embodiment"):
+        return dataclasses.replace(frame, **{kind: how})
     if kind == "keys":
         obs = dict(frame.observations)
         if how == "not-a-dict":
@@ -262,7 +263,8 @@ def mutated(frame, field, kind, how, at):
         values = values.astype(how)
     elif kind == "shape":
         values = {"drop-row": values[:-1], "add-axis": values[None], "flatten": values.ravel(),
-                  "transpose": values.T, "scalar": values.ravel()[0]}[how]
+                  "transpose": values.T, "scalar": values.ravel()[0],
+                  "ragged": [values.tolist(), values.tolist()[:-1]]}[how]
     else:
         values = values.astype(np.float64)  # holds 1e39 exactly
         if kind == "fill":
@@ -276,13 +278,22 @@ def mutated(frame, field, kind, how, at):
 
 fuzz_mutations = st.one_of(
     st.tuples(st.just("dtype"), st.sampled_from((np.float16, np.float64, np.int32, np.uint8, np.bool_, np.complex64, object))),
-    st.tuples(st.just("shape"), st.sampled_from(("drop-row", "add-axis", "flatten", "transpose", "scalar"))),
+    st.tuples(st.just("shape"), st.sampled_from(("drop-row", "add-axis", "flatten", "transpose", "scalar", "ragged"))),
     st.tuples(st.sampled_from(("value", "fill")), st.sampled_from((np.nan, np.inf, -np.inf, 1e39, -1e39, 3e38, 1e30, -1e4, 0.0, 1e-45))),
     st.tuples(st.just("instruction"), st.sampled_from(
         (-1, 0, 1, 31, 32, 2**31, 2**64, 2**70, -(2**70), np.int64(4), np.uint8(200), 1.0, True, "3", None)
     )),
     st.tuples(st.just("keys"), st.sampled_from(("drop", "add", "rename", "not-a-dict"))),
+    st.tuples(st.just("embodiment"), st.sampled_from((["nav"], "aviation", None, "quad", "nav-shifted"))),
 )
+
+
+def outcome(call):
+    """The OmnibotError subclass that `call()` raises, or what it returns."""
+    try:
+        return call()
+    except OmnibotError as exc:
+        return type(exc)
 
 
 @pytest.fixture(scope="module")
@@ -296,6 +307,9 @@ def fuzz_policy(cfg):
 @example(name="quad", length=3, which=2, field=0, mutation=("fill", 3e38), at=0)  # finite, but overflows inside
 @example(name="bimanual", length=2, which=0, field=4, mutation=("shape", "drop-row"), at=0)  # was a raw ValueError
 @example(name="nav", length=3, which=1, field=0, mutation=("keys", "not-a-dict"), at=0)  # was a raw AttributeError
+@example(name="nav", length=2, which=1, field=0, mutation=("embodiment", ["nav"]), at=0)  # was a raw TypeError
+@example(name="quad", length=1, which=0, field=0, mutation=("shape", "ragged"), at=0)  # was a raw ValueError
+@example(name="arm1", length=2, which=1, field=0, mutation=("value", np.nan), at=9)  # predict returned NaNs
 @given(
     name=st.sampled_from(FUZZ_ROBOTS),
     length=st.integers(1, 3),
@@ -307,14 +321,18 @@ def fuzz_policy(cfg):
 def test_act_on_mutated_frames_returns_a_finite_chunk_or_raises_a_package_error(
     fuzz_policy, name, length, which, field, mutation, at
 ):
+    """`act` and `predict` on the same window raise the same package error, or both give finite outputs."""
     window = list(fuzz_window(name)[3 - length :])
     i = which % length
     fields = list(window[i].observations) + (["goal"] if window[i].goal is not None else [])
     window[i] = mutated(window[i], fields[field % len(fields)], *mutation, at)
     spec = fuzz_policy.head_specs[embodiment(name).head]
-    try:
-        chunk = fuzz_policy.act(window, spec.name)
-    except OmnibotError:
+    chunk = outcome(lambda: fuzz_policy.act(window, spec.name))
+    predictions = outcome(lambda: fuzz_policy.predict(TrainingBatch([window], {}, {}, [], [])))
+    if isinstance(chunk, type):
+        assert predictions is chunk
         return
+    assert not isinstance(predictions, type), predictions
     assert chunk.values.shape == (spec.chunk_size, spec.action_dim)
     assert np.isfinite(chunk.values).all()
+    assert all(np.isfinite(p.data).all() for p in predictions.values())
