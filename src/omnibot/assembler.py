@@ -17,7 +17,13 @@ Encoder rows go straight into their kept columns, every kept slot gets its
 original position embedding, and the mask is the layout's base mask
 restricted to the kept columns and the pads: the backbone computes the same
 numbers as on the full window, on fewer rows. The full window (no head) is
-the dense oracle the tests compare against.
+the dense oracle the tests compare against; it keeps slot order.
+
+A compact window lists its kept observation columns first and the head's
+readout columns last, each part in ascending slot order. Every readout is
+then its own row's key alone, at the end, and every observation key sits
+in step order before it, so `autodiff.AttentionMask` splits the readouts
+off as own keys and lets each readout row read a short observation prefix.
 """
 
 from __future__ import annotations
@@ -165,7 +171,9 @@ class AssembledWindow:
     pad: np.ndarray  # [B, T] bool, True where slot is padding
     attn_mask: np.ndarray  # [B, T, T] bool, True where attention permitted
     valid_steps: np.ndarray  # [B, k] bool
-    slots: np.ndarray  # [T] original slot index of each token column, ascending
+    # [T] original slot index of each token column: ascending for a full window;
+    # for a compact one, the kept observations ascending, then the readouts ascending
+    slots: np.ndarray
     readouts: np.ndarray | None  # [steps, chunk] token columns of the head's readouts; None for a full window
 
 
@@ -259,9 +267,11 @@ def encode_group(bank: EncoderBank, group: SlotGroup, frames: list[ObservationFr
 
 
 def build_attention_mask(layout: SlotLayout, pad: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Block-wise causal mask over the slots `cols`, ascending slot indices.
+    """Block-wise causal mask over the slots `cols`, in the order they are listed.
 
-    `pad` holds one flag per slot of `cols`. mask[i, j] is True iff all of:
+    `cols` are slot indices: every slot for a full window, or a compact
+    window's kept observations and then its readouts. `pad` holds one flag
+    per slot of `cols`. mask[i, j] is True iff all of:
       (a) j is not pad-flagged, or j == i;
       (b) observation queries see only observation keys at same-or-prior steps;
       (c) readout queries see observation keys at same-or-prior steps, plus self.
@@ -315,7 +325,7 @@ def assemble_batch(
     With `head` None, the full window: every slot of every step. With a
     head, the compact window for that head's readouts at `steps`, which
     index the k window steps (every window ends at step k-1, so [-1] is the
-    newest): the observation slots live in at least one window, plus the
+    newest): the observation slots live in at least one window, then the
     head's readout slots at `steps`, whose columns it names in `readouts`.
     Encoder rows are scattered straight into their kept columns.
     `encode(bank, group, frames, index)` gives each observation group's
@@ -350,9 +360,8 @@ def assemble_batch(
         cols = np.arange(t)
     else:
         readout_slots = layout.readout_indices(head)[steps]
-        keep = (live & layout.token_is_obs).any(axis=0)
-        keep[readout_slots.ravel()] = True
-        cols = np.flatnonzero(keep)
+        obs = np.flatnonzero((live & layout.token_is_obs).any(axis=0))
+        cols = np.concatenate([obs, np.sort(readout_slots.ravel())])
     column = np.zeros(t, dtype=np.intp)  # kept column of each slot
     column[cols] = np.arange(cols.size)
 

@@ -8,12 +8,20 @@ memory layout. Each takes and returns the layout its matmuls read:
 `conv2d` add their bias in place on the product. So an op's output is
 C-contiguous as computed, and no reshape or transpose node sits between
 two ops on the hot paths.
+
+`masked_attention` computes only scores that some row may need. Its
+`AttentionMask` cuts the query rows into tiles, each reading a prefix of
+the keys that several rows permit, and a row's own key (a key that it
+alone permits, such as a readout) is one extra softmax term of that row.
+Tile prefixes need not grow from tile to tile. One cost rule decides both
+the cuts and the own-key split: a tile costs `TILE_ENTRIES` score entries
+on top of the scores it computes.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -76,8 +84,11 @@ def scatter_tokens(src: Tensor, b_idx: np.ndarray, t_idx: np.ndarray, batch: int
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     """Row lookup; gradient scatters back with accumulation."""
     ids = np.asarray(ids)
-    if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
-        raise IndexError(f"embedding id out of range [0, {table.shape[0]})")
+    if ids.dtype.kind not in "iu":
+        raise DimensionError(f"embedding ids must be integers, got dtype {ids.dtype}")
+    bad = (ids < 0) | (ids >= table.shape[0])
+    if bad.any():
+        raise DimensionError(f"embedding id {ids[bad].flat[0]} is outside the table's rows [0, {table.shape[0]})")
     out = table.data[ids]
     shape, dtype = table.shape, table.data.dtype
 
@@ -93,30 +104,44 @@ LAYER_NORM_EPS = 1e-5  # added to the variance before the square root
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
+    """Normalize the last axis to zero mean / unit variance, then affine.
+
+    Each row statistic is one matmul: the mean and the variance with a
+    [d, 1] vector of 1/d, and the backward's two row means, of g * gain and
+    of g * gain * xhat, with the [d, 1] vector gain / d. The matmuls keep
+    the leading axes, so BLAS sums a row the same way wherever its batch
+    element sits.
+    """
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise DimensionError(
             f"layer_norm affine shapes {gain.shape}/{bias.shape} do not match feature dim {d}"
         )
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = np.mean(xc * xc, axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + x.data.dtype.type(LAYER_NORM_EPS))
-    xhat = xc * inv
-    out = xhat * gain.data + bias.data
+    dtype = x.data.dtype
+    mean = np.full((d, 1), 1.0 / d, dtype=dtype)
+    xhat = x.data - x.data @ mean  # centred here, scaled below
+    out = np.multiply(xhat, xhat)
+    inv = out @ mean
+    inv += dtype.type(LAYER_NORM_EPS)
+    np.sqrt(inv, out=inv)
+    np.divide(1, inv, out=inv)
+    xhat *= inv
+    np.multiply(xhat, gain.data, out=out)
+    out += bias.data
 
     def bwd(g):
         lead = tuple(range(g.ndim - 1))
-        dgain = (g * xhat).sum(axis=lead)
+        t = g * xhat
+        dgain = t.sum(axis=lead)
         dbias = g.sum(axis=lead)
-        dxhat = g * gain.data
-        dx = inv * (
-            dxhat
-            - dxhat.mean(axis=-1, keepdims=True)
-            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-        )
-        return dx, dgain, dbias
+        gmean = (gain.data / dtype.type(d))[:, None]
+        along = t @ gmean  # row mean of dxhat * xhat, where dxhat = g * gain
+        np.multiply(xhat, along, out=t)
+        gx = g * gain.data
+        gx -= g @ gmean  # row mean of dxhat
+        gx -= t
+        gx *= inv
+        return gx, dgain, dbias
 
     return Tensor._make(out, (x, gain, bias), bwd, "layer_norm")
 
@@ -192,27 +217,133 @@ def gelu(x: Tensor) -> Tensor:
 TILE_ENTRIES = 15_000
 
 
+class Tile(NamedTuple):
+    rows: slice  # the query rows of the tile
+    keys: int  # they read the first `keys` shared keys
+    owned: slice | None  # positions, in the own-key rows, of the tile's rows that own a key
+    local: slice | np.ndarray | None  # those rows, counted from the tile's first row
+
+
+class Tiling(NamedTuple):
+    tiles: list[Tile]  # in row order
+    keys: slice | np.ndarray  # the shared key columns, in column order; tile prefixes index into them
+    own_rows: slice | np.ndarray | None  # the rows that own a key, ascending; None without the split
+    own_cols: slice | np.ndarray | None  # the key each of them owns
+    unread: np.ndarray  # key columns that no row permits
+
+
+def _index(ix: np.ndarray) -> slice | np.ndarray:
+    """Ascending indices as a slice when they are one contiguous run, else as they are."""
+    if not ix.size:
+        return slice(0, 0)
+    return slice(int(ix[0]), int(ix[-1]) + 1) if ix[-1] - ix[0] + 1 == ix.size else ix
+
+
+def _prefixes(seen: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Per row of `seen` [Tq, Tk], how many of `keys` it needs: one past the last it permits, 0 if none."""
+    if not keys.size:
+        return np.zeros(seen.shape[0], dtype=np.intp)
+    sub = seen[:, _index(keys)]
+    return np.where(sub.any(axis=1), keys.size - np.argmax(sub[:, ::-1], axis=1), 0)
+
+
+def _cut(need: np.ndarray, scale: int) -> list[tuple[int, int, int]]:
+    """(first row, end row, keys) of each tile over rows that need key prefixes `need`.
+
+    Runs of rows with equal need join the tile before them while the scores
+    that joining computes for rows that do not need them (times `scale`, B x
+    heads) stay within `TILE_ENTRIES`: a wider run widens the rows so far, a
+    narrower one is widened itself. Otherwise a new tile starts.
+    """
+    starts = (np.flatnonzero(need[1:] != need[:-1]) + 1).tolist()
+    tiles, first, keys = [], 0, int(need[0])
+    for row, end, grow in zip(starts, starts[1:] + [need.size], need[starts].tolist()):
+        waste = (row - first) * (grow - keys) if grow > keys else (end - row) * (keys - grow)
+        if waste * scale > TILE_ENTRIES:
+            tiles.append((first, row, keys))
+            first, keys = row, grow
+        else:
+            keys = max(keys, grow)
+    tiles.append((first, need.size, keys))
+    return tiles
+
+
+def _cost(cuts: list[tuple[int, int, int]], scale: int) -> int:
+    return sum((end - first) * keys for first, end, keys in cuts) * scale + len(cuts) * TILE_ENTRIES
+
+
+def _plan(cuts: list[tuple[int, int, int]], keys: np.ndarray, own, unread: np.ndarray) -> Tiling:
+    """The tiling of `cuts` over the shared key columns `keys`; `own` is None or (ascending rows, their keys)."""
+    if own is None:
+        return Tiling([Tile(slice(a, b), n, None, None) for a, b, n in cuts], _index(keys), None, None, unread)
+    rows, cols = own
+    tiles = []
+    for (a, b, n), (o0, o1) in zip(cuts, np.searchsorted(rows, [(a, b) for a, b, _ in cuts]).tolist()):
+        owned = (slice(o0, o1), _index(rows[o0:o1] - a)) if o1 > o0 else (None, None)
+        tiles.append(Tile(slice(a, b), n, *owned))
+    return Tiling(tiles, _index(keys), _index(rows), _index(cols), unread)
+
+
+def _derive(seen: np.ndarray, readers: np.ndarray, scale: int) -> Tiling:
+    """The cheaper tiling of the rows of `seen` [Tq, Tk]: of every key some row permits, or with own keys split off.
+
+    `readers` counts the rows that permit each key; `scale` is B x heads.
+    """
+    keys, unread = np.flatnonzero(readers), np.flatnonzero(readers == 0)
+    cuts = _cut(_prefixes(seen, keys), scale)
+    cost, own = _cost(cuts, scale), None
+    # no split costs less than every permitted score, one tile and the own-key term
+    if int(readers.sum()) * scale + 2 * TILE_ENTRIES < cost:
+        owns = seen & (readers == 1)  # [Tq, Tk]: the keys each row alone permits
+        rows = np.flatnonzero(owns.any(axis=1))
+        cols = np.argmax(owns[rows], axis=1)  # each row's first
+        shared = readers > 0
+        shared[cols] = False
+        split_keys = np.flatnonzero(shared)
+        split = _cut(_prefixes(seen, split_keys), scale)
+        # the own-key term costs one more tile, of one score per row
+        if rows.size and _cost(split, scale) + rows.size * scale + TILE_ENTRIES < cost:
+            keys, cuts, own = split_keys, split, (rows, cols)
+    return _plan(cuts, keys, own, unread)
+
+
 class AttentionMask:
-    """A validated boolean key mask plus its cached additive sentinel and query tiles.
+    """A validated boolean key mask plus its cached tiling and additive sentinels.
 
     The mask is [B, Tq, Tk], True where key j is permitted for query i of
     batch element b; queries and keys may differ in number. Every row must
     permit at least one key (`DegenerateMaskError` otherwise), which is what
     lets the softmax zero forbidden weights with the sentinel alone.
     Wrapping once and passing the wrapper to many attention calls (e.g.
-    every transformer layer) amortizes that check and the construction of
-    the sentinel and the tiles.
+    every transformer layer) amortizes that check and the derivation of the
+    tiling and the sentinels.
 
-    A tile is a run of query rows that reads only a prefix of the keys. Per
-    row, take the last key that any batch element permits, then its running
-    maximum over rows: the key prefix a row needs. A tile grows row by row
-    while the scores its growth adds for rows that do not need them (rows
-    so far x added keys x B x heads) stay within `TILE_ENTRIES`, the cost of
-    one more tile; otherwise a new tile starts. Every key a tile skips lies
-    past the last key that any of its rows permits in any batch element, so
-    it is forbidden by construction. A window whose rows all need about the
-    same keys stays one tile, and so does a mask whose B x heads x Tq x Tk
-    is within `TILE_ENTRIES`, without the derivation: one tile of all keys.
+    Keys are read in one of two ways. A row's own key is a key that exactly
+    one query row permits, in any batch element, with at most one per row
+    (its first such key): a readout, or a slot that is padding in every
+    element. Its score is one extra softmax term of that row alone. Every
+    other key that some row permits is shared, and the tiles read the
+    shared keys, in column order. A key that no row permits is read by
+    neither.
+
+    A tile is a run of query rows that reads a prefix of the shared keys:
+    as far as the last one that any of its rows permits in any batch
+    element. `_cut` grows tiles over runs of rows with equal need and cuts
+    where growing would compute more than `TILE_ENTRIES` scores that the
+    rows do not need; prefixes need not grow from one tile to the next, so
+    rows after wider ones go back to short prefixes. Every key a tile skips
+    is forbidden for all its rows, and a tile whose rows permit every key
+    of their prefix in every batch element needs no sentinel.
+
+    A tiling costs its score entries plus `TILE_ENTRIES` per tile. The own
+    keys are split off only when that lowers the cost, counting their term
+    as one more tile plus one score per owning row: with the observations
+    first and the readouts last (a compact window), the readout rows then
+    read short observation prefixes. Otherwise the tiles read every key
+    some row permits. A mask whose B x heads x Tq x Tk is within
+    `TILE_ENTRIES` skips the derivation, and so does one where a tile of all
+    keys computes at most `TILE_ENTRIES` scores that no row permits: it is
+    one tile of all keys.
     """
 
     def __init__(self, permitted: np.ndarray):
@@ -225,34 +356,50 @@ class AttentionMask:
             bad = np.argwhere(~permitted.any(axis=-1))[0]
             raise DegenerateMaskError(f"mask row {tuple(bad)} permits no keys")
         self.permitted = np.ascontiguousarray(permitted)
-        self._buffers: dict = {}
-        self._tiles: dict = {}
+        self._tilings: dict = {}
+        self._sentinels: dict = {}
 
-    def buffers(self, dtype) -> np.ndarray:
-        """The additive sentinel, [B, 1, Tq, Tk]: 0 where permitted, -inf elsewhere."""
-        key = np.dtype(dtype).name
-        if key not in self._buffers:
-            self._buffers[key] = np.where(self.permitted, dtype.type(0), dtype.type(-np.inf))[:, None]
-        return self._buffers[key]
-
-    def tiles(self, heads: int) -> list[tuple[int, int, int]]:
-        """(first row, end row, keys) of each query tile, in row order, for `heads` heads."""
-        if heads not in self._tiles:
+    def tiling(self, heads: int) -> Tiling:
+        """The tiles, shared keys and own keys of attention with `heads` heads."""
+        if heads not in self._tilings:
             nb, tq, tk = self.permitted.shape
-            tiles = [(0, tq, tk)]
-            if nb * heads * tq * tk > TILE_ENTRIES:  # else no cut could save a tile's cost
+            scale = nb * heads
+            plan = Tiling([Tile(slice(0, tq), tk, None, None)], slice(0, tk), None, None, np.arange(0))
+            if scale * tq * tk > TILE_ENTRIES:  # else no cut could save a tile's cost
                 seen = self.permitted.any(axis=0)
-                need = np.maximum.accumulate(tk - np.argmax(seen[:, ::-1], axis=1))
-                tiles, first, keys = [], 0, int(need[0])
-                for row in (np.flatnonzero(need[1:] != need[:-1]) + 1).tolist():  # need grows only here
-                    grow = int(need[row])
-                    if (row - first) * (grow - keys) * nb * heads > TILE_ENTRIES:
-                        tiles.append((first, row, keys))
-                        first = row
-                    keys = grow
-                tiles.append((first, tq, keys))
-            self._tiles[heads] = tiles
-        return self._tiles[heads]
+                readers = seen.sum(axis=0, dtype=np.int32)  # half the time of the default int64
+                # nor can one where a tile of every key computes few scores that no row permits
+                if (tq * tk - int(readers.sum())) * scale > TILE_ENTRIES:
+                    plan = _derive(seen, readers, scale)
+            self._tilings[heads] = plan
+        return self._tilings[heads]
+
+    def sentinels(self, dtype, heads: int) -> tuple[list[np.ndarray | None], np.ndarray | None]:
+        """Additive sentinels, 0 where permitted and -inf elsewhere.
+
+        Per tile, [B, 1, rows, keys] over its rows and key prefix, or None
+        where they permit every one of those keys; and [B, 1, own-key rows]
+        over each row's own key, None without the split.
+        """
+        key = (np.dtype(dtype).name, heads)
+        if key not in self._sentinels:
+            plan = self.tiling(heads)
+            never = np.array(-np.inf, dtype=dtype).view(f"i{np.dtype(dtype).itemsize}")  # -inf's bits, as an integer
+
+            def sentinel(permitted):  # 0 * never is +0.0's bits; a pass quicker than np.where
+                return np.multiply(~permitted, never).view(dtype)[:, None]
+
+            nb, tq, tk = self.permitted.shape
+            keys = np.arange(tk)[plan.keys]
+            tiles = []
+            for t in plan.tiles:
+                block = self.permitted[:, t.rows, _index(keys[: t.keys])]
+                tiles.append(None if block.all() else sentinel(block))
+            own = None
+            if plan.own_rows is not None:
+                own = sentinel(self.permitted[:, np.arange(tq)[plan.own_rows], np.arange(tk)[plan.own_cols]])
+            self._sentinels[key] = tiles, own
+        return self._sentinels[key]
 
 
 def _split_heads(a: np.ndarray, heads: int) -> np.ndarray:
@@ -272,9 +419,12 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask: AttentionMask, heads
     C-contiguous [B, T, d] buffers, so no layout copy is made on either
     side.
 
-    The queries run one tile at a time against the tile's key prefix (see
-    `AttentionMask`); a skipped key is forbidden for every row of the tile,
-    so it would have had weight exactly 0.0.
+    The queries run one tile at a time against the tile's prefix of the
+    shared keys, and a row that owns a key adds that key's score as one
+    more softmax term: it enters the row max, its exp joins the row sum,
+    and its value row joins z @ v (see `AttentionMask`). A skipped key is
+    forbidden for every row of the tile, so it would have had weight
+    exactly 0.0.
 
     Forbidden keys get weight exactly 0.0, so perturbing their key or value
     rows cannot change any permitted output bit: the -inf sentinel makes
@@ -287,10 +437,13 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask: AttentionMask, heads
     [.., Tq, dh] output rather than the [.., Tq, Tk] weights.
 
     Backward uses sum_j w_ij * dL/dw_ij = g_i . out_i (Dao et al., 2022,
-    FlashAttention), a [.., Tq, dh] reduction in place of a [.., Tq, Tk] one.
-    With gr = r * g, the score gradient is z * (gr @ v^T - gr . out),
-    exactly 0 where z is 0. The key and value gradients sum the tiles'
-    contributions to their prefixes.
+    FlashAttention), a [.., Tq, dh] reduction in place of a [.., Tq, Tk]
+    one, formed for every head at once as (g * out) times a 0/1 [d, heads]
+    matrix. With gr = r * g, the score gradient is z * (gr @ v^T - gr .
+    out), exactly 0 where z is 0: one product of [gr | -gr . out] with
+    [v | 1], and the same per row for the own-key term. The key and value
+    gradients sum the tiles' contributions to their prefixes; an own key's
+    come from its one row, and a key no row permits gets exact zeros.
     """
     if q.ndim != 3 or k.shape != v.shape or k.ndim != 3 or q.shape[0] != k.shape[0] or q.shape[2] != k.shape[2]:
         raise DimensionError(f"attention q/k/v must be [B, T, d] alike, got {q.shape}, {k.shape}, {v.shape}")
@@ -305,48 +458,81 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask: AttentionMask, heads
             f"attention mask shape {mask.permitted.shape} incompatible with q {q.shape} and k {k.shape}"
         )
     dtype = q.data.dtype
-    additive = mask.buffers(dtype)
-    tiles = mask.tiles(heads)
+    plan = mask.tiling(heads)
+    sentinels, own = mask.sentinels(dtype, heads)
 
     q4, k4, v4 = (_split_heads(t.data, heads) for t in (q, k, v))
     scale = dtype.type(1.0 / math.sqrt(dh))
-    kt = np.ascontiguousarray(np.swapaxes(k4, -1, -2))
-    vx = np.empty((nb, heads, tk, dh + 1), dtype=dtype)  # [v | 1]
-    vx[..., :dh] = v4
+    qs = q4 * scale
+    kt = np.ascontiguousarray(np.swapaxes(k4[:, :, plan.keys], -1, -2))
+    vx = np.empty((nb, heads, kt.shape[-1], dh + 1), dtype=dtype)  # [v | 1] of the shared keys
+    vx[..., :dh] = v4[:, :, plan.keys]
     vx[..., dh] = 1
+    if plan.own_rows is not None:
+        ko = k4[:, :, plan.own_cols]
+        vo = np.empty((nb, heads, own.shape[-1], dh + 1), dtype=dtype)  # [v | 1] of the own keys
+        vo[..., :dh] = v4[:, :, plan.own_cols]
+        vo[..., dh] = 1
+        so = np.einsum("...d,...d->...", qs[:, :, plan.own_rows], ko)
+        so += own
+        zo = np.empty_like(so)
     out = np.empty((nb, tq, d), dtype=dtype)
     out4 = _split_heads(out, heads)
+    r = np.empty((nb, heads, tq, 1), dtype=dtype)
     saved = []
-    for r0, r1, nk in tiles:
-        qs = q4[:, :, r0:r1] * scale
-        z = np.matmul(qs, kt[..., :nk])
-        z += additive[:, :, r0:r1, :nk]
-        z -= z.max(axis=-1, keepdims=True)
+    for t, sentinel in zip(plan.tiles, sentinels):
+        z = np.matmul(qs[:, :, t.rows], kt[..., : t.keys])
+        if sentinel is not None:
+            z += sentinel
+        m = z.max(axis=-1, initial=-np.inf)
+        if t.owned is not None:
+            top = np.maximum(m[:, :, t.local], so[..., t.owned])
+            m[:, :, t.local] = top
+            np.exp(so[..., t.owned] - top, out=zo[..., t.owned])
+        z -= m[..., None]
         np.exp(z, out=z)  # unnormalised weights: w = z * r
-        zv = np.matmul(z, vx[:, :, :nk])  # z @ v and the row sums of z
-        r = 1.0 / zv[..., dh:]
-        np.multiply(zv[..., :dh], r, out=out4[:, :, r0:r1])
-        saved.append((qs, z, r))
+        zv = np.matmul(z, vx[:, :, : t.keys])  # z @ v and the row sums of z
+        if t.owned is not None:
+            zv[:, :, t.local] += zo[..., t.owned, None] * vo[:, :, t.owned]
+        np.divide(1, zv[..., dh:], out=r[:, :, t.rows])
+        np.multiply(zv[..., :dh], r[:, :, t.rows], out=out4[:, :, t.rows])
+        saved.append(z)
 
     def bwd(g):
-        g4 = _split_heads(g, heads)
+        grx = np.empty((nb, heads, tq, dh + 1), dtype=dtype)  # [gr | -gr . out] with gr = r * g
+        gr = np.multiply(_split_heads(g, heads), r, out=grx[..., :dh])
+        head_sums = np.repeat(np.eye(heads, dtype=dtype), dh, axis=0)  # [d, heads]: g . out per head
+        gout = np.matmul((g * out).reshape(-1, d), head_sums).reshape(nb, tq, heads).transpose(0, 2, 1)
+        np.multiply(gout[..., None], -r, out=grx[..., dh:])
         gq, gk, gv = (np.empty((nb, t, d), dtype=dtype) for t in (tq, tk, tk))
         gq4, gk4, gv4 = (_split_heads(a, heads) for a in (gq, gk, gv))
-        widest = tiles[-1][2]
-        gk[:, widest:] = 0  # keys no tile reads
-        gv[:, widest:] = 0
-        for (r0, r1, nk), (qs, z, r) in reversed(list(zip(tiles, saved))):
-            gr = g4[:, :, r0:r1] * r
-            gs = np.matmul(gr, np.swapaxes(v4[:, :, :nk], -1, -2))  # r * dL/dw
-            gs -= np.einsum("...ij,...ij->...i", gr, out4[:, :, r0:r1])[..., None]
+        if plan.unread.size:
+            gk[:, plan.unread] = 0
+            gv[:, plan.unread] = 0
+        gks, gvs = (np.empty((nb, heads, kt.shape[-1], dh), dtype=dtype) for _ in range(2))  # of the shared keys
+        ks = np.swapaxes(kt, -1, -2)
+        # the widest tile first: it reads every shared key, so it writes their gradients
+        for n, i in enumerate(sorted(range(len(saved)), key=lambda i: -plan.tiles[i].keys)):
+            t, z, nk = plan.tiles[i], saved[i], plan.tiles[i].keys
+            grt = gr[:, :, t.rows]
+            gs = np.matmul(grx[:, :, t.rows], np.swapaxes(vx[:, :, :nk], -1, -2))  # r * dL/dw - gr . out
             gs *= z  # dL/dscores
-            np.multiply(np.matmul(gs, k4[:, :, :nk]), scale, out=gq4[:, :, r0:r1])
-            if nk == widest:  # the widest tile is visited first and covers the others' prefixes
-                np.matmul(np.swapaxes(z, -1, -2), gr, out=gv4[:, :, :nk])
-                np.matmul(np.swapaxes(gs, -1, -2), qs, out=gk4[:, :, :nk])
+            np.multiply(np.matmul(gs, ks[:, :, :nk]), scale, out=gq4[:, :, t.rows])
+            if n == 0:
+                np.matmul(np.swapaxes(z, -1, -2), grt, out=gvs[:, :, :nk])
+                np.matmul(np.swapaxes(gs, -1, -2), qs[:, :, t.rows], out=gks[:, :, :nk])
             else:
-                gv4[:, :, :nk] += np.matmul(np.swapaxes(z, -1, -2), gr)
-                gk4[:, :, :nk] += np.matmul(np.swapaxes(gs, -1, -2), qs)
+                gvs[:, :, :nk] += np.matmul(np.swapaxes(z, -1, -2), grt)
+                gks[:, :, :nk] += np.matmul(np.swapaxes(gs, -1, -2), qs[:, :, t.rows])
+        gk4[:, :, plan.keys] = gks
+        gv4[:, :, plan.keys] = gvs
+        if plan.own_rows is not None:
+            gro = gr[:, :, plan.own_rows]
+            gso = np.einsum("...d,...d->...", grx[:, :, plan.own_rows], vo)
+            gso *= zo
+            gq4[:, :, plan.own_rows] += (gso * scale)[..., None] * ko
+            gk4[:, :, plan.own_cols] = gso[..., None] * qs[:, :, plan.own_rows]
+            gv4[:, :, plan.own_cols] = zo[..., None] * gro
         return gq, gk, gv
 
     return Tensor._make(out, (q, k, v), bwd, "masked_attention")

@@ -173,23 +173,29 @@ def heads_oracle(q, k, v, mask, heads):
     return out
 
 
-def step_mask(rng, nb, steps, per, pad_frac):
-    """A block-causal mask over `steps` steps of `per` tokens: a query sees keys
-    at its own and earlier steps; a pad key (drawn per element) only itself."""
-    t = steps * per
-    step = np.repeat(np.arange(steps), per)
-    pad = rng.random((nb, t)) < pad_frac
-    mask = (step[None, :] <= step[:, None]) & ~pad[:, None, :]
+def step_mask(rng, nb, steps, per, pad_frac, readouts=0):
+    """A block-causal mask over `steps` steps of `per` observation tokens, then
+    `readouts` readout tokens per step, as in a compact window: a query sees the
+    observation keys at its own and earlier steps, and itself; an observation
+    key that is padding (drawn per element) is seen only by itself."""
+    obs = steps * per
+    step = np.concatenate([np.repeat(np.arange(steps), per), np.repeat(np.arange(steps), readouts)])
+    t = step.size
+    pad = np.zeros((nb, t), dtype=bool)
+    pad[:, :obs] = rng.random((nb, obs)) < pad_frac
+    mask = (step[None, :] <= step[:, None]) & (np.arange(t) < obs) & ~pad[:, None, :]
     mask[:, np.arange(t), np.arange(t)] = True
     return mask
 
 
-def tiled(shape_seed=60, nb=4, heads=4, dh=16, steps=3, per=40):
-    """q, k, v and a step mask at a shape that `TILE_ENTRIES` splits into tiles."""
+def tiled(shape_seed=60, nb=4, heads=4, dh=16, steps=3, per=40, readouts=8):
+    """q, k, v and a step mask at a shape that `TILE_ENTRIES` splits into tiles
+    and whose readout keys are split off as their rows' own keys."""
     rng = np.random.Generator(np.random.PCG64(shape_seed))
-    mask = step_mask(rng, nb, steps, per, 0.2)
-    assert len(AttentionMask(mask).tiles(heads)) > 1
-    q, k, v = (rng.standard_normal((nb, steps * per, heads * dh)) for _ in range(3))
+    mask = step_mask(rng, nb, steps, per, 0.2, readouts)
+    plan = AttentionMask(mask).tiling(heads)
+    assert len(plan.tiles) > 1 and plan.own_rows is not None
+    q, k, v = (rng.standard_normal((nb, mask.shape[1], heads * dh)) for _ in range(3))
     return q, k, v, mask, heads
 
 
@@ -253,11 +259,11 @@ def test_attention_forbidden_keys_have_exactly_zero_influence():
     unaffected = ~mask[:, j]
     np.testing.assert_array_equal(out1[0, unaffected], out3[0, unaffected])
 
-    # the same at a tiled shape: moving every key and value row a query may
-    # not see moves none of its output bits
+    # the same at a tiled shape with own keys: moving every key and value row
+    # a query may not see moves none of its output bits
     q, k, v, mask, heads = tiled()
     out = attend(ad.tensor(q), ad.tensor(k), ad.tensor(v), mask, heads).data
-    for b, i in ((0, 0), (1, 45), (3, 119)):
+    for b, i in ((0, 0), (1, 45), (3, 119), (2, 120), (3, 143)):
         unseen = ~mask[b, i]
         k2, v2 = k.copy(), v.copy()
         k2[b, unseen] += 77.0
@@ -346,16 +352,17 @@ def test_attention_grad_of_forbidden_value_row_is_zero():
     np.testing.assert_array_equal(grads2[k][0, 2], np.zeros(3))
     np.testing.assert_array_equal(grads2[v][0, 2], np.zeros(3))
 
-    # at a tiled shape, a key that no query of its element sees (a pad key
-    # whose own row is cut away) gets exactly zero gradient
+    # at a tiled shape with own keys, a key that no query of its element
+    # sees (a pad key whose own row is cut away) gets exactly zero gradient
     q, k, v, mask, heads = tiled()
-    rows = np.arange(60)  # the first step and a half: no query at the last step
+    rows = np.r_[0:60, 120:144]  # the first step and a half of observations, and every readout
     q, k, v = ad.param(q[:, rows]), ad.param(k), ad.param(v)
     mask = mask[:, rows]
+    assert AttentionMask(mask).tiling(heads).own_rows is not None
     wsum = ad.tensor(rand(q.shape, 38))
     grads = ad.backward((attend(q, k, v, mask, heads) * wsum).sum(), [k, v])
     unseen = ~mask.any(axis=1)  # [B, Tk]
-    assert unseen[:, 80:].all() and unseen[:, 60:80].any()  # the last step, and pads of cut rows
+    assert unseen[:, 60:120].any() and not unseen[:, 120:].any()  # pads of cut rows; every readout sees itself
     np.testing.assert_array_equal(grads[k][unseen], 0.0)
     np.testing.assert_array_equal(grads[v][unseen], 0.0)
     assert grads[k][~unseen].any(axis=-1).all()
@@ -385,13 +392,14 @@ def test_attention_with_large_scores_ignores_unseen_keys_exactly():
     np.testing.assert_array_equal(out2.data, out.data)
 
     # the same at a tiled shape, where the later steps' keys are skipped for
-    # the early tiles: ±1e4 in every key and value row a query may not see
+    # the early tiles and the readouts are own keys: ±1e4 in every key and
+    # value row a query may not see
     q, k, v, mask, heads = tiled(shape_seed=61)
     q, k, v = (ad.param(a.astype(np.float32)) for a in (q * 50, k, v))
     out = attend(q, k, v, mask, heads)
     grads = ad.backward((out * ad.tensor(rand(q.shape, 42, np.float32))).sum(), [q])
     assert np.all(np.isfinite(grads[q]))
-    for b, i in ((0, 3), (2, 70)):
+    for b, i in ((0, 3), (2, 70), (1, 140)):
         unseen = ~mask[b, i]
         k2, v2 = k.data.copy(), v.data.copy()
         k2[b, unseen] = 1e4
@@ -426,8 +434,8 @@ def test_masked_softmax_forbidden_weights_exactly_zero():
     mask = rng.random((2, 6, 6)) < 0.4
     mask[:, np.arange(6), np.arange(6)] = True
     amask = AttentionMask(mask)
-    additive = amask.buffers(q.dtype)
-    assert additive.shape == (2, 1, 6, 6) and additive.dtype == np.float32
+    (additive,), own = amask.sentinels(q.dtype, 2)  # one tile of every key, and no own keys
+    assert additive.shape == (2, 1, 6, 6) and additive.dtype == np.float32 and own is None
     np.testing.assert_array_equal(additive[:, 0] == 0.0, mask)
     out = ad.masked_attention(ad.tensor(q), ad.tensor(k), ad.tensor(eye), amask, 2).data
     for b in range(2):
@@ -441,49 +449,75 @@ step_layouts = st.tuples(
     st.integers(1, 4),  # batch
     st.sampled_from((1, 2, 4)),  # heads
     st.integers(1, 5),  # steps
-    st.integers(1, 9),  # tokens per step
+    st.integers(1, 9),  # observation tokens per step
+    st.integers(0, 3),  # readout tokens per step
     st.floats(0.0, 0.6),  # pad fraction
     st.integers(0, 2**32 - 1),  # seed
 )
 
 
+def query_rows(steps, per, readouts, queries):
+    """Rows of a `step_mask` that a window's layer queries: all, the last step's, every third, or the readouts."""
+    obs, t = steps * per, steps * (per + readouts)
+    if queries == "last-step":
+        return np.r_[obs - per : obs, t - readouts : t]
+    if queries == "readouts" and readouts:
+        return np.arange(obs, t)
+    return np.arange(0, t, 3) if queries == "sparse" else np.arange(t)
+
+
 @settings(max_examples=60, deadline=None)
-@given(layout=step_layouts, queries=st.sampled_from(("all", "last-step", "sparse")))
-def test_property_no_tile_skips_a_permitted_key(layout, queries):
-    nb, heads, steps, per, pad_frac, seed = layout
+@given(layout=step_layouts, queries=st.sampled_from(("all", "last-step", "sparse", "readouts")))
+def test_property_every_permitted_key_is_in_a_tile_prefix_or_owned(layout, queries):
+    nb, heads, steps, per, readouts, pad_frac, seed = layout
     rng = np.random.Generator(np.random.PCG64(seed))
-    mask = step_mask(rng, nb, steps, per, pad_frac)
-    t = steps * per
-    rows = {"all": np.arange(t), "last-step": np.arange(t - per, t), "sparse": np.arange(0, t, 3)}[queries]
+    mask = step_mask(rng, nb, steps, per, pad_frac, readouts)
+    t = mask.shape[-1]
+    rows = query_rows(steps, per, readouts, queries)
     mask = mask[:, rows]
+    seen = mask.any(axis=0)  # [rows, keys]: permitted in some element
     for entries in (0, 15_000, 10**18):
         with tile_entries(entries):
-            tiles = AttentionMask(mask).tiles(heads)
-        assert [r0 for r0, _, _ in tiles] == [0] + [r1 for _, r1, _ in tiles[:-1]]
-        assert tiles[-1][1] == rows.size
-        assert all(a[2] < b[2] for a, b in zip(tiles, tiles[1:]))
-        for r0, r1, keys in tiles:
-            assert 1 <= keys <= t
-            assert not mask[:, r0:r1, keys:].any()
+            plan = AttentionMask(mask).tiling(heads)
+        tiles = plan.tiles
+        assert [x.rows.start for x in tiles] == [0] + [x.rows.stop for x in tiles[:-1]]
+        assert tiles[-1].rows.stop == rows.size
+        shared = np.arange(t)[plan.keys]
+        read = np.zeros_like(seen)
+        for x in tiles:
+            assert 0 <= x.keys <= shared.size
+            read[x.rows, shared[: x.keys]] = True
+        if plan.own_rows is not None:
+            owners, owned = np.arange(rows.size)[plan.own_rows], np.arange(t)[plan.own_cols]
+            assert owners.size == np.unique(owners).size and not np.isin(owned, shared).any()
+            assert (seen[:, owned].sum(axis=0) == 1).all() and seen[owners, owned].all()  # one row permits each
+            read[owners, owned] = True
+        assert not (seen & ~read).any()  # every permitted key: in its row's tile prefix, or its own key
+        derived = (rows.size * t - seen.sum()) * nb * heads > entries  # else one tile of every key
+        np.testing.assert_array_equal(plan.unread, np.flatnonzero(~seen.any(axis=0)) if derived else [])
+        if entries == 0 or plan.own_rows is not None:
+            for x in tiles:  # no tile reads a key that every one of its rows is denied
+                assert seen[x.rows][:, shared[: x.keys]].any(axis=0).all()
 
 
 @settings(max_examples=60, deadline=None)
-@given(layout=step_layouts)
-def test_property_tiled_attention_matches_one_tile_and_the_oracle(layout):
-    nb, heads, steps, per, pad_frac, seed = layout
+@given(layout=step_layouts, queries=st.sampled_from(("all", "readouts")))
+def test_property_tiled_attention_matches_one_tile_and_the_oracle(layout, queries):
+    nb, heads, steps, per, readouts, pad_frac, seed = layout
     rng = np.random.Generator(np.random.PCG64(seed))
-    mask = step_mask(rng, nb, steps, per, pad_frac)
-    t, d = steps * per, heads * 4
-    q, k, v = (ad.param(rng.standard_normal((nb, t, d))) for _ in range(3))
-    wsum = ad.tensor(rng.standard_normal((nb, t, d)))
+    mask = step_mask(rng, nb, steps, per, pad_frac, readouts)[:, query_rows(steps, per, readouts, queries)]
+    tq, t, d = mask.shape[1], mask.shape[2], heads * 4
+    q = ad.param(rng.standard_normal((nb, tq, d)))
+    k, v = (ad.param(rng.standard_normal((nb, t, d))) for _ in range(2))
+    wsum = ad.tensor(rng.standard_normal((nb, tq, d)))
     runs = []
-    for entries in (0, 10**18):  # a tile per step, and one tile
+    for entries in (0, 10**18):  # cuts and own keys wherever they save a score, and one tile
         with tile_entries(entries):
             amask = AttentionMask(mask)
             out = ad.masked_attention(q, k, v, amask, heads)
-            runs.append((len(amask.tiles(heads)), out.data, ad.backward((out * wsum).sum(), [q, k, v])))
-    (n_tiled, tiled_out, tiled_grads), (n_one, one_out, one_grads) = runs
-    assert n_one == 1
+            runs.append((amask.tiling(heads), out.data, ad.backward((out * wsum).sum(), [q, k, v])))
+    (_, tiled_out, tiled_grads), (one, one_out, one_grads) = runs
+    assert len(one.tiles) == 1 and one.own_rows is None
     # not bitwise: a shorter key prefix changes BLAS's blocking of the sums
     np.testing.assert_allclose(tiled_out, one_out, rtol=1e-12, atol=1e-15)
     for p in (q, k, v):
@@ -691,6 +725,14 @@ def test_embedding_lookup_and_grad_accumulation():
     g = ad.backward(out.sum(), [table])[table]
     np.testing.assert_array_equal(g[1], np.full(3, 2.0))
     np.testing.assert_array_equal(g[0], np.zeros(3))
+
+
+@pytest.mark.parametrize("ids, named", [([0, 5, 1], "id 5"), ([[2], [-1]], "id -1"), ([0.0, 1.0], "dtype float64")])
+def test_embedding_rejects_an_id_outside_the_table_naming_it(ids, named):
+    table = ad.param(rand((5, 3), 61))
+    with pytest.raises(DimensionError, match=named) as err:
+        ad.embedding(table, np.array(ids))
+    assert "[0, 5)" in str(err.value) or "integers" in str(err.value)
 
 
 def test_take_and_scatter_round_trip_grads():

@@ -20,6 +20,7 @@ from omnibot.config import desk_config
 from omnibot.embodiments import embodiment
 from omnibot.errors import ContractError
 from omnibot.policy import Policy
+from omnibot.rng import derive_seed
 
 TOL = 1e-12
 EMBODIMENTS = ("arm1", "nav", "bimanual", "quad")
@@ -220,6 +221,69 @@ def test_unknown_embodiment_raises_contract_error(policy):
     batch = datapipe.TrainingBatch([frames], {}, {}, [], [])
     with pytest.raises(ContractError, match="aviation"):
         policy.predict(batch)
+
+
+def test_compact_window_lists_observations_first_and_readouts_last(policy):
+    layout = policy.layout
+    names = ("nav", "quad", "nav", "arm1", "nav")
+    windows = [rollout_frames(n, 1 + i, i) for i, n in enumerate(names)]
+    full = policy.assemble(windows)
+    np.testing.assert_array_equal(full.slots, np.arange(layout.context_tokens))  # the oracle keeps slot order
+    for steps in (slice(None), [0, 2, 4], [3, 1], [-1]):
+        sub = compact_window(policy, [windows[r] for r in (0, 2, 4)], "navigation", steps)
+        want = layout.readout_indices("navigation")[steps]
+        obs = layout.token_is_obs[sub.slots]
+        n = int(obs.sum())
+        assert obs[:n].all() and not obs[n:].any()
+        assert (np.diff(sub.slots[:n]) > 0).all() and (np.diff(sub.slots[n:]) > 0).all()
+        np.testing.assert_array_equal(sub.slots[n:], np.sort(want.ravel()))
+        np.testing.assert_array_equal(sub.slots[sub.readouts], want)  # the same rows of the full window
+        assert (sub.readouts >= n).all()
+
+
+def test_attention_tiles_compute_at_most_a_quarter_more_scores_than_permitted(cfg, tmp_path, monkeypatch):
+    """Both layers on the seed-0 `train_bimanual` batch of the benchmark: its shards, policy, sampler and batch 0.
+
+    Scores are counted as the tiles compute them, rows x shared-key prefix,
+    plus one per own-key row, for every batch element and head.
+    """
+    path = str(tmp_path / "bimanual.xeds")
+    envs.generate_dataset("bimanual", 20, derive_seed(0, "shard", "bimanual"), path, cfg)
+    policy = Policy.init(cfg, derive_seed(0, "policy"))
+    sampler = datapipe.BatchSampler(
+        {"bimanual": datapipe.read_shard(path)[1]}, datapipe.MixtureSpec([("bimanual", 1.0)]), cfg,
+        policy.layout, derive_seed(0, "sampler"),
+    )
+    calls, attend = [], ad.masked_attention
+
+    def recorded(q, k, v, mask, heads):
+        calls.append((mask, heads))
+        return attend(q, k, v, mask, heads)
+
+    monkeypatch.setattr(ad, "masked_attention", recorded)
+    with ad.no_grad():
+        policy.loss(sampler.batch(0, cfg.train.batch_size))
+    assert len(calls) == cfg.backbone.layers
+    computed = permitted = 0
+    for mask, heads in calls:
+        nb, tq, _ = mask.permitted.shape
+        plan = mask.tiling(heads)
+        owners = 0 if plan.own_rows is None else np.arange(tq)[plan.own_rows].size
+        computed += (sum((t.rows.stop - t.rows.start) * t.keys for t in plan.tiles) + owners) * nb * heads
+        permitted += int(mask.permitted.sum()) * heads
+    assert computed <= 1.25 * permitted, (computed, permitted)
+
+
+def test_own_keys_are_split_off_for_every_step_but_not_for_the_newest_alone(policy):
+    """The cost rule: a training window's readout rows read short prefixes, an `act` window stays as it was."""
+    heads = policy.cfg.backbone.heads
+    frames = rollout_frames("bimanual", policy.layout.history, 5)
+    for steps, split in (([-1], False), (slice(None), True)):
+        window = compact_window(policy, [frames], "bimanual", steps)
+        plan = ad.AttentionMask(window.attn_mask).tiling(heads)
+        assert (plan.own_rows is not None) == split
+        if split:  # the readouts, each its own row's key
+            np.testing.assert_array_equal(np.arange(window.slots.size)[plan.own_cols], np.sort(window.readouts.ravel()))
 
 
 @pytest.mark.parametrize("steps", ([-1], slice(None)), ids=["newest", "every-step"])
