@@ -36,7 +36,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .config import Config
-from .embodiments import EmbodimentSpec, embodiment, observation_groups
+from .embodiments import EMBODIMENTS, EmbodimentSpec, embodiment, observation_groups
 from .encoders import LANGUAGE_VOCAB, EncoderBank, image_tokens
 from .errors import ConfigError, ContractError, DimensionError
 
@@ -140,16 +140,20 @@ def build_layout(cfg: Config) -> SlotLayout:
     `embodiments.observation_groups`): a vector group is one token, an image
     group `encoders.image_tokens` of its registry shape. Then each head gets
     one readout group, `readout-{name}`, of `chunk_size` tokens. The config
-    states no group; a head name given twice is a ConfigError.
+    states no group; a head name given twice, or one that no registry robot
+    draws from, is a ConfigError.
     """
     groups = [
         (name, kind, image_tokens(shape) if kind == "obs-image" else 1, None)
         for name, kind, shape in observation_groups()
     ]
+    registry = sorted({spec.head for spec in EMBODIMENTS.values()})
     seen = set()
     for head in cfg.heads:
         if head.name in seen:
             raise ConfigError(f"duplicate head name {head.name!r}")
+        if head.name not in registry:
+            raise ConfigError(f"no registry robot draws from head {head.name!r}: the registry's heads are {registry}")
         seen.add(head.name)
         groups.append((f"readout-{head.name}", "readout", head.chunk_size, head.name))
     return _stacked(groups, cfg.layout.history, cfg.backbone.d_model)

@@ -10,12 +10,12 @@ C-contiguous as computed, and no reshape or transpose node sits between
 two ops on the hot paths.
 
 `masked_attention` computes only scores that some row may need. Its
-`AttentionMask` cuts the query rows into tiles, each reading a prefix of
-the keys that several rows permit, and a row's own key (a key that it
-alone permits, such as a readout) is one extra softmax term of that row.
-Tile prefixes need not grow from tile to tile. One cost rule decides both
-the cuts and the own-key split: a tile costs `TILE_ENTRIES` score entries
-on top of the scores it computes.
+`AttentionMask` plans, once per (heads, dtype), tiles of query rows, each
+reading a prefix of the keys that several rows permit, with its own
+sentinel; and a row's own key (one that it alone permits, such as a
+readout), one extra softmax term of that row. Prefixes need not grow from
+tile to tile. One cost rule decides both the cuts and the own-key split:
+a tile costs `TILE_ENTRIES` score entries on top of the scores it computes.
 """
 
 from __future__ import annotations
@@ -222,14 +222,19 @@ class Tile(NamedTuple):
     keys: int  # they read the first `keys` shared keys
     owned: slice | None  # positions, in the own-key rows, of the tile's rows that own a key
     local: slice | np.ndarray | None  # those rows, counted from the tile's first row
+    sentinel: np.ndarray | None  # [B, 1, rows, keys]; None where the rows permit their whole prefix
 
 
-class Tiling(NamedTuple):
+class Own(NamedTuple):
+    rows: slice | np.ndarray  # the rows that own a key, ascending
+    cols: slice | np.ndarray  # the key each of them owns
+    sentinel: np.ndarray | None  # [B, 1, rows]; None where every row permits its key in every element
+
+
+class Plan(NamedTuple):
     tiles: list[Tile]  # in row order
     keys: slice | np.ndarray  # the shared key columns, in column order; tile prefixes index into them
-    own_rows: slice | np.ndarray | None  # the rows that own a key, ascending; None without the split
-    own_cols: slice | np.ndarray | None  # the key each of them owns
-    unread: np.ndarray  # key columns that no row permits
+    own: Own | None  # None without the own-key split
 
 
 def _index(ix: np.ndarray) -> slice | np.ndarray:
@@ -272,24 +277,13 @@ def _cost(cuts: list[tuple[int, int, int]], scale: int) -> int:
     return sum((end - first) * keys for first, end, keys in cuts) * scale + len(cuts) * TILE_ENTRIES
 
 
-def _plan(cuts: list[tuple[int, int, int]], keys: np.ndarray, own, unread: np.ndarray) -> Tiling:
-    """The tiling of `cuts` over the shared key columns `keys`; `own` is None or (ascending rows, their keys)."""
-    if own is None:
-        return Tiling([Tile(slice(a, b), n, None, None) for a, b, n in cuts], _index(keys), None, None, unread)
-    rows, cols = own
-    tiles = []
-    for (a, b, n), (o0, o1) in zip(cuts, np.searchsorted(rows, [(a, b) for a, b, _ in cuts]).tolist()):
-        owned = (slice(o0, o1), _index(rows[o0:o1] - a)) if o1 > o0 else (None, None)
-        tiles.append(Tile(slice(a, b), n, *owned))
-    return Tiling(tiles, _index(keys), _index(rows), _index(cols), unread)
-
-
-def _derive(seen: np.ndarray, readers: np.ndarray, scale: int) -> Tiling:
-    """The cheaper tiling of the rows of `seen` [Tq, Tk]: of every key some row permits, or with own keys split off.
+def _derive(seen: np.ndarray, readers: np.ndarray, scale: int):
+    """The cheaper plan of the rows of `seen` [Tq, Tk]: of every key some row permits, or with own keys split off.
 
     `readers` counts the rows that permit each key; `scale` is B x heads.
+    Returns the cuts, the shared keys and None or (ascending rows, their keys).
     """
-    keys, unread = np.flatnonzero(readers), np.flatnonzero(readers == 0)
+    keys = np.flatnonzero(readers)
     cuts = _cut(_prefixes(seen, keys), scale)
     cost, own = _cost(cuts, scale), None
     # no split costs less than every permitted score, one tile and the own-key term
@@ -304,11 +298,11 @@ def _derive(seen: np.ndarray, readers: np.ndarray, scale: int) -> Tiling:
         # the own-key term costs one more tile, of one score per row
         if rows.size and _cost(split, scale) + rows.size * scale + TILE_ENTRIES < cost:
             keys, cuts, own = split_keys, split, (rows, cols)
-    return _plan(cuts, keys, own, unread)
+    return cuts, keys, own
 
 
 class AttentionMask:
-    """A validated boolean key mask plus its cached tiling and additive sentinels.
+    """A validated boolean key mask plus its attention plan, cached per (heads, dtype).
 
     The mask is [B, Tq, Tk], True where key j is permitted for query i of
     batch element b; queries and keys may differ in number. Every row must
@@ -316,7 +310,7 @@ class AttentionMask:
     lets the softmax zero forbidden weights with the sentinel alone.
     Wrapping once and passing the wrapper to many attention calls (e.g.
     every transformer layer) amortizes that check and the derivation of the
-    tiling and the sentinels.
+    plan: its tiles, each with its sentinel, and its own keys.
 
     Keys are read in one of two ways. A row's own key is a key that exactly
     one query row permits, in any batch element, with at most one per row
@@ -333,9 +327,9 @@ class AttentionMask:
     rows do not need; prefixes need not grow from one tile to the next, so
     rows after wider ones go back to short prefixes. Every key a tile skips
     is forbidden for all its rows, and a tile whose rows permit every key
-    of their prefix in every batch element needs no sentinel.
+    of their prefix in every batch element has no sentinel.
 
-    A tiling costs its score entries plus `TILE_ENTRIES` per tile. The own
+    A plan costs its score entries plus `TILE_ENTRIES` per tile. The own
     keys are split off only when that lowers the cost, counting their term
     as one more tile plus one score per owning row: with the observations
     first and the readouts last (a compact window), the readout rows then
@@ -356,50 +350,39 @@ class AttentionMask:
             bad = np.argwhere(~permitted.any(axis=-1))[0]
             raise DegenerateMaskError(f"mask row {tuple(bad)} permits no keys")
         self.permitted = np.ascontiguousarray(permitted)
-        self._tilings: dict = {}
-        self._sentinels: dict = {}
+        self._plans: dict = {}
 
-    def tiling(self, heads: int) -> Tiling:
-        """The tiles, shared keys and own keys of attention with `heads` heads."""
-        if heads not in self._tilings:
+    def plan(self, heads: int, dtype) -> Plan:
+        """The tiles, shared keys and own keys of attention with `heads` heads, with sentinels in `dtype`.
+
+        A sentinel is additive, 0 where permitted and -inf elsewhere: per
+        tile over its rows and key prefix, and over each owning row's key.
+        """
+        dtype = np.dtype(dtype)
+        if (heads, dtype) not in self._plans:
             nb, tq, tk = self.permitted.shape
             scale = nb * heads
-            plan = Tiling([Tile(slice(0, tq), tk, None, None)], slice(0, tk), None, None, np.arange(0))
+            cuts, keys, own = [(0, tq, tk)], np.arange(tk), None
             if scale * tq * tk > TILE_ENTRIES:  # else no cut could save a tile's cost
                 seen = self.permitted.any(axis=0)
                 readers = seen.sum(axis=0, dtype=np.int32)  # half the time of the default int64
                 # nor can one where a tile of every key computes few scores that no row permits
                 if (tq * tk - int(readers.sum())) * scale > TILE_ENTRIES:
-                    plan = _derive(seen, readers, scale)
-            self._tilings[heads] = plan
-        return self._tilings[heads]
-
-    def sentinels(self, dtype, heads: int) -> tuple[list[np.ndarray | None], np.ndarray | None]:
-        """Additive sentinels, 0 where permitted and -inf elsewhere.
-
-        Per tile, [B, 1, rows, keys] over its rows and key prefix, or None
-        where they permit every one of those keys; and [B, 1, own-key rows]
-        over each row's own key, None without the split.
-        """
-        key = (np.dtype(dtype).name, heads)
-        if key not in self._sentinels:
-            plan = self.tiling(heads)
-            never = np.array(-np.inf, dtype=dtype).view(f"i{np.dtype(dtype).itemsize}")  # -inf's bits, as an integer
+                    cuts, keys, own = _derive(seen, readers, scale)
+            never = np.array(-np.inf, dtype=dtype).view(f"i{dtype.itemsize}")  # -inf's bits, as an integer
 
             def sentinel(permitted):  # 0 * never is +0.0's bits; a pass quicker than np.where
-                return np.multiply(~permitted, never).view(dtype)[:, None]
+                return None if permitted.all() else np.multiply(~permitted, never).view(dtype)[:, None]
 
-            nb, tq, tk = self.permitted.shape
-            keys = np.arange(tk)[plan.keys]
+            rows, cols = (np.arange(0), None) if own is None else own
             tiles = []
-            for t in plan.tiles:
-                block = self.permitted[:, t.rows, _index(keys[: t.keys])]
-                tiles.append(None if block.all() else sentinel(block))
-            own = None
-            if plan.own_rows is not None:
-                own = sentinel(self.permitted[:, np.arange(tq)[plan.own_rows], np.arange(tk)[plan.own_cols]])
-            self._sentinels[key] = tiles, own
-        return self._sentinels[key]
+            for (a, b, n), (o0, o1) in zip(cuts, np.searchsorted(rows, [(a, b) for a, b, _ in cuts]).tolist()):
+                owned = (slice(o0, o1), _index(rows[o0:o1] - a)) if o1 > o0 else (None, None)
+                tiles.append(Tile(slice(a, b), n, *owned, sentinel(self.permitted[:, a:b, _index(keys[:n])])))
+            if own is not None:
+                own = Own(_index(rows), _index(cols), sentinel(self.permitted[:, rows, cols]))
+            self._plans[heads, dtype] = Plan(tiles, _index(keys), own)
+        return self._plans[heads, dtype]
 
 
 def _split_heads(a: np.ndarray, heads: int) -> np.ndarray:
@@ -442,8 +425,9 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask: AttentionMask, heads
     matrix. With gr = r * g, the score gradient is z * (gr @ v^T - gr .
     out), exactly 0 where z is 0: one product of [gr | -gr . out] with
     [v | 1], and the same per row for the own-key term. The key and value
-    gradients sum the tiles' contributions to their prefixes; an own key's
-    come from its one row, and a key no row permits gets exact zeros.
+    gradients start at zero and each tile adds into its prefix; an own
+    key's come from its one row. So a key that no row permits, read by no
+    tile, keeps exact zeros.
     """
     if q.ndim != 3 or k.shape != v.shape or k.ndim != 3 or q.shape[0] != k.shape[0] or q.shape[2] != k.shape[2]:
         raise DimensionError(f"attention q/k/v must be [B, T, d] alike, got {q.shape}, {k.shape}, {v.shape}")
@@ -458,8 +442,8 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask: AttentionMask, heads
             f"attention mask shape {mask.permitted.shape} incompatible with q {q.shape} and k {k.shape}"
         )
     dtype = q.data.dtype
-    plan = mask.tiling(heads)
-    sentinels, own = mask.sentinels(dtype, heads)
+    plan = mask.plan(heads, dtype)
+    own = plan.own
 
     q4, k4, v4 = (_split_heads(t.data, heads) for t in (q, k, v))
     scale = dtype.type(1.0 / math.sqrt(dh))
@@ -468,22 +452,23 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask: AttentionMask, heads
     vx = np.empty((nb, heads, kt.shape[-1], dh + 1), dtype=dtype)  # [v | 1] of the shared keys
     vx[..., :dh] = v4[:, :, plan.keys]
     vx[..., dh] = 1
-    if plan.own_rows is not None:
-        ko = k4[:, :, plan.own_cols]
-        vo = np.empty((nb, heads, own.shape[-1], dh + 1), dtype=dtype)  # [v | 1] of the own keys
-        vo[..., :dh] = v4[:, :, plan.own_cols]
+    if own is not None:
+        ko = k4[:, :, own.cols]
+        so = np.einsum("...d,...d->...", qs[:, :, own.rows], ko)
+        vo = np.empty(so.shape + (dh + 1,), dtype=dtype)  # [v | 1] of the own keys
+        vo[..., :dh] = v4[:, :, own.cols]
         vo[..., dh] = 1
-        so = np.einsum("...d,...d->...", qs[:, :, plan.own_rows], ko)
-        so += own
+        if own.sentinel is not None:
+            so += own.sentinel
         zo = np.empty_like(so)
     out = np.empty((nb, tq, d), dtype=dtype)
     out4 = _split_heads(out, heads)
     r = np.empty((nb, heads, tq, 1), dtype=dtype)
     saved = []
-    for t, sentinel in zip(plan.tiles, sentinels):
+    for t in plan.tiles:
         z = np.matmul(qs[:, :, t.rows], kt[..., : t.keys])
-        if sentinel is not None:
-            z += sentinel
+        if t.sentinel is not None:
+            z += t.sentinel
         m = z.max(axis=-1, initial=-np.inf)
         if t.owned is not None:
             top = np.maximum(m[:, :, t.local], so[..., t.owned])
@@ -504,35 +489,25 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask: AttentionMask, heads
         head_sums = np.repeat(np.eye(heads, dtype=dtype), dh, axis=0)  # [d, heads]: g . out per head
         gout = np.matmul((g * out).reshape(-1, d), head_sums).reshape(nb, tq, heads).transpose(0, 2, 1)
         np.multiply(gout[..., None], -r, out=grx[..., dh:])
-        gq, gk, gv = (np.empty((nb, t, d), dtype=dtype) for t in (tq, tk, tk))
+        gq = np.empty((nb, tq, d), dtype=dtype)  # every row is in a tile
+        gk, gv = np.zeros((2, nb, tk, d), dtype=dtype)  # a key that no tile reads keeps its zeros
         gq4, gk4, gv4 = (_split_heads(a, heads) for a in (gq, gk, gv))
-        if plan.unread.size:
-            gk[:, plan.unread] = 0
-            gv[:, plan.unread] = 0
-        gks, gvs = (np.empty((nb, heads, kt.shape[-1], dh), dtype=dtype) for _ in range(2))  # of the shared keys
+        gks, gvs = np.zeros((2, nb, heads, kt.shape[-1], dh), dtype=dtype)  # of the shared keys
         ks = np.swapaxes(kt, -1, -2)
-        # the widest tile first: it reads every shared key, so it writes their gradients
-        for n, i in enumerate(sorted(range(len(saved)), key=lambda i: -plan.tiles[i].keys)):
-            t, z, nk = plan.tiles[i], saved[i], plan.tiles[i].keys
-            grt = gr[:, :, t.rows]
-            gs = np.matmul(grx[:, :, t.rows], np.swapaxes(vx[:, :, :nk], -1, -2))  # r * dL/dw - gr . out
+        for t, z in zip(plan.tiles, saved):
+            gs = np.matmul(grx[:, :, t.rows], np.swapaxes(vx[:, :, : t.keys], -1, -2))  # r * dL/dw - gr . out
             gs *= z  # dL/dscores
-            np.multiply(np.matmul(gs, ks[:, :, :nk]), scale, out=gq4[:, :, t.rows])
-            if n == 0:
-                np.matmul(np.swapaxes(z, -1, -2), grt, out=gvs[:, :, :nk])
-                np.matmul(np.swapaxes(gs, -1, -2), qs[:, :, t.rows], out=gks[:, :, :nk])
-            else:
-                gvs[:, :, :nk] += np.matmul(np.swapaxes(z, -1, -2), grt)
-                gks[:, :, :nk] += np.matmul(np.swapaxes(gs, -1, -2), qs[:, :, t.rows])
+            np.multiply(np.matmul(gs, ks[:, :, : t.keys]), scale, out=gq4[:, :, t.rows])
+            gvs[:, :, : t.keys] += np.matmul(np.swapaxes(z, -1, -2), gr[:, :, t.rows])
+            gks[:, :, : t.keys] += np.matmul(np.swapaxes(gs, -1, -2), qs[:, :, t.rows])
         gk4[:, :, plan.keys] = gks
         gv4[:, :, plan.keys] = gvs
-        if plan.own_rows is not None:
-            gro = gr[:, :, plan.own_rows]
-            gso = np.einsum("...d,...d->...", grx[:, :, plan.own_rows], vo)
+        if own is not None:
+            gso = np.einsum("...d,...d->...", grx[:, :, own.rows], vo)
             gso *= zo
-            gq4[:, :, plan.own_rows] += (gso * scale)[..., None] * ko
-            gk4[:, :, plan.own_cols] = gso[..., None] * qs[:, :, plan.own_rows]
-            gv4[:, :, plan.own_cols] = zo[..., None] * gro
+            gq4[:, :, own.rows] += (gso * scale)[..., None] * ko
+            gk4[:, :, own.cols] = gso[..., None] * qs[:, :, own.rows]
+            gv4[:, :, own.cols] = zo[..., None] * gr[:, :, own.rows]
         return gq, gk, gv
 
     return Tensor._make(out, (q, k, v), bwd, "masked_attention")

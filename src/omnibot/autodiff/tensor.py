@@ -19,7 +19,8 @@ steps, and after such a write it calls `Policy.params_changed()`, because
 Two float precisions are supported: float32 for training and float64 for
 gradient verification. Parameters are created in float32; a float64 copy
 of a model is a cast of its parameters (`ad.param(p.data.astype(np.float64))`).
-Mixed-dtype arithmetic is an error rather than a silent upcast.
+Mixed dtypes are an error rather than a silent cast: `_make` checks that
+every parent of a node has the dtype of its output.
 """
 
 from __future__ import annotations
@@ -110,6 +111,9 @@ class Tensor:
 
     @staticmethod
     def _make(data: np.ndarray, parents: Sequence["Tensor"], bwd, op: str) -> "Tensor":
+        for p in parents:  # an op's inputs and output share one dtype
+            if p.data.dtype != data.dtype:
+                raise DimensionError(f"{op}: dtype mismatch {p.data.dtype} vs {data.dtype}")
         needs = _grad_enabled and any(p.requires_grad for p in parents)
         return Tensor(
             data,
@@ -121,17 +125,11 @@ class Tensor:
 
     # -- elementwise arithmetic --------------------------------------------
 
-    def _binary_prep(self, other, opname: str) -> "Tensor":
-        if not isinstance(other, Tensor):
-            other = Tensor(np.asarray(other, dtype=self.data.dtype))
-        if other.data.dtype != self.data.dtype:
-            raise DimensionError(
-                f"{opname}: dtype mismatch {self.data.dtype} vs {other.data.dtype}"
-            )
-        return other
+    def _binary_prep(self, other) -> "Tensor":
+        return other if isinstance(other, Tensor) else Tensor(np.asarray(other, dtype=self.data.dtype))
 
     def __add__(self, other) -> "Tensor":
-        other = self._binary_prep(other, "add")
+        other = self._binary_prep(other)
         a, b = self, other
         out = a.data + b.data
 
@@ -146,10 +144,10 @@ class Tensor:
         return Tensor._make(-self.data, (self,), lambda g: (-g,), "neg")
 
     def __sub__(self, other) -> "Tensor":
-        return self + (-self._binary_prep(other, "sub"))
+        return self + (-self._binary_prep(other))
 
     def __mul__(self, other) -> "Tensor":
-        other = self._binary_prep(other, "mul")
+        other = self._binary_prep(other)
         a, b = self, other
         out = a.data * b.data
 

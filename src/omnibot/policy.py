@@ -146,6 +146,8 @@ class Policy:
         give a non-finite prediction raise EvaluationError.
         """
         windows = batch.windows
+        if not windows:
+            raise ContractError("predict needs a batch of at least one window")
         owners = np.array([assembler.window_embodiment(w, self.layout.history).head for w in windows])
         unknown = sorted(set(owners.tolist()) - set(self.head_specs))
         if unknown:

@@ -37,7 +37,9 @@ def test_layout_offsets_partition_context(layout):
     assert (covered == 1).all()
 
 
-def test_readout_groups_follow_the_heads():
+def test_readout_groups_follow_the_heads(monkeypatch):
+    plane = dataclasses.replace(embodiment("nav"), name="plane", head="aviation")  # a robot on a new head
+    monkeypatch.setitem(embodiments.EMBODIMENTS, "plane", plane)
     cfg = desk_config()
     cfg.head("single-arm").chunk_size = 3
     cfg.heads.append(HeadSection("aviation", chunk_size=2))

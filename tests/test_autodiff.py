@@ -193,8 +193,8 @@ def tiled(shape_seed=60, nb=4, heads=4, dh=16, steps=3, per=40, readouts=8):
     and whose readout keys are split off as their rows' own keys."""
     rng = np.random.Generator(np.random.PCG64(shape_seed))
     mask = step_mask(rng, nb, steps, per, 0.2, readouts)
-    plan = AttentionMask(mask).tiling(heads)
-    assert len(plan.tiles) > 1 and plan.own_rows is not None
+    plan = AttentionMask(mask).plan(heads, np.float64)
+    assert len(plan.tiles) > 1 and plan.own is not None
     q, k, v = (rng.standard_normal((nb, mask.shape[1], heads * dh)) for _ in range(3))
     return q, k, v, mask, heads
 
@@ -358,7 +358,7 @@ def test_attention_grad_of_forbidden_value_row_is_zero():
     rows = np.r_[0:60, 120:144]  # the first step and a half of observations, and every readout
     q, k, v = ad.param(q[:, rows]), ad.param(k), ad.param(v)
     mask = mask[:, rows]
-    assert AttentionMask(mask).tiling(heads).own_rows is not None
+    assert AttentionMask(mask).plan(heads, np.float64).own is not None
     wsum = ad.tensor(rand(q.shape, 38))
     grads = ad.backward((attend(q, k, v, mask, heads) * wsum).sum(), [k, v])
     unseen = ~mask.any(axis=1)  # [B, Tk]
@@ -366,6 +366,13 @@ def test_attention_grad_of_forbidden_value_row_is_zero():
     np.testing.assert_array_equal(grads[k][unseen], 0.0)
     np.testing.assert_array_equal(grads[v][unseen], 0.0)
     assert grads[k][~unseen].any(axis=-1).all()
+    # keys that no row reads in any element are in no tile and own no row
+    mask[:, :, 90:100] = False
+    plan = AttentionMask(mask).plan(heads, np.float64)
+    assert len(plan.tiles) > 1 and not np.isin(np.arange(90, 100), np.arange(mask.shape[-1])[plan.keys]).any()
+    grads = ad.backward((attend(q, k, v, mask, heads) * wsum).sum(), [k, v])
+    np.testing.assert_array_equal(grads[k][:, 90:100], 0.0)
+    np.testing.assert_array_equal(grads[v][:, 90:100], 0.0)
 
 
 def test_attention_with_large_scores_ignores_unseen_keys_exactly():
@@ -434,8 +441,10 @@ def test_masked_softmax_forbidden_weights_exactly_zero():
     mask = rng.random((2, 6, 6)) < 0.4
     mask[:, np.arange(6), np.arange(6)] = True
     amask = AttentionMask(mask)
-    (additive,), own = amask.sentinels(q.dtype, 2)  # one tile of every key, and no own keys
-    assert additive.shape == (2, 1, 6, 6) and additive.dtype == np.float32 and own is None
+    plan = amask.plan(2, q.dtype)
+    (tile,) = plan.tiles  # one tile of every key, and no own keys
+    additive = tile.sentinel
+    assert additive.shape == (2, 1, 6, 6) and additive.dtype == np.float32 and plan.own is None
     np.testing.assert_array_equal(additive[:, 0] == 0.0, mask)
     out = ad.masked_attention(ad.tensor(q), ad.tensor(k), ad.tensor(eye), amask, 2).data
     for b in range(2):
@@ -466,6 +475,16 @@ def query_rows(steps, per, readouts, queries):
     return np.arange(0, t, 3) if queries == "sparse" else np.arange(t)
 
 
+def assert_sentinel(sentinel, permitted):
+    """`sentinel` is None iff `permitted` [B, ...] denies nothing, else [B, 1, ...]: -inf where denied, +0.0 elsewhere."""
+    if permitted.all():
+        assert sentinel is None
+        return
+    assert sentinel.dtype == np.float32 and sentinel.shape == (permitted.shape[0], 1) + permitted.shape[1:]
+    np.testing.assert_array_equal(sentinel[:, 0], np.where(permitted, 0.0, -np.inf))
+    assert not np.signbit(sentinel[:, 0][permitted]).any()
+
+
 @settings(max_examples=60, deadline=None)
 @given(layout=step_layouts, queries=st.sampled_from(("all", "last-step", "sparse", "readouts")))
 def test_property_every_permitted_key_is_in_a_tile_prefix_or_owned(layout, queries):
@@ -478,7 +497,7 @@ def test_property_every_permitted_key_is_in_a_tile_prefix_or_owned(layout, queri
     seen = mask.any(axis=0)  # [rows, keys]: permitted in some element
     for entries in (0, 15_000, 10**18):
         with tile_entries(entries):
-            plan = AttentionMask(mask).tiling(heads)
+            plan = AttentionMask(mask).plan(heads, np.float32)
         tiles = plan.tiles
         assert [x.rows.start for x in tiles] == [0] + [x.rows.stop for x in tiles[:-1]]
         assert tiles[-1].rows.stop == rows.size
@@ -487,15 +506,15 @@ def test_property_every_permitted_key_is_in_a_tile_prefix_or_owned(layout, queri
         for x in tiles:
             assert 0 <= x.keys <= shared.size
             read[x.rows, shared[: x.keys]] = True
-        if plan.own_rows is not None:
-            owners, owned = np.arange(rows.size)[plan.own_rows], np.arange(t)[plan.own_cols]
+            assert_sentinel(x.sentinel, mask[:, x.rows][:, :, shared[: x.keys]])
+        if plan.own is not None:
+            owners, owned = np.arange(rows.size)[plan.own.rows], np.arange(t)[plan.own.cols]
             assert owners.size == np.unique(owners).size and not np.isin(owned, shared).any()
             assert (seen[:, owned].sum(axis=0) == 1).all() and seen[owners, owned].all()  # one row permits each
             read[owners, owned] = True
+            assert_sentinel(plan.own.sentinel, mask[:, owners, owned])
         assert not (seen & ~read).any()  # every permitted key: in its row's tile prefix, or its own key
-        derived = (rows.size * t - seen.sum()) * nb * heads > entries  # else one tile of every key
-        np.testing.assert_array_equal(plan.unread, np.flatnonzero(~seen.any(axis=0)) if derived else [])
-        if entries == 0 or plan.own_rows is not None:
+        if entries == 0 or plan.own is not None:
             for x in tiles:  # no tile reads a key that every one of its rows is denied
                 assert seen[x.rows][:, shared[: x.keys]].any(axis=0).all()
 
@@ -515,9 +534,9 @@ def test_property_tiled_attention_matches_one_tile_and_the_oracle(layout, querie
         with tile_entries(entries):
             amask = AttentionMask(mask)
             out = ad.masked_attention(q, k, v, amask, heads)
-            runs.append((amask.tiling(heads), out.data, ad.backward((out * wsum).sum(), [q, k, v])))
+            runs.append((amask.plan(heads, q.dtype), out.data, ad.backward((out * wsum).sum(), [q, k, v])))
     (_, tiled_out, tiled_grads), (one, one_out, one_grads) = runs
-    assert len(one.tiles) == 1 and one.own_rows is None
+    assert len(one.tiles) == 1 and one.own is None
     # not bitwise: a shorter key prefix changes BLAS's blocking of the sums
     np.testing.assert_allclose(tiled_out, one_out, rtol=1e-12, atol=1e-15)
     for p in (q, k, v):
@@ -702,6 +721,28 @@ def test_backward_accumulates_a_node_read_at_different_depths():
     np.testing.assert_allclose(grads[x], gu * y.data, rtol=1e-12)
     np.testing.assert_allclose(grads[y], gu * x.data, rtol=1e-12)
     np.testing.assert_allclose(grads[w], u.data.T @ s, rtol=1e-12)
+
+
+def f64(shape, seed):
+    return ad.tensor(rand(shape, seed))
+
+
+MIXED_DTYPE_CALLS = {  # each reads a float32 x among float64 operands
+    "add": lambda x: x + f64((2, 4, 8), 1),
+    "linear": lambda x: ad.linear(x, f64((8, 3), 1), f64((3,), 2)),
+    "layer_norm": lambda x: ad.layer_norm(x, f64((8,), 1), f64((8,), 2)),
+    "masked_attention": lambda x: attend(x, f64((2, 4, 8), 1), f64((2, 4, 8), 2), np.ones((4, 4), bool), 2),
+    "conv2d": lambda x: ad.conv2d(x.reshape(2, 4, 4, 2), f64((3, 2, 2, 2), 1), f64((3,), 2), 1),
+    "film": lambda x: ad.film(x, f64((2, 5), 1), f64((5, 8), 2), f64((8,), 3), f64((5, 8), 4), f64((8,), 5)),
+}
+
+
+@pytest.mark.parametrize("op", MIXED_DTYPE_CALLS)
+def test_ops_reject_mixed_float_dtypes(op):
+    # no silent up- or downcast of the output or the gradients
+    x = ad.param(rand((2, 4, 8), 0, np.float32))
+    with pytest.raises(DimensionError, match=f"^{op}: dtype mismatch"):
+        MIXED_DTYPE_CALLS[op](x)
 
 
 def test_determinism_same_inputs_same_bits():

@@ -164,6 +164,13 @@ def test_predict_ignores_targets_and_masks(policy, sampler):
         np.testing.assert_array_equal(pred.data, policy.predict(batch)[h].data)
 
 
+def test_predict_loss_and_validation_reject_a_batch_of_no_windows(policy):
+    empty = datapipe.TrainingBatch([], {}, {}, [], [])
+    for run in (policy.predict, policy.loss, policy.validation_mse):
+        with pytest.raises(ContractError, match="at least one window"):
+            run(empty)
+
+
 @pytest.mark.parametrize("name", ("arm1", "nav", "nav-shifted", "bimanual", "quad"))
 def test_act_matches_dense_newest_step(policy, name):
     head = embodiment(name).head
@@ -267,8 +274,8 @@ def test_attention_tiles_compute_at_most_a_quarter_more_scores_than_permitted(cf
     computed = permitted = 0
     for mask, heads in calls:
         nb, tq, _ = mask.permitted.shape
-        plan = mask.tiling(heads)
-        owners = 0 if plan.own_rows is None else np.arange(tq)[plan.own_rows].size
+        plan = mask.plan(heads, np.float32)
+        owners = 0 if plan.own is None else np.arange(tq)[plan.own.rows].size
         computed += (sum((t.rows.stop - t.rows.start) * t.keys for t in plan.tiles) + owners) * nb * heads
         permitted += int(mask.permitted.sum()) * heads
     assert computed <= 1.25 * permitted, (computed, permitted)
@@ -280,10 +287,10 @@ def test_own_keys_are_split_off_for_every_step_but_not_for_the_newest_alone(poli
     frames = rollout_frames("bimanual", policy.layout.history, 5)
     for steps, split in (([-1], False), (slice(None), True)):
         window = compact_window(policy, [frames], "bimanual", steps)
-        plan = ad.AttentionMask(window.attn_mask).tiling(heads)
-        assert (plan.own_rows is not None) == split
+        plan = ad.AttentionMask(window.attn_mask).plan(heads, np.float32)
+        assert (plan.own is not None) == split
         if split:  # the readouts, each its own row's key
-            np.testing.assert_array_equal(np.arange(window.slots.size)[plan.own_cols], np.sort(window.readouts.ravel()))
+            np.testing.assert_array_equal(np.arange(window.slots.size)[plan.own.cols], np.sort(window.readouts.ravel()))
 
 
 @pytest.mark.parametrize("steps", ([-1], slice(None)), ids=["newest", "every-step"])

@@ -5,6 +5,7 @@ import pytest
 from omnibot.assembler import build_layout
 from omnibot.config import Config, desk_config
 from omnibot.errors import ConfigError
+from omnibot.policy import Policy
 
 
 def test_from_dict_round_trips_the_desk_config():
@@ -80,3 +81,13 @@ def test_duplicate_head_names_are_config_error():
     doc["heads"].append({"name": "navigation", "chunk_size": 2})
     with pytest.raises(ConfigError, match="duplicate head name 'navigation'"):
         build_layout(Config.from_dict(doc))
+
+
+def test_head_that_no_robot_draws_from_is_config_error():
+    doc = json.loads(desk_config().canonical_json())
+    doc["heads"].append({"name": "foo", "chunk_size": 2})
+    cfg = Config.from_dict(doc)
+    with pytest.raises(ConfigError, match=r"head 'foo'.*\['bimanual', 'navigation', 'quadruped', 'single-arm'\]"):
+        build_layout(cfg)
+    with pytest.raises(ConfigError, match="head 'foo'"):
+        Policy.init(cfg, 0)

@@ -559,6 +559,14 @@ def test_batch_deterministic_by_index(small_world):
                 np.testing.assert_array_equal(f1.observations[g], f2.observations[g])
 
 
+@pytest.mark.parametrize("size", (0, -1))
+def test_batch_of_no_windows_is_contract_error(small_world, size):
+    cfg, layout, datasets, mixture = small_world
+    sampler = dp.BatchSampler(datasets, mixture, cfg, layout, seed=11)
+    with pytest.raises(ContractError, match=f"batch size must be at least 1, got {size}"):
+        sampler.batch(0, size)
+
+
 def test_batch_seed_changes_content(small_world):
     cfg, layout, datasets, mixture = small_world
     s1 = dp.BatchSampler(datasets, mixture, cfg, layout, seed=11)
