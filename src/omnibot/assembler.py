@@ -24,6 +24,16 @@ readout columns last, each part in ascending slot order. Every readout is
 then its own row's key alone, at the end, and every observation key sits
 in step order before it, so `autodiff.AttentionMask` splits the readouts
 off as own keys and lets each readout row read a short observation prefix.
+The readout rows are also one trailing range, the queries of the last
+layer, so that layer's mask is `AttentionMask.tail` of the first's.
+
+Assembly is two steps. `window_structure` places the slots: the kept
+columns, the padding, the valid steps, the readout rows, where each
+frame's encoder rows go, and the `AttentionMask`, built and validated once.
+It reads each window's robot and frame count alone. `window_tokens` fills
+a structure with token values: the encoder rows, scattered into their
+columns, plus slot embeddings, with padding zeroed. `assemble_batch` runs
+both; `Policy.act` keeps the structure of each window shape.
 """
 
 from __future__ import annotations
@@ -169,31 +179,57 @@ class ObservationFrame:
     goal: np.ndarray | None = None  # conditions the embodiment's registry goal view
 
 
-@dataclass
-class AssembledWindow:
-    tokens: Tensor  # [B, T, d_model]; T = k*S for a full window
+@dataclass(frozen=True)
+class WindowStructure:
+    """An assembled window but for its token values.
+
+    It depends on each window's robot and frame count (and on the head and
+    steps) alone: `window_embodiment` pins the groups of a robot's frames,
+    and values, goals and instructions change encoder rows, not slots. It
+    holds no parameters.
+    """
+
     pad: np.ndarray  # [B, T] bool, True where slot is padding
-    attn_mask: np.ndarray  # [B, T, T] bool, True where attention permitted
+    mask: ad.AttentionMask  # [B, T, T], True where attention is permitted
     valid_steps: np.ndarray  # [B, k] bool
     # [T] original slot index of each token column: ascending for a full window;
     # for a compact one, the kept observations ascending, then the readouts ascending
     slots: np.ndarray
     readouts: np.ndarray | None  # [steps, chunk] token columns of the head's readouts; None for a full window
+    # each observation group that frames carry, with the (window, frame index) of those frames
+    placed: tuple[tuple[SlotGroup, tuple[tuple[int, int], ...]], ...]
+    destinations: tuple[np.ndarray, np.ndarray]  # window and column of each of their encoder rows, in that order
+
+    @property
+    def attn_mask(self) -> np.ndarray:
+        """[B, T, T] bool: the mask's `permitted`."""
+        return self.mask.permitted
+
+
+@dataclass(frozen=True, kw_only=True)
+class AssembledWindow(WindowStructure):
+    tokens: Tensor  # [B, T, d_model]; T = k*S for a full window
 
 
 def window_embodiment(frames: list[ObservationFrame], history: int) -> EmbodimentSpec:
     """The registry entry of a window's robot, after the window's one structural check.
 
     `Policy.act`, `predict` and `assemble` run it once per window. It wants
-    1..`history` frames of one registry robot, each with a dict of exactly
-    its groups, an integer instruction id (not a bool) of the language
-    vocabulary, and float arrays (or array-likes) of the registry shape for
-    each group and for the goal where that conditions one. A wrong shape is
-    a DimensionError, any other fault a ContractError naming the frame's
-    index and the group; `encode_group` checks that the values are finite.
+    a list of 1..`history` `ObservationFrame`s of one registry robot, each
+    with a dict of exactly its groups, an integer instruction id (not a
+    bool) of the language vocabulary, and float arrays (or array-likes) of
+    the registry shape for each group and for the goal where that
+    conditions one. A wrong shape is a DimensionError, any other fault a
+    ContractError naming the frame's index (and the group); `encode_group`
+    checks that the values are finite.
     """
+    if not isinstance(frames, list):
+        raise ContractError(f"a window is a list of ObservationFrame, got a {type(frames).__name__}")
     if not frames or len(frames) > history:
         raise ContractError(f"window needs 1..{history} frames, got {len(frames)}")
+    for i, f in enumerate(frames):
+        if not isinstance(f, ObservationFrame):
+            raise ContractError(f"frame {i} is a {type(f).__name__}, want an ObservationFrame")
     robots = [embodiment(f.embodiment) for f in frames]
     if any(r is not robots[0] for r in robots):
         raise ContractError(f"mixed embodiments within one window: {sorted({r.name for r in robots})}")
@@ -315,31 +351,23 @@ def _slot_embeddings(layout: SlotLayout, params: dict[str, Tensor], cols: np.nda
     return ad.take(table, layout.token_readout_row[cols], axis=0) + ad.take(pos, cols, axis=0)
 
 
-def assemble_batch(
-    windows: list[list[ObservationFrame]],
-    layout: SlotLayout,
-    bank: EncoderBank,
-    params: dict[str, Tensor],
-    head: str | None = None,
-    steps=slice(None),
-    encode=encode_group,
-) -> AssembledWindow:
-    """Encode a batch of frame histories and place them into their slots.
+def window_structure(
+    windows: list[list[ObservationFrame]], layout: SlotLayout, head: str | None = None, steps=slice(None)
+) -> WindowStructure:
+    """Where a batch of windows' encoder rows go, which slots are padding, and the attention mask.
 
     With `head` None, the full window: every slot of every step. With a
     head, the compact window for that head's readouts at `steps`, which
     index the k window steps (every window ends at step k-1, so [-1] is the
     newest): the observation slots live in at least one window, then the
     head's readout slots at `steps`, whose columns it names in `readouts`.
-    Encoder rows are scattered straight into their kept columns.
-    `encode(bank, group, frames, index)` gives each observation group's
-    encoder rows, `encode_group` by default. The windows must have passed
-    `window_embodiment`; this does not check them again.
+    The windows must have passed `window_embodiment`; this does not check
+    them again, and reads only their robots' groups and frame counts.
     """
-    k, s, t, d = layout.history, layout.step_tokens, layout.context_tokens, layout.d_model
+    k, s, t = layout.history, layout.step_tokens, layout.context_tokens
     b = len(windows)
     valid = np.zeros((b, k), dtype=bool)
-    entries: dict[str, list[tuple[int, int, int, ObservationFrame]]] = {  # window, step, frame index, frame
+    entries: dict[str, list[tuple[int, int, int]]] = {  # window, step, frame index
         g.name: [] for g in layout.groups if g.kind != "readout"
     }
     for bi, frames in enumerate(windows):
@@ -347,18 +375,18 @@ def assemble_batch(
         valid[bi, lead:] = True
         for i, frame in enumerate(frames):
             for name in frame.observations:
-                entries[name].append((bi, lead + i, i, frame))
+                entries[name].append((bi, lead + i, i))
 
     live = valid[:, layout.token_step] & ~layout.token_is_obs  # readouts are live at valid steps
-    placed = []  # (group, frames, their indices, window and slot of each encoder row)
+    placed, windows_of, slots_of = [], [], []  # per group: its frames, and the window and slot of each encoder row
     for g in layout.groups:
         got = entries.get(g.name)
         if got:
-            bis, at, index, frames = zip(*got)
-            bs = np.repeat(bis, g.tokens)
-            slots = (np.array(at)[:, None] * s + g.offset + np.arange(g.tokens)).ravel()
-            live[bs, slots] = True
-            placed.append((g, list(frames), list(index), bs, slots))
+            bis, at, index = zip(*got)
+            windows_of.append(np.repeat(bis, g.tokens))
+            slots_of.append((np.array(at)[:, None] * s + g.offset + np.arange(g.tokens)).ravel())
+            live[windows_of[-1], slots_of[-1]] = True
+            placed.append((g, tuple(zip(bis, index))))
 
     if head is None:
         cols = np.arange(t)
@@ -368,25 +396,54 @@ def assemble_batch(
         cols = np.concatenate([obs, np.sort(readout_slots.ravel())])
     column = np.zeros(t, dtype=np.intp)  # kept column of each slot
     column[cols] = np.arange(cols.size)
-
-    if placed:
-        rows = [encode(bank, g, frames, index).reshape(-1, d) for g, frames, index, _, _ in placed]
-        content = ad.scatter_tokens(
-            ad.concat(rows, axis=0) if len(rows) > 1 else rows[0],
-            np.concatenate([bs for *_, bs, _ in placed]),
-            column[np.concatenate([slots for *_, slots in placed])],
-            b,
-            cols.size,
-        )
-    else:
-        content = ad.tensor(np.zeros((b, cols.size, d), dtype=bank.dtype))
     pad = ~live[:, cols]
-    tokens = (content + _slot_embeddings(layout, params, cols)) * ad.tensor((~pad).astype(bank.dtype)[:, :, None])
-    return AssembledWindow(
-        tokens=tokens,
+    return WindowStructure(
         pad=pad,
-        attn_mask=build_attention_mask(layout, pad, cols),
+        mask=ad.AttentionMask(build_attention_mask(layout, pad, cols)),
         valid_steps=valid,
         slots=cols,
         readouts=None if head is None else column[readout_slots],
+        placed=tuple(placed),
+        destinations=(np.concatenate(windows_of), column[np.concatenate(slots_of)]) if placed else (),
     )
+
+
+def window_tokens(
+    structure: WindowStructure, windows: list[list[ObservationFrame]], layout: SlotLayout, bank: EncoderBank,
+    params: dict[str, Tensor], encode=encode_group,
+) -> AssembledWindow:
+    """The window `structure` lays out, with the token values of `windows`.
+
+    `encode(bank, group, frames, index)` gives each observation group's
+    encoder rows, `encode_group` by default; they are scattered straight
+    into their kept columns, every column gets its slot embedding, and
+    padding is zeroed.
+    """
+    b, n = structure.pad.shape
+    if structure.placed:
+        rows = [
+            encode(bank, g, [windows[bi][i] for bi, i in at], [i for _, i in at]).reshape(-1, layout.d_model)
+            for g, at in structure.placed
+        ]
+        rows = ad.concat(rows, axis=0) if len(rows) > 1 else rows[0]
+        content = ad.scatter_tokens(rows, *structure.destinations, b, n)
+    else:
+        content = ad.tensor(np.zeros((b, n, layout.d_model), dtype=bank.dtype))
+    keep = ad.tensor((~structure.pad).astype(bank.dtype)[:, :, None])
+    tokens = (content + _slot_embeddings(layout, params, structure.slots)) * keep
+    return AssembledWindow(tokens=tokens, **vars(structure))
+
+
+def assemble_batch(
+    windows: list[list[ObservationFrame]],
+    layout: SlotLayout,
+    bank: EncoderBank,
+    params: dict[str, Tensor],
+    head: str | None = None,
+    steps=slice(None),
+) -> AssembledWindow:
+    """Encode a batch of checked frame histories and place them into their slots.
+
+    `window_structure(windows, layout, head, steps)`, filled by `window_tokens`.
+    """
+    return window_tokens(window_structure(windows, layout, head, steps), windows, layout, bank, params)

@@ -16,6 +16,8 @@ sentinel; and a row's own key (one that it alone permits, such as a
 readout), one extra softmax term of that row. Prefixes need not grow from
 tile to tile. One cost rule decides both the cuts and the own-key split:
 a tile costs `TILE_ENTRIES` score entries on top of the scores it computes.
+The plan of a mask's trailing rows (`AttentionMask.tail`) is its plan cut
+there, not a second derivation.
 """
 
 from __future__ import annotations
@@ -100,6 +102,12 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     return Tensor._make(out, (table,), bwd, "embedding")
 
 
+def _column_sums(a: np.ndarray) -> np.ndarray:
+    """[..., n] -> [n]: the sum over every axis but the last, as one product with a ones vector."""
+    a = a.reshape(-1, a.shape[-1])
+    return np.ones(a.shape[0], dtype=a.dtype) @ a
+
+
 LAYER_NORM_EPS = 1e-5  # added to the variance before the square root
 
 
@@ -130,10 +138,9 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     out += bias.data
 
     def bwd(g):
-        lead = tuple(range(g.ndim - 1))
         t = g * xhat
-        dgain = t.sum(axis=lead)
-        dbias = g.sum(axis=lead)
+        dgain = _column_sums(t)
+        dbias = _column_sums(g)
         gmean = (gain.data / dtype.type(d))[:, None]
         along = t @ gmean  # row mean of dxhat * xhat, where dxhat = g * gain
         np.multiply(xhat, along, out=t)
@@ -156,13 +163,13 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
     def bwd(g):
         gx = gw = gb = None
-        if x.requires_grad:
-            gx = np.matmul(g, w.data.T)
         g2 = g.reshape(-1, n)
+        if x.requires_grad:
+            gx = (g2 @ w.data.T).reshape(x.shape)
         if w.requires_grad:
             gw = x.data.reshape(-1, k).T @ g2
         if b.requires_grad:
-            gb = g2.sum(axis=0)
+            gb = _column_sums(g2)
         return gx, gw, gb
 
     return Tensor._make(out, (x, w, b), bwd, "linear")
@@ -242,6 +249,36 @@ def _index(ix: np.ndarray) -> slice | np.ndarray:
     if not ix.size:
         return slice(0, 0)
     return slice(int(ix[0]), int(ix[-1]) + 1) if ix[-1] - ix[0] + 1 == ix.size else ix
+
+
+def _owned(rows: np.ndarray, first: int, end: int) -> tuple[slice | None, slice | np.ndarray | None]:
+    """A tile's `owned` and `local` for its rows [first, end): `rows` are the ascending own-key rows."""
+    o0, o1 = np.searchsorted(rows, (first, end)).tolist()
+    return (slice(o0, o1), _index(rows[o0:o1] - first)) if o1 > o0 else (None, None)
+
+
+def _tail(plan: Plan, first: int) -> Plan:
+    """`plan` restricted to its rows from `first` on, renumbered from 0.
+
+    A tile keeps its key prefix and the rest of its sentinel: a row's
+    permitted keys do not depend on the other rows. An own key whose row is
+    cut is permitted by no row left, so it drops out with that row.
+    """
+    rows, own = np.arange(0), plan.own
+    if own is not None:
+        rows, cols = np.r_[own.rows], np.r_[own.cols]  # `_index`'s slices back to indices
+        cut = int(np.searchsorted(rows, first))
+        rows, cols = rows[cut:] - first, cols[cut:]
+        sentinel = None if own.sentinel is None else own.sentinel[..., cut:]
+        own = Own(_index(rows), _index(cols), sentinel) if rows.size else None
+    tiles = []
+    for t in plan.tiles:
+        if t.rows.stop > first:
+            start = max(t.rows.start, first)
+            sentinel = None if t.sentinel is None else t.sentinel[:, :, start - t.rows.start :]
+            a, b = start - first, t.rows.stop - first
+            tiles.append(Tile(slice(a, b), t.keys, *_owned(rows, a, b), sentinel))
+    return Plan(tiles, plan.keys, own)
 
 
 def _prefixes(seen: np.ndarray, keys: np.ndarray) -> np.ndarray:
@@ -338,6 +375,12 @@ class AttentionMask:
     `TILE_ENTRIES` skips the derivation, and so does one where a tile of all
     keys computes at most `TILE_ENTRIES` scores that no row permits: it is
     one tile of all keys.
+
+    `tail(first)` is the mask of the rows from `first` on. Its plan is this
+    mask's plan cut at that row: the tiles from there on, each keeping its
+    key prefix and the rest of its sentinel, and the own keys of the rows
+    left. It may read a few more keys than a plan derived for those rows
+    alone would, but it gives the same weights, and it costs no derivation.
     """
 
     def __init__(self, permitted: np.ndarray):
@@ -350,7 +393,8 @@ class AttentionMask:
             bad = np.argwhere(~permitted.any(axis=-1))[0]
             raise DegenerateMaskError(f"mask row {tuple(bad)} permits no keys")
         self.permitted = np.ascontiguousarray(permitted)
-        self._plans: dict = {}
+        self._plans: dict = {}  # (heads, dtype), and (heads, dtype, first row) for a `tail`'s
+        self._source: tuple[AttentionMask, int] | None = None  # of a `tail`: the mask it cuts, and where
 
     def plan(self, heads: int, dtype) -> Plan:
         """The tiles, shared keys and own keys of attention with `heads` heads, with sentinels in `dtype`.
@@ -359,6 +403,11 @@ class AttentionMask:
         tile over its rows and key prefix, and over each owning row's key.
         """
         dtype = np.dtype(dtype)
+        if self._source is not None:  # cached on the mask it cuts, keyed by the first row too
+            mask, first = self._source
+            if (heads, dtype, first) not in mask._plans:
+                mask._plans[heads, dtype, first] = _tail(mask.plan(heads, dtype), first)
+            return mask._plans[heads, dtype, first]
         if (heads, dtype) not in self._plans:
             nb, tq, tk = self.permitted.shape
             scale = nb * heads
@@ -375,14 +424,29 @@ class AttentionMask:
                 return None if permitted.all() else np.multiply(~permitted, never).view(dtype)[:, None]
 
             rows, cols = (np.arange(0), None) if own is None else own
-            tiles = []
-            for (a, b, n), (o0, o1) in zip(cuts, np.searchsorted(rows, [(a, b) for a, b, _ in cuts]).tolist()):
-                owned = (slice(o0, o1), _index(rows[o0:o1] - a)) if o1 > o0 else (None, None)
-                tiles.append(Tile(slice(a, b), n, *owned, sentinel(self.permitted[:, a:b, _index(keys[:n])])))
+            tiles = [
+                Tile(slice(a, b), n, *_owned(rows, a, b), sentinel(self.permitted[:, a:b, _index(keys[:n])]))
+                for a, b, n in cuts
+            ]
             if own is not None:
                 own = Own(_index(rows), _index(cols), sentinel(self.permitted[:, rows, cols]))
             self._plans[heads, dtype] = Plan(tiles, _index(keys), own)
         return self._plans[heads, dtype]
+
+    def tail(self, first: int) -> "AttentionMask":
+        """The mask of the rows from `first` on, whose plans are this mask's plans cut there (`_tail`).
+
+        This mask caches them, so a tail taken again plans nothing, and
+        nothing is validated again. A compact window's readout rows, the
+        queries of its last layer, are such a trailing range.
+        """
+        if not 0 <= first < self.permitted.shape[1]:
+            raise DimensionError(f"tail from row {first} of a mask of {self.permitted.shape[1]} rows")
+        if not first:
+            return self
+        tail = object.__new__(AttentionMask)
+        tail.permitted, tail._plans, tail._source = self.permitted[:, first:], {}, (self, first)
+        return tail
 
 
 def _split_heads(a: np.ndarray, heads: int) -> np.ndarray:
@@ -566,7 +630,7 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int) -> Tensor:
         if kernels.requires_grad:
             gk = (g2.T @ mat).reshape(c2, kh, kw, c).transpose(0, 3, 1, 2)
         if bias.requires_grad:
-            gb = g2.sum(axis=0)
+            gb = _column_sums(g2)
         if x.requires_grad:
             gcols = (g2 @ wmat.T).reshape(nb, h2, w2, kh, kw, c)
             gxp = np.zeros_like(xp)
@@ -605,11 +669,11 @@ def film(x: Tensor, lang: Tensor, gamma_w: Tensor, gamma_b: Tensor, beta_w: Tens
     out += beta.reshape(bshape)
 
     def bwd(g):
-        lead = tuple(range(1, g.ndim - 1))
-        dgamma = (g * x.data).sum(axis=lead)
-        dbeta = g.sum(axis=lead)
+        ones = np.ones(g.size // (n * c), dtype=g.dtype)  # per sample: a sum over the positions, as a product
+        dgamma = ones @ (g * x.data).reshape(n, -1, c)
+        dbeta = ones @ g.reshape(n, -1, c)
         gx = g * gamma1.reshape(bshape) if x.requires_grad else None
         glang = dgamma @ gamma_w.data.T + dbeta @ beta_w.data.T if lang.requires_grad else None
-        return gx, glang, lang.data.T @ dgamma, dgamma.sum(axis=0), lang.data.T @ dbeta, dbeta.sum(axis=0)
+        return gx, glang, lang.data.T @ dgamma, _column_sums(dgamma), lang.data.T @ dbeta, _column_sums(dbeta)
 
     return Tensor._make(out, (x, lang, gamma_w, gamma_b, beta_w, beta_b), bwd, "film")

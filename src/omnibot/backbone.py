@@ -1,8 +1,8 @@
 """Decoder-only transformer over assembled windows.
 
 Pre-norm residual blocks; the window's attention mask is applied unchanged
-in every layer (in the last one, for a head's compact window, only the
-rows of the readouts it names), so the assembler's causality/pad/readout
+in every layer (in the last one, for a head's compact window, only its
+trailing rows, the readouts), so the assembler's causality/pad/readout
 guarantees hold end to end.
 """
 
@@ -55,7 +55,9 @@ def forward(window: AssembledWindow, params: dict[str, Tensor], cfg: Config) -> 
     read as keys and values. The last layer needs all rows only for its
     keys and values; its queries, attention output, MLP and the final norm
     are row-wise, so they run on the readout rows alone and give the same
-    numbers as the full forward.
+    numbers as the full forward. A compact window lists those rows last,
+    so the last layer's mask is the window mask's `tail` from the first
+    readout row: its plan is the first layer's, cut there.
 
     Every op reads and writes [B, rows, d_model]: `masked_attention`
     splits the heads itself, as strided views, so a layer is two norms,
@@ -65,8 +67,9 @@ def forward(window: AssembledWindow, params: dict[str, Tensor], cfg: Config) -> 
     x = window.tokens
     if x.shape[-1] != bb.d_model:
         raise DimensionError(f"window has d_model {x.shape[-1]}, backbone expects {bb.d_model}")
-    mask = ad.AttentionMask(window.attn_mask)
+    mask = window.mask
     rows = None if window.readouts is None else window.readouts.ravel()
+    first = None if rows is None else x.shape[1] - rows.size  # the readouts are the trailing rows
 
     for i in range(bb.layers):
         p = f"bb/layer{i}"
@@ -74,8 +77,9 @@ def forward(window: AssembledWindow, params: dict[str, Tensor], cfg: Config) -> 
         k = ad.linear(h, params[f"{p}/attn/wk"], params[f"{p}/attn/kb"])
         v = ad.linear(h, params[f"{p}/attn/wv"], params[f"{p}/attn/vb"])
         if rows is not None and i == bb.layers - 1:
-            x, h = ad.take(x, rows, axis=1), ad.take(h, rows, axis=1)
-            mask = ad.AttentionMask(window.attn_mask[:, rows])
+            tail = np.arange(first, x.shape[1])
+            x, h = ad.take(x, tail, axis=1), ad.take(h, tail, axis=1)
+            mask = mask.tail(first)
         q = ad.linear(h, params[f"{p}/attn/wq"], params[f"{p}/attn/qb"])
         att = ad.masked_attention(q, k, v, mask, bb.heads)
         x = x + ad.linear(att, params[f"{p}/attn/wo"], params[f"{p}/attn/ob"])
@@ -85,4 +89,8 @@ def forward(window: AssembledWindow, params: dict[str, Tensor], cfg: Config) -> 
         x = x + ad.linear(m, params[f"{p}/mlp/w2"], params[f"{p}/mlp/b2"])
 
     out = ad.layer_norm(x, params["bb/final_ln/g"], params["bb/final_ln/b"])
-    return out if rows is None else out.reshape(x.shape[0], *window.readouts.shape, bb.d_model)
+    if rows is None:
+        return out
+    if (rows != tail).any():  # steps asked for out of order
+        out = ad.take(out, rows - first, axis=1)
+    return out.reshape(x.shape[0], *window.readouts.shape, bb.d_model)

@@ -336,6 +336,8 @@ class BatchSampler:
         return TrainingExample(traj.embodiment, robot.head, frames, targets, mask)
 
     def batch(self, index: int, size: int) -> TrainingBatch:
+        if not isinstance(size, (int, np.integer)) or isinstance(size, bool):
+            raise ContractError(f"batch size must be an integer, got {size!r}")
         if size < 1:
             raise ContractError(f"batch size must be at least 1, got {size}")
         rng = generator(self.seed, "datapipe", self.split, "batch", index)

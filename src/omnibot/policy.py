@@ -34,6 +34,14 @@ one computed when the frame was new; it can differ from encoding the same
 frame in a batch of another size only by BLAS summation order (float32
 relative 1e-6, float64 1e-15). Whoever writes parameters in place calls
 `params_changed`, which drops the cache.
+
+A fourth fact lets `act` build each window's structure once. Everything
+of an `act` window but its token values (`assembler.WindowStructure`: the
+kept columns, padding, readout rows, where each encoder row goes, and the
+`AttentionMask` with its plans) depends only on the robot, the number of
+frames and the head, since `window_embodiment` pins the groups of a
+robot's frames. `act` keeps one structure per such shape, at most robots x
+history of them. They hold no parameters, so `params_changed` keeps them.
 """
 
 from __future__ import annotations
@@ -108,6 +116,8 @@ class Policy:
         self.bank = EncoderBank(params)
         self.head_specs = {h.name: h for h in cfg.heads}
         self.frame_tokens = FrameTokenCache(self.layout.history)
+        # `act`'s window structures, by (robot, frame count, head): at most robots x history
+        self.window_structures: dict[tuple[str, int, str], assembler.WindowStructure] = {}
 
     @staticmethod
     def init(cfg: Config, seed: int) -> "Policy":
@@ -184,17 +194,25 @@ class Policy:
 
         The window is checked once, by `assembler.window_embodiment`;
         `assembler.encode_group` checks the values of frames not cached.
+        The window's structure is built on the first call of its shape.
         Finite inputs can still be too large for the network's precision;
         then the chunk is not finite, and that is an EvaluationError.
         """
+        if not isinstance(head, str):
+            raise ContractError(f"head {head!r} is a {type(head).__name__}, not a head name")
         if head not in self.head_specs:
             raise ContractError(f"unknown head {head!r}")
         robot = assembler.window_embodiment(frames, self.layout.history)
         if robot.head != head:
             raise ContractError(f"{robot.name!r} draws actions from head {robot.head!r}, not {head!r}")
+        shape = (robot.name, len(frames), head)
+        structure = self.window_structures.get(shape)
+        if structure is None:
+            structure = assembler.window_structure([frames], self.layout, head, [-1])
+            self.window_structures[shape] = structure
         with ad.no_grad(), np.errstate(all="ignore"):  # an overflow shows as a non-finite chunk below
-            window = assembler.assemble_batch(
-                [frames], self.layout, self.bank, self.params, head, [-1], self.frame_tokens.encode
+            window = assembler.window_tokens(
+                structure, [frames], self.layout, self.bank, self.params, self.frame_tokens.encode
             )
             readouts = backbone.forward(window, self.params, self.cfg)
             chunk = heads.decode(readouts.reshape(-1, readouts.shape[-1]), self.params, self.head_specs[head])

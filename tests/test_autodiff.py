@@ -544,6 +544,79 @@ def test_property_tiled_attention_matches_one_tile_and_the_oracle(layout, querie
     np.testing.assert_allclose(tiled_out, heads_oracle(q.data, k.data, v.data, mask, heads), rtol=1e-10, atol=1e-12)
 
 
+def test_a_tail_is_cut_from_its_masks_plan_and_planned_once(monkeypatch):
+    _, _, _, mask, heads = tiled()
+    amask = AttentionMask(mask)
+    plan = amask.plan(heads, np.float64)
+    first = mask.shape[1] - 24  # the readouts of every step
+    derived = []
+    monkeypatch.setattr(ops, "_derive", lambda *args: derived.append(args))
+    tail = amask.tail(first)
+    cut = tail.plan(heads, np.float64)
+    assert amask.tail(first).plan(heads, np.float64) is cut and not derived
+    assert tail.permitted.shape == (mask.shape[0], 24, mask.shape[2]) and amask.tail(0) is amask
+    assert cut.keys == plan.keys and [t.keys for t in cut.tiles] == [t.keys for t in plan.tiles if t.rows.stop > first]
+    np.testing.assert_array_equal(np.arange(mask.shape[2])[cut.own.cols], np.arange(first, mask.shape[1]))
+    for bad in (-1, mask.shape[1]):
+        with pytest.raises(DimensionError, match=f"tail from row {bad}"):
+            amask.tail(bad)
+
+
+@settings(max_examples=60, deadline=None)
+@given(layout=step_layouts, at=st.floats(0.0, 1.0))
+def test_property_a_tail_reads_its_rows_keys_and_attends_as_a_fresh_mask(layout, at):
+    """`tail(first)` of a step mask, whose readout rows (the rows that own keys) sit last, in float64."""
+    nb, heads, steps, per, readouts, pad_frac, seed = layout
+    rng = np.random.Generator(np.random.PCG64(seed))
+    mask = step_mask(rng, nb, steps, per, pad_frac, readouts)
+    tq, t, d = mask.shape[1], mask.shape[2], heads * 4
+    first = min(int(at * tq), tq - 1)
+    rows = mask[:, first:]
+    seen = rows.any(axis=0)
+    q = ad.param(rng.standard_normal((nb, tq - first, d)))
+    k, v = (ad.param(rng.standard_normal((nb, t, d))) for _ in range(2))
+    wsum = ad.tensor(rng.standard_normal(q.shape))
+    for entries in (0, 15_000):
+        with tile_entries(entries):
+            amask = AttentionMask(mask)
+            amask.plan(heads, np.float64)  # the first layer's, which the tail cuts
+            tail = amask.tail(first)
+            plan = tail.plan(heads, np.float64)
+            fresh = AttentionMask(rows)
+            fresh.plan(heads, np.float64)
+        shared = np.arange(t)[plan.keys]
+        read = np.zeros_like(seen)
+        for x in plan.tiles:
+            read[x.rows, shared[: x.keys]] = True
+            want = rows[:, x.rows][:, :, shared[: x.keys]]
+            if x.sentinel is None:
+                assert want.all()
+            else:
+                np.testing.assert_array_equal(x.sentinel[:, 0], np.where(want, 0.0, -np.inf))
+        if plan.own is not None:
+            owners, owned = np.arange(tq - first)[plan.own.rows], np.arange(t)[plan.own.cols]
+            read[owners, owned] = True
+            assert (seen[:, owned].sum(axis=0) == 1).all() and seen[owners, owned].all()
+        assert not (seen & ~read).any()  # every permitted key: in its row's tile prefix, or its own key
+
+        out = ad.masked_attention(q, k, v, tail, heads)
+        grads = ad.backward((out * wsum).sum(), [q, k, v])
+        want = ad.masked_attention(q, k, v, fresh, heads)
+        want_grads = ad.backward((want * wsum).sum(), [q, k, v])
+        np.testing.assert_allclose(out.data, want.data, rtol=1e-12, atol=1e-14)
+        for p in (q, k, v):
+            np.testing.assert_allclose(grads[p], want_grads[p], rtol=1e-12, atol=1e-12)
+        unseen = ~rows.any(axis=1)  # [B, Tk]: keys no tail row permits
+        np.testing.assert_array_equal(grads[k][unseen], 0.0)
+        np.testing.assert_array_equal(grads[v][unseen], 0.0)
+        b, i = int(rng.integers(nb)), int(rng.integers(tq - first))
+        k2, v2 = k.data.copy(), v.data.copy()
+        k2[b, ~rows[b, i]] = 1e4
+        v2[b, ~rows[b, i]] = -1e4
+        moved = ad.masked_attention(q, ad.tensor(k2), ad.tensor(v2), tail, heads)
+        np.testing.assert_array_equal(moved.data[b, i], out.data[b, i])  # forbidden keys weigh exactly 0
+
+
 # ---------------------------------------------------------------- conv2d
 
 

@@ -197,7 +197,7 @@ def test_compact_keeps_live_observations_and_the_heads_readouts(policy):
     nav = layout.group("navigation")
     readouts = layout.readout_indices("navigation")
     assert sub.tokens.shape[:2] == (2, layout.history * nav.tokens + readouts.size)
-    np.testing.assert_array_equal(sub.attn_mask, window.attn_mask[np.ix_([0, 1], sub.slots, sub.slots)])
+    np.testing.assert_array_equal(sub.mask.permitted, window.mask.permitted[np.ix_([0, 1], sub.slots, sub.slots)])
     assert rel_err(sub.tokens.data, window.tokens.data[[0, 1]][:, sub.slots]) <= TOL
     newest = compact_window(policy, windows[2:], "quadruped", [layout.history - 1])
     k, s = layout.history, layout.step_tokens
@@ -215,9 +215,9 @@ def test_compact_mask_of_non_contiguous_rows_and_steps_restricts_the_full_mask(p
     for steps in (slice(None), [0, 2, 4], [3, 1]):
         sub = compact_window(policy, [windows[r] for r in rows], "navigation", steps)
         assert np.any(np.diff(sub.slots) > 1)
-        want = window.attn_mask[np.ix_(rows, sub.slots, sub.slots)]
-        assert sub.attn_mask.dtype == want.dtype and sub.attn_mask.shape == want.shape
-        assert sub.attn_mask.tobytes() == want.tobytes()
+        want = window.mask.permitted[np.ix_(rows, sub.slots, sub.slots)]
+        assert sub.mask.permitted.dtype == want.dtype and sub.mask.permitted.shape == want.shape
+        assert sub.mask.permitted.tobytes() == want.tobytes()
         np.testing.assert_array_equal(sub.pad, window.pad[np.ix_(rows, sub.slots)])
         assert rel_err(sub.tokens.data, window.tokens.data[rows][:, sub.slots]) <= TOL
 
@@ -287,13 +287,13 @@ def test_own_keys_are_split_off_for_every_step_but_not_for_the_newest_alone(poli
     frames = rollout_frames("bimanual", policy.layout.history, 5)
     for steps, split in (([-1], False), (slice(None), True)):
         window = compact_window(policy, [frames], "bimanual", steps)
-        plan = ad.AttentionMask(window.attn_mask).plan(heads, np.float32)
+        plan = window.mask.plan(heads, np.float32)
         assert (plan.own is not None) == split
         if split:  # the readouts, each its own row's key
             np.testing.assert_array_equal(np.arange(window.slots.size)[plan.own.cols], np.sort(window.readouts.ravel()))
 
 
-@pytest.mark.parametrize("steps", ([-1], slice(None)), ids=["newest", "every-step"])
+@pytest.mark.parametrize("steps", ([-1], slice(None), [3, 1]), ids=["newest", "every-step", "out-of-order"])
 def test_compact_window_names_the_readout_rows_of_the_full_window(policy, sampler, steps):
     layout = policy.layout
     windows = sampler.batch(3, 8).windows

@@ -567,6 +567,14 @@ def test_batch_of_no_windows_is_contract_error(small_world, size):
         sampler.batch(0, size)
 
 
+@pytest.mark.parametrize("size", (2.5, "3", True, None, np.float64(2.0)))
+def test_batch_size_that_is_not_an_integer_is_contract_error(small_world, size):
+    cfg, layout, datasets, mixture = small_world
+    sampler = dp.BatchSampler(datasets, mixture, cfg, layout, seed=11)
+    with pytest.raises(ContractError, match="batch size must be an integer"):
+        sampler.batch(0, size)
+
+
 def test_batch_seed_changes_content(small_world):
     cfg, layout, datasets, mixture = small_world
     s1 = dp.BatchSampler(datasets, mixture, cfg, layout, seed=11)

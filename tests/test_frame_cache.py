@@ -1,8 +1,10 @@
-"""`Policy.act`'s frame-token cache against a fresh policy, in float64.
+"""`Policy.act`'s frame-token cache and window structures against a fresh policy, in float64.
 
 A fresh `Policy` over the same parameters has an empty cache, so its `act`
 encodes every frame of the window in one batch. The cached policy encodes
-only the frames it has not seen; both must agree to rounding.
+only the frames it has not seen; both must agree to rounding. A fresh
+policy also builds each window's structure anew, where the cached one
+reuses the structure of the window's shape.
 """
 
 import dataclasses
@@ -15,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import omnibot.autodiff as ad
-from omnibot import envs
+from omnibot import assembler, envs
 from omnibot.assembler import ObservationFrame
 from omnibot.config import desk_config
 from omnibot.datapipe import TrainingBatch
@@ -105,6 +107,78 @@ def test_params_changed_drops_rows_of_the_old_parameters(cfg):
     policy.params_changed()
     assert not policy.frame_tokens.groups
     assert rel_err(policy.act(window, "navigation").values, want) <= TOL
+
+
+def test_act_builds_each_window_structure_once(cfg, monkeypatch):
+    policy = film_policy(cfg)
+    env = envs.make_env("arm1")
+    state, frame, instruction = env.reset(5)
+    frames = [frame]
+    for _ in range(3):
+        state = env.step(state, env.expert_chunk(state, 1)[0].astype(np.float64))
+        frames.append(env.frame(state, instruction))
+    windows = [frames[:2], frames[1:3], frames[:3], frames[2:4], frames[1:4]]  # new frames, two shapes
+    want = [fresh_act(policy, w, "single-arm") for w in windows]
+    built, build = [], assembler.window_structure
+    monkeypatch.setattr(assembler, "window_structure", lambda *args: built.append(len(args[0][0])) or build(*args))
+    for window, values in zip(windows, want):
+        assert rel_err(policy.act(window, "single-arm").values, values) <= TOL
+    assert built == [2, 3]
+    structure = policy.window_structures["arm1", 2, "single-arm"]
+    policy.params["bb/layer0/attn/wq"].data *= 1.5
+    policy.params_changed()  # the structures hold no parameters, so they stay
+    assert policy.window_structures["arm1", 2, "single-arm"] is structure
+    monkeypatch.undo()
+    got = policy.act(frames[2:4], "single-arm").values
+    assert rel_err(got, fresh_act(policy, frames[2:4], "single-arm")) <= TOL
+    assert len(policy.window_structures) == 2
+
+
+def test_window_structures_stay_within_robots_times_history(cfg):
+    policy = Policy.init(cfg, seed=0)
+    k = policy.layout.history
+    robots = ("arm1", "nav", "nav-shifted", "bimanual", "quad")
+    for name in robots:
+        env = envs.make_env(name)
+        state, frame, instruction = env.reset(2)
+        frames = [frame]
+        for _ in range(k + 2):
+            chunk = policy.act(frames[-k:], embodiment(name).head)
+            state = env.step(state, chunk.values[0].astype(np.float64))
+            frames.append(env.frame(state, instruction))
+    want = {(name, n, embodiment(name).head) for name in robots for n in range(1, k + 1)}
+    assert set(policy.window_structures) == want and len(want) == len(robots) * k
+
+
+@pytest.mark.parametrize(
+    "window, match",
+    [
+        ("abc", "a window is a list of ObservationFrame, got a str"),
+        (None, "a window is a list of ObservationFrame, got a NoneType"),
+        ((), "a window is a list of ObservationFrame, got a tuple"),
+        ([None], "frame 0 is a NoneType, want an ObservationFrame"),
+        (["frame"], "frame 0 is a str, want an ObservationFrame"),
+        ("second", "frame 1 is a object, want an ObservationFrame"),
+    ],
+)
+def test_act_and_predict_reject_a_window_that_is_not_a_list_of_frames(cfg, window, match):
+    policy = Policy.init(cfg, seed=0)
+    _, frame, _ = envs.make_env("arm1").reset(0)
+    if window == "second":
+        window = [frame, object()]
+    with pytest.raises(ContractError, match=match):
+        policy.act(window, "single-arm")
+    with pytest.raises(ContractError, match=match):
+        policy.predict(TrainingBatch([window], {}, {}, [], []))
+    assert not policy.window_structures
+
+
+@pytest.mark.parametrize("head", (["single-arm"], None, 3, b"single-arm"))
+def test_act_rejects_a_head_that_is_not_a_name(cfg, head):
+    policy = Policy.init(cfg, seed=0)
+    _, frame, _ = envs.make_env("arm1").reset(0)
+    with pytest.raises(ContractError, match="not a head name"):
+        policy.act([frame], head)
 
 
 def test_act_rejects_a_head_the_embodiment_does_not_draw_from(cfg):
@@ -246,7 +320,9 @@ def fuzz_window(name):
 def mutated(frame, field, kind, how, at):
     """`frame` with one field changed: one value, every value, the dtype or the shape of an
     observation group's array or of the goal (`field`), the instruction, the embodiment, or
-    the observation dict itself."""
+    the observation dict itself; or the frame itself, replaced by something else."""
+    if kind == "frame":
+        return how
     if kind in ("instruction", "embodiment"):
         return dataclasses.replace(frame, **{kind: how})
     if kind == "keys":
@@ -285,6 +361,7 @@ fuzz_mutations = st.one_of(
     )),
     st.tuples(st.just("keys"), st.sampled_from(("drop", "add", "rename", "not-a-dict"))),
     st.tuples(st.just("embodiment"), st.sampled_from((["nav"], "aviation", None, "quad", "nav-shifted"))),
+    st.tuples(st.just("frame"), st.sampled_from((None, "frame", 3, {"navigation": None}))),
 )
 
 
@@ -310,6 +387,7 @@ def fuzz_policy(cfg):
 @example(name="nav", length=2, which=1, field=0, mutation=("embodiment", ["nav"]), at=0)  # was a raw TypeError
 @example(name="quad", length=1, which=0, field=0, mutation=("shape", "ragged"), at=0)  # was a raw ValueError
 @example(name="arm1", length=2, which=1, field=0, mutation=("value", np.nan), at=9)  # predict returned NaNs
+@example(name="nav", length=2, which=0, field=0, mutation=("frame", None), at=0)  # was a raw AttributeError
 @given(
     name=st.sampled_from(FUZZ_ROBOTS),
     length=st.integers(1, 3),
