@@ -16,8 +16,8 @@ sentinel; and a row's own key (one that it alone permits, such as a
 readout), one extra softmax term of that row. Prefixes need not grow from
 tile to tile. One cost rule decides both the cuts and the own-key split:
 a tile costs `TILE_ENTRIES` score entries on top of the scores it computes.
-The plan of a mask's trailing rows (`AttentionMask.tail`) is its plan cut
-there, not a second derivation.
+Attention over a mask's rows from `first` on uses its plan cut there,
+not a second derivation.
 """
 
 from __future__ import annotations
@@ -339,7 +339,7 @@ def _derive(seen: np.ndarray, readers: np.ndarray, scale: int):
 
 
 class AttentionMask:
-    """A validated boolean key mask plus its attention plan, cached per (heads, dtype).
+    """A validated boolean key mask plus its attention plans, cached per (heads, dtype, first row).
 
     The mask is [B, Tq, Tk], True where key j is permitted for query i of
     batch element b; queries and keys may differ in number. Every row must
@@ -376,11 +376,11 @@ class AttentionMask:
     keys computes at most `TILE_ENTRIES` scores that no row permits: it is
     one tile of all keys.
 
-    `tail(first)` is the mask of the rows from `first` on. Its plan is this
-    mask's plan cut at that row: the tiles from there on, each keeping its
-    key prefix and the rest of its sentinel, and the own keys of the rows
-    left. It may read a few more keys than a plan derived for those rows
-    alone would, but it gives the same weights, and it costs no derivation.
+    The plan of the rows from `first` on is the plan of every row cut
+    there (`_tail`): the tiles from that row on, each keeping its key prefix
+    and the rest of its sentinel, and the own keys of the rows left. It may
+    read a few more keys than a plan derived for those rows alone would,
+    but it gives the same weights, and it costs no derivation.
     """
 
     def __init__(self, permitted: np.ndarray):
@@ -393,60 +393,47 @@ class AttentionMask:
             bad = np.argwhere(~permitted.any(axis=-1))[0]
             raise DegenerateMaskError(f"mask row {tuple(bad)} permits no keys")
         self.permitted = np.ascontiguousarray(permitted)
-        self._plans: dict = {}  # (heads, dtype), and (heads, dtype, first row) for a `tail`'s
-        self._source: tuple[AttentionMask, int] | None = None  # of a `tail`: the mask it cuts, and where
+        self._plans: dict[tuple, Plan] = {}  # by (heads, dtype, first row)
 
-    def plan(self, heads: int, dtype) -> Plan:
-        """The tiles, shared keys and own keys of attention with `heads` heads, with sentinels in `dtype`.
+    def plan(self, heads: int, dtype, first: int = 0) -> Plan:
+        """The tiles, shared keys and own keys of attention with `heads` heads over the rows from `first` on.
 
-        A sentinel is additive, 0 where permitted and -inf elsewhere: per
-        tile over its rows and key prefix, and over each owning row's key.
+        Rows are numbered from `first`. A sentinel is additive in `dtype`,
+        0 where permitted and -inf elsewhere: per tile over its rows and key
+        prefix, and over each owning row's key.
         """
         dtype = np.dtype(dtype)
-        if self._source is not None:  # cached on the mask it cuts, keyed by the first row too
-            mask, first = self._source
-            if (heads, dtype, first) not in mask._plans:
-                mask._plans[heads, dtype, first] = _tail(mask.plan(heads, dtype), first)
-            return mask._plans[heads, dtype, first]
-        if (heads, dtype) not in self._plans:
-            nb, tq, tk = self.permitted.shape
-            scale = nb * heads
-            cuts, keys, own = [(0, tq, tk)], np.arange(tk), None
-            if scale * tq * tk > TILE_ENTRIES:  # else no cut could save a tile's cost
-                seen = self.permitted.any(axis=0)
-                readers = seen.sum(axis=0, dtype=np.int32)  # half the time of the default int64
-                # nor can one where a tile of every key computes few scores that no row permits
-                if (tq * tk - int(readers.sum())) * scale > TILE_ENTRIES:
-                    cuts, keys, own = _derive(seen, readers, scale)
-            never = np.array(-np.inf, dtype=dtype).view(f"i{dtype.itemsize}")  # -inf's bits, as an integer
+        key = heads, dtype, first
+        if key in self._plans:
+            return self._plans[key]
+        nb, tq, tk = self.permitted.shape
+        if first:
+            if not 0 < first < tq:
+                raise DimensionError(f"attention from row {first} of a mask of {tq} rows")
+            self._plans[key] = _tail(self.plan(heads, dtype), first)
+            return self._plans[key]
+        scale = nb * heads
+        cuts, keys, own = [(0, tq, tk)], np.arange(tk), None
+        if scale * tq * tk > TILE_ENTRIES:  # else no cut could save a tile's cost
+            seen = self.permitted.any(axis=0)
+            readers = seen.sum(axis=0, dtype=np.int32)  # half the time of the default int64
+            # nor can one where a tile of every key computes few scores that no row permits
+            if (tq * tk - int(readers.sum())) * scale > TILE_ENTRIES:
+                cuts, keys, own = _derive(seen, readers, scale)
+        never = np.array(-np.inf, dtype=dtype).view(f"i{dtype.itemsize}")  # -inf's bits, as an integer
 
-            def sentinel(permitted):  # 0 * never is +0.0's bits; a pass quicker than np.where
-                return None if permitted.all() else np.multiply(~permitted, never).view(dtype)[:, None]
+        def sentinel(permitted):  # 0 * never is +0.0's bits; a pass quicker than np.where
+            return None if permitted.all() else np.multiply(~permitted, never).view(dtype)[:, None]
 
-            rows, cols = (np.arange(0), None) if own is None else own
-            tiles = [
-                Tile(slice(a, b), n, *_owned(rows, a, b), sentinel(self.permitted[:, a:b, _index(keys[:n])]))
-                for a, b, n in cuts
-            ]
-            if own is not None:
-                own = Own(_index(rows), _index(cols), sentinel(self.permitted[:, rows, cols]))
-            self._plans[heads, dtype] = Plan(tiles, _index(keys), own)
-        return self._plans[heads, dtype]
-
-    def tail(self, first: int) -> "AttentionMask":
-        """The mask of the rows from `first` on, whose plans are this mask's plans cut there (`_tail`).
-
-        This mask caches them, so a tail taken again plans nothing, and
-        nothing is validated again. A compact window's readout rows, the
-        queries of its last layer, are such a trailing range.
-        """
-        if not 0 <= first < self.permitted.shape[1]:
-            raise DimensionError(f"tail from row {first} of a mask of {self.permitted.shape[1]} rows")
-        if not first:
-            return self
-        tail = object.__new__(AttentionMask)
-        tail.permitted, tail._plans, tail._source = self.permitted[:, first:], {}, (self, first)
-        return tail
+        rows, cols = (np.arange(0), None) if own is None else own
+        tiles = [
+            Tile(slice(a, b), n, *_owned(rows, a, b), sentinel(self.permitted[:, a:b, _index(keys[:n])]))
+            for a, b, n in cuts
+        ]
+        if own is not None:
+            own = Own(_index(rows), _index(cols), sentinel(self.permitted[:, rows, cols]))
+        self._plans[key] = Plan(tiles, _index(keys), own)
+        return self._plans[key]
 
 
 def _split_heads(a: np.ndarray, heads: int) -> np.ndarray:
@@ -455,16 +442,17 @@ def _split_heads(a: np.ndarray, heads: int) -> np.ndarray:
     return a.reshape(nb, t, heads, d // heads).transpose(0, 2, 1, 3)
 
 
-def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask: AttentionMask, heads: int) -> Tensor:
+def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask: AttentionMask, heads: int, first: int = 0) -> Tensor:
     """Multi-head scaled dot-product attention restricted to a boolean key mask.
 
     q: [B, Tq, d]; k and v: [B, Tk, d]; `heads` divides d, and head h
     reads features [h * d / heads, (h + 1) * d / heads). mask: an
-    AttentionMask of shape [B, Tq, Tk], True where key j is permitted for
-    query i. Heads are strided views of the [B, T, d] operands, and the
-    output and the gradients are written through such views into
-    C-contiguous [B, T, d] buffers, so no layout copy is made on either
-    side.
+    AttentionMask of shape [B, first + Tq, Tk], True where key j is
+    permitted for query i; the queries are its rows from `first` on, and
+    they read its plan cut there. Heads are strided views of the [B, T, d]
+    operands, and the output and the gradients are written through such
+    views into C-contiguous [B, T, d] buffers, so no layout copy is made on
+    either side.
 
     The queries run one tile at a time against the tile's prefix of the
     shared keys, and a row that owns a key adds that key's score as one
@@ -501,12 +489,12 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask: AttentionMask, heads
         raise DimensionError(f"attention width {d} does not split into {heads} heads")
     dh = d // heads
 
-    if mask.permitted.shape != (nb, tq, tk):
+    if mask.permitted.shape != (nb, first + tq, tk):
         raise DimensionError(
-            f"attention mask shape {mask.permitted.shape} incompatible with q {q.shape} and k {k.shape}"
+            f"attention mask shape {mask.permitted.shape} incompatible with q {q.shape} from row {first} and k {k.shape}"
         )
     dtype = q.data.dtype
-    plan = mask.plan(heads, dtype)
+    plan = mask.plan(heads, dtype, first)
     own = plan.own
 
     q4, k4, v4 = (_split_heads(t.data, heads) for t in (q, k, v))

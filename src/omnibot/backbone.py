@@ -56,8 +56,8 @@ def forward(window: AssembledWindow, params: dict[str, Tensor], cfg: Config) -> 
     keys and values; its queries, attention output, MLP and the final norm
     are row-wise, so they run on the readout rows alone and give the same
     numbers as the full forward. A compact window lists those rows last,
-    so the last layer's mask is the window mask's `tail` from the first
-    readout row: its plan is the first layer's, cut there.
+    so the last layer attends from the first readout row of the window's
+    mask, with the first layer's plan cut there.
 
     Every op reads and writes [B, rows, d_model]: `masked_attention`
     splits the heads itself, as strided views, so a layer is two norms,
@@ -67,9 +67,8 @@ def forward(window: AssembledWindow, params: dict[str, Tensor], cfg: Config) -> 
     x = window.tokens
     if x.shape[-1] != bb.d_model:
         raise DimensionError(f"window has d_model {x.shape[-1]}, backbone expects {bb.d_model}")
-    mask = window.mask
     rows = None if window.readouts is None else window.readouts.ravel()
-    first = None if rows is None else x.shape[1] - rows.size  # the readouts are the trailing rows
+    first = 0  # the mask row of the first query
 
     for i in range(bb.layers):
         p = f"bb/layer{i}"
@@ -77,11 +76,11 @@ def forward(window: AssembledWindow, params: dict[str, Tensor], cfg: Config) -> 
         k = ad.linear(h, params[f"{p}/attn/wk"], params[f"{p}/attn/kb"])
         v = ad.linear(h, params[f"{p}/attn/wv"], params[f"{p}/attn/vb"])
         if rows is not None and i == bb.layers - 1:
+            first = x.shape[1] - rows.size  # the readouts are the trailing rows
             tail = np.arange(first, x.shape[1])
             x, h = ad.take(x, tail, axis=1), ad.take(h, tail, axis=1)
-            mask = mask.tail(first)
         q = ad.linear(h, params[f"{p}/attn/wq"], params[f"{p}/attn/qb"])
-        att = ad.masked_attention(q, k, v, mask, bb.heads)
+        att = ad.masked_attention(q, k, v, window.mask, bb.heads, first)
         x = x + ad.linear(att, params[f"{p}/attn/wo"], params[f"{p}/attn/ob"])
 
         h2 = ad.layer_norm(x, params[f"{p}/ln2/g"], params[f"{p}/ln2/b"])

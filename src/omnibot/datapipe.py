@@ -336,6 +336,9 @@ class BatchSampler:
         return TrainingExample(traj.embodiment, robot.head, frames, targets, mask)
 
     def batch(self, index: int, size: int) -> TrainingBatch:
+        """Batch `index` of this sampler's stream; a pure function of (shards, config, seed, index)."""
+        if not isinstance(index, (int, np.integer)) or isinstance(index, bool) or not 0 <= index < 2**64:
+            raise ContractError(f"batch index must be an integer in [0, 2**64), got {index!r}")
         if not isinstance(size, (int, np.integer)) or isinstance(size, bool):
             raise ContractError(f"batch size must be an integer, got {size!r}")
         if size < 1:

@@ -77,9 +77,9 @@ def init_encoder_params(cfg: Config, rng: np.random.Generator) -> dict[str, Tens
 class EncoderBank:
     """The tokenizers over the `enc/...` parameters; they read this module's constants, no config."""
 
-    def __init__(self, params: dict[str, Tensor]):
+    def __init__(self, params: dict[str, Tensor], dtype: np.dtype):
         self.params = params
-        self.dtype = params["enc/lang/table"].data.dtype
+        self.dtype = dtype  # the policy's, which every parameter has
 
     # -- language ----------------------------------------------------------
 

@@ -28,12 +28,13 @@ A third fact lets `act` encode each frame once. Encoder rows carry no
 position, because `asm/pos` is added after placement, so a frame's rows
 depend only on the frame (its observation, the goal image where that goal
 conditions the group, and the instruction) and on the parameters. `act`
-keeps the rows of the frames it saw last and encodes only new frames, all
-new frames of a group in one batched call. A cached row is a copy of the
-one computed when the frame was new; it can differ from encoding the same
-frame in a batch of another size only by BLAS summation order (float32
-relative 1e-6, float64 1e-15). Whoever writes parameters in place calls
-`params_changed`, which drops the cache.
+keeps the rows of the frames in the window it encoded last, keyed by those
+inputs' exact values in the policy's dtype, and encodes only new frames,
+all new frames of a group in one batched call. A cached row is a copy of
+the one computed when the frame was new; it can differ from encoding the
+same frame in a batch of another size only by BLAS summation order
+(float32 relative 1e-6, float64 1e-15). Whoever writes parameters in place
+calls `params_changed`, which drops the cache.
 
 A fourth fact lets `act` build each window's structure once. Everything
 of an `act` window but its token values (`assembler.WindowStructure`: the
@@ -45,9 +46,6 @@ history of them. They hold no parameters, so `params_changed` keeps them.
 """
 
 from __future__ import annotations
-
-import hashlib
-from collections import OrderedDict
 
 import numpy as np
 
@@ -61,49 +59,42 @@ from .errors import ContractError, EvaluationError
 from .rng import generator
 
 
-def frame_key(group: str, frame: assembler.ObservationFrame) -> bytes:
-    """Digest of what a frame's encoder rows for `group` depend on, parameters aside."""
-    arrays = [np.ascontiguousarray(frame.observations[group])]
+def frame_key(group: str, frame: assembler.ObservationFrame, dtype) -> tuple:
+    """What a frame's encoder rows for `group` depend on, parameters aside, cast to the policy's `dtype`.
+
+    The instruction and the bytes of the observation and of the goal where
+    it conditions `group`; `window_embodiment` pins their shapes, so equal
+    keys are equal inputs.
+    """
+    key = (int(frame.instruction), np.asarray(frame.observations[group], dtype=dtype).tobytes())
     goal = assembler.conditioning_goal(frame, group)
-    if goal is not None:
-        arrays.append(np.ascontiguousarray(goal))
-    # the prefix fixes every array's byte length, so no two inputs share a byte stream
-    shapes = ";".join(f"{a.dtype.str}{a.shape}" for a in arrays)
-    h = hashlib.sha256(f"{int(frame.instruction)};{shapes}".encode())
-    for a in arrays:
-        h.update(a)
-    return h.digest()
+    return key if goal is None else (*key, np.asarray(goal, dtype=dtype).tobytes())
 
 
 class FrameTokenCache:
-    """Encoder rows of the frames `act` saw last: at most `history` per observation group."""
+    """Encoder rows, per observation group, of the frames in the window `act` encoded last."""
 
-    def __init__(self, history: int):
-        self.history = history
-        self.groups: dict[str, OrderedDict[bytes, np.ndarray]] = {}
+    def __init__(self):
+        self.groups: dict[str, dict[tuple, np.ndarray]] = {}
 
     def encode(self, bank: EncoderBank, group: assembler.SlotGroup, frames, index) -> Tensor:
         """`assembler.encode_group`'s rows, encoding only the frames not cached.
 
         Only those reach `encode_group`'s finiteness check; a rejected frame caches nothing.
         """
-        rows = self.groups.setdefault(group.name, OrderedDict())
-        keys, misses = [], {}
-        for i, frame in zip(index, frames):
-            key = frame_key(group.name, frame)
-            if key not in rows and key not in misses:
+        last = self.groups.get(group.name, {})
+        keys = [frame_key(group.name, frame, bank.dtype) for frame in frames]
+        rows, misses = {}, {}
+        for i, frame, key in zip(index, frames, keys):
+            if key in last:
+                rows[key] = last[key]
+            elif key not in misses:
                 misses[key] = (i, frame)
-            keys.append(key)
         if misses:
             at, new = zip(*misses.values())
-            fresh = assembler.encode_group(bank, group, list(new), list(at)).data
-            rows.update(zip(misses, fresh))
-        out = np.stack([rows[key] for key in keys])
-        for key in keys:
-            rows.move_to_end(key)
-        while len(rows) > self.history:
-            rows.popitem(last=False)
-        return ad.tensor(out)
+            rows.update(zip(misses, assembler.encode_group(bank, group, list(new), list(at)).data))
+        self.groups[group.name] = rows
+        return ad.tensor(np.stack([rows[key] for key in keys]))
 
 
 class Policy:
@@ -113,9 +104,14 @@ class Policy:
         self.cfg = cfg
         self.params = params
         self.layout = assembler.build_layout(cfg)
-        self.bank = EncoderBank(params)
+        first = next(iter(params))
+        self.dtype = params[first].data.dtype  # the network's one dtype
+        for name, p in params.items():
+            if p.data.dtype != self.dtype:
+                raise ContractError(f"parameter {name!r} is {p.data.dtype}, but the first, {first!r}, is {self.dtype}")
+        self.bank = EncoderBank(params, self.dtype)
         self.head_specs = {h.name: h for h in cfg.heads}
-        self.frame_tokens = FrameTokenCache(self.layout.history)
+        self.frame_tokens = FrameTokenCache()
         # `act`'s window structures, by (robot, frame count, head): at most robots x history
         self.window_structures: dict[tuple[str, int, str], assembler.WindowStructure] = {}
 
@@ -130,13 +126,9 @@ class Policy:
         params.update(heads.init_head_params(cfg, generator(seed, "init", "head")))
         return Policy(cfg, params)
 
-    @property
-    def dtype(self):
-        return self.params["asm/pos"].data.dtype
-
     def params_changed(self) -> None:
         """Drop `act`'s cached encoder rows; call after writing any parameter's `.data` in place."""
-        self.frame_tokens = FrameTokenCache(self.layout.history)
+        self.frame_tokens = FrameTokenCache()
 
     # -- forward -------------------------------------------------------------
 

@@ -312,12 +312,15 @@ def test_attention_grads_vs_central_differences():
         ((2, 3, 4), (2, 5, 2), (2, 3, 5)),  # q and k widths differ
         ((2, 3, 4), (1, 5, 4), (2, 3, 5)),  # q and k batches differ
         ((2, 3, 4), (2, 5, 4), (1, 3, 5)),  # one mask for a batch of two: no broadcast
+        ((2, 3, 4), (2, 5, 4), (2, 2, 5)),  # from row 1, as many mask rows as q's, but 1 + 3 are needed
     ],
 )
 def test_attention_shape_mismatch_raises(q_shape, k_shape, mask_shape):
     q, k = ad.tensor(np.ones(q_shape)), ad.tensor(np.ones(k_shape))
-    with pytest.raises(DimensionError):
-        ad.masked_attention(q, k, k, AttentionMask(np.ones(mask_shape, dtype=bool)), 2)
+    nb, rows, tk = mask_shape
+    for first in (0, 1):  # from row 1, the same mask below one more row
+        with pytest.raises(DimensionError):
+            ad.masked_attention(q, k, k, AttentionMask(np.ones((nb, first + rows, tk), dtype=bool)), 2, first)
 
 
 def test_attention_mask_must_be_batched():
@@ -551,21 +554,20 @@ def test_a_tail_is_cut_from_its_masks_plan_and_planned_once(monkeypatch):
     first = mask.shape[1] - 24  # the readouts of every step
     derived = []
     monkeypatch.setattr(ops, "_derive", lambda *args: derived.append(args))
-    tail = amask.tail(first)
-    cut = tail.plan(heads, np.float64)
-    assert amask.tail(first).plan(heads, np.float64) is cut and not derived
-    assert tail.permitted.shape == (mask.shape[0], 24, mask.shape[2]) and amask.tail(0) is amask
+    cut = amask.plan(heads, np.float64, first)
+    assert amask.plan(heads, np.float64, first) is cut and not derived
+    assert amask.plan(heads, np.float64, 0) is plan and cut.tiles[-1].rows.stop == 24
     assert cut.keys == plan.keys and [t.keys for t in cut.tiles] == [t.keys for t in plan.tiles if t.rows.stop > first]
     np.testing.assert_array_equal(np.arange(mask.shape[2])[cut.own.cols], np.arange(first, mask.shape[1]))
     for bad in (-1, mask.shape[1]):
-        with pytest.raises(DimensionError, match=f"tail from row {bad}"):
-            amask.tail(bad)
+        with pytest.raises(DimensionError, match=f"attention from row {bad} of a mask of {mask.shape[1]} rows"):
+            amask.plan(heads, np.float64, bad)
 
 
 @settings(max_examples=60, deadline=None)
 @given(layout=step_layouts, at=st.floats(0.0, 1.0))
 def test_property_a_tail_reads_its_rows_keys_and_attends_as_a_fresh_mask(layout, at):
-    """`tail(first)` of a step mask, whose readout rows (the rows that own keys) sit last, in float64."""
+    """Attention from row `first` of a step mask, whose readout rows (the rows that own keys) sit last, in float64."""
     nb, heads, steps, per, readouts, pad_frac, seed = layout
     rng = np.random.Generator(np.random.PCG64(seed))
     mask = step_mask(rng, nb, steps, per, pad_frac, readouts)
@@ -579,9 +581,8 @@ def test_property_a_tail_reads_its_rows_keys_and_attends_as_a_fresh_mask(layout,
     for entries in (0, 15_000):
         with tile_entries(entries):
             amask = AttentionMask(mask)
-            amask.plan(heads, np.float64)  # the first layer's, which the tail cuts
-            tail = amask.tail(first)
-            plan = tail.plan(heads, np.float64)
+            amask.plan(heads, np.float64)  # the first layer's, which `first` cuts
+            plan = amask.plan(heads, np.float64, first)
             fresh = AttentionMask(rows)
             fresh.plan(heads, np.float64)
         shared = np.arange(t)[plan.keys]
@@ -599,7 +600,7 @@ def test_property_a_tail_reads_its_rows_keys_and_attends_as_a_fresh_mask(layout,
             assert (seen[:, owned].sum(axis=0) == 1).all() and seen[owners, owned].all()
         assert not (seen & ~read).any()  # every permitted key: in its row's tile prefix, or its own key
 
-        out = ad.masked_attention(q, k, v, tail, heads)
+        out = ad.masked_attention(q, k, v, amask, heads, first)
         grads = ad.backward((out * wsum).sum(), [q, k, v])
         want = ad.masked_attention(q, k, v, fresh, heads)
         want_grads = ad.backward((want * wsum).sum(), [q, k, v])
@@ -613,7 +614,7 @@ def test_property_a_tail_reads_its_rows_keys_and_attends_as_a_fresh_mask(layout,
         k2, v2 = k.data.copy(), v.data.copy()
         k2[b, ~rows[b, i]] = 1e4
         v2[b, ~rows[b, i]] = -1e4
-        moved = ad.masked_attention(q, ad.tensor(k2), ad.tensor(v2), tail, heads)
+        moved = ad.masked_attention(q, ad.tensor(k2), ad.tensor(v2), amask, heads, first)
         np.testing.assert_array_equal(moved.data[b, i], out.data[b, i])  # forbidden keys weigh exactly 0
 
 

@@ -263,21 +263,22 @@ def test_attention_tiles_compute_at_most_a_quarter_more_scores_than_permitted(cf
     )
     calls, attend = [], ad.masked_attention
 
-    def recorded(q, k, v, mask, heads):
-        calls.append((mask, heads))
-        return attend(q, k, v, mask, heads)
+    def recorded(q, k, v, mask, heads, first=0):
+        calls.append((mask, heads, first))
+        return attend(q, k, v, mask, heads, first)
 
     monkeypatch.setattr(ad, "masked_attention", recorded)
     with ad.no_grad():
         policy.loss(sampler.batch(0, cfg.train.batch_size))
     assert len(calls) == cfg.backbone.layers
     computed = permitted = 0
-    for mask, heads in calls:
-        nb, tq, _ = mask.permitted.shape
-        plan = mask.plan(heads, np.float32)
+    for mask, heads, first in calls:
+        rows = mask.permitted[:, first:]
+        nb, tq, _ = rows.shape
+        plan = mask.plan(heads, np.float32, first)
         owners = 0 if plan.own is None else np.arange(tq)[plan.own.rows].size
         computed += (sum((t.rows.stop - t.rows.start) * t.keys for t in plan.tiles) + owners) * nb * heads
-        permitted += int(mask.permitted.sum()) * heads
+        permitted += int(rows.sum()) * heads
     assert computed <= 1.25 * permitted, (computed, permitted)
 
 

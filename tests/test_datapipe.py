@@ -575,6 +575,16 @@ def test_batch_size_that_is_not_an_integer_is_contract_error(small_world, size):
         sampler.batch(0, size)
 
 
+@pytest.mark.parametrize("index", (3.7, "3", True, None, np.float64(2.0), -1, 2**64))
+def test_batch_index_that_is_not_a_stream_index_is_contract_error(small_world, index):
+    """A batch is a pure function of its index: no float truncates, no string or bool aliases, no index wraps."""
+    cfg, layout, datasets, mixture = small_world
+    sampler = dp.BatchSampler(datasets, mixture, cfg, layout, seed=11)
+    with pytest.raises(ContractError, match=re.escape(f"batch index must be an integer in [0, 2**64), got {index!r}")):
+        sampler.batch(index, 2)
+    assert sampler.batch(np.uint64(2**64 - 1), 2).embodiments
+
+
 def test_batch_seed_changes_content(small_world):
     cfg, layout, datasets, mixture = small_world
     s1 = dp.BatchSampler(datasets, mixture, cfg, layout, seed=11)

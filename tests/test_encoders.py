@@ -11,7 +11,7 @@ from omnibot.errors import DimensionError
 @pytest.fixture(scope="module")
 def bank():
     rng = np.random.Generator(np.random.PCG64(0))
-    return EncoderBank(init_encoder_params(desk_config(), rng))
+    return EncoderBank(init_encoder_params(desk_config(), rng), np.dtype(np.float32))
 
 
 def imgs(n, seed=0):

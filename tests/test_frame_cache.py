@@ -92,6 +92,39 @@ def test_instruction_and_goal_are_part_of_the_key(cfg):
         seen.append(got)
 
 
+def test_a_frame_rewritten_in_place_gets_fresh_rows(cfg):
+    """The key is the frame's values, not its arrays: a camera may write each image into one reused buffer."""
+    policy = film_policy(cfg)
+    env = envs.make_env("arm1")
+    state, frame, instruction = env.reset(3)
+    before = policy.act([frame], "single-arm").values
+    state = env.step(state, env.expert_chunk(state, 1)[0].astype(np.float64))
+    frame.observations["workspace"][...] = env.frame(state, instruction).observations["workspace"]
+    got = policy.act([frame], "single-arm").values
+    assert rel_err(got, fresh_act(policy, [frame], "single-arm")) <= TOL
+    assert rel_err(got, before) > 1e-6
+
+
+def test_a_frame_and_its_cast_to_the_policy_dtype_share_one_row(cfg, monkeypatch):
+    """A float32 policy encodes a float64 frame cast to float32, so the float64 frame and that cast have one key."""
+    policy = Policy.init(cfg, seed=0)
+    env = envs.make_env("nav")
+    state, frame, _ = env.reset(6)
+    noise = np.random.Generator(np.random.PCG64(6)).uniform(0.0, 1e-6, (2, 3, 24, 24))  # float64 values that float32 rounds
+    image, goal = frame.observations["navigation"] + noise[0], env.goal_frame_image(state) + noise[1]
+    wide = dataclasses.replace(frame, observations={"navigation": image}, goal=goal)
+    narrow = dataclasses.replace(frame, observations={"navigation": image.astype(np.float32)}, goal=goal.astype(np.float32))
+    assert image.dtype == goal.dtype == np.float64 and (image != narrow.observations["navigation"]).any()
+    encoded, encode = [], assembler.encode_group
+    monkeypatch.setattr(assembler, "encode_group", lambda *args: encoded.append(len(args[2])) or encode(*args))
+    got = policy.act([wide, narrow], "navigation").values
+    assert encoded == [1] and [len(rows) for rows in policy.frame_tokens.groups.values()] == [1]
+    np.testing.assert_array_equal(got, policy.act([narrow, wide], "navigation").values)
+    assert encoded == [1]
+    monkeypatch.undo()
+    np.testing.assert_array_equal(got, fresh_act(policy, [narrow, narrow], "navigation"))
+
+
 def test_params_changed_drops_rows_of_the_old_parameters(cfg):
     policy = film_policy(cfg)
     env = envs.make_env("nav")
@@ -107,6 +140,17 @@ def test_params_changed_drops_rows_of_the_old_parameters(cfg):
     policy.params_changed()
     assert not policy.frame_tokens.groups
     assert rel_err(policy.act(window, "navigation").values, want) <= TOL
+
+
+@pytest.mark.parametrize("name", ("bb/layer1/mlp/w1", "head/navigation/b"))
+def test_a_policy_whose_parameters_differ_in_dtype_is_a_contract_error(cfg, name):
+    params = dict(Policy.init(cfg, seed=0).params)
+    params[name] = ad.param(params[name].data.astype(np.float64))
+    first = next(iter(params))
+    with pytest.raises(ContractError, match=re.escape(f"parameter {name!r} is float64, but the first, {first!r}, is float32")):
+        Policy(cfg, params)
+    policy = Policy(cfg, {n: ad.param(p.data.astype(np.float64)) for n, p in params.items()})
+    assert policy.dtype == policy.bank.dtype == np.float64
 
 
 def test_act_builds_each_window_structure_once(cfg, monkeypatch):
