@@ -25,7 +25,8 @@ then its own row's key alone, at the end, and every observation key sits
 in step order before it, so `autodiff.AttentionMask` splits the readouts
 off as own keys and lets each readout row read a short observation prefix.
 The readout rows are also one trailing range, the queries of the last
-layer, so that layer's mask is `AttentionMask.tail` of the first's.
+layer, so that layer attends with the first layer's plan cut at the first
+readout row (`AttentionMask.plan(heads, dtype, first)`).
 
 Assembly is two steps. `window_structure` places the slots: the kept
 columns, the padding, the valid steps, the readout rows, where each
@@ -33,7 +34,9 @@ frame's encoder rows go, and the `AttentionMask`, built and validated once.
 It reads each window's robot and frame count alone. `window_tokens` fills
 a structure with token values: the encoder rows, scattered into their
 columns, plus slot embeddings, with padding zeroed. `assemble_batch` runs
-both; `Policy.act` keeps the structure of each window shape.
+both; `Policy.act` keeps the structure of each window shape. Image groups
+that follow one another in slot order and sit on the same frames, as
+bimanual's three cameras do, are encoded in one pass (`encode_group`).
 """
 
 from __future__ import annotations
@@ -196,8 +199,10 @@ class WindowStructure:
     # for a compact one, the kept observations ascending, then the readouts ascending
     slots: np.ndarray
     readouts: np.ndarray | None  # [steps, chunk] token columns of the head's readouts; None for a full window
-    # each observation group that frames carry, with the (window, frame index) of those frames
-    placed: tuple[tuple[SlotGroup, tuple[tuple[int, int], ...]], ...]
+    # the observation groups that frames carry, each run encoded in one pass, in slot order, with
+    # the (window, frame index) of their frames: image groups next in slot order on the same
+    # frames run together; any other group runs alone
+    placed: tuple[tuple[tuple[SlotGroup, ...], tuple[tuple[int, int], ...]], ...]
     destinations: tuple[np.ndarray, np.ndarray]  # window and column of each of their encoder rows, in that order
 
     @property
@@ -284,26 +289,32 @@ def _finite(bank: EncoderBank, arrays: list, what: str, index: list[int]) -> np.
     return values
 
 
-def encode_group(bank: EncoderBank, group: SlotGroup, frames: list[ObservationFrame], index: list[int]) -> Tensor:
-    """Encoder rows [n, tokens, d_model] of one observation group for n frames, in one batched call.
+def encode_group(
+    bank: EncoderBank, groups: tuple[SlotGroup, ...], frames: list[ObservationFrame], index: list[int]
+) -> Tensor:
+    """Encoder rows [V * n, tokens, d_model] of V observation groups for n frames, each group's in turn, in one pass.
 
-    The frames have passed `window_embodiment`; `index[i]` is the position of
-    `frames[i]` in its window. This is the one reader of frame values into
-    the model, so it checks them finite in the policy's dtype (a float64 1e39
-    is inf as float32). An image group's goal channels carry a frame's goal
-    where that goal conditions the group, and zeros elsewhere.
+    The groups are one proprio group, or image groups that are encoded
+    together (`WindowStructure.placed`). The frames have passed
+    `window_embodiment`; `index[i]` is the position of `frames[i]` in its
+    window. This is the one reader of frame values into the model, so it
+    checks each group's values finite in the policy's dtype (a float64 1e39
+    is inf as float32), group by group. An image group's goal channels carry
+    a frame's goal where that goal conditions the group, and zeros
+    elsewhere; each frame's instruction is embedded once for all groups.
     """
-    obs = _finite(bank, [f.observations[group.name] for f in frames], f"{group.name} observation", index)
-    if group.kind == "obs-proprio":
-        return bank.encode_proprio(group.name, obs)
-    goals = [conditioning_goal(f, group.name) for f in frames]
-    if all(g is None for g in goals):
-        goals = None
-    else:
-        goals = _finite(bank, [np.zeros_like(o) if g is None else g for o, g in zip(obs, goals)],
-                        f"goal of {group.name}", index)
+    images, goals = [], []
+    for group in groups:
+        obs = _finite(bank, [f.observations[group.name] for f in frames], f"{group.name} observation", index)
+        if group.kind == "obs-proprio":
+            return bank.encode_proprio(group.name, obs)
+        goal = [conditioning_goal(f, group.name) for f in frames]
+        images.append(obs)
+        goals.append(None if all(g is None for g in goal) else _finite(
+            bank, [np.zeros_like(o) if g is None else g for o, g in zip(obs, goal)], f"goal of {group.name}", index
+        ))
     lang = bank.embed_language(np.array([f.instruction for f in frames]))
-    return bank.encode_image(group.name, obs, goals, lang)
+    return bank.encode_image([g.name for g in groups], images, goals, lang)
 
 
 def build_attention_mask(layout: SlotLayout, pad: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -386,7 +397,11 @@ def window_structure(
             windows_of.append(np.repeat(bis, g.tokens))
             slots_of.append((np.array(at)[:, None] * s + g.offset + np.arange(g.tokens)).ravel())
             live[windows_of[-1], slots_of[-1]] = True
-            placed.append((g, tuple(zip(bis, index))))
+            frames = tuple(zip(bis, index))
+            if placed and placed[-1][1] == frames and g.kind == placed[-1][0][-1].kind == "obs-image":
+                placed[-1] = ((*placed[-1][0], g), frames)
+            else:
+                placed.append(((g,), frames))
 
     if head is None:
         cols = np.arange(t)
@@ -414,16 +429,16 @@ def window_tokens(
 ) -> AssembledWindow:
     """The window `structure` lays out, with the token values of `windows`.
 
-    `encode(bank, group, frames, index)` gives each observation group's
-    encoder rows, `encode_group` by default; they are scattered straight
-    into their kept columns, every column gets its slot embedding, and
-    padding is zeroed.
+    `encode(bank, groups, frames, index)` gives the encoder rows of each
+    run of observation groups that `structure.placed` encodes in one pass,
+    `encode_group` by default; they are scattered straight into their kept
+    columns, every column gets its slot embedding, and padding is zeroed.
     """
     b, n = structure.pad.shape
     if structure.placed:
         rows = [
-            encode(bank, g, [windows[bi][i] for bi, i in at], [i for _, i in at]).reshape(-1, layout.d_model)
-            for g, at in structure.placed
+            encode(bank, groups, [windows[bi][i] for bi, i in at], [i for _, i in at]).reshape(-1, layout.d_model)
+            for groups, at in structure.placed
         ]
         rows = ad.concat(rows, axis=0) if len(rows) > 1 else rows[0]
         content = ad.scatter_tokens(rows, *structure.destinations, b, n)

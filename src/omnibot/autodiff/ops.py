@@ -9,6 +9,12 @@ memory layout. Each takes and returns the layout its matmuls read:
 C-contiguous as computed, and no reshape or transpose node sits between
 two ops on the hot paths.
 
+`conv2d` and `film` run V views in one node: the first axis of x holds
+each view's samples in turn, and they take one parameter set per view,
+stacked inside the node. Each view's products keep the shapes of a call
+of its own, so running views together changes no output bit, and one
+view is the plain op.
+
 `masked_attention` computes only scores that some row may need. Its
 `AttentionMask` plans, once per (heads, dtype), tiles of query rows, each
 reading a prefix of the keys that several rows permit, with its own
@@ -26,7 +32,6 @@ import math
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from ..errors import DegenerateMaskError, DimensionError
 from .tensor import Tensor
@@ -106,6 +111,21 @@ def _column_sums(a: np.ndarray) -> np.ndarray:
     """[..., n] -> [n]: the sum over every axis but the last, as one product with a ones vector."""
     a = a.reshape(-1, a.shape[-1])
     return np.ones(a.shape[0], dtype=a.dtype) @ a
+
+
+def _one_shape(tensors: Sequence[Tensor], what: str) -> tuple[int, ...]:
+    """The shape of one or more tensors, one per view, which must share it."""
+    if not tensors or any(t.shape != tensors[0].shape for t in tensors):
+        raise DimensionError(f"{what} need one or more tensors of one shape, got {[t.shape for t in tensors]}")
+    return tensors[0].shape
+
+
+def _stacked(tensors: Sequence[Tensor], what: str) -> np.ndarray:
+    """[V, ...]: the arrays of one tensor per view, stacked; one view's is read in place."""
+    if len(tensors) == 1:
+        return tensors[0].data[None]
+    _one_shape(tensors, what)
+    return np.array([t.data for t in tensors])
 
 
 LAYER_NORM_EPS = 1e-5  # added to the variance before the square root
@@ -571,32 +591,42 @@ def _same_pad(extent: int, kernel: int, stride: int) -> tuple[int, int, int]:
     return out, total // 2, total - total // 2
 
 
-def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int) -> Tensor:
-    """Same-padded strided cross-correlation plus a per-channel bias, channels-last.
+def conv2d(x: Tensor, kernels: Sequence[Tensor], biases: Sequence[Tensor], stride: int) -> Tensor:
+    """Same-padded strided cross-correlation plus a per-channel bias, channels-last, for V views at once.
 
-    x: [B, H, W, C]; kernels: [C2, C, kh, kw]; bias: [C2]. Returns
-    [B, ceil(H / stride), ceil(W / stride), C2].
+    x: [V * n, H, W, C], the n images of each view in turn; kernels: V
+    [C2, C, kh, kw] tensors and biases: V [C2] tensors, one per view.
+    Returns [V * n, ceil(H / stride), ceil(W / stride), C2]; image i of view
+    v is correlated with kernels[v]. One view (V = 1) is a plain conv2d.
 
-    im2col pads x into a [B, H, W, C] buffer, and the columns are one copy
-    of its strided window view as [B, h2, w2, kh, kw, C], so every run
-    copied is whole channels; the kernel matrix is `kernels` in (kh, kw, C,
-    C2) order, and the bias is added in place on the product, which already
-    is the output. col2im in backward adds the column gradients back
-    through the same window view.
+    im2col pads x into a [V * n, H, W, C] buffer, and the columns are one
+    copy of its strided window view as [V * n, h2, w2, kh, kw, C], so every
+    run copied is whole channels; the kernel matrices are `kernels` in (kh,
+    kw, C, C2) order, and one stacked product gives each view its own
+    [n * h2 * w2, C2] product, of the shapes a call per view would make, so
+    the views' outputs do not depend on being run together. The bias is
+    added in place on the product, which already is the output. col2im in
+    backward adds the column gradients back through the same window view.
     """
     xd = x.data
     if xd.ndim != 4:
         raise DimensionError(f"conv2d input must be [B,H,W,C], got {x.shape}")
-    if kernels.ndim != 4:
-        raise DimensionError(f"conv2d kernels must be [C2,C,kh,kw], got {kernels.shape}")
+    if len(biases) != len(kernels):
+        raise DimensionError(f"conv2d got {len(kernels)} kernels but {len(biases)} biases")
+    bs, shape = _stacked(biases, "conv2d biases"), _one_shape(kernels, "conv2d kernels")
+    if len(shape) != 4:
+        raise DimensionError(f"conv2d kernels must be [C2,C,kh,kw], got {shape}")
     nb, h, w, c = xd.shape
-    c2, ck, kh, kw = kernels.shape
+    nv, (c2, ck, kh, kw) = len(kernels), shape
+    if nb % nv:
+        raise DimensionError(f"conv2d: {nb} images do not split into {nv} views")
+    n = nb // nv
     if kh < 1 or kw < 1:
-        raise DimensionError(f"conv2d kernel has zero-sized window: {kernels.shape}")
+        raise DimensionError(f"conv2d kernel has zero-sized window: {shape}")
     if ck != c:
-        raise DimensionError(f"conv2d channel mismatch: input {x.shape} vs kernels {kernels.shape}")
-    if bias.shape != (c2,):
-        raise DimensionError(f"conv2d bias {bias.shape} does not match {c2} output channels")
+        raise DimensionError(f"conv2d channel mismatch: input {x.shape} vs kernels {shape}")
+    if bs.shape[1:] != (c2,):
+        raise DimensionError(f"conv2d bias {biases[0].shape} does not match {c2} output channels")
     if stride < 1:
         raise DimensionError(f"conv2d stride must be >= 1, got {stride}")
     h2, top, bot = _same_pad(h, kh, stride)
@@ -604,64 +634,86 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor, stride: int) -> Tensor:
     if kh > h + top + bot or kw > w + left + right:
         raise DimensionError(f"conv2d kernel {kh}x{kw} exceeds padded input {h}x{w}")
 
+    def windows(padded: np.ndarray) -> np.ndarray:
+        """[B, h2, w2, kh, kw, C]: the strided windows of a padded [B, Hp, Wp, C] buffer, as a view."""
+        sb, sh, sw, sc = padded.strides
+        return np.ndarray((nb, h2, w2, kh, kw, c), padded.dtype, padded,
+                          strides=(sb, sh * stride, sw * stride, sh, sw, sc))
+
     xp = np.zeros((nb, h + top + bot, w + left + right, c), dtype=xd.dtype)
     xp[:, top : top + h, left : left + w] = xd
-    win = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]  # [B, h2, w2, C, kh, kw]
-    mat = np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3)).reshape(nb * h2 * w2, kh * kw * c)
-    wmat = kernels.data.transpose(2, 3, 1, 0).reshape(kh * kw * c, c2)
+    mat = np.ascontiguousarray(windows(xp)).reshape(nv, n * h2 * w2, kh * kw * c)
+    wmat = np.array([k.data.transpose(2, 3, 1, 0) for k in kernels]).reshape(nv, kh * kw * c, c2)
     out = mat @ wmat
-    out += bias.data
+    out += bs[:, None]
 
     def bwd(g):
-        g2 = g.reshape(nb * h2 * w2, c2)
-        gx = gk = gb = None
-        if kernels.requires_grad:
-            gk = (g2.T @ mat).reshape(c2, kh, kw, c).transpose(0, 3, 1, 2)
-        if bias.requires_grad:
-            gb = _column_sums(g2)
+        g3 = g.reshape(nv, n * h2 * w2, c2)
+        gx = None
         if x.requires_grad:
-            gcols = (g2 @ wmat.T).reshape(nb, h2, w2, kh, kw, c)
+            gcols = (g3 @ wmat.transpose(0, 2, 1)).reshape(nb, h2, w2, kh, kw, c)
             gxp = np.zeros_like(xp)
-            gwin = sliding_window_view(gxp, (kh, kw), axis=(1, 2), writeable=True)[:, ::stride, ::stride]
+            gwin = windows(gxp)
             for i in range(kh):
                 for j in range(kw):  # windows overlap, but no two share (i, j) and a position
-                    gwin[..., i, j] += gcols[:, :, :, i, j]
+                    gwin[..., i, j, :] += gcols[..., i, j, :]
             gx = gxp[:, top : top + h, left : left + w]
-        return gx, gk, gb
+        gk = (g3.transpose(0, 2, 1) @ mat).reshape(nv, c2, kh, kw, c).transpose(0, 1, 4, 2, 3)
+        gb = np.ones(n * h2 * w2, dtype=g.dtype) @ g3  # each view's column sums, as in `_column_sums`
+        return gx, *gk, *gb
 
-    return Tensor._make(out.reshape(nb, h2, w2, c2), (x, kernels, bias), bwd, "conv2d")
+    return Tensor._make(out.reshape(nb, h2, w2, c2), (x, *kernels, *biases), bwd, "conv2d")
 
 
-def film(x: Tensor, lang: Tensor, gamma_w: Tensor, gamma_b: Tensor, beta_w: Tensor, beta_b: Tensor) -> Tensor:
-    """FiLM conditioning, channels-last: (1 + gamma) * x + beta per sample and channel.
+def film(
+    x: Tensor,
+    lang: Tensor,
+    gamma_w: Sequence[Tensor],
+    gamma_b: Sequence[Tensor],
+    beta_w: Sequence[Tensor],
+    beta_b: Sequence[Tensor],
+) -> Tensor:
+    """FiLM conditioning, channels-last: (1 + gamma) * x + beta per sample and channel, for V views at once.
 
-    x: [n, ..., C]; lang: [n, L]; gamma = lang @ gamma_w + gamma_b and
-    beta = lang @ beta_w + beta_b, each [n, C] ([L, C] weights, [C]
-    biases). One tape node holds both projections and the modulation.
+    x: [V * n, ..., C], the n samples of each view in turn; lang: [n, L],
+    one row per sample, which every view reads. Each projection argument
+    holds one tensor per view: view v has gamma = lang @ gamma_w[v] +
+    gamma_b[v] and beta = lang @ beta_w[v] + beta_b[v], each [n, C] ([L, C]
+    weights, [C] biases). One tape node holds every view's projections and
+    the modulation; one view (V = 1) is a plain FiLM.
     """
-    n, c = x.shape[0], x.shape[-1]
-    if lang.ndim != 2 or lang.shape[0] != n:
-        raise DimensionError(f"film language {lang.shape} does not match {n} samples")
-    for w_, b_ in ((gamma_w, gamma_b), (beta_w, beta_b)):
-        if w_.shape != (lang.shape[1], c) or b_.shape != (c,):
+    nv, c = len(gamma_w), x.shape[-1]
+    if lang.ndim != 2 or x.shape[0] != nv * lang.shape[0]:
+        raise DimensionError(f"film language {lang.shape} does not match {x.shape[0]} samples of {nv} views")
+    n = lang.shape[0]
+    gw, gb = _stacked(gamma_w, "film gamma_w"), _stacked(gamma_b, "film gamma_b")
+    bw, bb = _stacked(beta_w, "film beta_w"), _stacked(beta_b, "film beta_b")
+    for w_, b_ in ((gw, gb), (bw, bb)):
+        if w_.shape != (nv, lang.shape[1], c) or b_.shape != (nv, c):
             raise DimensionError(
-                f"film projections {w_.shape}/{b_.shape} do not map {lang.shape[1]} language dims to {c} channels"
+                f"film projections {w_.shape}/{b_.shape} do not map {lang.shape[1]} language dims "
+                f"to {c} channels for each of {nv} views"
             )
-    bshape = (n,) + (1,) * (x.ndim - 2) + (c,)
-    gamma1 = lang.data @ gamma_w.data
-    gamma1 += gamma_b.data
+    bshape = (nv * n,) + (1,) * (x.ndim - 2) + (c,)
+    gamma1 = lang.data @ gw  # [V, n, C]: view v's product is lang @ gamma_w[v]
+    gamma1 += gb[:, None]
     gamma1 += 1.0
-    beta = lang.data @ beta_w.data
-    beta += beta_b.data
+    beta = lang.data @ bw
+    beta += bb[:, None]
     out = x.data * gamma1.reshape(bshape)
     out += beta.reshape(bshape)
 
     def bwd(g):
-        ones = np.ones(g.size // (n * c), dtype=g.dtype)  # per sample: a sum over the positions, as a product
-        dgamma = ones @ (g * x.data).reshape(n, -1, c)
-        dbeta = ones @ g.reshape(n, -1, c)
+        ones = np.ones(g.size // (nv * n * c), dtype=g.dtype)  # per sample: a sum over the positions, as a product
+        dgamma = (ones @ (g * x.data).reshape(nv * n, -1, c)).reshape(nv, n, c)
+        dbeta = (ones @ g.reshape(nv * n, -1, c)).reshape(nv, n, c)
         gx = g * gamma1.reshape(bshape) if x.requires_grad else None
-        glang = dgamma @ gamma_w.data.T + dbeta @ beta_w.data.T if lang.requires_grad else None
-        return gx, glang, lang.data.T @ dgamma, _column_sums(dgamma), lang.data.T @ dbeta, _column_sums(dbeta)
+        glang = None
+        if lang.requires_grad:
+            glang = dgamma @ gw.transpose(0, 2, 1)
+            glang += dbeta @ bw.transpose(0, 2, 1)
+            glang = glang.sum(axis=0)  # the views in turn
+        lt, sums = lang.data.T, np.ones(n, dtype=g.dtype)
+        return gx, glang, *(lt @ dgamma), *(sums @ dgamma), *(lt @ dbeta), *(sums @ dbeta)
 
-    return Tensor._make(out, (x, lang, gamma_w, gamma_b, beta_w, beta_b), bwd, "film")
+    return Tensor._make(out, (x, lang, *gamma_w, *gamma_b, *beta_w, *beta_b), bwd, "film")

@@ -11,11 +11,19 @@ size and a proprio tokenizer's input width. The constants below are the
 tokenizers' one source, and `image_tokens` is the one count of an image
 group's tokens.
 
+Image groups that a batch places on the same frames (bimanual's
+workspace and wrist cameras) are encoded in one pass: `encode_image`
+stacks their images view-major, and each conv stage takes one parameter
+set per view. Every view keeps its own tokenizer, and its rows are the
+ones that a pass of its own would give.
+
 The tokenizers check no input: `assembler.window_embodiment` and
 `assembler.encode_group` check each frame once, before its values get here.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 import numpy as np
 
@@ -92,32 +100,45 @@ class EncoderBank:
 
     # -- images ------------------------------------------------------------
 
-    def encode_image(self, view: str, images: np.ndarray, goals: np.ndarray | None, lang: Tensor) -> Tensor:
-        """[n, C, H, W] images -> [n, image_tokens((C, H, W)), d_model] tokens.
+    def encode_image(
+        self, views: Sequence[str], images: Sequence[np.ndarray], goals: Sequence[np.ndarray | None], lang: Tensor
+    ) -> Tensor:
+        """V views of n frames -> [V * n, image_tokens((C, H, W)), d_model] tokens, view-major.
 
-        `goals` is [n, C, H, W], or None when no image has a goal (zero goal
-        channels); `lang` holds the [n, LANGUAGE_DIM] instruction rows that
-        FiLM reads. The stack runs channels-last: images and goals are
-        transposed once into one [n, H, W, 2C] input, each stage is `conv2d`
-        (with its bias), `film` and `gelu`, and the last stage's [n, h, w, c]
-        output is read as [n, h * w, c] tokens in row-major (h, w) order,
-        without a copy.
+        `images[v]` holds the [n, C, H, W] images of `views[v]`, and `goals[v]`
+        their [n, C, H, W] goals, or None when no image of that view has a
+        goal (zero goal channels); `lang` holds the [n, LANGUAGE_DIM]
+        instruction rows of the n frames, which FiLM reads in every view. The
+        views run the conv stack as one pass: `conv2d` and `film` take one
+        parameter set per view and give each view the products that a pass
+        of its own would. The stack runs channels-last: images and goals are
+        transposed once into one [V * n, H, W, 2C] input, each stage is
+        `conv2d` (with its bias), `film` and `gelu`, and the last stage's
+        [V * n, h, w, c] output is read as [V * n, h * w, c] tokens in
+        row-major (h, w) order, without a copy. Each view's tokens then go
+        through that view's own projection.
         """
-        n, c = images.shape[:2]
-        x = np.zeros((n, *images.shape[2:], 2 * c), dtype=self.dtype)
-        x[..., :c] = images.transpose(0, 2, 3, 1)
-        if goals is not None:
-            x[..., c:] = goals.transpose(0, 2, 3, 1)
+        n, c = images[0].shape[:2]
+        x = np.zeros((len(views) * n, *images[0].shape[2:], 2 * c), dtype=self.dtype)
+        for v, (image, goal) in enumerate(zip(images, goals)):
+            x[v * n : (v + 1) * n, ..., :c] = image.transpose(0, 2, 3, 1)
+            if goal is not None:
+                x[v * n : (v + 1) * n, ..., c:] = goal.transpose(0, 2, 3, 1)
 
         x = ad.tensor(x)
-        p = self.params
+
+        def per_view(name):
+            return [self.params[f"enc/img/{view}/{name}"] for view in views]
+
         for i in range(len(CONV_CHANNELS)):
-            conv, film = f"enc/img/{view}/conv{i}", f"enc/img/{view}/film{i}"
-            x = ad.conv2d(x, p[f"{conv}/w"], p[f"{conv}/b"], stride=CONV_STRIDE)
-            x = ad.film(x, lang, p[f"{film}/gamma_w"], p[f"{film}/gamma_b"], p[f"{film}/beta_w"], p[f"{film}/beta_b"])
-            x = ad.gelu(x)
-        tokens = x.reshape(n, -1, x.shape[-1])
-        return ad.linear(tokens, p[f"enc/img/{view}/proj/w"], p[f"enc/img/{view}/proj/b"])
+            x = ad.conv2d(x, per_view(f"conv{i}/w"), per_view(f"conv{i}/b"), stride=CONV_STRIDE)
+            film = [per_view(f"film{i}/{nm}") for nm in ("gamma_w", "gamma_b", "beta_w", "beta_b")]
+            x = ad.gelu(ad.film(x, lang, *film))
+        tokens = x.reshape(x.shape[0], -1, x.shape[-1])
+        if len(views) == 1:
+            return ad.linear(tokens, *per_view("proj/w"), *per_view("proj/b"))
+        rows = [ad.take(tokens, np.arange(v * n, (v + 1) * n), axis=0) for v in range(len(views))]
+        return ad.concat([ad.linear(r, w, b) for r, w, b in zip(rows, per_view("proj/w"), per_view("proj/b"))], axis=0)
 
     # -- proprioception -----------------------------------------------------
 

@@ -29,12 +29,14 @@ position, because `asm/pos` is added after placement, so a frame's rows
 depend only on the frame (its observation, the goal image where that goal
 conditions the group, and the instruction) and on the parameters. `act`
 keeps the rows of the frames in the window it encoded last, keyed by those
-inputs' exact values in the policy's dtype, and encodes only new frames,
-all new frames of a group in one batched call. A cached row is a copy of
-the one computed when the frame was new; it can differ from encoding the
-same frame in a batch of another size only by BLAS summation order
-(float32 relative 1e-6, float64 1e-15). Whoever writes parameters in place
-calls `params_changed`, which drops the cache.
+inputs' exact values in the policy's dtype, and encodes only new frames in
+one pass per run of groups that `assembler.encode_group` encodes together:
+bimanual's three cameras run as one grouped conv stack, over the frames
+that any of them misses, and a camera whose keys all hit stays out of it.
+A cached row is a copy of the one computed when the frame was new; it can
+differ from encoding the same frame in a batch of another size only by
+BLAS summation order (float32 relative 1e-6, float64 1e-15). Whoever
+writes parameters in place calls `params_changed`, which drops the cache.
 
 A fourth fact lets `act` build each window's structure once. Everything
 of an `act` window but its token values (`assembler.WindowStructure`: the
@@ -77,24 +79,35 @@ class FrameTokenCache:
     def __init__(self):
         self.groups: dict[str, dict[tuple, np.ndarray]] = {}
 
-    def encode(self, bank: EncoderBank, group: assembler.SlotGroup, frames, index) -> Tensor:
-        """`assembler.encode_group`'s rows, encoding only the frames not cached.
+    def encode(self, bank: EncoderBank, groups: tuple[assembler.SlotGroup, ...], frames, index) -> Tensor:
+        """`assembler.encode_group`'s rows, encoding only what is not cached, in one pass.
 
-        Only those reach `encode_group`'s finiteness check; a rejected frame caches nothing.
+        That pass takes the groups that miss a frame, on the frames that
+        some of them miss; a row it gives for a key already cached is
+        dropped for the cached one. Only those frames reach `encode_group`'s
+        finiteness check; a rejected frame caches nothing.
         """
-        last = self.groups.get(group.name, {})
-        keys = [frame_key(group.name, frame, bank.dtype) for frame in frames]
-        rows, misses = {}, {}
-        for i, frame, key in zip(index, frames, keys):
-            if key in last:
-                rows[key] = last[key]
-            elif key not in misses:
-                misses[key] = (i, frame)
-        if misses:
-            at, new = zip(*misses.values())
-            rows.update(zip(misses, assembler.encode_group(bank, group, list(new), list(at)).data))
-        self.groups[group.name] = rows
-        return ad.tensor(np.stack([rows[key] for key in keys]))
+        keys = [[frame_key(g.name, frame, bank.dtype) for frame in frames] for g in groups]
+        rows, missing = [], []  # per group: the cached rows of its keys; the groups that miss a key
+        for v, (g, mine) in enumerate(zip(groups, keys)):
+            last = self.groups.get(g.name, {})
+            rows.append({key: last[key] for key in mine if key in last})
+            if len(rows[v]) < len(set(mine)):
+                missing.append(v)
+        if missing:
+            todo = {}  # the missing groups' keys of a frame -> (its index, the frame)
+            for j, (i, frame) in enumerate(zip(index, frames)):
+                key = tuple(keys[v][j] for v in missing)
+                if key not in todo and any(k not in rows[v] for v, k in zip(missing, key)):
+                    todo[key] = (i, frame)
+            at, new = zip(*todo.values())
+            out = assembler.encode_group(bank, tuple(groups[v] for v in missing), list(new), list(at)).data
+            for slot, encoded in enumerate(out.reshape(len(missing), len(new), *out.shape[1:])):
+                for key, row in zip(todo, encoded):
+                    rows[missing[slot]].setdefault(key[slot], row)
+        for g, have in zip(groups, rows):
+            self.groups[g.name] = have
+        return ad.tensor(np.stack([have[key] for mine, have in zip(keys, rows) for key in mine]))
 
 
 class Policy:

@@ -631,14 +631,14 @@ def test_conv_identity_kernel():
     k = np.zeros((3, 3, 1, 1), dtype=np.float32)
     for c in range(3):
         k[c, c, 0, 0] = 1.0
-    out = ad.conv2d(ad.tensor(nhwc(x)), ad.tensor(k), ad.tensor(np.zeros(3, np.float32)), stride=1).data
+    out = ad.conv2d(ad.tensor(nhwc(x)), [ad.tensor(k)], [ad.tensor(np.zeros(3, np.float32))], stride=1).data
     np.testing.assert_array_equal(out, nhwc(x))
 
 
 def test_conv_stride_two_spatial_arithmetic():
     x = ad.tensor(nhwc(rand((3, 24, 24), 41, np.float32)))
     k = ad.tensor(rand((5, 3, 3, 3), 42, np.float32))
-    out = ad.conv2d(x, k, ad.tensor(np.zeros(5, np.float32)), stride=2)
+    out = ad.conv2d(x, [k], [ad.tensor(np.zeros(5, np.float32))], stride=2)
     assert out.shape == (1, 12, 12, 5)
 
 
@@ -647,7 +647,7 @@ def test_conv_vs_naive_loop():
     k = rand((4, 3, 3, 3), 44, np.float32) * 0.2
     b = rand((4,), 45, np.float32)
     for stride in (1, 2, 3):
-        out = ad.conv2d(ad.tensor(nhwc(x)), ad.tensor(k), ad.tensor(b), stride=stride).data
+        out = ad.conv2d(ad.tensor(nhwc(x)), [ad.tensor(k)], [ad.tensor(b)], stride=stride).data
         ref = nhwc(conv_oracle(x, k, stride) + b[:, None, None])
         assert out.shape == ref.shape
         assert np.abs(out - ref).max() < 1e-6
@@ -655,7 +655,7 @@ def test_conv_vs_naive_loop():
 
 def test_conv_zero_sized_kernel_error():
     with pytest.raises(DimensionError):
-        ad.conv2d(ad.tensor(nhwc(rand((3, 8, 8), 45))), ad.tensor(np.zeros((4, 3, 0, 3))), ad.tensor(np.zeros(4)), 1)
+        ad.conv2d(ad.tensor(nhwc(rand((3, 8, 8), 45))), [ad.tensor(np.zeros((4, 3, 0, 3)))], [ad.tensor(np.zeros(4))], 1)
 
 
 def test_conv_grads_vs_central_differences():
@@ -665,7 +665,7 @@ def test_conv_grads_vs_central_differences():
     w = rand((1, 3, 3, 3), 48)
 
     def forward():
-        return (ad.conv2d(x, k, b, stride=2) * ad.tensor(w)).sum()
+        return (ad.conv2d(x, [k], [b], stride=2) * ad.tensor(w)).sum()
 
     grads = ad.backward(forward(), [x, k, b])
 
@@ -690,13 +690,13 @@ def test_conv_rectangular_kernel_vs_oracle_and_central_differences():
                     + b.data[:, None, None])
 
     for stride in (1, 2, 3):
-        out = ad.conv2d(x, k, b, stride=stride)
+        out = ad.conv2d(x, [k], [b], stride=stride)
         ref = oracle(stride)
         assert out.shape == ref.shape
         np.testing.assert_allclose(out.data, ref, rtol=1e-12, atol=1e-12)
 
         w = rand(ref.shape, 55 + stride)
-        grads = ad.backward((ad.conv2d(x, k, b, stride=stride) * ad.tensor(w)).sum(), [x, k, b])
+        grads = ad.backward((ad.conv2d(x, [k], [b], stride=stride) * ad.tensor(w)).sum(), [x, k, b])
 
         def f():
             return (oracle(stride) * w).sum()
@@ -711,9 +711,9 @@ def test_conv_batched_matches_single():
     x = nhwc(rand((4, 3, 6, 6), 49, np.float32))
     k = rand((2, 3, 3, 3), 50, np.float32)
     b = ad.tensor(rand((2,), 51, np.float32))
-    out = ad.conv2d(ad.tensor(x), ad.tensor(k), b, stride=2).data
+    out = ad.conv2d(ad.tensor(x), [ad.tensor(k)], [b], stride=2).data
     for i in range(4):
-        single = ad.conv2d(ad.tensor(x[i : i + 1]), ad.tensor(k), b, stride=2).data
+        single = ad.conv2d(ad.tensor(x[i : i + 1]), [ad.tensor(k)], [b], stride=2).data
         np.testing.assert_array_equal(out[i], single[0])
 
 
@@ -728,17 +728,22 @@ def film_composite(x, lang, gamma_w, gamma_b, beta_w, beta_b):
     return x * (gamma + 1.0) + beta
 
 
+def one_view_film(x, lang, *projections):
+    """`ad.film` for one view: each projection as a list of one tensor."""
+    return ad.film(x, lang, *([p] for p in projections))
+
+
 def test_film_matches_the_composite_and_central_differences():
     rng = np.random.Generator(np.random.PCG64(70))
     for dtype in (np.float32, np.float64):
         args = [ad.param(rng.standard_normal(s).astype(dtype)) for s in ((3, 4, 5, 6), (3, 7), (7, 6), (6,), (7, 6), (6,))]
-        np.testing.assert_array_equal(ad.film(*args).data, film_composite(*args).data)
+        np.testing.assert_array_equal(one_view_film(*args).data, film_composite(*args).data)
     w = rng.standard_normal(args[0].shape)
 
     def loss(fn):
         return (fn(*args) * ad.tensor(w)).sum()
 
-    grads = ad.backward(loss(ad.film), args)
+    grads = ad.backward(loss(one_view_film), args)
     composite = ad.backward(loss(film_composite), args)
 
     def f():
@@ -748,6 +753,103 @@ def test_film_matches_the_composite_and_central_differences():
         np.testing.assert_allclose(grads[t], composite[t], rtol=1e-12, atol=1e-12)
         num = numeric_grad(f, t.data)
         assert np.abs(grads[t] - num).max() < 1e-5 * np.abs(num).max()  # x's gradient has entries near 0
+
+
+# ---------------------------------------------------------------- views run together
+
+
+def view_params(rng, views, shape, dtype):
+    return [ad.param(rng.standard_normal(shape).astype(dtype)) for _ in range(views)]
+
+
+@pytest.mark.parametrize("views", (1, 3))
+@pytest.mark.parametrize("dtype", (np.float32, np.float64))
+@pytest.mark.parametrize("stride, kernel", ((1, (3, 3)), (2, (3, 3)), (1, (2, 3)), (2, (3, 2))))
+def test_grouped_conv2d_equals_a_call_per_view_bit_for_bit(views, dtype, stride, kernel):
+    rng = np.random.Generator(np.random.PCG64(90))
+    n, c, c2 = 2, 3, 4
+    x = ad.param(rng.standard_normal((views * n, 7, 6, c)).astype(dtype))
+    kernels = view_params(rng, views, (c2, c, *kernel), dtype)
+    biases = view_params(rng, views, (c2,), dtype)
+    out = ad.conv2d(x, kernels, biases, stride)
+    w = rng.standard_normal(out.shape).astype(dtype)
+    grads = ad.backward((out * ad.tensor(w)).sum(), [x, *kernels, *biases])
+    for v in range(views):
+        at = slice(v * n, (v + 1) * n)
+        xv = ad.param(x.data[at])
+        one = ad.conv2d(xv, [kernels[v]], [biases[v]], stride)
+        np.testing.assert_array_equal(out.data[at], one.data)
+        alone = ad.backward((one * ad.tensor(w[at])).sum(), [xv, kernels[v], biases[v]])
+        np.testing.assert_array_equal(grads[x][at], alone[xv])
+        np.testing.assert_array_equal(grads[kernels[v]], alone[kernels[v]])
+        np.testing.assert_array_equal(grads[biases[v]], alone[biases[v]])
+
+
+@pytest.mark.parametrize("views", (1, 3))
+@pytest.mark.parametrize("dtype", (np.float32, np.float64))
+def test_grouped_film_equals_a_call_per_view_bit_for_bit(views, dtype):
+    rng = np.random.Generator(np.random.PCG64(91))
+    n, lang_dim, c = 2, 5, 4
+    x = ad.param(rng.standard_normal((views * n, 3, 2, c)).astype(dtype))
+    lang = ad.param(rng.standard_normal((n, lang_dim)).astype(dtype))
+    projections = [view_params(rng, views, shape, dtype) for shape in ((lang_dim, c), (c,)) * 2]
+    out = ad.film(x, lang, *projections)
+    w = rng.standard_normal(out.shape).astype(dtype)
+    flat = [p for per_view in projections for p in per_view]
+    grads = ad.backward((out * ad.tensor(w)).sum(), [x, lang, *flat])
+    glang = None
+    for v in range(views):
+        at = slice(v * n, (v + 1) * n)
+        xv, lv = ad.param(x.data[at]), ad.param(lang.data)
+        mine = [per_view[v] for per_view in projections]
+        one = one_view_film(xv, lv, *mine)
+        np.testing.assert_array_equal(out.data[at], one.data)
+        alone = ad.backward((one * ad.tensor(w[at])).sum(), [xv, lv, *mine])
+        np.testing.assert_array_equal(grads[x][at], alone[xv])
+        for p in mine:
+            np.testing.assert_array_equal(grads[p], alone[p])
+        glang = alone[lv] if glang is None else glang + alone[lv]  # every view reads the language rows
+    np.testing.assert_array_equal(grads[lang], glang)
+
+
+def test_grouped_conv2d_and_film_pass_finite_diff_check():
+    rng = np.random.Generator(np.random.PCG64(92))
+    views, n = 3, 2
+    x = ad.param(rng.standard_normal((views * n, 5, 5, 2)))
+    lang = ad.param(rng.standard_normal((n, 3)))
+    params = {"x": x, "lang": lang}
+    for v in range(views):
+        params[f"k{v}"] = ad.param(rng.standard_normal((4, 2, 3, 3)) * 0.3)
+        params[f"b{v}"] = ad.param(rng.standard_normal(4))
+        for nm, shape in (("gw", (3, 4)), ("gb", (4,)), ("bw", (3, 4)), ("bb", (4,))):
+            params[f"{nm}{v}"] = ad.param(rng.standard_normal(shape) * 0.5)
+    w = ad.tensor(rng.standard_normal((views * n, 3, 3, 4)))
+
+    def per_view(name):
+        return [params[f"{name}{v}"] for v in range(views)]
+
+    def loss():
+        y = ad.conv2d(x, per_view("k"), per_view("b"), stride=2)
+        return (ad.film(y, lang, *map(per_view, ("gw", "gb", "bw", "bb"))) * w).sum()
+
+    report = ad.finite_diff_check(loss, params, probes=64)
+    assert report.max_rel_err < 1e-6
+    assert sum(p.status == "ok" for p in report.probes) > 48
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda x, k, b: ad.conv2d(x, [k, k], [b], 1), "2 kernels but 1 biases"),
+    (lambda x, k, b: ad.conv2d(x, [k] * 4, [b] * 4, 1), "6 images do not split into 4 views"),
+    (lambda x, k, b: ad.conv2d(x, [k, ad.tensor(np.zeros((3, 2, 2, 2)))], [b, b], 1), "kernels need one or more tensors of one shape"),
+    (lambda x, k, b: ad.conv2d(x, [], [], 1), "one or more"),
+    (lambda x, k, b: ad.film(x, ad.tensor(np.zeros((3, 5))), *[[ad.tensor(np.zeros((5, 3)))] * 4] * 2,
+                             *[[ad.tensor(np.zeros(3))] * 4] * 2), "6 samples of 4 views"),
+])
+def test_grouped_ops_reject_views_that_do_not_fit(call, match):
+    x = ad.tensor(np.zeros((6, 4, 4, 2)))
+    k, b = ad.tensor(np.zeros((3, 2, 3, 3))), ad.tensor(np.zeros(3))
+    with pytest.raises(DimensionError, match=match):
+        call(x, k, b)
 
 
 # ---------------------------------------------------------------- backward
@@ -806,8 +908,8 @@ MIXED_DTYPE_CALLS = {  # each reads a float32 x among float64 operands
     "linear": lambda x: ad.linear(x, f64((8, 3), 1), f64((3,), 2)),
     "layer_norm": lambda x: ad.layer_norm(x, f64((8,), 1), f64((8,), 2)),
     "masked_attention": lambda x: attend(x, f64((2, 4, 8), 1), f64((2, 4, 8), 2), np.ones((4, 4), bool), 2),
-    "conv2d": lambda x: ad.conv2d(x.reshape(2, 4, 4, 2), f64((3, 2, 2, 2), 1), f64((3,), 2), 1),
-    "film": lambda x: ad.film(x, f64((2, 5), 1), f64((5, 8), 2), f64((8,), 3), f64((5, 8), 4), f64((8,), 5)),
+    "conv2d": lambda x: ad.conv2d(x.reshape(2, 4, 4, 2), [f64((3, 2, 2, 2), 1)], [f64((3,), 2)], 1),
+    "film": lambda x: ad.film(x, f64((2, 5), 1), [f64((5, 8), 2)], [f64((8,), 3)], [f64((5, 8), 4)], [f64((8,), 5)]),
 }
 
 

@@ -16,7 +16,9 @@ import pytest
 import omnibot.autodiff as ad
 from omnibot import assembler, backbone, datapipe, envs, heads
 from omnibot.assembler import ObservationFrame
+from omnibot.autodiff import Tensor
 from omnibot.config import desk_config
+from omnibot.datapipe import TrainingBatch
 from omnibot.embodiments import embodiment
 from omnibot.errors import ContractError
 from omnibot.policy import Policy
@@ -183,6 +185,30 @@ def test_act_matches_dense_newest_step(policy, name):
         got = policy.act(frames[:n], head).values
         assert got.shape == (spec.chunk_size, spec.action_dim)
         assert rel_err(got, want) <= TOL, n
+
+
+def tape(out):
+    """Every node that `out` reaches through its parents."""
+    seen, stack = {}, [out]
+    while stack:
+        node = stack.pop()
+        if node.id not in seen:
+            seen[node.id] = node
+            stack.extend(node.parents)
+    return seen.values()
+
+
+def test_bimanual_cameras_are_encoded_in_one_pass(policy, monkeypatch):
+    """bimanual's three views go through one grouped pass: 3 conv2d nodes (one per stage) for a window, not 9."""
+    frames = rollout_frames("bimanual", 3, seed=23)
+    pred = policy.predict(TrainingBatch([frames], {}, {}, [], []))["bimanual"]
+    ops = [node.op for node in tape(pred)]
+    assert ops.count("conv2d") == ops.count("film") == 3
+    made, make = [], Tensor._make
+    monkeypatch.setattr(Tensor, "_make", staticmethod(lambda data, parents, bwd, op: made.append(op) or make(data, parents, bwd, op)))
+    policy.params_changed()  # every frame is new to `act`
+    policy.act(frames, "bimanual")
+    assert made.count("conv2d") == made.count("film") == 3
 
 
 def compact_window(policy, windows, head, steps=slice(None)):

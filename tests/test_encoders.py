@@ -48,7 +48,7 @@ def test_film_zero_projections_are_identity():
     lang = ad.tensor(rng.random((2, 8)).astype(np.float32))
     zero_w = ad.tensor(np.zeros((8, 4), dtype=np.float32))
     zero_b = ad.tensor(np.zeros(4, dtype=np.float32))
-    out = ad.film(x, lang, zero_w, zero_b, zero_w, zero_b)
+    out = ad.film(x, lang, [zero_w], [zero_b], [zero_w], [zero_b])
     np.testing.assert_array_equal(out.data, x.data)
 
 
@@ -58,7 +58,7 @@ def test_film_gamma_minus_one_zeroes_features():
     gw = ad.tensor(np.full((1, 2), -1.0, dtype=np.float32))
     zb = ad.tensor(np.zeros(2, dtype=np.float32))
     zw = ad.tensor(np.zeros((1, 2), dtype=np.float32))
-    out = ad.film(x, lang, gw, zb, zw, zb)
+    out = ad.film(x, lang, [gw], [zb], [zw], [zb])
     np.testing.assert_array_equal(out.data, np.zeros_like(x.data))
 
 
@@ -68,7 +68,7 @@ def test_film_arithmetic_example():
     gw = ad.tensor(np.full((1, 1), 0.5, dtype=np.float32))
     bw = ad.tensor(np.full((1, 1), 0.25, dtype=np.float32))
     zb = ad.tensor(np.zeros(1, dtype=np.float32))
-    out = ad.film(x, lang, gw, zb, bw, zb)
+    out = ad.film(x, lang, [gw], [zb], [bw], [zb])
     assert out.data.reshape(()) == np.float32(2.0 * 1.5 + 0.25)
 
 
@@ -77,8 +77,7 @@ def test_film_channel_mismatch(bank):
     lang = ad.tensor(np.zeros((1, 16), dtype=np.float32))
     p = bank.params
     with pytest.raises(DimensionError):
-        ad.film(x, lang, p["enc/img/workspace/film0/gamma_w"], p["enc/img/workspace/film0/gamma_b"],
-             p["enc/img/workspace/film0/beta_w"], p["enc/img/workspace/film0/beta_b"])
+        ad.film(x, lang, *([p[f"enc/img/workspace/film0/{nm}"]] for nm in ("gamma_w", "gamma_b", "beta_w", "beta_b")))
 
 
 def silent(bank, n):
@@ -87,44 +86,69 @@ def silent(bank, n):
 
 
 def test_encode_image_token_count(bank):
-    out = bank.encode_image("workspace", imgs(2), None, silent(bank, 2))
+    out = bank.encode_image(["workspace"], [imgs(2)], [None], silent(bank, 2))
     assert out.shape == (2, build_layout(desk_config()).group("workspace").tokens, 64) == (2, 9, 64)
 
 
 def test_encode_image_goal_absent_equals_zero_goal(bank):
     x = imgs(3, seed=2)
-    a = bank.encode_image("navigation", x, None, silent(bank, 3))
-    b = bank.encode_image("navigation", x, np.zeros_like(x), silent(bank, 3))
+    a = bank.encode_image(["navigation"], [x], [None], silent(bank, 3))
+    b = bank.encode_image(["navigation"], [x], [np.zeros_like(x)], silent(bank, 3))
     np.testing.assert_array_equal(a.data, b.data)
 
 
 def test_encode_image_deterministic(bank):
     x = imgs(1, seed=3)
-    a = bank.encode_image("workspace", x, None, silent(bank, 1))
-    b = bank.encode_image("workspace", x, None, silent(bank, 1))
+    a = bank.encode_image(["workspace"], [x], [None], silent(bank, 1))
+    b = bank.encode_image(["workspace"], [x], [None], silent(bank, 1))
     np.testing.assert_array_equal(a.data, b.data)
 
 
 def test_encode_image_film_identity_at_init(bank):
     # FiLM projections are zero-initialized: language cannot change the output
     x = imgs(2, seed=4)
-    quiet = bank.encode_image("workspace", x, None, silent(bank, 2))
-    spoken = bank.encode_image("workspace", x, None, bank.embed_language(np.array([5, 9])))
+    quiet = bank.encode_image(["workspace"], [x], [None], silent(bank, 2))
+    spoken = bank.encode_image(["workspace"], [x], [None], bank.embed_language(np.array([5, 9])))
     np.testing.assert_array_equal(quiet.data, spoken.data)
 
 
 def test_weight_sharing_one_parameter_set_per_view(bank):
     x = imgs(1, seed=5)
     lang = silent(bank, 1)
-    before = bank.encode_image("workspace", x, None, lang).data.copy()
-    nav_before = bank.encode_image("navigation", x, None, lang).data.copy()
+    before = bank.encode_image(["workspace"], [x], [None], lang).data.copy()
+    nav_before = bank.encode_image(["navigation"], [x], [None], lang).data.copy()
     w = bank.params["enc/img/workspace/conv0/w"]
     w.data[...] += 0.05
-    after = bank.encode_image("workspace", x, None, lang).data
-    nav_after = bank.encode_image("navigation", x, None, lang).data
+    after = bank.encode_image(["workspace"], [x], [None], lang).data
+    nav_after = bank.encode_image(["navigation"], [x], [None], lang).data
     w.data[...] -= 0.05
     assert (before != after).any()
     np.testing.assert_array_equal(nav_before, nav_after)
+
+
+def test_views_encoded_together_equal_a_pass_per_view(bank):
+    views = ["workspace", "wrist-left", "wrist-right"]
+    images = [imgs(2, seed=6 + v) for v in range(3)]
+    goals = [imgs(2, seed=9), None, None]
+    lang = bank.embed_language(np.array([5, 0]))
+    together = bank.encode_image(views, images, goals, lang).data
+    assert together.shape == (6, 9, 64)
+    for v, view in enumerate(views):
+        alone = bank.encode_image([view], [images[v]], [goals[v]], lang).data
+        np.testing.assert_array_equal(together[2 * v : 2 * v + 2], alone)
+
+
+def test_views_encoded_together_keep_one_parameter_set_each(bank):
+    views = ["workspace", "wrist-left", "wrist-right"]
+    images = [imgs(1, seed=12)] * 3
+    lang = silent(bank, 1)
+    before = bank.encode_image(views, images, [None] * 3, lang).data.copy()
+    w = bank.params["enc/img/wrist-left/conv0/w"]
+    w.data[...] += 0.05
+    after = bank.encode_image(views, images, [None] * 3, lang).data
+    w.data[...] -= 0.05
+    assert (before[1] != after[1]).any()
+    np.testing.assert_array_equal(before[[0, 2]], after[[0, 2]])
 
 
 def test_encode_proprio_shapes(bank):

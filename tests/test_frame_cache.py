@@ -92,6 +92,26 @@ def test_instruction_and_goal_are_part_of_the_key(cfg):
         seen.append(got)
 
 
+def test_a_new_goal_re_encodes_the_goal_view_alone(cfg, monkeypatch):
+    """bimanual's goal conditions its workspace camera, so a new goal misses that group's key only."""
+    policy = film_policy(cfg)
+    env = envs.make_env("bimanual")
+    state, frame, instruction = env.reset(9)
+    goal = env.goal_frame_image(state)
+    window = [frame]
+    for _ in range(2):
+        state = env.step(state, env.expert_chunk(state, 1)[0].astype(np.float64))
+        window.append(env.frame(state, instruction, goal))
+    before = policy.act(window, "bimanual").values
+    moved = [*window[:-1], dataclasses.replace(window[-1], goal=env.goal_frame_image(env.reset(10)[0]))]
+    encoded, encode = [], assembler.encode_group
+    monkeypatch.setattr(assembler, "encode_group", lambda *args: encoded.append(([g.name for g in args[1]], len(args[2]))) or encode(*args))
+    got = policy.act(moved, "bimanual").values
+    assert encoded == [(["workspace"], 1)]
+    assert rel_err(got, fresh_act(policy, moved, "bimanual")) <= TOL
+    assert rel_err(got, before) > 1e-6
+
+
 def test_a_frame_rewritten_in_place_gets_fresh_rows(cfg):
     """The key is the frame's values, not its arrays: a camera may write each image into one reused buffer."""
     policy = film_policy(cfg)
