@@ -21,9 +21,11 @@ the dense oracle the tests compare against; it keeps slot order.
 
 A compact window lists its kept observation columns first and the head's
 readout columns last, each part in ascending slot order. Every readout is
-then its own row's key alone, at the end, and every observation key sits
-in step order before it, so `autodiff.AttentionMask` splits the readouts
-off as own keys and lets each readout row read a short observation prefix.
+then its own row's key alone, and the readouts are the window's last keys,
+after every observation key in step order. `autodiff.AttentionMask` splits
+off own keys only as such a trailing run, so it splits off the readouts and
+lets each readout row read a short observation prefix; the full window,
+whose readouts interleave with the observations, is planned over every key.
 The readout rows are also one trailing range, the queries of the last
 layer, so that layer attends with the first layer's plan cut at the first
 readout row (`AttentionMask.plan(heads, dtype, first)`).

@@ -17,13 +17,13 @@ view is the plain op.
 
 `masked_attention` computes only scores that some row may need. Its
 `AttentionMask` plans, once per (heads, dtype), tiles of query rows, each
-reading a prefix of the keys that several rows permit, with its own
-sentinel; and a row's own key (one that it alone permits, such as a
-readout), one extra softmax term of that row. Prefixes need not grow from
-tile to tile. One cost rule decides both the cuts and the own-key split:
-a tile costs `TILE_ENTRIES` score entries on top of the scores it computes.
-Attention over a mask's rows from `first` on uses its plan cut there,
-not a second derivation.
+reading a prefix of the shared keys with its own sentinel; and a compact
+window's trailing readouts as own keys, each one extra softmax term of its
+row alone. A plan is integers and sentinels, so attention slices where it
+would gather. Prefixes need not grow from tile to tile. One cost rule
+decides both the cuts and the own-key split: a tile costs `TILE_ENTRIES`
+score entries on top of the scores it computes. Attention over a mask's
+rows from `first` on uses its plan cut there, not a second derivation.
 """
 
 from __future__ import annotations
@@ -246,35 +246,15 @@ TILE_ENTRIES = 15_000
 
 class Tile(NamedTuple):
     rows: slice  # the query rows of the tile
-    keys: int  # they read the first `keys` shared keys
-    owned: slice | None  # positions, in the own-key rows, of the tile's rows that own a key
-    local: slice | np.ndarray | None  # those rows, counted from the tile's first row
+    keys: int  # they read keys [0, keys)
     sentinel: np.ndarray | None  # [B, 1, rows, keys]; None where the rows permit their whole prefix
-
-
-class Own(NamedTuple):
-    rows: slice | np.ndarray  # the rows that own a key, ascending
-    cols: slice | np.ndarray  # the key each of them owns
-    sentinel: np.ndarray | None  # [B, 1, rows]; None where every row permits its key in every element
 
 
 class Plan(NamedTuple):
     tiles: list[Tile]  # in row order
-    keys: slice | np.ndarray  # the shared key columns, in column order; tile prefixes index into them
-    own: Own | None  # None without the own-key split
-
-
-def _index(ix: np.ndarray) -> slice | np.ndarray:
-    """Ascending indices as a slice when they are one contiguous run, else as they are."""
-    if not ix.size:
-        return slice(0, 0)
-    return slice(int(ix[0]), int(ix[-1]) + 1) if ix[-1] - ix[0] + 1 == ix.size else ix
-
-
-def _owned(rows: np.ndarray, first: int, end: int) -> tuple[slice | None, slice | np.ndarray | None]:
-    """A tile's `owned` and `local` for its rows [first, end): `rows` are the ascending own-key rows."""
-    o0, o1 = np.searchsorted(rows, (first, end)).tolist()
-    return (slice(o0, o1), _index(rows[o0:o1] - first)) if o1 > o0 else (None, None)
+    shared: int  # the tiles read prefixes of keys [0, shared)
+    own: int  # the last `own` rows own the last `own` keys, row by row; 0 without the split
+    sentinel: np.ndarray | None  # [B, 1, own]; None where every owning row permits its key in every element
 
 
 def _tail(plan: Plan, first: int) -> Plan:
@@ -284,29 +264,23 @@ def _tail(plan: Plan, first: int) -> Plan:
     permitted keys do not depend on the other rows. An own key whose row is
     cut is permitted by no row left, so it drops out with that row.
     """
-    rows, own = np.arange(0), plan.own
-    if own is not None:
-        rows, cols = np.r_[own.rows], np.r_[own.cols]  # `_index`'s slices back to indices
-        cut = int(np.searchsorted(rows, first))
-        rows, cols = rows[cut:] - first, cols[cut:]
-        sentinel = None if own.sentinel is None else own.sentinel[..., cut:]
-        own = Own(_index(rows), _index(cols), sentinel) if rows.size else None
     tiles = []
     for t in plan.tiles:
         if t.rows.stop > first:
             start = max(t.rows.start, first)
             sentinel = None if t.sentinel is None else t.sentinel[:, :, start - t.rows.start :]
-            a, b = start - first, t.rows.stop - first
-            tiles.append(Tile(slice(a, b), t.keys, *_owned(rows, a, b), sentinel))
-    return Plan(tiles, plan.keys, own)
+            tiles.append(Tile(slice(start - first, t.rows.stop - first), t.keys, sentinel))
+    own = min(plan.own, tiles[-1].rows.stop)
+    sentinel = None if plan.sentinel is None or not own else plan.sentinel[..., plan.own - own :]
+    return Plan(tiles, plan.shared, own, sentinel)
 
 
-def _prefixes(seen: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """Per row of `seen` [Tq, Tk], how many of `keys` it needs: one past the last it permits, 0 if none."""
-    if not keys.size:
+def _prefixes(seen: np.ndarray, keys: int) -> np.ndarray:
+    """Per row of `seen` [Tq, Tk], how many of keys [0, keys) it needs: one past the last it permits, 0 if none."""
+    if not keys:
         return np.zeros(seen.shape[0], dtype=np.intp)
-    sub = seen[:, _index(keys)]
-    return np.where(sub.any(axis=1), keys.size - np.argmax(sub[:, ::-1], axis=1), 0)
+    sub = seen[:, :keys]
+    return np.where(sub.any(axis=1), keys - np.argmax(sub[:, ::-1], axis=1), 0)
 
 
 def _cut(need: np.ndarray, scale: int) -> list[tuple[int, int, int]]:
@@ -334,28 +308,25 @@ def _cost(cuts: list[tuple[int, int, int]], scale: int) -> int:
     return sum((end - first) * keys for first, end, keys in cuts) * scale + len(cuts) * TILE_ENTRIES
 
 
-def _derive(seen: np.ndarray, readers: np.ndarray, scale: int):
-    """The cheaper plan of the rows of `seen` [Tq, Tk]: of every key some row permits, or with own keys split off.
+def _derive(seen: np.ndarray, readers: np.ndarray, scale: int) -> tuple[list[tuple[int, int, int]], int]:
+    """The cheaper plan of the rows of `seen` [Tq, Tk]: over every key, or with the own keys split off.
 
     `readers` counts the rows that permit each key; `scale` is B x heads.
-    Returns the cuts, the shared keys and None or (ascending rows, their keys).
+    Returns the cuts and the number of own keys.
     """
-    keys = np.flatnonzero(readers)
-    cuts = _cut(_prefixes(seen, keys), scale)
-    cost, own = _cost(cuts, scale), None
+    tq, tk = seen.shape
+    cuts = _cut(_prefixes(seen, tk), scale)
+    cost = _cost(cuts, scale)
     # no split costs less than every permitted score, one tile and the own-key term
-    if int(readers.sum()) * scale + 2 * TILE_ENTRIES < cost:
-        owns = seen & (readers == 1)  # [Tq, Tk]: the keys each row alone permits
-        rows = np.flatnonzero(owns.any(axis=1))
-        cols = np.argmax(owns[rows], axis=1)  # each row's first
-        shared = readers > 0
-        shared[cols] = False
-        split_keys = np.flatnonzero(shared)
-        split = _cut(_prefixes(seen, split_keys), scale)
-        # the own-key term costs one more tile, of one score per row
-        if rows.size and _cost(split, scale) + rows.size * scale + TILE_ENTRIES < cost:
-            keys, cuts, own = split_keys, split, (rows, cols)
-    return cuts, keys, own
+    if tq == tk and int(readers.sum()) * scale + 2 * TILE_ENTRIES < cost:
+        alone = (readers == 1) & seen.diagonal()  # the keys that only their diagonal row permits
+        own = int(alone.sum())
+        if own and alone[tk - own :].all():  # they are the last keys
+            split = _cut(_prefixes(seen, tk - own), scale)
+            # the own-key term costs one more tile, of one score per row
+            if _cost(split, scale) + own * scale + TILE_ENTRIES < cost:
+                return split, own
+    return cuts, 0
 
 
 class AttentionMask:
@@ -369,13 +340,14 @@ class AttentionMask:
     every transformer layer) amortizes that check and the derivation of the
     plan: its tiles, each with its sentinel, and its own keys.
 
-    Keys are read in one of two ways. A row's own key is a key that exactly
-    one query row permits, in any batch element, with at most one per row
-    (its first such key): a readout, or a slot that is padding in every
-    element. Its score is one extra softmax term of that row alone. Every
-    other key that some row permits is shared, and the tiles read the
-    shared keys, in column order. A key that no row permits is read by
-    neither.
+    Keys are read in one of two ways. An own key is one that only its
+    diagonal row permits, in any batch element; its score is one extra
+    softmax term of that row alone. Own keys are split off only when they
+    are a square mask's last keys: in a compact window, exactly its
+    readouts. Every other key is shared, and the shared keys are a prefix
+    of the keys. Any other mask (the full window, whose readouts interleave
+    with the observations, or one with fewer queries than keys) is planned
+    over all its keys.
 
     A tile is a run of query rows that reads a prefix of the shared keys:
     as far as the last one that any of its rows permits in any batch
@@ -384,17 +356,16 @@ class AttentionMask:
     rows do not need; prefixes need not grow from one tile to the next, so
     rows after wider ones go back to short prefixes. Every key a tile skips
     is forbidden for all its rows, and a tile whose rows permit every key
-    of their prefix in every batch element has no sentinel.
+    of their prefix in every batch element has no sentinel. A key inside a
+    prefix that no row permits gets weight exactly 0 from the sentinel.
 
     A plan costs its score entries plus `TILE_ENTRIES` per tile. The own
     keys are split off only when that lowers the cost, counting their term
-    as one more tile plus one score per owning row: with the observations
-    first and the readouts last (a compact window), the readout rows then
-    read short observation prefixes. Otherwise the tiles read every key
-    some row permits. A mask whose B x heads x Tq x Tk is within
-    `TILE_ENTRIES` skips the derivation, and so does one where a tile of all
-    keys computes at most `TILE_ENTRIES` scores that no row permits: it is
-    one tile of all keys.
+    as one more tile plus one score per owning row: the readout rows then
+    read short observation prefixes. A mask whose B x heads x Tq x Tk is
+    within `TILE_ENTRIES` skips the derivation, and so does one where a
+    tile of all keys computes at most `TILE_ENTRIES` scores that no row
+    permits: it is one tile of all keys.
 
     The plan of the rows from `first` on is the plan of every row cut
     there (`_tail`): the tiles from that row on, each keeping its key prefix
@@ -416,7 +387,7 @@ class AttentionMask:
         self._plans: dict[tuple, Plan] = {}  # by (heads, dtype, first row)
 
     def plan(self, heads: int, dtype, first: int = 0) -> Plan:
-        """The tiles, shared keys and own keys of attention with `heads` heads over the rows from `first` on.
+        """The tiles and own keys of attention with `heads` heads over the rows from `first` on.
 
         Rows are numbered from `first`. A sentinel is additive in `dtype`,
         0 where permitted and -inf elsewhere: per tile over its rows and key
@@ -433,26 +404,21 @@ class AttentionMask:
             self._plans[key] = _tail(self.plan(heads, dtype), first)
             return self._plans[key]
         scale = nb * heads
-        cuts, keys, own = [(0, tq, tk)], np.arange(tk), None
+        cuts, own = [(0, tq, tk)], 0
         if scale * tq * tk > TILE_ENTRIES:  # else no cut could save a tile's cost
             seen = self.permitted.any(axis=0)
             readers = seen.sum(axis=0, dtype=np.int32)  # half the time of the default int64
             # nor can one where a tile of every key computes few scores that no row permits
             if (tq * tk - int(readers.sum())) * scale > TILE_ENTRIES:
-                cuts, keys, own = _derive(seen, readers, scale)
+                cuts, own = _derive(seen, readers, scale)
         never = np.array(-np.inf, dtype=dtype).view(f"i{dtype.itemsize}")  # -inf's bits, as an integer
 
         def sentinel(permitted):  # 0 * never is +0.0's bits; a pass quicker than np.where
             return None if permitted.all() else np.multiply(~permitted, never).view(dtype)[:, None]
 
-        rows, cols = (np.arange(0), None) if own is None else own
-        tiles = [
-            Tile(slice(a, b), n, *_owned(rows, a, b), sentinel(self.permitted[:, a:b, _index(keys[:n])]))
-            for a, b, n in cuts
-        ]
-        if own is not None:
-            own = Own(_index(rows), _index(cols), sentinel(self.permitted[:, rows, cols]))
-        self._plans[key] = Plan(tiles, _index(keys), own)
+        tiles = [Tile(slice(a, b), n, sentinel(self.permitted[:, a:b, :n])) for a, b, n in cuts]
+        owned = self.permitted[:, tq - own :, tk - own :].diagonal(axis1=1, axis2=2)  # [B, own]
+        self._plans[key] = Plan(tiles, tk - own, own, sentinel(owned))
         return self._plans[key]
 
 
@@ -475,11 +441,12 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask: AttentionMask, heads
     either side.
 
     The queries run one tile at a time against the tile's prefix of the
-    shared keys, and a row that owns a key adds that key's score as one
-    more softmax term: it enters the row max, its exp joins the row sum,
-    and its value row joins z @ v (see `AttentionMask`). A skipped key is
-    forbidden for every row of the tile, so it would have had weight
-    exactly 0.0.
+    shared keys, and each of the last `plan.own` rows adds the score of its
+    own key, one of the last `plan.own` keys in order, as one more softmax
+    term: it enters the row max, its exp joins the row sum, and its value
+    row joins z @ v (see `AttentionMask`). A tile's own rows are those of its
+    row slice from the first own row on. A skipped key is forbidden for
+    every row of the tile, so it would have had weight exactly 0.0.
 
     Forbidden keys get weight exactly 0.0, so perturbing their key or value
     rows cannot change any permitted output bit: the -inf sentinel makes
@@ -498,8 +465,8 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask: AttentionMask, heads
     out), exactly 0 where z is 0: one product of [gr | -gr . out] with
     [v | 1], and the same per row for the own-key term. The key and value
     gradients start at zero and each tile adds into its prefix; an own
-    key's come from its one row. So a key that no row permits, read by no
-    tile, keeps exact zeros.
+    key's come from its one row. A key that no row permits has weight
+    exactly 0, so its gradients are exact zeros.
     """
     if q.ndim != 3 or k.shape != v.shape or k.ndim != 3 or q.shape[0] != k.shape[0] or q.shape[2] != k.shape[2]:
         raise DimensionError(f"attention q/k/v must be [B, T, d] alike, got {q.shape}, {k.shape}, {v.shape}")
@@ -515,23 +482,23 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask: AttentionMask, heads
         )
     dtype = q.data.dtype
     plan = mask.plan(heads, dtype, first)
-    own = plan.own
+    own, o = plan.own, tq - plan.own  # rows [o, tq) own keys [tk - own, tk), in order
 
     q4, k4, v4 = (_split_heads(t.data, heads) for t in (q, k, v))
     scale = dtype.type(1.0 / math.sqrt(dh))
     qs = q4 * scale
-    kt = np.ascontiguousarray(np.swapaxes(k4[:, :, plan.keys], -1, -2))
+    kt = np.ascontiguousarray(np.swapaxes(k4[:, :, : plan.shared], -1, -2))
     vx = np.empty((nb, heads, kt.shape[-1], dh + 1), dtype=dtype)  # [v | 1] of the shared keys
-    vx[..., :dh] = v4[:, :, plan.keys]
+    vx[..., :dh] = v4[:, :, : plan.shared]
     vx[..., dh] = 1
-    if own is not None:
-        ko = k4[:, :, own.cols]
-        so = np.einsum("...d,...d->...", qs[:, :, own.rows], ko)
+    if own:
+        ko = k4[:, :, tk - own :]
+        so = np.einsum("...d,...d->...", qs[:, :, o:], ko)
         vo = np.empty(so.shape + (dh + 1,), dtype=dtype)  # [v | 1] of the own keys
-        vo[..., :dh] = v4[:, :, own.cols]
+        vo[..., :dh] = v4[:, :, tk - own :]
         vo[..., dh] = 1
-        if own.sentinel is not None:
-            so += own.sentinel
+        if plan.sentinel is not None:
+            so += plan.sentinel
         zo = np.empty_like(so)
     out = np.empty((nb, tq, d), dtype=dtype)
     out4 = _split_heads(out, heads)
@@ -542,15 +509,18 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask: AttentionMask, heads
         if t.sentinel is not None:
             z += t.sentinel
         m = z.max(axis=-1, initial=-np.inf)
-        if t.owned is not None:
-            top = np.maximum(m[:, :, t.local], so[..., t.owned])
-            m[:, :, t.local] = top
-            np.exp(so[..., t.owned] - top, out=zo[..., t.owned])
+        owning = t.rows.stop > o  # its rows from `c` on own keys: `mine` of its rows, `theirs` of the own rows
+        if owning:
+            c = max(t.rows.start, o)
+            mine, theirs = slice(c - t.rows.start, None), slice(c - o, t.rows.stop - o)
+            top = np.maximum(m[:, :, mine], so[..., theirs])
+            m[:, :, mine] = top
+            np.exp(so[..., theirs] - top, out=zo[..., theirs])
         z -= m[..., None]
         np.exp(z, out=z)  # unnormalised weights: w = z * r
         zv = np.matmul(z, vx[:, :, : t.keys])  # z @ v and the row sums of z
-        if t.owned is not None:
-            zv[:, :, t.local] += zo[..., t.owned, None] * vo[:, :, t.owned]
+        if owning:
+            zv[:, :, mine] += zo[..., theirs, None] * vo[:, :, theirs]
         np.divide(1, zv[..., dh:], out=r[:, :, t.rows])
         np.multiply(zv[..., :dh], r[:, :, t.rows], out=out4[:, :, t.rows])
         saved.append(z)
@@ -572,14 +542,14 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask: AttentionMask, heads
             np.multiply(np.matmul(gs, ks[:, :, : t.keys]), scale, out=gq4[:, :, t.rows])
             gvs[:, :, : t.keys] += np.matmul(np.swapaxes(z, -1, -2), gr[:, :, t.rows])
             gks[:, :, : t.keys] += np.matmul(np.swapaxes(gs, -1, -2), qs[:, :, t.rows])
-        gk4[:, :, plan.keys] = gks
-        gv4[:, :, plan.keys] = gvs
-        if own is not None:
-            gso = np.einsum("...d,...d->...", grx[:, :, own.rows], vo)
+        gk4[:, :, : plan.shared] = gks
+        gv4[:, :, : plan.shared] = gvs
+        if own:
+            gso = np.einsum("...d,...d->...", grx[:, :, o:], vo)
             gso *= zo
-            gq4[:, :, own.rows] += (gso * scale)[..., None] * ko
-            gk4[:, :, own.cols] = gso[..., None] * qs[:, :, own.rows]
-            gv4[:, :, own.cols] = zo[..., None] * gr[:, :, own.rows]
+            gq4[:, :, o:] += (gso * scale)[..., None] * ko
+            gk4[:, :, tk - own :] = gso[..., None] * qs[:, :, o:]
+            gv4[:, :, tk - own :] = zo[..., None] * gr[:, :, o:]
         return gq, gk, gv
 
     return Tensor._make(out, (q, k, v), bwd, "masked_attention")

@@ -117,6 +117,8 @@ class Policy:
         self.cfg = cfg
         self.params = params
         self.layout = assembler.build_layout(cfg)
+        if not params:
+            raise ContractError("a policy needs parameters, got none")
         first = next(iter(params))
         self.dtype = params[first].data.dtype  # the network's one dtype
         for name, p in params.items():

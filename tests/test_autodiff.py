@@ -194,7 +194,7 @@ def tiled(shape_seed=60, nb=4, heads=4, dh=16, steps=3, per=40, readouts=8):
     rng = np.random.Generator(np.random.PCG64(shape_seed))
     mask = step_mask(rng, nb, steps, per, 0.2, readouts)
     plan = AttentionMask(mask).plan(heads, np.float64)
-    assert len(plan.tiles) > 1 and plan.own is not None
+    assert len(plan.tiles) > 1 and plan.own == steps * readouts
     q, k, v = (rng.standard_normal((nb, mask.shape[1], heads * dh)) for _ in range(3))
     return q, k, v, mask, heads
 
@@ -355,27 +355,28 @@ def test_attention_grad_of_forbidden_value_row_is_zero():
     np.testing.assert_array_equal(grads2[k][0, 2], np.zeros(3))
     np.testing.assert_array_equal(grads2[v][0, 2], np.zeros(3))
 
-    # at a tiled shape with own keys, a key that no query of its element
-    # sees (a pad key whose own row is cut away) gets exactly zero gradient
+    # at a tiled shape with own keys, attending from row 60 on (the last step
+    # and a half of observations, and every readout) leaves the pad keys of
+    # the cut rows permitted by no row of their element: they sit inside a
+    # tile's prefix with weight exactly 0, so they get exactly zero gradient
     q, k, v, mask, heads = tiled()
-    rows = np.r_[0:60, 120:144]  # the first step and a half of observations, and every readout
-    q, k, v = ad.param(q[:, rows]), ad.param(k), ad.param(v)
-    mask = mask[:, rows]
-    assert AttentionMask(mask).plan(heads, np.float64).own is not None
+    first = 60
+    q, k, v = ad.param(q[:, first:]), ad.param(k), ad.param(v)
     wsum = ad.tensor(rand(q.shape, 38))
-    grads = ad.backward((attend(q, k, v, mask, heads) * wsum).sum(), [k, v])
-    unseen = ~mask.any(axis=1)  # [B, Tk]
-    assert unseen[:, 60:120].any() and not unseen[:, 120:].any()  # pads of cut rows; every readout sees itself
-    np.testing.assert_array_equal(grads[k][unseen], 0.0)
-    np.testing.assert_array_equal(grads[v][unseen], 0.0)
-    assert grads[k][~unseen].any(axis=-1).all()
-    # keys that no row reads in any element are in no tile and own no row
-    mask[:, :, 90:100] = False
-    plan = AttentionMask(mask).plan(heads, np.float64)
-    assert len(plan.tiles) > 1 and not np.isin(np.arange(90, 100), np.arange(mask.shape[-1])[plan.keys]).any()
-    grads = ad.backward((attend(q, k, v, mask, heads) * wsum).sum(), [k, v])
-    np.testing.assert_array_equal(grads[k][:, 90:100], 0.0)
-    np.testing.assert_array_equal(grads[v][:, 90:100], 0.0)
+    for cut in (None, slice(90, 100)):  # then also keys that no row permits in any element
+        if cut is not None:
+            mask[:, :, cut] = False
+        amask = AttentionMask(mask)
+        plan = amask.plan(heads, np.float64, first)
+        assert len(plan.tiles) > 1 and (plan.shared, plan.own) == (120, 24)
+        grads = ad.backward((ad.masked_attention(q, k, v, amask, heads, first) * wsum).sum(), [k, v])
+        unseen = ~mask[:, first:].any(axis=1)  # [B, Tk]
+        # pads of cut rows, and the cut keys; every readout sees itself
+        assert unseen[:, :60].any() and not unseen[:, 120:].any() and (cut is None or unseen[:, cut].all())
+        assert (np.flatnonzero(unseen.any(axis=0)) < max(t.keys for t in plan.tiles)).all()  # inside a prefix
+        np.testing.assert_array_equal(grads[k][unseen], 0.0)
+        np.testing.assert_array_equal(grads[v][unseen], 0.0)
+        assert grads[k][~unseen].any(axis=-1).all()
 
 
 def test_attention_with_large_scores_ignores_unseen_keys_exactly():
@@ -447,7 +448,7 @@ def test_masked_softmax_forbidden_weights_exactly_zero():
     plan = amask.plan(2, q.dtype)
     (tile,) = plan.tiles  # one tile of every key, and no own keys
     additive = tile.sentinel
-    assert additive.shape == (2, 1, 6, 6) and additive.dtype == np.float32 and plan.own is None
+    assert additive.shape == (2, 1, 6, 6) and additive.dtype == np.float32 and plan.own == 0
     np.testing.assert_array_equal(additive[:, 0] == 0.0, mask)
     out = ad.masked_attention(ad.tensor(q), ad.tensor(k), ad.tensor(eye), amask, 2).data
     for b in range(2):
@@ -504,22 +505,27 @@ def test_property_every_permitted_key_is_in_a_tile_prefix_or_owned(layout, queri
         tiles = plan.tiles
         assert [x.rows.start for x in tiles] == [0] + [x.rows.stop for x in tiles[:-1]]
         assert tiles[-1].rows.stop == rows.size
-        shared = np.arange(t)[plan.keys]
+        assert plan.shared + plan.own == t  # every key is a shared or an own key
         read = np.zeros_like(seen)
         for x in tiles:
-            assert 0 <= x.keys <= shared.size
-            read[x.rows, shared[: x.keys]] = True
-            assert_sentinel(x.sentinel, mask[:, x.rows][:, :, shared[: x.keys]])
-        if plan.own is not None:
-            owners, owned = np.arange(rows.size)[plan.own.rows], np.arange(t)[plan.own.cols]
-            assert owners.size == np.unique(owners).size and not np.isin(owned, shared).any()
+            assert 0 <= x.keys <= plan.shared
+            read[x.rows, : x.keys] = True
+            assert_sentinel(x.sentinel, mask[:, x.rows, : x.keys])
+        if plan.own:  # only a square mask splits, and then the trailing keys, each its diagonal row's
+            assert rows.size == t
+            owners = owned = np.arange(plan.shared, t)
             assert (seen[:, owned].sum(axis=0) == 1).all() and seen[owners, owned].all()  # one row permits each
             read[owners, owned] = True
-            assert_sentinel(plan.own.sentinel, mask[:, owners, owned])
+            assert_sentinel(plan.sentinel, mask[:, owners, owned])
+        else:
+            assert plan.sentinel is None
         assert not (seen & ~read).any()  # every permitted key: in its row's tile prefix, or its own key
-        if entries == 0 or plan.own is not None:
-            for x in tiles:  # no tile reads a key that every one of its rows is denied
-                assert seen[x.rows][:, shared[: x.keys]].any(axis=0).all()
+        if entries == 0 or plan.own:
+            for x in tiles:  # no tile reads past the last key that one of its rows permits
+                assert x.keys == 0 or seen[x.rows, x.keys - 1].any()
+        if plan.own:
+            for x in tiles:  # nor a key that every one of its rows is denied
+                assert seen[x.rows, : x.keys].any(axis=0).all()
 
 
 @settings(max_examples=60, deadline=None)
@@ -539,7 +545,7 @@ def test_property_tiled_attention_matches_one_tile_and_the_oracle(layout, querie
             out = ad.masked_attention(q, k, v, amask, heads)
             runs.append((amask.plan(heads, q.dtype), out.data, ad.backward((out * wsum).sum(), [q, k, v])))
     (_, tiled_out, tiled_grads), (one, one_out, one_grads) = runs
-    assert len(one.tiles) == 1 and one.own is None
+    assert len(one.tiles) == 1 and one.own == 0
     # not bitwise: a shorter key prefix changes BLAS's blocking of the sums
     np.testing.assert_allclose(tiled_out, one_out, rtol=1e-12, atol=1e-15)
     for p in (q, k, v):
@@ -557,8 +563,10 @@ def test_a_tail_is_cut_from_its_masks_plan_and_planned_once(monkeypatch):
     cut = amask.plan(heads, np.float64, first)
     assert amask.plan(heads, np.float64, first) is cut and not derived
     assert amask.plan(heads, np.float64, 0) is plan and cut.tiles[-1].rows.stop == 24
-    assert cut.keys == plan.keys and [t.keys for t in cut.tiles] == [t.keys for t in plan.tiles if t.rows.stop > first]
-    np.testing.assert_array_equal(np.arange(mask.shape[2])[cut.own.cols], np.arange(first, mask.shape[1]))
+    assert cut.shared == plan.shared and [t.keys for t in cut.tiles] == [t.keys for t in plan.tiles if t.rows.stop > first]
+    assert cut.own == plan.own == 24 and plan.shared == first  # every readout row is left, owning its key
+    inner = amask.plan(heads, np.float64, mask.shape[1] - 5)  # within the readouts: the cut rows' own keys drop out
+    assert (inner.shared, inner.own, inner.tiles[-1].rows.stop) == (first, 5, 5) and not derived
     for bad in (-1, mask.shape[1]):
         with pytest.raises(DimensionError, match=f"attention from row {bad} of a mask of {mask.shape[1]} rows"):
             amask.plan(heads, np.float64, bad)
@@ -585,17 +593,17 @@ def test_property_a_tail_reads_its_rows_keys_and_attends_as_a_fresh_mask(layout,
             plan = amask.plan(heads, np.float64, first)
             fresh = AttentionMask(rows)
             fresh.plan(heads, np.float64)
-        shared = np.arange(t)[plan.keys]
         read = np.zeros_like(seen)
         for x in plan.tiles:
-            read[x.rows, shared[: x.keys]] = True
-            want = rows[:, x.rows][:, :, shared[: x.keys]]
+            read[x.rows, : x.keys] = True
+            want = rows[:, x.rows, : x.keys]
             if x.sentinel is None:
                 assert want.all()
             else:
                 np.testing.assert_array_equal(x.sentinel[:, 0], np.where(want, 0.0, -np.inf))
-        if plan.own is not None:
-            owners, owned = np.arange(tq - first)[plan.own.rows], np.arange(t)[plan.own.cols]
+        if plan.own:  # the last rows left own the last keys
+            owners, owned = np.arange(tq - first - plan.own, tq - first), np.arange(t - plan.own, t)
+            assert plan.shared <= t - plan.own
             read[owners, owned] = True
             assert (seen[:, owned].sum(axis=0) == 1).all() and seen[owners, owned].all()
         assert not (seen & ~read).any()  # every permitted key: in its row's tile prefix, or its own key

@@ -23,9 +23,12 @@ from omnibot.embodiments import embodiment
 from omnibot.errors import ContractError
 from omnibot.policy import Policy
 from omnibot.rng import derive_seed
+from test_autodiff import heads_oracle
 
 TOL = 1e-12
 EMBODIMENTS = ("arm1", "nav", "bimanual", "quad")
+# (embodiment, newest frame index) of a batch of windows of every length 1-5
+SHORT_PICKS = [("arm1", 0), ("arm1", 4), ("nav", 1), ("nav", 3), ("bimanual", 2), ("bimanual", 9), ("quad", 3), ("quad", 0)]
 
 
 @pytest.fixture(scope="module")
@@ -127,8 +130,7 @@ def test_mixed_batch_matches_dense(policy, sampler, cfg):
 
 
 def test_short_windows_match_dense(policy, sampler, cfg):
-    picks = [("arm1", 0), ("arm1", 4), ("nav", 1), ("nav", 3), ("bimanual", 2), ("bimanual", 9), ("quad", 3), ("quad", 0)]
-    batch = batch_of(sampler, cfg, picks)
+    batch = batch_of(sampler, cfg, SHORT_PICKS)
     assert {len(w) for w in batch.windows} == {1, 2, 3, 4, 5}
     assert_matches_dense(policy, batch)
 
@@ -302,22 +304,57 @@ def test_attention_tiles_compute_at_most_a_quarter_more_scores_than_permitted(cf
         rows = mask.permitted[:, first:]
         nb, tq, _ = rows.shape
         plan = mask.plan(heads, np.float32, first)
-        owners = 0 if plan.own is None else np.arange(tq)[plan.own.rows].size
-        computed += (sum((t.rows.stop - t.rows.start) * t.keys for t in plan.tiles) + owners) * nb * heads
+        computed += (sum((t.rows.stop - t.rows.start) * t.keys for t in plan.tiles) + plan.own) * nb * heads
         permitted += int(rows.sum()) * heads
     assert computed <= 1.25 * permitted, (computed, permitted)
 
 
-def test_own_keys_are_split_off_for_every_step_but_not_for_the_newest_alone(policy):
-    """The cost rule: a training window's readout rows read short prefixes, an `act` window stays as it was."""
-    heads = policy.cfg.backbone.heads
+def test_own_keys_are_split_off_for_every_step_but_not_for_the_newest_alone(policy, sampler, cfg, monkeypatch):
+    """The cost rule: a training window's readout rows read short prefixes, an `act` window stays as it was.
+
+    Every mask the model makes, on every robot, in mixed, short (padded) and
+    `act` windows, is planned with no split or with exactly its readouts as
+    own keys, and its last layer's plan keeps them all. The full window,
+    whose readouts interleave with the observations, and a mask with fewer
+    queries than keys are planned over every key and attend as the oracle.
+    """
+    heads, dtype = cfg.backbone.heads, policy.dtype
     frames = rollout_frames("bimanual", policy.layout.history, 5)
     for steps, split in (([-1], False), (slice(None), True)):
-        window = compact_window(policy, [frames], "bimanual", steps)
-        plan = window.mask.plan(heads, np.float32)
-        assert (plan.own is not None) == split
-        if split:  # the readouts, each its own row's key
-            np.testing.assert_array_equal(np.arange(window.slots.size)[plan.own.cols], np.sort(window.readouts.ravel()))
+        assert bool(compact_window(policy, [frames], "bimanual", steps).mask.plan(heads, np.float32).own) == split
+
+    built, build = [], assembler.window_structure
+    monkeypatch.setattr(assembler, "window_structure", lambda *args: built.append(build(*args)) or built[-1])
+    fresh = Policy(cfg, policy.params)  # keeps no `act` structure yet
+    batches = [sampler.batch(i, 8) for i in range(3)] + [batch_of(sampler, cfg, SHORT_PICKS)]
+    for batch in batches:
+        fresh.predict(batch)
+    for i, name in enumerate(EMBODIMENTS):
+        frames = rollout_frames(name, policy.layout.history, 10 + i)
+        for n in range(1, len(frames) + 1):
+            fresh.act(frames[:n], embodiment(name).head)
+    splits = set()
+    for s in built:
+        t = s.slots.size
+        plan = s.mask.plan(heads, dtype)
+        splits.add((len(s.readouts), bool(plan.own)))
+        if plan.own:
+            np.testing.assert_array_equal(np.arange(t - plan.own, t), np.sort(s.readouts.ravel()))
+        assert s.mask.plan(heads, dtype, t - s.readouts.size).own == plan.own  # the last layer's queries
+    assert (1, False) in splits and (1, True) not in splits and (policy.layout.history, True) in splits
+
+    windows = batches[0].windows
+    full = policy.assemble(windows)
+    t, d = full.slots.size, cfg.backbone.d_model
+    rng = np.random.Generator(np.random.PCG64(9))
+    for mask in (full.attn_mask, full.attn_mask[:, ~policy.layout.token_is_obs]):
+        amask = ad.AttentionMask(mask)
+        plan = amask.plan(heads, np.float64)
+        assert (plan.shared, plan.own) == (t, 0) and plan.sentinel is None and len(plan.tiles) > 1
+        q = rng.standard_normal((len(windows), mask.shape[1], d))
+        k, v = (rng.standard_normal((len(windows), t, d)) for _ in range(2))
+        out = ad.masked_attention(ad.tensor(q), ad.tensor(k), ad.tensor(v), amask, heads).data
+        np.testing.assert_allclose(out, heads_oracle(q, k, v, mask, heads), rtol=1e-10, atol=1e-12)
 
 
 @pytest.mark.parametrize("steps", ([-1], slice(None), [3, 1]), ids=["newest", "every-step", "out-of-order"])

@@ -169,6 +169,8 @@ def test_a_policy_whose_parameters_differ_in_dtype_is_a_contract_error(cfg, name
     first = next(iter(params))
     with pytest.raises(ContractError, match=re.escape(f"parameter {name!r} is float64, but the first, {first!r}, is float32")):
         Policy(cfg, params)
+    with pytest.raises(ContractError, match="a policy needs parameters, got none"):
+        Policy(cfg, {})
     policy = Policy(cfg, {n: ad.param(p.data.astype(np.float64)) for n, p in params.items()})
     assert policy.dtype == policy.bank.dtype == np.float64
 
