@@ -30,15 +30,17 @@ The readout rows are also one trailing range, the queries of the last
 layer, so that layer attends with the first layer's plan cut at the first
 readout row (`AttentionMask.plan(heads, dtype, first)`).
 
-Assembly is two steps. `window_structure` places the slots: the kept
+Assembly is three steps. `window_structure` places the slots: the kept
 columns, the padding, the valid steps, the readout rows, where each
 frame's encoder rows go, and the `AttentionMask`, built and validated once.
-It reads each window's robot and frame count alone. `window_tokens` fills
-a structure with token values: the encoder rows, scattered into their
-columns, plus slot embeddings, with padding zeroed. `assemble_batch` runs
-both; `Policy.act` keeps the structure of each window shape. Image groups
-that follow one another in slot order and sit on the same frames, as
-bimanual's three cameras do, are encoded in one pass (`encode_group`).
+It reads each window's robot and frame count alone. `slot_rows` gives its
+columns' position and readout embeddings, zero at padding, from the
+parameters. `window_tokens` fills a structure with token values: the
+encoder rows, scattered into their columns, plus the slot rows.
+`assemble_batch` runs all three; `Policy.act` keeps the structure and the
+slot rows of each window shape. Image groups that follow one another in
+slot order and sit on the same frames, as bimanual's three cameras do,
+are encoded in one pass (`encode_group`).
 """
 
 from __future__ import annotations
@@ -200,6 +202,7 @@ class WindowStructure:
     # [T] original slot index of each token column: ascending for a full window;
     # for a compact one, the kept observations ascending, then the readouts ascending
     slots: np.ndarray
+    head: str | None  # the head whose readouts a compact window keeps; None for a full window
     readouts: np.ndarray | None  # [steps, chunk] token columns of the head's readouts; None for a full window
     # the observation groups that frames carry, each run encoded in one pass, in slot order, with
     # the (window, frame index) of their frames: image groups next in slot order on the same
@@ -356,12 +359,27 @@ def init_assembler_params(layout: SlotLayout, rng: np.random.Generator) -> dict[
     return params
 
 
-def _slot_embeddings(layout: SlotLayout, params: dict[str, Tensor], cols: np.ndarray) -> Tensor:
-    """[len(cols), d_model]: each slot's position embedding plus, at a readout slot, its readout embedding."""
+def slot_rows(layout: SlotLayout, params: dict[str, Tensor], structure: WindowStructure) -> Tensor:
+    """[B, n, d_model]: each column's position embedding plus, at a readout, its readout embedding; zero at padding.
+
+    They depend on the structure and the parameters alone. The full window,
+    the oracle, gathers every slot's row of all readout tables stacked on a
+    zero row. A compact window's readouts are its last columns, step after
+    step in slot order, so it adds its head's table there alone, over the
+    steps.
+    """
     pos = params["asm/pos"]
-    readouts = [params[f"asm/readout/{g.head}"] for g in layout.groups if g.kind == "readout"]
-    table = ad.concat([ad.tensor(np.zeros((1, layout.d_model), dtype=pos.dtype)), *readouts], axis=0)
-    return ad.take(table, layout.token_readout_row[cols], axis=0) + ad.take(pos, cols, axis=0)
+    if structure.head is None:
+        tables = [params[f"asm/readout/{g.head}"] for g in layout.groups if g.kind == "readout"]
+        table = ad.concat([ad.tensor(np.zeros((1, layout.d_model), dtype=pos.dtype)), *tables], axis=0)
+        rows = ad.take(table, layout.token_readout_row[structure.slots], axis=0) + ad.take(pos, structure.slots, axis=0)
+    else:
+        first, chunk = structure.readouts.min(), structure.readouts.shape[1]
+        table = params[f"asm/readout/{structure.head}"]
+        readouts = ad.take(pos, structure.slots[first:].reshape(-1, chunk), axis=0) + table
+        obs = ad.take(pos, structure.slots[:first], axis=0)
+        rows = ad.concat([obs, readouts.reshape(-1, layout.d_model)], axis=0)
+    return rows * ad.tensor((~structure.pad).astype(pos.dtype)[:, :, None])
 
 
 def window_structure(
@@ -419,6 +437,7 @@ def window_structure(
         mask=ad.AttentionMask(build_attention_mask(layout, pad, cols)),
         valid_steps=valid,
         slots=cols,
+        head=head,
         readouts=None if head is None else column[readout_slots],
         placed=tuple(placed),
         destinations=(np.concatenate(windows_of), column[np.concatenate(slots_of)]) if placed else (),
@@ -427,28 +446,25 @@ def window_structure(
 
 def window_tokens(
     structure: WindowStructure, windows: list[list[ObservationFrame]], layout: SlotLayout, bank: EncoderBank,
-    params: dict[str, Tensor], encode=encode_group,
+    slots: Tensor, encode=encode_group,
 ) -> AssembledWindow:
     """The window `structure` lays out, with the token values of `windows`.
 
     `encode(bank, groups, frames, index)` gives the encoder rows of each
     run of observation groups that `structure.placed` encodes in one pass,
     `encode_group` by default; they are scattered straight into their kept
-    columns, every column gets its slot embedding, and padding is zeroed.
+    columns, and every column gets its row of `slots`, the structure's
+    `slot_rows`. No encoder row goes to padding, so padding stays zero.
     """
-    b, n = structure.pad.shape
-    if structure.placed:
-        rows = [
-            encode(bank, groups, [windows[bi][i] for bi, i in at], [i for _, i in at]).reshape(-1, layout.d_model)
-            for groups, at in structure.placed
-        ]
-        rows = ad.concat(rows, axis=0) if len(rows) > 1 else rows[0]
-        content = ad.scatter_tokens(rows, *structure.destinations, b, n)
-    else:
-        content = ad.tensor(np.zeros((b, n, layout.d_model), dtype=bank.dtype))
-    keep = ad.tensor((~structure.pad).astype(bank.dtype)[:, :, None])
-    tokens = (content + _slot_embeddings(layout, params, structure.slots)) * keep
-    return AssembledWindow(tokens=tokens, **vars(structure))
+    if not structure.placed:
+        return AssembledWindow(tokens=slots, **vars(structure))
+    rows = [
+        encode(bank, groups, [windows[bi][i] for bi, i in at], [i for _, i in at]).reshape(-1, layout.d_model)
+        for groups, at in structure.placed
+    ]
+    rows = ad.concat(rows, axis=0) if len(rows) > 1 else rows[0]
+    content = ad.scatter_tokens(rows, *structure.destinations, *structure.pad.shape)
+    return AssembledWindow(tokens=content + slots, **vars(structure))
 
 
 def assemble_batch(
@@ -461,6 +477,8 @@ def assemble_batch(
 ) -> AssembledWindow:
     """Encode a batch of checked frame histories and place them into their slots.
 
-    `window_structure(windows, layout, head, steps)`, filled by `window_tokens`.
+    `window_structure(windows, layout, head, steps)`, filled by `window_tokens`
+    with its `slot_rows`.
     """
-    return window_tokens(window_structure(windows, layout, head, steps), windows, layout, bank, params)
+    structure = window_structure(windows, layout, head, steps)
+    return window_tokens(structure, windows, layout, bank, slot_rows(layout, params, structure))

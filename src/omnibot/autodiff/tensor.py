@@ -14,7 +14,7 @@ a larger id than its inputs), so reverse-mode traversal is simply "visit
 reachable nodes by descending id". Tensors are immutable by convention
 after creation; training code only mutates leaf `.data` buffers between
 steps, and after such a write it calls `Policy.params_changed()`, because
-`Policy.act` caches encoder rows computed from the old values.
+`Policy.act` keeps encoder rows and slot rows computed from the old values.
 
 Two float precisions are supported: float32 for training and float64 for
 gradient verification. Parameters are created in float32; a float64 copy
@@ -37,6 +37,7 @@ _ids = itertools.count()
 _grad_enabled = True
 
 FLOAT_DTYPES = (np.float32, np.float64)
+_FLOATS = tuple(np.dtype(t) for t in FLOAT_DTYPES)  # `in` tests identity first
 
 
 @contextlib.contextmanager
@@ -111,17 +112,19 @@ class Tensor:
 
     @staticmethod
     def _make(data: np.ndarray, parents: Sequence["Tensor"], bwd, op: str) -> "Tensor":
+        dtype, needs = data.dtype, False
         for p in parents:  # an op's inputs and output share one dtype
-            if p.data.dtype != data.dtype:
-                raise DimensionError(f"{op}: dtype mismatch {p.data.dtype} vs {data.dtype}")
-        needs = _grad_enabled and any(p.requires_grad for p in parents)
-        return Tensor(
-            data,
-            requires_grad=needs,
-            parents=parents if needs else (),
-            bwd=bwd if needs else None,
-            op=op,
-        )
+            if p.data.dtype is not dtype and p.data.dtype != dtype:
+                raise DimensionError(f"{op}: dtype mismatch {p.data.dtype} vs {dtype}")
+            needs = needs or p.requires_grad
+        needs = needs and _grad_enabled
+        parents, bwd = (tuple(parents), bwd) if needs else ((), None)
+        # `_coerce` would return a C-contiguous float array of at least one axis as it is: skip `__init__`
+        if type(data) is not np.ndarray or not data.ndim or dtype not in _FLOATS or not data.flags.c_contiguous:
+            return Tensor(data, requires_grad=needs, parents=parents, bwd=bwd, op=op)
+        out = Tensor.__new__(Tensor)
+        out.data, out.requires_grad, out.id, out.parents, out.bwd, out.op = data, needs, next(_ids), parents, bwd, op
+        return out
 
     # -- elementwise arithmetic --------------------------------------------
 

@@ -36,15 +36,20 @@ that any of them misses, and a camera whose keys all hit stays out of it.
 A cached row is a copy of the one computed when the frame was new; it can
 differ from encoding the same frame in a batch of another size only by
 BLAS summation order (float32 relative 1e-6, float64 1e-15). Whoever
-writes parameters in place calls `params_changed`, which drops the cache.
+writes parameters in place calls `params_changed`, which drops these rows.
 
-A fourth fact lets `act` build each window's structure once. Everything
-of an `act` window but its token values (`assembler.WindowStructure`: the
+A fourth fact lets `act` build each window shape once. Everything of an
+`act` window but its encoder rows depends only on the robot, the number
+of frames and the head, since `window_embodiment` pins the groups of a
+robot's frames. That is its structure (`assembler.WindowStructure`: the
 kept columns, padding, readout rows, where each encoder row goes, and the
-`AttentionMask` with its plans) depends only on the robot, the number of
-frames and the head, since `window_embodiment` pins the groups of a
-robot's frames. `act` keeps one structure per such shape, at most robots x
-history of them. They hold no parameters, so `params_changed` keeps them.
+`AttentionMask` with its plans) and its slot rows (`assembler.slot_rows`:
+position and readout embeddings, zero at padding). `act` keeps both per
+such shape, at most robots x history of each. A structure holds no
+parameters, so `params_changed` keeps it; slot rows are computed from
+`asm/pos` and the head's readout table, so `params_changed` drops them
+with the encoder rows. An `act` window has no padding, so its tokens are
+exactly its encoder rows plus its kept slot rows.
 """
 
 from __future__ import annotations
@@ -74,10 +79,16 @@ def frame_key(group: str, frame: assembler.ObservationFrame, dtype) -> tuple:
 
 
 class FrameTokenCache:
-    """Encoder rows, per observation group, of the frames in the window `act` encoded last."""
+    """What `act` keeps that the parameters determine: encoder rows and slot rows.
+
+    The encoder rows, per observation group, are those of the frames in the
+    window `act` encoded last. The slot rows (`assembler.slot_rows`) are
+    kept per window shape, (robot, frame count, head).
+    """
 
     def __init__(self):
         self.groups: dict[str, dict[tuple, np.ndarray]] = {}
+        self.slots: dict[tuple[str, int, str], Tensor] = {}
 
     def encode(self, bank: EncoderBank, groups: tuple[assembler.SlotGroup, ...], frames, index) -> Tensor:
         """`assembler.encode_group`'s rows, encoding only what is not cached, in one pass.
@@ -142,7 +153,10 @@ class Policy:
         return Policy(cfg, params)
 
     def params_changed(self) -> None:
-        """Drop `act`'s cached encoder rows; call after writing any parameter's `.data` in place."""
+        """Drop `act`'s encoder rows and slot rows; call after writing any parameter's `.data` in place.
+
+        The window structures hold no parameters, so they stay.
+        """
         self.frame_tokens = FrameTokenCache()
 
     # -- forward -------------------------------------------------------------
@@ -201,7 +215,8 @@ class Policy:
 
         The window is checked once, by `assembler.window_embodiment`;
         `assembler.encode_group` checks the values of frames not cached.
-        The window's structure is built on the first call of its shape.
+        The window's structure and slot rows are built on the first call of
+        its shape.
         Finite inputs can still be too large for the network's precision;
         then the chunk is not finite, and that is an EvaluationError.
         """
@@ -217,10 +232,12 @@ class Policy:
         if structure is None:
             structure = assembler.window_structure([frames], self.layout, head, [-1])
             self.window_structures[shape] = structure
+        kept = self.frame_tokens
         with ad.no_grad(), np.errstate(all="ignore"):  # an overflow shows as a non-finite chunk below
-            window = assembler.window_tokens(
-                structure, [frames], self.layout, self.bank, self.params, self.frame_tokens.encode
-            )
+            slots = kept.slots.get(shape)
+            if slots is None:
+                slots = kept.slots[shape] = assembler.slot_rows(self.layout, self.params, structure)
+            window = assembler.window_tokens(structure, [frames], self.layout, self.bank, slots, kept.encode)
             readouts = backbone.forward(window, self.params, self.cfg)
             chunk = heads.decode(readouts.reshape(-1, readouts.shape[-1]), self.params, self.head_specs[head])
         if not np.isfinite(chunk.values).all():

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import omnibot.autodiff as ad
-from omnibot.autodiff import ops
+from omnibot.autodiff import Tensor, ops
 from omnibot.autodiff.ops import AttentionMask
 from omnibot.errors import ContractError, DegenerateMaskError, DimensionError
 
@@ -1010,6 +1010,44 @@ def test_no_grad_builds_no_tape():
     with ad.no_grad():
         y = x * 2.0
     assert not y.requires_grad and y.parents == ()
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        rand((3, 4), 67, np.float32),
+        rand((4, 3), 68).T,  # not C-contiguous
+        rand((2, 6), 69)[:, ::2],
+        np.arange(6).reshape(2, 3),  # not float: cast to float32
+        rand((3,), 70, np.float16),
+        np.array(2.0),  # 0-d
+        np.float32(2.0),  # a numpy scalar, as a full reduction gives
+    ],
+)
+def test_make_stores_the_data_tensor_would(data):
+    """`Tensor._make`, the point where every op creates its node, stores its result as `Tensor(...)` does."""
+    want = Tensor(data).data
+    got = Tensor._make(data, (), None, "made").data
+    assert type(got) is np.ndarray and got.flags.c_contiguous
+    assert got.dtype == want.dtype and got.shape == want.shape
+    np.testing.assert_array_equal(got, want)
+
+
+def test_make_tapes_only_in_grad_mode_with_a_parent_that_needs_a_gradient():
+    x, c = ad.param(rand((3, 4), 71)), ad.tensor(rand((3, 4), 72))
+
+    def bwd(g):
+        return g, g
+
+    for parents, grad, taped in (([x, c], True, True), ([c, x], True, True), ([c, c], True, False), ([x, c], False, False)):
+        with contextlib.nullcontext() if grad else ad.no_grad():
+            out = Tensor._make(x.data * c.data, parents, bwd, "mul")
+        assert out.requires_grad is taped and out.op == "mul"
+        assert out.parents == (tuple(parents) if taped else ()) and (out.bwd is bwd) is taped
+    ids = [Tensor._make(x.data + 1.0, (x,), None, "add").id for _ in range(3)] + [ad.tensor(1.0).id]
+    assert ids == sorted(set(ids)) and x.id < c.id < ids[0]
+    with pytest.raises(DimensionError, match="^cast: dtype mismatch float64 vs float32$"):
+        Tensor._make(x.data.astype(np.float32), (c, x), None, "cast")
 
 
 # ---------------------------------------------------------------- finite_diff_check

@@ -250,6 +250,26 @@ def test_compact_mask_of_non_contiguous_rows_and_steps_restricts_the_full_mask(p
         assert rel_err(sub.tokens.data, window.tokens.data[rows][:, sub.slots]) <= TOL
 
 
+def test_compact_slot_rows_and_their_gradients_match_the_full_windows_gather(policy):
+    """A compact window adds its head's readout table at its trailing readouts alone. The full window gathers
+    every column's row of all readout tables stacked on a zero row; on the same columns it is the oracle."""
+    names = ("nav", "quad", "nav", "arm1", "nav")
+    windows = [rollout_frames(n, 1 + i, i) for i, n in enumerate(names)]
+    layout, params = policy.layout, policy.params
+    embeddings = [p for name, p in params.items() if name.startswith("asm/")]
+    rng = np.random.Generator(np.random.PCG64(9))
+    for picks, head in (([0, 2, 4], "navigation"), ([1], "quadruped"), ([3], "single-arm")):
+        for steps in (slice(None), [-1], [3, 1]):
+            structure = assembler.window_structure([windows[r] for r in picks], layout, head, steps)
+            got = assembler.slot_rows(layout, params, structure)
+            want = assembler.slot_rows(layout, params, dataclasses.replace(structure, head=None))
+            np.testing.assert_array_equal(got.data, want.data)
+            weights = ad.tensor(rng.standard_normal(got.shape))
+            grads, oracle = (ad.backward((rows * weights).sum(), embeddings) for rows in (got, want))
+            for p in embeddings:
+                np.testing.assert_array_equal(grads[p], oracle[p])
+
+
 def test_unknown_embodiment_raises_contract_error(policy):
     img = np.zeros((3, 24, 24), dtype=np.float32)
     frames = [ObservationFrame(embodiment="aviation", observations={"workspace": img})]

@@ -1,4 +1,4 @@
-"""`Policy.act`'s frame-token cache and window structures against a fresh policy, in float64.
+"""`Policy.act`'s frame-token cache, window structures and slot rows against a fresh policy, in float64.
 
 A fresh `Policy` over the same parameters has an empty cache, so its `act`
 encodes every frame of the window in one batch. The cached policy encodes
@@ -160,6 +160,41 @@ def test_params_changed_drops_rows_of_the_old_parameters(cfg):
     policy.params_changed()
     assert not policy.frame_tokens.groups
     assert rel_err(policy.act(window, "navigation").values, want) <= TOL
+
+
+def test_params_changed_drops_slot_rows_of_the_old_parameters(cfg):
+    """`act` keeps each window shape's slot rows: position and readout embeddings, which no frame changes."""
+    policy = film_policy(cfg)
+    env = envs.make_env("nav")
+    state, frame, instruction = env.reset(4)
+    window = [frame]
+    for _ in range(2):
+        state = env.step(state, env.expert_chunk(state, 1)[0].astype(np.float64))
+        window.append(env.frame(state, instruction))
+    policy.act(window, "navigation")
+    for name in ("asm/pos", "asm/readout/navigation"):
+        before = policy.act(window, "navigation").values
+        policy.params[name].data *= 1.5  # in place, as an optimizer writes
+        want = fresh_act(policy, window, "navigation")
+        np.testing.assert_array_equal(policy.act(window, "navigation").values, before)  # stale rows until told
+        policy.params_changed()
+        assert not policy.frame_tokens.slots
+        assert rel_err(policy.act(window, "navigation").values, want) <= TOL
+        assert rel_err(want, before) > 1e-6
+
+
+def test_act_windows_have_no_padding(cfg):
+    """So an `act` window's tokens are its encoder rows plus its kept slot rows, with no keep mask to apply."""
+    policy = Policy.init(cfg, seed=0)
+    k = policy.layout.history
+    for name in FUZZ_ROBOTS:
+        frames = list(fuzz_window(name) * k)[:k]
+        for n in range(1, k + 1):
+            policy.act(frames[:n], embodiment(name).head)
+    assert len(policy.frame_tokens.slots) == len(policy.window_structures) == len(FUZZ_ROBOTS) * k
+    for shape, structure in policy.window_structures.items():
+        assert not structure.pad.any(), shape
+        assert policy.frame_tokens.slots[shape].shape == (1, structure.slots.size, cfg.backbone.d_model)
 
 
 @pytest.mark.parametrize("name", ("bb/layer1/mlp/w1", "head/navigation/b"))
