@@ -67,6 +67,31 @@ def conv_oracle(x, kernels, stride):
     return out
 
 
+def gelu_oracle(x, g):
+    """GELU's output and input gradient, each float pass of `ops.gelu` run once over the whole array."""
+    c, a = np.sqrt(2 / np.pi), 0.044715
+    one = x.dtype.type(1.0)
+    with np.errstate(over="ignore"):
+        t = x * x
+        t *= x.dtype.type(-2.0 * c * a)
+        t += x.dtype.type(-2.0 * c)
+        t *= x
+        np.exp(t, out=t)
+        t += one
+        out = x / t
+        s = one / t
+        du = one - s
+        du *= s
+        du *= x
+        up = x * x
+        up *= x.dtype.type(6.0 * c * a)
+        up += x.dtype.type(2.0 * c)
+        du *= up
+        du += s
+        du *= g
+    return out, du
+
+
 def numeric_grad(f, x, eps=1e-6):
     """Central differences over every coordinate of x (float64)."""
     g = np.zeros_like(x)
@@ -997,6 +1022,54 @@ def test_gelu_matches_tanh_formula_and_grad():
 
     num = numeric_grad(f, x.data)
     np.testing.assert_allclose(g, num, rtol=1e-6, atol=1e-9)
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    np.testing.assert_array_equal(got.view(f"u{got.itemsize}"), want.view(f"u{want.itemsize}"))
+
+
+ENCODER_ROW = 12 * 12 * 16  # elements of one image of an encoder-shaped [n, 12, 12, 16] layout
+
+
+@pytest.mark.parametrize("dtype", (np.float32, np.float64))
+@pytest.mark.parametrize("layout", ("flat", "encoder"))
+@pytest.mark.parametrize(
+    "blocks",
+    ("one element", "a block less one", "a block", "a block and one", "three blocks and seven", "past the threshold"),
+)
+def test_blocked_gelu_equals_one_pass_bit_for_bit(dtype, layout, blocks, monkeypatch):
+    """Blocking changes no output or gradient bit, at and around block edges, in the far negative tail too.
+
+    Every size but the last runs in blocks, however small; the last is the
+    smallest that runs in blocks as shipped. The encoder layout takes whole
+    images: as many as fit in the size when it is one block, else as many
+    as cover it. Its gradient is a strided view, as the input gradient of
+    the next conv stage is.
+    """
+    b = ops.GELU_BLOCK_BYTES // np.dtype(dtype).itemsize
+    past = ops.GELU_BLOCKED_FROM // np.dtype(dtype).itemsize + 1
+    size = {"one element": 1, "a block less one": b - 1, "a block": b, "a block and one": b + 1,
+            "three blocks and seven": 3 * b + 7, "past the threshold": past}[blocks]
+    if size < past:
+        monkeypatch.setattr(ops, "GELU_BLOCKED_FROM", 0)
+    rng = np.random.Generator(np.random.PCG64(size))
+    if layout == "flat":
+        shape = (size,)
+        g = rng.standard_normal(shape).astype(dtype)
+    else:
+        shape = (-(-size // ENCODER_ROW) if size > b else max(size // ENCODER_ROW, 1), 12, 12, 16)
+        g = rng.standard_normal((shape[0], 13, 13, 16)).astype(dtype)[:, :12, :12]
+    x = (rng.standard_normal(shape) * 4).astype(dtype)
+    every_fifth = x.reshape(-1)[::5]
+    every_fifth[:] = np.resize(np.array([-1e4, 0.0, -0.0, 1e4, 30.0, -60.0, -9.0], dtype=dtype), every_fifth.size)
+    out = ad.gelu(ad.param(x))
+    (gx,) = out.bwd(g)
+    want_out, want_gx = gelu_oracle(x, g)
+    assert_same_bits(out.data, want_out)
+    assert_same_bits(gx, want_gx)
+    tail = out.data.reshape(-1)[x.reshape(-1) == -1e4]
+    assert_same_bits(tail, np.full_like(tail, -0.0))  # exp(-2u) overflowed to inf
 
 
 def test_abs_subgradient_at_zero_is_zero():
