@@ -31,10 +31,16 @@ would gather. Prefixes need not grow from tile to tile. One cost rule
 decides both the cuts and the own-key split: a tile costs `TILE_ENTRIES`
 score entries on top of the scores it computes. Attention over a mask's
 rows from `first` on uses its plan cut there, not a second derivation.
+A plan that splits off own keys shifts each row's scores by its diagonal
+key's score (a readout row's own key), not by the row max: softmax is the
+same under any shift of a row. A row whose shifted sum overflows or grows
+past a limit falls back to its row max, alone.
 """
 
 from __future__ import annotations
 
+import bisect
+import contextlib
 import math
 from typing import NamedTuple, Sequence
 
@@ -180,26 +186,52 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     return Tensor._make(out, (x, gain, bias), bwd, "layer_norm")
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Fused x @ w + b over the last axis."""
-    if x.shape[-1] != w.shape[0] or w.ndim != 2 or b.shape != (w.shape[1],):
-        raise DimensionError(f"linear: incompatible shapes x={x.shape} w={w.shape} b={b.shape}")
-    k, n = w.shape
-    out = np.matmul(x.data, w.data)
-    out += b.data
+def linear(x: Tensor, w: Tensor | Sequence[Tensor], b: Tensor | Sequence[Tensor]) -> Tensor:
+    """Fused x @ w + b over the last axis, for one weight or for V views at once.
+
+    w: a [k, n] tensor and b: an [n] tensor, or sequences of V of each, one
+    per view; then the first axis of x holds each view's samples in turn, as
+    in `conv2d`, and view v's rows are multiplied by w[v]. Each view's
+    product is one [rows, k] x [k, n] product, of the shape a call of its
+    own makes, so its output rows and gradients are that call's bits. One
+    tensor each is the plain op.
+    """
+    ws, bs = ((w,), (b,)) if isinstance(w, Tensor) else (w, b)
+    nv = len(ws)
+    if nv == 1:  # the plain op
+        wd, bd = ws[0].data, bs[0].data
+        fits = len(bs) == 1 and wd.ndim == 2 and bd.shape == wd.shape[1:]
+    else:  # one weight per view, stacked: [V, k, n] and [V, n]
+        wd, bd = _stacked(ws, "linear weights"), _stacked(bs, "linear biases")
+        fits = len(bs) == nv and wd.ndim == 3 and bd.shape == (nv, wd.shape[2]) and x.shape[0] % nv == 0
+    if not fits or x.shape[-1] != wd.shape[-2]:
+        raise DimensionError(
+            f"linear: incompatible shapes x={x.shape} w={[t.shape for t in ws]} b={[t.shape for t in bs]}"
+        )
+    k, n = wd.shape[-2:]
+    if nv == 1:
+        out = np.matmul(x.data, wd)
+        out += bd
+    else:  # view v's rows by its weight
+        out = np.matmul(x.data.reshape(nv, -1, k), wd)
+        out += bd[:, None]
+        out = out.reshape(x.shape[:-1] + (n,))
 
     def bwd(g):
         gx = gw = gb = None
-        g2 = g.reshape(-1, n)
+        xm = x.data.reshape(-1, k) if nv == 1 else x.data.reshape(nv, -1, k)  # the rows of each view's product
+        g2 = g.reshape(xm.shape[:-1] + (n,))
         if x.requires_grad:
-            gx = (g2 @ w.data.T).reshape(x.shape)
-        if w.requires_grad:
-            gw = x.data.reshape(-1, k).T @ g2
-        if b.requires_grad:
-            gb = _column_sums(g2)
-        return gx, gw, gb
+            gx = (g2 @ np.swapaxes(wd, -1, -2)).reshape(x.shape)
+        if any(t.requires_grad for t in ws):
+            gw = np.swapaxes(xm, -1, -2) @ g2
+        if any(t.requires_grad for t in bs):
+            gb = np.ones(g2.shape[-2], dtype=g.dtype) @ g2  # each view's column sums, as in `_column_sums`
+        if nv == 1:
+            return gx, gw, gb
+        return gx, *(gw if gw is not None else [None] * nv), *(gb if gb is not None else [None] * nv)
 
-    return Tensor._make(out, (x, w, b), bwd, "linear")
+    return Tensor._make(out, (x, *ws, *bs), bwd, "linear")
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
@@ -326,6 +358,14 @@ class Plan(NamedTuple):
     shared: int  # the tiles read prefixes of keys [0, shared)
     own: int  # the last `own` rows own the last `own` keys, row by row; 0 without the split
     sentinel: np.ndarray | None  # [B, 1, own]; None where every owning row permits its key in every element
+    anchored: bool  # own keys split off, and every row permits its diagonal key: each row shifts by that key's score
+
+
+# An anchored row's sum is at least 1, its anchor's exp(0). One that is not
+# finite or passes this limit takes its row max instead: backward scales the
+# output gradient by r = 1 / sum, and r >= 2^-64 stays 62 binary orders above
+# float32's smallest normal (2^-126), so r * g keeps its precision.
+ANCHOR_LIMIT = 2.0**64
 
 
 def _tail(plan: Plan, first: int) -> Plan:
@@ -343,7 +383,7 @@ def _tail(plan: Plan, first: int) -> Plan:
             tiles.append(Tile(slice(start - first, t.rows.stop - first), t.keys, sentinel))
     own = min(plan.own, tiles[-1].rows.stop)
     sentinel = None if plan.sentinel is None or not own else plan.sentinel[..., plan.own - own :]
-    return Plan(tiles, plan.shared, own, sentinel)
+    return Plan(tiles, plan.shared, own, sentinel, plan.anchored)
 
 
 def _prefixes(seen: np.ndarray, keys: int) -> np.ndarray:
@@ -443,6 +483,16 @@ class AttentionMask:
     and the rest of its sentinel, and the own keys of the rows left. It may
     read a few more keys than a plan derived for those rows alone would,
     but it gives the same weights, and it costs no derivation.
+
+    A plan with own keys is anchored when every row permits its diagonal
+    key in every batch element, as every window mask does: attention then
+    shifts each row's scores by that key's score, which lies in the row's
+    tile prefix or is its own key, instead of by the row max (see
+    `masked_attention`). A plan without own keys (`act`'s windows, the full
+    window, non-square masks), or whose mask denies some row its diagonal
+    key, keeps the row max. A cut plan keeps its mask's answer: its rows
+    are some of the mask's, numbered from `first`, and row i's diagonal key
+    is key first + i.
     """
 
     def __init__(self, permitted: np.ndarray):
@@ -489,7 +539,8 @@ class AttentionMask:
 
         tiles = [Tile(slice(a, b), n, sentinel(self.permitted[:, a:b, :n])) for a, b, n in cuts]
         owned = self.permitted[:, tq - own :, tk - own :].diagonal(axis1=1, axis2=2)  # [B, own]
-        self._plans[key] = Plan(tiles, tk - own, own, sentinel(owned))
+        anchored = bool(own) and bool(self.permitted.diagonal(axis1=1, axis2=2).all())
+        self._plans[key] = Plan(tiles, tk - own, own, sentinel(owned), anchored)
         return self._plans[key]
 
 
@@ -514,27 +565,41 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask: AttentionMask, heads
     The queries run one tile at a time against the tile's prefix of the
     shared keys, and each of the last `plan.own` rows adds the score of its
     own key, one of the last `plan.own` keys in order, as one more softmax
-    term: it enters the row max, its exp joins the row sum, and its value
-    row joins z @ v (see `AttentionMask`). A tile's own rows are those of its
-    row slice from the first own row on. A skipped key is forbidden for
-    every row of the tile, so it would have had weight exactly 0.0.
+    term: its exp joins the row sum, and its value row joins z @ v (see
+    `AttentionMask`). A tile's own rows are those of its row slice from the
+    first own row on. A skipped key is forbidden for every row of the tile,
+    so it would have had weight exactly 0.0.
+
+    Softmax does not change when a row's scores all shift by one amount
+    (Milakov & Gimelshein, 2018), and every row is shifted by a permitted
+    score of its own, so its shifted scores include an exact 0 and its sum
+    of exps is at least 1; no 0/1 rewrite is needed. An anchored plan
+    (`Plan.anchored`: own keys split off, and every row permits its
+    diagonal key) shifts each row by its diagonal key's score, which for an
+    owning row is its own key's. That term is exp(0) = 1 exactly, so the own
+    term adds [v_own | 1] as it is, and no row max is taken. A row whose
+    anchored sum is not finite (an exp overflowed) or passes `ANCHOR_LIMIT`
+    is recomputed with its row max, on its own, so which path a row takes
+    and what it computes depend on its permitted scores alone. Every other
+    plan shifts each row by its max, the own score included.
 
     Forbidden keys get weight exactly 0.0, so perturbing their key or value
     rows cannot change any permitted output bit: the -inf sentinel makes
-    their shifted scores -inf, and exp(-inf) is exactly +0.0. Every row
-    permits some key, so its max is finite and its row sum at least 1; no
-    0/1 rewrite is needed. q is scaled by 1/sqrt(d / heads) before the
-    product, which is exact when d / heads is a power of four (16 gives
-    1/4). The weights stay unnormalised, z = exp(s - rowmax) = w / r: one
-    product with [v | 1] gives z @ v and the row sums 1/r, and r scales the
-    [.., Tq, dh] output rather than the [.., Tq, Tk] weights.
+    their shifted scores -inf, and exp(-inf) is exactly +0.0. q is scaled
+    by 1/sqrt(d / heads) before the product, which is exact when d / heads
+    is a power of four (16 gives 1/4). The weights stay unnormalised, z =
+    exp(s - shift) = w / r: one product with [v | 1] per tile gives z @ v
+    and the row sums 1/r into one [B, heads, Tq, dh + 1] buffer, and after
+    the tiles r scales the [.., Tq, dh] output rather than the [.., Tq, Tk]
+    weights.
 
     Backward uses sum_j w_ij * dL/dw_ij = g_i . out_i (Dao et al., 2022,
     FlashAttention), a [.., Tq, dh] reduction in place of a [.., Tq, Tk]
     one, formed for every head at once as (g * out) times a 0/1 [d, heads]
     matrix. With gr = r * g, the score gradient is z * (gr @ v^T - gr .
     out), exactly 0 where z is 0: one product of [gr | -gr . out] with
-    [v | 1], and the same per row for the own-key term. The key and value
+    [v | 1], and the same per row for the own-key term, whose z is 1 in an
+    anchored row. The key and value
     gradients start at zero and each tile adds into its prefix; an own
     key's come from its one row. A key that no row permits has weight
     exactly 0, so its gradients are exact zeros.
@@ -562,6 +627,7 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask: AttentionMask, heads
     vx = np.empty((nb, heads, kt.shape[-1], dh + 1), dtype=dtype)  # [v | 1] of the shared keys
     vx[..., :dh] = v4[:, :, : plan.shared]
     vx[..., dh] = 1
+    zo = None  # the own-key terms; None while each is its anchor's exp(0) = 1
     if own:
         ko = k4[:, :, tk - own :]
         so = np.einsum("...d,...d->...", qs[:, :, o:], ko)
@@ -570,35 +636,61 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask: AttentionMask, heads
         vo[..., dh] = 1
         if plan.sentinel is not None:
             so += plan.sentinel
-        zo = np.empty_like(so)
-    out = np.empty((nb, tq, d), dtype=dtype)
-    out4 = _split_heads(out, heads)
-    r = np.empty((nb, heads, tq, 1), dtype=dtype)
+        if not plan.anchored:
+            zo = np.empty_like(so)
+    zv = np.empty((nb, heads, tq, dh + 1), dtype=dtype)  # z @ [v | 1]: unnormalised outputs and row sums
     saved = []
-    for t in plan.tiles:
-        z = np.matmul(qs[:, :, t.rows], kt[..., : t.keys])
-        if t.sentinel is not None:
-            z += t.sentinel
-        m = z.max(axis=-1, initial=-np.inf)
-        owning = t.rows.stop > o  # its rows from `c` on own keys: `mine` of its rows, `theirs` of the own rows
-        if owning:
-            c = max(t.rows.start, o)
-            mine, theirs = slice(c - t.rows.start, None), slice(c - o, t.rows.stop - o)
-            top = np.maximum(m[:, :, mine], so[..., theirs])
-            m[:, :, mine] = top
-            np.exp(so[..., theirs] - top, out=zo[..., theirs])
-        z -= m[..., None]
-        np.exp(z, out=z)  # unnormalised weights: w = z * r
-        zv = np.matmul(z, vx[:, :, : t.keys])  # z @ v and the row sums of z
-        if owning:
-            zv[:, :, mine] += zo[..., theirs, None] * vo[:, :, theirs]
-        np.divide(1, zv[..., dh:], out=r[:, :, t.rows])
-        np.multiply(zv[..., :dh], r[:, :, t.rows], out=out4[:, :, t.rows])
-        saved.append(z)
+    # an anchored row's exps may overflow; such a row is recomputed below
+    with np.errstate(over="ignore", invalid="ignore") if plan.anchored else contextlib.nullcontext():
+        for t in plan.tiles:
+            z = np.matmul(qs[:, :, t.rows], kt[..., : t.keys])
+            if t.sentinel is not None:
+                z += t.sentinel
+            c = min(max(t.rows.start, o), t.rows.stop)  # its rows from `c` on own keys: `mine` of its rows
+            mine, theirs = slice(c - t.rows.start, None), slice(c - o, t.rows.stop - o)  # `theirs` of the own rows
+            if plan.anchored:  # a row's diagonal key: in the tile's prefix before `c`, its own key from `c` on
+                shift = np.empty(z.shape[:-1], dtype=dtype)
+                shift[..., : mine.start] = z.diagonal(first + t.rows.start, -2, -1)[..., : mine.start]
+                shift[..., mine] = so[..., theirs]
+            else:
+                shift = z.max(axis=-1, initial=-np.inf)
+                if c < t.rows.stop:
+                    np.maximum(shift[..., mine], so[..., theirs], out=shift[..., mine])
+                    np.exp(so[..., theirs] - shift[..., mine], out=zo[..., theirs])
+            z -= shift[..., None]
+            np.exp(z, out=z)  # unnormalised weights: w = z * r
+            zvt = zv[:, :, t.rows]
+            np.matmul(z, vx[:, :, : t.keys], out=zvt)  # z @ v and the row sums of z
+            if c < t.rows.stop:
+                zvt[:, :, mine] += vo[:, :, theirs] if zo is None else zo[..., theirs, None] * vo[:, :, theirs]
+            saved.append(z)
+        if plan.anchored and not (zv[..., dh] <= ANCHOR_LIMIT).all():  # some sum is inf, nan or past the limit
+            starts = [t.rows.start for t in plan.tiles]  # each such row takes its row max, on its own
+            for b, h, i in np.argwhere(~(zv[..., dh] <= ANCHOR_LIMIT)).tolist():
+                n = bisect.bisect_right(starts, i) - 1
+                t, row = plan.tiles[n], saved[n][b, h, i - starts[n]]
+                s = qs[b, h, i] @ kt[b, h, :, : t.keys]
+                if t.sentinel is not None:
+                    s += t.sentinel[b, 0, i - starts[n]]
+                m = s.max(initial=-np.inf)
+                if i >= o:
+                    m = max(m, so[b, h, i - o])
+                np.exp(s - m, out=row)
+                zv[b, h, i] = row @ vx[b, h, : t.keys]
+                if i >= o:
+                    if zo is None:
+                        zo = np.ones_like(so)
+                    zo[b, h, i - o] = np.exp(so[b, h, i - o] - m)
+                    zv[b, h, i] += zo[b, h, i - o] * vo[b, h, i - o]
+    r = np.divide(1, zv[..., dh:])
+    out = np.empty((nb, tq, d), dtype=dtype)
+    # in out's [B, T, heads, dh] order, not by head: runs of dh elements, a quarter faster, the same values
+    np.multiply(np.swapaxes(zv[..., :dh], 1, 2), np.swapaxes(r, 1, 2), out=out.reshape(nb, tq, heads, dh))
 
     def bwd(g):
         grx = np.empty((nb, heads, tq, dh + 1), dtype=dtype)  # [gr | -gr . out] with gr = r * g
-        gr = np.multiply(_split_heads(g, heads), r, out=grx[..., :dh])
+        gr = grx[..., :dh]
+        np.multiply(g.reshape(nb, tq, heads, dh), np.swapaxes(r, 1, 2), out=np.swapaxes(gr, 1, 2))  # in g's order
         head_sums = np.repeat(np.eye(heads, dtype=dtype), dh, axis=0)  # [d, heads]: g . out per head
         gout = np.matmul((g * out).reshape(-1, d), head_sums).reshape(nb, tq, heads).transpose(0, 2, 1)
         np.multiply(gout[..., None], -r, out=grx[..., dh:])
@@ -617,10 +709,11 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask: AttentionMask, heads
         gv4[:, :, : plan.shared] = gvs
         if own:
             gso = np.einsum("...d,...d->...", grx[:, :, o:], vo)
-            gso *= zo
+            if zo is not None:
+                gso *= zo
             gq4[:, :, o:] += (gso * scale)[..., None] * ko
             gk4[:, :, tk - own :] = gso[..., None] * qs[:, :, o:]
-            gv4[:, :, tk - own :] = zo[..., None] * gr[:, :, o:]
+            gv4[:, :, tk - own :] = gr[:, :, o:] if zo is None else zo[..., None] * gr[:, :, o:]
         return gq, gk, gv
 
     return Tensor._make(out, (q, k, v), bwd, "masked_attention")

@@ -115,8 +115,9 @@ class EncoderBank:
         transposed once into one [V * n, H, W, 2C] input, each stage is
         `conv2d` (with its bias), `film` and `gelu`, and the last stage's
         [V * n, h, w, c] output is read as [V * n, h * w, c] tokens in
-        row-major (h, w) order, without a copy. Each view's tokens then go
-        through that view's own projection.
+        row-major (h, w) order, without a copy. One `linear` node then
+        projects each view's tokens with that view's own weights, as a
+        projection of its own would.
         """
         n, c = images[0].shape[:2]
         x = np.zeros((len(views) * n, *images[0].shape[2:], 2 * c), dtype=self.dtype)
@@ -135,10 +136,7 @@ class EncoderBank:
             film = [per_view(f"film{i}/{nm}") for nm in ("gamma_w", "gamma_b", "beta_w", "beta_b")]
             x = ad.gelu(ad.film(x, lang, *film))
         tokens = x.reshape(x.shape[0], -1, x.shape[-1])
-        if len(views) == 1:
-            return ad.linear(tokens, *per_view("proj/w"), *per_view("proj/b"))
-        rows = [ad.take(tokens, np.arange(v * n, (v + 1) * n), axis=0) for v in range(len(views))]
-        return ad.concat([ad.linear(r, w, b) for r, w, b in zip(rows, per_view("proj/w"), per_view("proj/b"))], axis=0)
+        return ad.linear(tokens, per_view("proj/w"), per_view("proj/b"))
 
     # -- proprioception -----------------------------------------------------
 

@@ -255,6 +255,15 @@ def test_attention_equal_scores_average_values():
     np.testing.assert_allclose(out[0], np.tile(v[0].mean(0), (2, 1)), rtol=1e-6)
 
 
+def anchor_gaps(q, k, mask, heads):
+    """[B, heads, Tq]: how far each row's largest permitted score lies above its diagonal key's."""
+    nb, tq, d = q.shape
+    dh = d // heads
+    s = np.einsum("bihd,bjhd->bhij", q.reshape(nb, tq, heads, dh), k.reshape(nb, -1, heads, dh)) / np.sqrt(dh)
+    s = np.where(mask[:, None], s, -np.inf)
+    return s.max(axis=-1) - np.diagonal(s, axis1=-2, axis2=-1)
+
+
 def test_attention_vs_dense_oracle():
     rng = np.random.Generator(np.random.PCG64(26))
     q, k, v = (rng.standard_normal((1, 6, 4)).astype(np.float32) for _ in range(3))
@@ -264,6 +273,38 @@ def test_attention_vs_dense_oracle():
         out = attend(ad.tensor(q), ad.tensor(k), ad.tensor(v), mask, heads).data
         ref = heads_oracle(q.astype(np.float64), k.astype(np.float64), v.astype(np.float64), mask, heads)
         assert np.abs(out - ref).max() < 1e-6
+
+    # own keys split off, in float64: every third query row's scores are
+    # hundreds of units apart, so those rows overflow their diagonal key's
+    # shift and take their row max while the others keep the shift; and a
+    # mask with one diagonal key forbidden, which takes the row max throughout.
+    # Outputs match the oracle, gradients the one-tile plan of the row max.
+    heads = 2
+    mask = step_mask(rng, 2, 3, 6, 0.0, readouts=2)
+    denied = mask.copy()
+    denied[1, 7, 7] = False  # row 7 still sees the observations of steps 0 and 1
+    q, k, v = (rng.standard_normal((2, 24, 8)) for _ in range(3))
+    hot = q.copy()
+    hot[:, ::3] *= 1e3
+    wsum = ad.tensor(rng.standard_normal(q.shape))
+    for m, qd, anchored in ((mask, hot, True), (denied, q, False)):
+        runs = []
+        for entries in (0, 10**18):  # own keys split off, and one tile of the row max
+            with tile_entries(entries):
+                amask = AttentionMask(m)
+                plan = amask.plan(heads, np.float64)
+                qp, kp, vp = (ad.param(a) for a in (qd, k, v))
+                out = ad.masked_attention(qp, kp, vp, amask, heads)
+                runs.append((out.data, ad.backward((out * wsum).sum(), [qp, kp, vp]).values()))
+            assert (plan.own, plan.anchored) == ((6, anchored) if entries == 0 else (0, False))
+        if anchored:
+            falls = anchor_gaps(qd, k, m, heads) > np.log(ops.ANCHOR_LIMIT)
+            assert falls.any() and not falls.all()
+        (out, grads), (one_out, one_grads) = runs
+        np.testing.assert_allclose(out, heads_oracle(qd, k, v, m, heads), rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(out, one_out, rtol=1e-12, atol=1e-15)
+        for g, want in zip(grads, one_grads):
+            np.testing.assert_allclose(g, want, rtol=1e-12, atol=1e-12)
 
 
 def test_attention_forbidden_keys_have_exactly_zero_influence():
@@ -877,12 +918,34 @@ def test_grouped_conv2d_and_film_pass_finite_diff_check():
     (lambda x, k, b: ad.conv2d(x, [], [], 1), "one or more"),
     (lambda x, k, b: ad.film(x, ad.tensor(np.zeros((3, 5))), *[[ad.tensor(np.zeros((5, 3)))] * 4] * 2,
                              *[[ad.tensor(np.zeros(3))] * 4] * 2), "6 samples of 4 views"),
+    (lambda x, k, b: ad.linear(x, [ad.tensor(np.zeros((2, 3)))] * 4, [b] * 4), r"x=\(6, 4, 4, 2\) w=\[\(2, 3\)"),
+    (lambda x, k, b: ad.linear(x, [ad.tensor(np.zeros((2, 3)))] * 2, [b]), r"b=\[\(3,\)\]"),
+    (lambda x, k, b: ad.linear(x, [ad.tensor(np.zeros((2, 3))), ad.tensor(np.zeros((2, 4)))], [b] * 2), "linear weights"),
 ])
 def test_grouped_ops_reject_views_that_do_not_fit(call, match):
     x = ad.tensor(np.zeros((6, 4, 4, 2)))
     k, b = ad.tensor(np.zeros((3, 2, 3, 3))), ad.tensor(np.zeros(3))
     with pytest.raises(DimensionError, match=match):
         call(x, k, b)
+
+
+@pytest.mark.parametrize("views", (1, 2, 3))
+@pytest.mark.parametrize("dtype", (np.float32, np.float64))
+def test_grouped_linear_equals_take_linear_concat_bit_for_bit(views, dtype):
+    """The encoder's projection: one `linear` node over V views against a take, a linear and a concat per view."""
+    rng = np.random.Generator(np.random.PCG64(93))
+    n, tokens, c, d = 8, 9, 64, 32
+    x = ad.param(rng.standard_normal((views * n, tokens, c)).astype(dtype))
+    ws, bs = view_params(rng, views, (c, d), dtype), view_params(rng, views, (d,), dtype)
+    w = ad.tensor(rng.standard_normal((views * n, tokens, d)).astype(dtype))
+    out = ad.linear(x, ws, bs)
+    grads = ad.backward((out * w).sum(), [x, *ws, *bs])
+    rows = [ad.take(x, np.arange(v * n, (v + 1) * n), axis=0) for v in range(views)]
+    oracle = ad.concat([ad.linear(r, wv, bv) for r, wv, bv in zip(rows, ws, bs)], axis=0)
+    want = ad.backward((oracle * w).sum(), [x, *ws, *bs])
+    assert_same_bits(out.data, oracle.data)
+    for p in (x, *ws, *bs):
+        assert_same_bits(grads[p], want[p])
 
 
 # ---------------------------------------------------------------- backward
