@@ -22,13 +22,13 @@ the dense oracle the tests compare against; it keeps slot order.
 A compact window lists its kept observation columns first and the head's
 readout columns last, each part in ascending slot order. Every readout is
 then its own row's key alone, and the readouts are the window's last keys,
-after every observation key in step order. `autodiff.AttentionMask` splits
-off own keys only as such a trailing run, so it splits off the readouts and
-lets each readout row read a short observation prefix; the full window,
-whose readouts interleave with the observations, is planned over every key.
-The readout rows are also one trailing range, the queries of the last
-layer, so that layer attends with the first layer's plan cut at the first
-readout row (`AttentionMask.plan(heads, dtype, first)`).
+after every observation key in step order. So the layout states what
+`autodiff.AttentionMask` plans from: each row's prefix of observation
+keys, those of its step and earlier, and the readouts as trailing own
+keys. The full window, whose readouts interleave with the observations,
+states none and is one tile of every key. The readout rows are also the
+queries of the last layer, which attends with the first layer's plan cut
+at the first readout row (`AttentionMask.plan(heads, dtype, first)`).
 
 Assembly is three steps. `window_structure` places the slots: the kept
 columns, the padding, the valid steps, the readout rows, where each
@@ -393,7 +393,9 @@ def window_structure(
     newest): the observation slots live in at least one window, then the
     head's readout slots at `steps`, whose columns it names in `readouts`.
     The windows must have passed `window_embodiment`; this does not check
-    them again, and reads only their robots' groups and frame counts.
+    them again, and reads only their robots' groups and frame counts. A
+    compact window's mask states each row's key prefix, the observation
+    columns at its step or earlier, and the readouts as own keys.
     """
     k, s, t = layout.history, layout.step_tokens, layout.context_tokens
     b = len(windows)
@@ -424,17 +426,18 @@ def window_structure(
                 placed.append(((g,), frames))
 
     if head is None:
-        cols = np.arange(t)
+        cols, structure = np.arange(t), ()
     else:
         readout_slots = layout.readout_indices(head)[steps]
         obs = np.flatnonzero((live & layout.token_is_obs).any(axis=0))
         cols = np.concatenate([obs, np.sort(readout_slots.ravel())])
+        structure = np.searchsorted(layout.token_step[obs], layout.token_step[cols], side="right"), readout_slots.size
     column = np.zeros(t, dtype=np.intp)  # kept column of each slot
     column[cols] = np.arange(cols.size)
     pad = ~live[:, cols]
     return WindowStructure(
         pad=pad,
-        mask=ad.AttentionMask(build_attention_mask(layout, pad, cols)),
+        mask=ad.AttentionMask(build_attention_mask(layout, pad, cols), *structure),
         valid_steps=valid,
         slots=cols,
         head=head,

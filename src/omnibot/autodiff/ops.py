@@ -22,19 +22,21 @@ stacked inside the node. Each view's products keep the shapes of a call
 of its own, so running views together changes no output bit, and one
 view is the plain op.
 
-`masked_attention` computes only scores that some row may need. Its
-`AttentionMask` plans, once per (heads, dtype), tiles of query rows, each
-reading a prefix of the shared keys with its own sentinel; and a compact
-window's trailing readouts as own keys, each one extra softmax term of its
-row alone. A plan is integers and sentinels, so attention slices where it
-would gather. Prefixes need not grow from tile to tile. One cost rule
+`masked_attention` computes only scores that some row may need. Whoever
+builds a mask states its structure, each row's key prefix and the
+trailing own keys (the assembler reads a compact window's off the slot
+layout), and `AttentionMask` plans from those integers, once per (heads,
+dtype): tiles of query rows, each reading a prefix of the shared keys
+with its own sentinel, and the own keys as one extra softmax term per
+owning row. A plan is integers and sentinels, so attention slices where
+it would gather. Prefixes need not grow from tile to tile. One cost rule
 decides both the cuts and the own-key split: a tile costs `TILE_ENTRIES`
 score entries on top of the scores it computes. Attention over a mask's
-rows from `first` on uses its plan cut there, not a second derivation.
-A plan that splits off own keys shifts each row's scores by its diagonal
-key's score (a readout row's own key), not by the row max: softmax is the
-same under any shift of a row. A row whose shifted sum overflows or grows
-past a limit falls back to its row max, alone.
+rows from `first` on uses its plan cut there. A plan with own keys shifts
+each row's scores by its diagonal key's score (a readout row's own key),
+not by the row max: softmax is the same under any shift of a row. A row
+whose shifted sum overflows or grows past a limit falls back to its row
+max, alone.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ..errors import DegenerateMaskError, DimensionError
+from ..errors import ContractError, DegenerateMaskError, DimensionError
 from .tensor import Tensor
 
 
@@ -356,9 +358,9 @@ class Tile(NamedTuple):
 class Plan(NamedTuple):
     tiles: list[Tile]  # in row order
     shared: int  # the tiles read prefixes of keys [0, shared)
-    own: int  # the last `own` rows own the last `own` keys, row by row; 0 without the split
-    sentinel: np.ndarray | None  # [B, 1, own]; None where every owning row permits its key in every element
-    anchored: bool  # own keys split off, and every row permits its diagonal key: each row shifts by that key's score
+    # the last `own` rows own the last `own` keys, row by row; 0 without the split. With own keys every row
+    # permits its diagonal key, so the plan is anchored: each row shifts by that key's score
+    own: int
 
 
 # An anchored row's sum is at least 1, its anchor's exp(0). One that is not
@@ -381,17 +383,7 @@ def _tail(plan: Plan, first: int) -> Plan:
             start = max(t.rows.start, first)
             sentinel = None if t.sentinel is None else t.sentinel[:, :, start - t.rows.start :]
             tiles.append(Tile(slice(start - first, t.rows.stop - first), t.keys, sentinel))
-    own = min(plan.own, tiles[-1].rows.stop)
-    sentinel = None if plan.sentinel is None or not own else plan.sentinel[..., plan.own - own :]
-    return Plan(tiles, plan.shared, own, sentinel, plan.anchored)
-
-
-def _prefixes(seen: np.ndarray, keys: int) -> np.ndarray:
-    """Per row of `seen` [Tq, Tk], how many of keys [0, keys) it needs: one past the last it permits, 0 if none."""
-    if not keys:
-        return np.zeros(seen.shape[0], dtype=np.intp)
-    sub = seen[:, :keys]
-    return np.where(sub.any(axis=1), keys - np.argmax(sub[:, ::-1], axis=1), 0)
+    return Plan(tiles, plan.shared, min(plan.own, tiles[-1].rows.stop))
 
 
 def _cut(need: np.ndarray, scale: int) -> list[tuple[int, int, int]]:
@@ -419,83 +411,62 @@ def _cost(cuts: list[tuple[int, int, int]], scale: int) -> int:
     return sum((end - first) * keys for first, end, keys in cuts) * scale + len(cuts) * TILE_ENTRIES
 
 
-def _derive(seen: np.ndarray, readers: np.ndarray, scale: int) -> tuple[list[tuple[int, int, int]], int]:
-    """The cheaper plan of the rows of `seen` [Tq, Tk]: over every key, or with the own keys split off.
-
-    `readers` counts the rows that permit each key; `scale` is B x heads.
-    Returns the cuts and the number of own keys.
-    """
-    tq, tk = seen.shape
-    cuts = _cut(_prefixes(seen, tk), scale)
-    cost = _cost(cuts, scale)
-    # no split costs less than every permitted score, one tile and the own-key term
-    if tq == tk and int(readers.sum()) * scale + 2 * TILE_ENTRIES < cost:
-        alone = (readers == 1) & seen.diagonal()  # the keys that only their diagonal row permits
-        own = int(alone.sum())
-        if own and alone[tk - own :].all():  # they are the last keys
-            split = _cut(_prefixes(seen, tk - own), scale)
-            # the own-key term costs one more tile, of one score per row
-            if _cost(split, scale) + own * scale + TILE_ENTRIES < cost:
-                return split, own
-    return cuts, 0
-
-
 class AttentionMask:
-    """A validated boolean key mask plus its attention plans, cached per (heads, dtype, first row).
+    """A validated boolean key mask, its structure and its attention plans, cached per (heads, dtype, first row).
 
     The mask is [B, Tq, Tk], True where key j is permitted for query i of
     batch element b; queries and keys may differ in number. Every row must
     permit at least one key (`DegenerateMaskError` otherwise), which is what
     lets the softmax zero forbidden weights with the sentinel alone.
     Wrapping once and passing the wrapper to many attention calls (e.g.
-    every transformer layer) amortizes that check and the derivation of the
-    plan: its tiles, each with its sentinel, and its own keys.
+    every transformer layer) amortizes that check and the plan: its tiles,
+    each with its sentinel, and its own keys.
 
-    Keys are read in one of two ways. An own key is one that only its
-    diagonal row permits, in any batch element; its score is one extra
-    softmax term of that row alone. Own keys are split off only when they
-    are a square mask's last keys: in a compact window, exactly its
-    readouts. Every other key is shared, and the shared keys are a prefix
-    of the keys. Any other mask (the full window, whose readouts interleave
-    with the observations, or one with fewer queries than keys) is planned
-    over all its keys.
+    Whoever builds the mask states its structure as integers: `own`
+    trailing keys, each permitted only by its diagonal row (one of the last
+    `own` rows, in order), and `prefixes`, how many of the other, shared
+    keys [0, Tk - own) each row may read. Every key a row permits must lie
+    in its prefix or be its own key; the mask is not scanned for them.
+    `assembler.window_structure` reads a compact window's structure off the
+    slot layout. A mask given no structure (the full window, the tests'
+    oracles) is one tile of every key. Own keys anchor every row on its
+    diagonal key (below), so a mask with own keys must be square and
+    permit each row's diagonal key in every batch element, as window masks
+    do; else it is a ContractError naming the row.
 
-    A tile is a run of query rows that reads a prefix of the shared keys:
-    as far as the last one that any of its rows permits in any batch
-    element. `_cut` grows tiles over runs of rows with equal need and cuts
-    where growing would compute more than `TILE_ENTRIES` scores that the
-    rows do not need; prefixes need not grow from one tile to the next, so
-    rows after wider ones go back to short prefixes. Every key a tile skips
-    is forbidden for all its rows, and a tile whose rows permit every key
-    of their prefix in every batch element has no sentinel. A key inside a
-    prefix that no row permits gets weight exactly 0 from the sentinel.
+    A tile is a run of query rows that reads a prefix of the shared keys,
+    as far as the longest prefix of its rows. `_cut` grows tiles over runs
+    of rows with equal prefixes and cuts where growing would compute more
+    than `TILE_ENTRIES` scores that the rows do not need; prefixes need not
+    grow from one tile to the next, so rows after wider ones go back to
+    short prefixes. Every key a tile skips is forbidden for all its rows,
+    and a tile whose rows permit every key of their prefix in every batch
+    element has no sentinel. A key inside a prefix that a row does not
+    permit gets weight exactly 0 from the sentinel.
 
     A plan costs its score entries plus `TILE_ENTRIES` per tile. The own
     keys are split off only when that lowers the cost, counting their term
     as one more tile plus one score per owning row: the readout rows then
-    read short observation prefixes. A mask whose B x heads x Tq x Tk is
-    within `TILE_ENTRIES` skips the derivation, and so does one where a
-    tile of all keys computes at most `TILE_ENTRIES` scores that no row
-    permits: it is one tile of all keys.
+    read short observation prefixes. Unsplit, an owning row reads every key
+    up to its own. A mask where one tile of every key computes at most
+    `TILE_ENTRIES` scores outside the rows' prefixes and own keys (so any
+    mask of at most that many B x heads x Tq x Tk entries) is that tile.
 
     The plan of the rows from `first` on is the plan of every row cut
     there (`_tail`): the tiles from that row on, each keeping its key prefix
     and the rest of its sentinel, and the own keys of the rows left. It may
-    read a few more keys than a plan derived for those rows alone would,
-    but it gives the same weights, and it costs no derivation.
+    read a few more keys than a plan of those rows alone would, but it
+    gives the same weights, and it is not planned again.
 
-    A plan with own keys is anchored when every row permits its diagonal
-    key in every batch element, as every window mask does: attention then
-    shifts each row's scores by that key's score, which lies in the row's
-    tile prefix or is its own key, instead of by the row max (see
-    `masked_attention`). A plan without own keys (`act`'s windows, the full
-    window, non-square masks), or whose mask denies some row its diagonal
-    key, keeps the row max. A cut plan keeps its mask's answer: its rows
-    are some of the mask's, numbered from `first`, and row i's diagonal key
-    is key first + i.
+    A plan with own keys is anchored: attention shifts each row's scores by
+    its diagonal key's score, which lies in the row's tile prefix or is its
+    own key, instead of by the row max (see `masked_attention`). A plan
+    without own keys (`act`'s windows, a mask without structure) keeps the
+    row max. A cut plan's rows are some of the mask's, numbered from
+    `first`, and row i's diagonal key is key first + i.
     """
 
-    def __init__(self, permitted: np.ndarray):
+    def __init__(self, permitted: np.ndarray, prefixes: np.ndarray | None = None, own: int = 0):
         permitted = np.asarray(permitted)
         if permitted.dtype != np.bool_:
             raise DimensionError("attention mask must be boolean")
@@ -504,15 +475,28 @@ class AttentionMask:
         if not permitted.any(axis=-1).all():
             bad = np.argwhere(~permitted.any(axis=-1))[0]
             raise DegenerateMaskError(f"mask row {tuple(bad)} permits no keys")
+        _, tq, tk = permitted.shape
+        if prefixes is not None:
+            prefixes = np.asarray(prefixes, dtype=np.intp)
+            if prefixes.shape != (tq,) or own < 0 or not ((0 <= prefixes) & (prefixes <= tk - own)).all():
+                raise DimensionError(f"{tq} mask rows need {tq} key prefixes within the {tk - own} shared keys")
+        if own:
+            if prefixes is None or tq != tk:
+                raise DimensionError(f"own keys need a square mask and its rows' key prefixes, got {permitted.shape}")
+            diagonal = permitted.diagonal(axis1=1, axis2=2)
+            if not diagonal.all():
+                bad = np.argwhere(~diagonal)[0].tolist()
+                raise ContractError(f"mask row {tuple(bad)} denies its diagonal key, which own keys anchor")
         self.permitted = np.ascontiguousarray(permitted)
+        self.prefixes, self.own = prefixes, own
         self._plans: dict[tuple, Plan] = {}  # by (heads, dtype, first row)
 
     def plan(self, heads: int, dtype, first: int = 0) -> Plan:
         """The tiles and own keys of attention with `heads` heads over the rows from `first` on.
 
-        Rows are numbered from `first`. A sentinel is additive in `dtype`,
-        0 where permitted and -inf elsewhere: per tile over its rows and key
-        prefix, and over each owning row's key.
+        Rows are numbered from `first`. A tile's sentinel is additive in
+        `dtype` over its rows and key prefix: 0 where permitted and -inf
+        elsewhere.
         """
         dtype = np.dtype(dtype)
         key = heads, dtype, first
@@ -526,21 +510,24 @@ class AttentionMask:
             return self._plans[key]
         scale = nb * heads
         cuts, own = [(0, tq, tk)], 0
-        if scale * tq * tk > TILE_ENTRIES:  # else no cut could save a tile's cost
-            seen = self.permitted.any(axis=0)
-            readers = seen.sum(axis=0, dtype=np.int32)  # half the time of the default int64
-            # nor can one where a tile of every key computes few scores that no row permits
-            if (tq * tk - int(readers.sum())) * scale > TILE_ENTRIES:
-                cuts, own = _derive(seen, readers, scale)
+        # no cut could save a tile's cost where a tile of every key computes few scores that no prefix or own
+        # key names; every mask whose B x heads x Tq x Tk is within `TILE_ENTRIES` is one of those
+        if self.prefixes is not None and (tq * tk - int(self.prefixes.sum()) - self.own) * scale > TILE_ENTRIES:
+            need = self.prefixes.copy()
+            need[tq - self.own :] = np.arange(tk - self.own, tk) + 1  # unsplit, an owning row reads up to its own key
+            cuts = _cut(need, scale)
+            if self.own:
+                split = _cut(self.prefixes, scale)
+                # the own-key term costs one more tile, of one score per row
+                if _cost(split, scale) + self.own * scale + TILE_ENTRIES < _cost(cuts, scale):
+                    cuts, own = split, self.own
         never = np.array(-np.inf, dtype=dtype).view(f"i{dtype.itemsize}")  # -inf's bits, as an integer
 
         def sentinel(permitted):  # 0 * never is +0.0's bits; a pass quicker than np.where
             return None if permitted.all() else np.multiply(~permitted, never).view(dtype)[:, None]
 
         tiles = [Tile(slice(a, b), n, sentinel(self.permitted[:, a:b, :n])) for a, b, n in cuts]
-        owned = self.permitted[:, tq - own :, tk - own :].diagonal(axis1=1, axis2=2)  # [B, own]
-        anchored = bool(own) and bool(self.permitted.diagonal(axis1=1, axis2=2).all())
-        self._plans[key] = Plan(tiles, tk - own, own, sentinel(owned), anchored)
+        self._plans[key] = Plan(tiles, tk - own, own)
         return self._plans[key]
 
 
@@ -573,15 +560,16 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask: AttentionMask, heads
     Softmax does not change when a row's scores all shift by one amount
     (Milakov & Gimelshein, 2018), and every row is shifted by a permitted
     score of its own, so its shifted scores include an exact 0 and its sum
-    of exps is at least 1; no 0/1 rewrite is needed. An anchored plan
-    (`Plan.anchored`: own keys split off, and every row permits its
-    diagonal key) shifts each row by its diagonal key's score, which for an
-    owning row is its own key's. That term is exp(0) = 1 exactly, so the own
-    term adds [v_own | 1] as it is, and no row max is taken. A row whose
-    anchored sum is not finite (an exp overflowed) or passes `ANCHOR_LIMIT`
-    is recomputed with its row max, on its own, so which path a row takes
-    and what it computes depend on its permitted scores alone. Every other
-    plan shifts each row by its max, the own score included.
+    of exps is at least 1; no 0/1 rewrite is needed. A plan is anchored
+    exactly when it has own keys, for then every row permits its diagonal
+    key (`AttentionMask` checks it): it shifts each row by its diagonal
+    key's score, which for an owning row is its own key's. That term is
+    exp(0) = 1 exactly, so the own term adds [v_own | 1] as it is, and no
+    row max is taken. A row whose anchored sum is not finite (an exp
+    overflowed) or passes `ANCHOR_LIMIT` is recomputed with its row max,
+    the own score included, on its own, so which path a row takes and what
+    it computes depend on its permitted scores alone. A plan without own
+    keys shifts each row by its max.
 
     Forbidden keys get weight exactly 0.0, so perturbing their key or value
     rows cannot change any permitted output bit: the -inf sentinel makes
@@ -598,11 +586,11 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask: AttentionMask, heads
     one, formed for every head at once as (g * out) times a 0/1 [d, heads]
     matrix. With gr = r * g, the score gradient is z * (gr @ v^T - gr .
     out), exactly 0 where z is 0: one product of [gr | -gr . out] with
-    [v | 1], and the same per row for the own-key term, whose z is 1 in an
-    anchored row. The key and value
-    gradients start at zero and each tile adds into its prefix; an own
-    key's come from its one row. A key that no row permits has weight
-    exactly 0, so its gradients are exact zeros.
+    [v | 1], and the same per row for the own-key term, whose z is 1 except
+    in a recomputed row. The key and value gradients start at zero and
+    each tile adds into its prefix; an own key's come from its one row. A
+    key that no row permits has weight exactly 0, so its gradients are
+    exact zeros.
     """
     if q.ndim != 3 or k.shape != v.shape or k.ndim != 3 or q.shape[0] != k.shape[0] or q.shape[2] != k.shape[2]:
         raise DimensionError(f"attention q/k/v must be [B, T, d] alike, got {q.shape}, {k.shape}, {v.shape}")
@@ -627,44 +615,37 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask: AttentionMask, heads
     vx = np.empty((nb, heads, kt.shape[-1], dh + 1), dtype=dtype)  # [v | 1] of the shared keys
     vx[..., :dh] = v4[:, :, : plan.shared]
     vx[..., dh] = 1
-    zo = None  # the own-key terms; None while each is its anchor's exp(0) = 1
+    zo = None  # the own-key terms of rows recomputed with their row max; None while each is exp(0) = 1
     if own:
         ko = k4[:, :, tk - own :]
         so = np.einsum("...d,...d->...", qs[:, :, o:], ko)
         vo = np.empty(so.shape + (dh + 1,), dtype=dtype)  # [v | 1] of the own keys
         vo[..., :dh] = v4[:, :, tk - own :]
         vo[..., dh] = 1
-        if plan.sentinel is not None:
-            so += plan.sentinel
-        if not plan.anchored:
-            zo = np.empty_like(so)
     zv = np.empty((nb, heads, tq, dh + 1), dtype=dtype)  # z @ [v | 1]: unnormalised outputs and row sums
     saved = []
     # an anchored row's exps may overflow; such a row is recomputed below
-    with np.errstate(over="ignore", invalid="ignore") if plan.anchored else contextlib.nullcontext():
+    with np.errstate(over="ignore", invalid="ignore") if own else contextlib.nullcontext():
         for t in plan.tiles:
             z = np.matmul(qs[:, :, t.rows], kt[..., : t.keys])
             if t.sentinel is not None:
                 z += t.sentinel
             c = min(max(t.rows.start, o), t.rows.stop)  # its rows from `c` on own keys: `mine` of its rows
             mine, theirs = slice(c - t.rows.start, None), slice(c - o, t.rows.stop - o)  # `theirs` of the own rows
-            if plan.anchored:  # a row's diagonal key: in the tile's prefix before `c`, its own key from `c` on
+            if own:  # a row's diagonal key: in the tile's prefix before `c`, its own key from `c` on
                 shift = np.empty(z.shape[:-1], dtype=dtype)
                 shift[..., : mine.start] = z.diagonal(first + t.rows.start, -2, -1)[..., : mine.start]
                 shift[..., mine] = so[..., theirs]
             else:
                 shift = z.max(axis=-1, initial=-np.inf)
-                if c < t.rows.stop:
-                    np.maximum(shift[..., mine], so[..., theirs], out=shift[..., mine])
-                    np.exp(so[..., theirs] - shift[..., mine], out=zo[..., theirs])
             z -= shift[..., None]
             np.exp(z, out=z)  # unnormalised weights: w = z * r
             zvt = zv[:, :, t.rows]
             np.matmul(z, vx[:, :, : t.keys], out=zvt)  # z @ v and the row sums of z
             if c < t.rows.stop:
-                zvt[:, :, mine] += vo[:, :, theirs] if zo is None else zo[..., theirs, None] * vo[:, :, theirs]
+                zvt[:, :, mine] += vo[:, :, theirs]
             saved.append(z)
-        if plan.anchored and not (zv[..., dh] <= ANCHOR_LIMIT).all():  # some sum is inf, nan or past the limit
+        if own and not (zv[..., dh] <= ANCHOR_LIMIT).all():  # some sum is inf, nan or past the limit
             starts = [t.rows.start for t in plan.tiles]  # each such row takes its row max, on its own
             for b, h, i in np.argwhere(~(zv[..., dh] <= ANCHOR_LIMIT)).tolist():
                 n = bisect.bisect_right(starts, i) - 1

@@ -10,11 +10,11 @@ sees, so no kept slot's output changes (up to the order of floating-point
 sums). The other heads' readouts of an element would only have met a zero
 loss weight. `act` does the same for one window and the newest step's
 readouts of the requested head. A compact window lists the observations
-first and the readouts last, so attention reads each readout as its row's
-own key and gives each readout row only the observation prefix of its step
-(see `autodiff.AttentionMask`). `act`'s readouts, of the newest step only,
-already end every prefix, so there the split would save less than it
-costs and is not made.
+first and the readouts last, so its layout states each row's prefix of
+observation keys (its step's and earlier) and each readout as its row's
+own key, and attention gives each readout row only that prefix (see
+`autodiff.AttentionMask`). `act`'s readouts, of the newest step only,
+already end every prefix, so there the split saves less than it costs.
 
 A second fact trims the last layer: the heads read only readout rows, and
 there every other row serves only as a key and a value, because an

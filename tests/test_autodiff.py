@@ -18,9 +18,10 @@ def rand(shape, seed, dtype=np.float64):
     return rng.standard_normal(shape).astype(dtype)
 
 
-def attend(q, k, v, mask, heads):
-    """`masked_attention` with a boolean mask, [Tq, Tk] shared by the batch or [B, Tq, Tk]."""
-    return ad.masked_attention(q, k, v, AttentionMask(np.broadcast_to(mask, (q.shape[0],) + mask.shape[-2:])), heads)
+def attend(q, k, v, mask, heads, structure=()):
+    """`masked_attention` with a boolean mask, [Tq, Tk] shared by the batch or [B, Tq, Tk], and its structure if any."""
+    mask = np.broadcast_to(mask, (q.shape[0],) + mask.shape[-2:])
+    return ad.masked_attention(q, k, v, AttentionMask(mask, *structure), heads)
 
 
 # ---------------------------------------------------------------- oracles
@@ -213,15 +214,32 @@ def step_mask(rng, nb, steps, per, pad_frac, readouts=0):
     return mask
 
 
+def step_structure(steps, per, readouts, rows=None):
+    """The structure of a `step_mask`, drawn from its per-column steps, as `assembler.window_structure` states a window's.
+
+    Each row's key prefix is the observation keys at its step or earlier,
+    and the readouts are own keys. For some of its `rows` only, a mask that
+    is not square, there are no own keys, and a readout row's prefix runs
+    through its own key.
+    """
+    obs_step = np.repeat(np.arange(steps), per)
+    step = np.concatenate([obs_step, np.repeat(np.arange(steps), readouts)])
+    prefixes = np.searchsorted(obs_step, step, side="right")
+    if rows is None:
+        return prefixes, steps * readouts
+    return np.maximum(prefixes, np.arange(step.size) + 1)[rows], 0
+
+
 def tiled(shape_seed=60, nb=4, heads=4, dh=16, steps=3, per=40, readouts=8):
-    """q, k, v and a step mask at a shape that `TILE_ENTRIES` splits into tiles
-    and whose readout keys are split off as their rows' own keys."""
+    """q, k, v, a step mask and its structure at a shape that `TILE_ENTRIES`
+    splits into tiles and whose readout keys are split off as their rows' own keys."""
     rng = np.random.Generator(np.random.PCG64(shape_seed))
     mask = step_mask(rng, nb, steps, per, 0.2, readouts)
-    plan = AttentionMask(mask).plan(heads, np.float64)
+    structure = step_structure(steps, per, readouts)
+    plan = AttentionMask(mask, *structure).plan(heads, np.float64)
     assert len(plan.tiles) > 1 and plan.own == steps * readouts
     q, k, v = (rng.standard_normal((nb, mask.shape[1], heads * dh)) for _ in range(3))
-    return q, k, v, mask, heads
+    return q, k, v, mask, structure, heads
 
 
 @contextlib.contextmanager
@@ -276,35 +294,36 @@ def test_attention_vs_dense_oracle():
 
     # own keys split off, in float64: every third query row's scores are
     # hundreds of units apart, so those rows overflow their diagonal key's
-    # shift and take their row max while the others keep the shift; and a
-    # mask with one diagonal key forbidden, which takes the row max throughout.
-    # Outputs match the oracle, gradients the one-tile plan of the row max.
+    # shift and take their row max while the others keep the shift. Outputs
+    # match the oracle, gradients the one-tile plan of the row max.
     heads = 2
     mask = step_mask(rng, 2, 3, 6, 0.0, readouts=2)
-    denied = mask.copy()
-    denied[1, 7, 7] = False  # row 7 still sees the observations of steps 0 and 1
+    structure = step_structure(3, 6, 2)
     q, k, v = (rng.standard_normal((2, 24, 8)) for _ in range(3))
     hot = q.copy()
     hot[:, ::3] *= 1e3
     wsum = ad.tensor(rng.standard_normal(q.shape))
-    for m, qd, anchored in ((mask, hot, True), (denied, q, False)):
-        runs = []
-        for entries in (0, 10**18):  # own keys split off, and one tile of the row max
-            with tile_entries(entries):
-                amask = AttentionMask(m)
-                plan = amask.plan(heads, np.float64)
-                qp, kp, vp = (ad.param(a) for a in (qd, k, v))
-                out = ad.masked_attention(qp, kp, vp, amask, heads)
-                runs.append((out.data, ad.backward((out * wsum).sum(), [qp, kp, vp]).values()))
-            assert (plan.own, plan.anchored) == ((6, anchored) if entries == 0 else (0, False))
-        if anchored:
-            falls = anchor_gaps(qd, k, m, heads) > np.log(ops.ANCHOR_LIMIT)
-            assert falls.any() and not falls.all()
-        (out, grads), (one_out, one_grads) = runs
-        np.testing.assert_allclose(out, heads_oracle(qd, k, v, m, heads), rtol=1e-10, atol=1e-12)
-        np.testing.assert_allclose(out, one_out, rtol=1e-12, atol=1e-15)
-        for g, want in zip(grads, one_grads):
-            np.testing.assert_allclose(g, want, rtol=1e-12, atol=1e-12)
+    runs = []
+    for entries in (0, 10**18):  # own keys split off, and one tile of the row max
+        with tile_entries(entries):
+            amask = AttentionMask(mask, *structure)
+            qp, kp, vp = (ad.param(a) for a in (hot, k, v))
+            out = ad.masked_attention(qp, kp, vp, amask, heads)
+            runs.append((out.data, ad.backward((out * wsum).sum(), [qp, kp, vp]).values()))
+        assert amask.plan(heads, np.float64).own == (6 if entries == 0 else 0)
+    falls = anchor_gaps(hot, k, mask, heads) > np.log(ops.ANCHOR_LIMIT)
+    assert falls.any() and not falls.all()
+    (out, grads), (one_out, one_grads) = runs
+    np.testing.assert_allclose(out, heads_oracle(hot, k, v, mask, heads), rtol=1e-10, atol=1e-12)
+    np.testing.assert_allclose(out, one_out, rtol=1e-12, atol=1e-15)
+    for g, want in zip(grads, one_grads):
+        np.testing.assert_allclose(g, want, rtol=1e-12, atol=1e-12)
+
+    # own keys anchor every row on its diagonal key, so a mask that denies one is refused, naming the row
+    denied = mask.copy()
+    denied[1, 7, 7] = False  # row 7 still sees the observations of steps 0 and 1
+    with pytest.raises(ContractError, match=r"mask row \(1, 7\) denies its diagonal key"):
+        AttentionMask(denied, *structure)
 
 
 def test_attention_forbidden_keys_have_exactly_zero_influence():
@@ -327,14 +346,14 @@ def test_attention_forbidden_keys_have_exactly_zero_influence():
 
     # the same at a tiled shape with own keys: moving every key and value row
     # a query may not see moves none of its output bits
-    q, k, v, mask, heads = tiled()
-    out = attend(ad.tensor(q), ad.tensor(k), ad.tensor(v), mask, heads).data
+    q, k, v, mask, structure, heads = tiled()
+    out = attend(ad.tensor(q), ad.tensor(k), ad.tensor(v), mask, heads, structure).data
     for b, i in ((0, 0), (1, 45), (3, 119), (2, 120), (3, 143)):
         unseen = ~mask[b, i]
         k2, v2 = k.copy(), v.copy()
         k2[b, unseen] += 77.0
         v2[b, unseen] -= 123.456
-        out2 = attend(ad.tensor(q), ad.tensor(k2), ad.tensor(v2), mask, heads).data
+        out2 = attend(ad.tensor(q), ad.tensor(k2), ad.tensor(v2), mask, heads, structure).data
         np.testing.assert_array_equal(out2[b, i], out[b, i])
 
 
@@ -395,6 +414,21 @@ def test_attention_mask_must_be_batched():
             AttentionMask(np.ones(shape, dtype=bool))
 
 
+@pytest.mark.parametrize(
+    "shape, prefixes, own, match",
+    [
+        ((1, 4, 4), np.full(3, 2), 0, "4 mask rows need 4 key prefixes"),  # one prefix short
+        ((1, 4, 4), np.full(4, 5), 0, "within the 4 shared keys"),  # past the last key
+        ((1, 4, 4), np.full(4, 3), 2, "within the 2 shared keys"),  # into the own keys
+        ((1, 4, 4), None, 1, "own keys need a square mask and its rows' key prefixes"),
+        ((1, 3, 4), np.full(3, 2), 1, "own keys need a square mask"),
+    ],
+)
+def test_attention_mask_structure_must_fit_the_mask(shape, prefixes, own, match):
+    with pytest.raises(DimensionError, match=match):
+        AttentionMask(np.ones(shape, dtype=bool), prefixes, own)
+
+
 def test_attention_width_must_split_into_the_heads():
     q = ad.tensor(np.ones((1, 3, 6)))
     for heads in (0, 4):
@@ -425,14 +459,14 @@ def test_attention_grad_of_forbidden_value_row_is_zero():
     # and a half of observations, and every readout) leaves the pad keys of
     # the cut rows permitted by no row of their element: they sit inside a
     # tile's prefix with weight exactly 0, so they get exactly zero gradient
-    q, k, v, mask, heads = tiled()
+    q, k, v, mask, structure, heads = tiled()
     first = 60
     q, k, v = ad.param(q[:, first:]), ad.param(k), ad.param(v)
     wsum = ad.tensor(rand(q.shape, 38))
-    for cut in (None, slice(90, 100)):  # then also keys that no row permits in any element
+    for cut in (None, slice(40, 50)):  # then also keys that no row from `first` on permits in any element
         if cut is not None:
-            mask[:, :, cut] = False
-        amask = AttentionMask(mask)
+            mask[:, first:, cut] = False
+        amask = AttentionMask(mask, *structure)
         plan = amask.plan(heads, np.float64, first)
         assert len(plan.tiles) > 1 and (plan.shared, plan.own) == (120, 24)
         grads = ad.backward((ad.masked_attention(q, k, v, amask, heads, first) * wsum).sum(), [k, v])
@@ -471,9 +505,9 @@ def test_attention_with_large_scores_ignores_unseen_keys_exactly():
     # the same at a tiled shape, where the later steps' keys are skipped for
     # the early tiles and the readouts are own keys: ±1e4 in every key and
     # value row a query may not see
-    q, k, v, mask, heads = tiled(shape_seed=61)
+    q, k, v, mask, structure, heads = tiled(shape_seed=61)
     q, k, v = (ad.param(a.astype(np.float32)) for a in (q * 50, k, v))
-    out = attend(q, k, v, mask, heads)
+    out = attend(q, k, v, mask, heads, structure)
     grads = ad.backward((out * ad.tensor(rand(q.shape, 42, np.float32))).sum(), [q])
     assert np.all(np.isfinite(grads[q]))
     for b, i in ((0, 3), (2, 70), (1, 140)):
@@ -481,7 +515,7 @@ def test_attention_with_large_scores_ignores_unseen_keys_exactly():
         k2, v2 = k.data.copy(), v.data.copy()
         k2[b, unseen] = 1e4
         v2[b, unseen] = -1e4
-        out2 = attend(q, ad.tensor(k2), ad.tensor(v2), mask, heads)
+        out2 = attend(q, ad.tensor(k2), ad.tensor(v2), mask, heads, structure)
         np.testing.assert_array_equal(out2.data[b, i], out.data[b, i])
 
 
@@ -563,11 +597,12 @@ def test_property_every_permitted_key_is_in_a_tile_prefix_or_owned(layout, queri
     mask = step_mask(rng, nb, steps, per, pad_frac, readouts)
     t = mask.shape[-1]
     rows = query_rows(steps, per, readouts, queries)
+    structure = step_structure(steps, per, readouts, None if rows.size == t else rows)
     mask = mask[:, rows]
     seen = mask.any(axis=0)  # [rows, keys]: permitted in some element
     for entries in (0, 15_000, 10**18):
         with tile_entries(entries):
-            plan = AttentionMask(mask).plan(heads, np.float32)
+            plan = AttentionMask(mask, *structure).plan(heads, np.float32)
         tiles = plan.tiles
         assert [x.rows.start for x in tiles] == [0] + [x.rows.stop for x in tiles[:-1]]
         assert tiles[-1].rows.stop == rows.size
@@ -577,21 +612,12 @@ def test_property_every_permitted_key_is_in_a_tile_prefix_or_owned(layout, queri
             assert 0 <= x.keys <= plan.shared
             read[x.rows, : x.keys] = True
             assert_sentinel(x.sentinel, mask[:, x.rows, : x.keys])
-        if plan.own:  # only a square mask splits, and then the trailing keys, each its diagonal row's
-            assert rows.size == t
+        if plan.own:  # only a square mask splits, and then the trailing keys, each its diagonal row's alone
+            assert rows.size == t and plan.own == structure[1]
             owners = owned = np.arange(plan.shared, t)
-            assert (seen[:, owned].sum(axis=0) == 1).all() and seen[owners, owned].all()  # one row permits each
+            assert (seen[:, owned].sum(axis=0) == 1).all() and mask[:, owners, owned].all()
             read[owners, owned] = True
-            assert_sentinel(plan.sentinel, mask[:, owners, owned])
-        else:
-            assert plan.sentinel is None
         assert not (seen & ~read).any()  # every permitted key: in its row's tile prefix, or its own key
-        if entries == 0 or plan.own:
-            for x in tiles:  # no tile reads past the last key that one of its rows permits
-                assert x.keys == 0 or seen[x.rows, x.keys - 1].any()
-        if plan.own:
-            for x in tiles:  # nor a key that every one of its rows is denied
-                assert seen[x.rows, : x.keys].any(axis=0).all()
 
 
 @settings(max_examples=60, deadline=None)
@@ -599,7 +625,10 @@ def test_property_every_permitted_key_is_in_a_tile_prefix_or_owned(layout, queri
 def test_property_tiled_attention_matches_one_tile_and_the_oracle(layout, queries):
     nb, heads, steps, per, readouts, pad_frac, seed = layout
     rng = np.random.Generator(np.random.PCG64(seed))
-    mask = step_mask(rng, nb, steps, per, pad_frac, readouts)[:, query_rows(steps, per, readouts, queries)]
+    mask = step_mask(rng, nb, steps, per, pad_frac, readouts)
+    rows = query_rows(steps, per, readouts, queries)
+    structure = step_structure(steps, per, readouts, None if rows.size == mask.shape[1] else rows)
+    mask = mask[:, rows]
     tq, t, d = mask.shape[1], mask.shape[2], heads * 4
     q = ad.param(rng.standard_normal((nb, tq, d)))
     k, v = (ad.param(rng.standard_normal((nb, t, d))) for _ in range(2))
@@ -607,7 +636,7 @@ def test_property_tiled_attention_matches_one_tile_and_the_oracle(layout, querie
     runs = []
     for entries in (0, 10**18):  # cuts and own keys wherever they save a score, and one tile
         with tile_entries(entries):
-            amask = AttentionMask(mask)
+            amask = AttentionMask(mask, *structure)
             out = ad.masked_attention(q, k, v, amask, heads)
             runs.append((amask.plan(heads, q.dtype), out.data, ad.backward((out * wsum).sum(), [q, k, v])))
     (_, tiled_out, tiled_grads), (one, one_out, one_grads) = runs
@@ -620,19 +649,19 @@ def test_property_tiled_attention_matches_one_tile_and_the_oracle(layout, querie
 
 
 def test_a_tail_is_cut_from_its_masks_plan_and_planned_once(monkeypatch):
-    _, _, _, mask, heads = tiled()
-    amask = AttentionMask(mask)
+    _, _, _, mask, structure, heads = tiled()
+    amask = AttentionMask(mask, *structure)
     plan = amask.plan(heads, np.float64)
     first = mask.shape[1] - 24  # the readouts of every step
-    derived = []
-    monkeypatch.setattr(ops, "_derive", lambda *args: derived.append(args))
+    planned = []
+    monkeypatch.setattr(ops, "_cut", lambda *args: planned.append(args))
     cut = amask.plan(heads, np.float64, first)
-    assert amask.plan(heads, np.float64, first) is cut and not derived
+    assert amask.plan(heads, np.float64, first) is cut and not planned
     assert amask.plan(heads, np.float64, 0) is plan and cut.tiles[-1].rows.stop == 24
     assert cut.shared == plan.shared and [t.keys for t in cut.tiles] == [t.keys for t in plan.tiles if t.rows.stop > first]
     assert cut.own == plan.own == 24 and plan.shared == first  # every readout row is left, owning its key
     inner = amask.plan(heads, np.float64, mask.shape[1] - 5)  # within the readouts: the cut rows' own keys drop out
-    assert (inner.shared, inner.own, inner.tiles[-1].rows.stop) == (first, 5, 5) and not derived
+    assert (inner.shared, inner.own, inner.tiles[-1].rows.stop) == (first, 5, 5) and not planned
     for bad in (-1, mask.shape[1]):
         with pytest.raises(DimensionError, match=f"attention from row {bad} of a mask of {mask.shape[1]} rows"):
             amask.plan(heads, np.float64, bad)
@@ -648,16 +677,18 @@ def test_property_a_tail_reads_its_rows_keys_and_attends_as_a_fresh_mask(layout,
     tq, t, d = mask.shape[1], mask.shape[2], heads * 4
     first = min(int(at * tq), tq - 1)
     rows = mask[:, first:]
+    structure = step_structure(steps, per, readouts)
+    tail = step_structure(steps, per, readouts, np.arange(first, tq)) if first else structure
     seen = rows.any(axis=0)
     q = ad.param(rng.standard_normal((nb, tq - first, d)))
     k, v = (ad.param(rng.standard_normal((nb, t, d))) for _ in range(2))
     wsum = ad.tensor(rng.standard_normal(q.shape))
     for entries in (0, 15_000):
         with tile_entries(entries):
-            amask = AttentionMask(mask)
+            amask = AttentionMask(mask, *structure)
             amask.plan(heads, np.float64)  # the first layer's, which `first` cuts
             plan = amask.plan(heads, np.float64, first)
-            fresh = AttentionMask(rows)
+            fresh = AttentionMask(rows, *tail)
             fresh.plan(heads, np.float64)
         read = np.zeros_like(seen)
         for x in plan.tiles:

@@ -9,6 +9,7 @@ agree with the oracle to rounding.
 """
 
 import dataclasses
+import types
 
 import numpy as np
 import pytest
@@ -16,14 +17,14 @@ import pytest
 import omnibot.autodiff as ad
 from omnibot import assembler, backbone, datapipe, envs, heads
 from omnibot.assembler import ObservationFrame
-from omnibot.autodiff import Tensor
+from omnibot.autodiff import Tensor, ops
 from omnibot.config import desk_config
 from omnibot.datapipe import TrainingBatch
 from omnibot.embodiments import embodiment
 from omnibot.errors import ContractError
 from omnibot.policy import Policy
 from omnibot.rng import derive_seed
-from test_autodiff import heads_oracle
+from test_autodiff import heads_oracle, step_mask, step_structure, tile_entries
 
 TOL = 1e-12
 EMBODIMENTS = ("arm1", "nav", "bimanual", "quad")
@@ -329,14 +330,48 @@ def test_attention_tiles_compute_at_most_a_quarter_more_scores_than_permitted(cf
     assert computed <= 1.25 * permitted, (computed, permitted)
 
 
+def scanned_plan(permitted, heads):
+    """The (first row, end row, keys) of each tile and the own keys, found by scanning a window mask.
+
+    This is how attention was planned before the assembler stated a mask's
+    structure, kept as the oracle of the plan from the layout: a row's
+    prefix runs to the last key it permits in some batch element, and the
+    own keys are the keys that only their diagonal row permits, if they are
+    the last keys, split off by the same cost rule.
+    """
+    nb, tq, tk = permitted.shape
+    scale = nb * heads
+    seen = permitted.any(axis=0)
+    readers = seen.sum(axis=0)
+    if (tq * tk - int(readers.sum())) * scale <= ops.TILE_ENTRIES:
+        return [(0, tq, tk)], 0
+
+    def prefixes(keys):  # per row, one past the last of keys [0, keys) that it permits, 0 if none
+        sub = seen[:, :keys]
+        return np.where(sub.any(axis=1), keys - np.argmax(sub[:, ::-1], axis=1), 0) if keys else np.zeros(tq, int)
+
+    cuts = ops._cut(prefixes(tk), scale)
+    if tq == tk:
+        alone = (readers == 1) & seen.diagonal()
+        own = int(alone.sum())
+        if own and alone[tk - own :].all():
+            split = ops._cut(prefixes(tk - own), scale)
+            if ops._cost(split, scale) + own * scale + ops.TILE_ENTRIES < ops._cost(cuts, scale):
+                return split, own
+    return cuts, 0
+
+
 def test_own_keys_are_split_off_for_every_step_but_not_for_the_newest_alone(policy, sampler, cfg, monkeypatch):
     """The cost rule: a training window's readout rows read short prefixes, an `act` window stays as it was.
 
     Every mask the model makes, on every robot, in mixed, short (padded) and
-    `act` windows, is planned with no split or with exactly its readouts as
-    own keys, and its last layer's plan keeps them all. The full window,
-    whose readouts interleave with the observations, and a mask with fewer
-    queries than keys are planned over every key and attend as the oracle.
+    `act` windows, and for steps all, the newest and [3, 1], is planned from
+    its layout as a scan of the mask plans it, with no split or with exactly
+    its readouts as own keys, and its last layer's plan keeps them all; no
+    tile reads past the last key that one of its rows permits. The full
+    window, whose readouts interleave with the observations, and its rows
+    of readouts, fewer queries than keys, state no structure: they are one
+    tile of every key and attend as the oracle.
     """
     heads, dtype = cfg.backbone.heads, policy.dtype
     frames = rollout_frames("bimanual", policy.layout.history, 5)
@@ -349,6 +384,11 @@ def test_own_keys_are_split_off_for_every_step_but_not_for_the_newest_alone(poli
     batches = [sampler.batch(i, 8) for i in range(3)] + [batch_of(sampler, cfg, SHORT_PICKS)]
     for batch in batches:
         fresh.predict(batch)
+        owners = np.array([embodiment(w[0].embodiment).head for w in batch.windows])
+        for head in sorted(set(owners)):
+            windows = [batch.windows[r] for r in np.flatnonzero(owners == head)]
+            for steps in ([-1], [3, 1]):
+                assembler.window_structure(windows, policy.layout, head, steps)
     for i, name in enumerate(EMBODIMENTS):
         frames = rollout_frames(name, policy.layout.history, 10 + i)
         for n in range(1, len(frames) + 1):
@@ -357,6 +397,12 @@ def test_own_keys_are_split_off_for_every_step_but_not_for_the_newest_alone(poli
     for s in built:
         t = s.slots.size
         plan = s.mask.plan(heads, dtype)
+        assert ([(x.rows.start, x.rows.stop, x.keys) for x in plan.tiles], plan.own) == scanned_plan(s.attn_mask, heads)
+        seen = s.attn_mask.any(axis=0)
+        for x in plan.tiles:
+            assert x.keys == 0 or seen[x.rows, x.keys - 1].any()
+            if plan.own:  # nor a key that every one of its rows is denied
+                assert seen[x.rows, : x.keys].any(axis=0).all()
         splits.add((len(s.readouts), bool(plan.own)))
         if plan.own:
             np.testing.assert_array_equal(np.arange(t - plan.own, t), np.sort(s.readouts.ravel()))
@@ -370,11 +416,41 @@ def test_own_keys_are_split_off_for_every_step_but_not_for_the_newest_alone(poli
     for mask in (full.attn_mask, full.attn_mask[:, ~policy.layout.token_is_obs]):
         amask = ad.AttentionMask(mask)
         plan = amask.plan(heads, np.float64)
-        assert (plan.shared, plan.own) == (t, 0) and plan.sentinel is None and len(plan.tiles) > 1
+        assert [(x.rows, x.keys) for x in plan.tiles] == [(slice(0, mask.shape[1]), t)] and plan.own == 0
         q = rng.standard_normal((len(windows), mask.shape[1], d))
         k, v = (rng.standard_normal((len(windows), t, d)) for _ in range(2))
         out = ad.masked_attention(ad.tensor(q), ad.tensor(k), ad.tensor(v), amask, heads).data
         np.testing.assert_allclose(out, heads_oracle(q, k, v, mask, heads), rtol=1e-10, atol=1e-12)
+
+
+def test_no_row_at_ordinary_scores_takes_the_row_max_fallback(cfg, sampler, monkeypatch):
+    """The anchored shift falls back to a row's max only for scores far apart, so ordinary ones never reach it.
+
+    The fallback's entry, `ops.bisect`, raises here. Step masks cut at every
+    row, with own keys split off, anchor row i of a cut on key first + i;
+    anchored on any other key, a row whose anchor it denies would fall back.
+    The float32 model's loss and `act` on every robot run the same way.
+    """
+    def fallback(*args):
+        raise AssertionError("a row took the row-max fallback")
+
+    monkeypatch.setattr(ops, "bisect", types.SimpleNamespace(bisect_right=fallback))
+    rng = np.random.Generator(np.random.PCG64(14))
+    with tile_entries(0):  # every plan splits off its own keys, so every row anchors
+        for steps, per, readouts in ((3, 5, 2), (4, 3, 1), (2, 9, 3)):
+            mask = step_mask(rng, 4, steps, per, 0.3, readouts)
+            amask = ad.AttentionMask(mask, *step_structure(steps, per, readouts))
+            k, v = (ad.tensor(rng.standard_normal((4, mask.shape[2], 8))) for _ in range(2))
+            for first in range(mask.shape[1]):
+                q = ad.tensor(rng.standard_normal((4, mask.shape[1] - first, 8)))
+                ad.masked_attention(q, k, v, amask, 2, first)
+    policy = Policy.init(cfg, 0)
+    for i in range(3):
+        policy.loss(sampler.batch(i, 8))
+    for i, name in enumerate(EMBODIMENTS):
+        frames = rollout_frames(name, policy.layout.history, 30 + i)
+        for n in range(1, len(frames) + 1):
+            policy.act(frames[:n], embodiment(name).head)
 
 
 @pytest.mark.parametrize("steps", ([-1], slice(None), [3, 1]), ids=["newest", "every-step", "out-of-order"])
