@@ -32,15 +32,17 @@ at the first readout row (`AttentionMask.plan(heads, dtype, first)`).
 
 Assembly is three steps. `window_structure` places the slots: the kept
 columns, the padding, the valid steps, the readout rows, where each
-frame's encoder rows go, and the `AttentionMask`, built and validated once.
-It reads each window's robot and frame count alone. `slot_rows` gives its
-columns' position and readout embeddings, zero at padding, from the
-parameters. `window_tokens` fills a structure with token values: the
+frame's encoder rows go, and the `AttentionMask`, built and validated
+once. It reads each window's robot and frame count alone. `slot_rows`
+gives its columns' position and readout embeddings, zero at padding, from
+the parameters. `window_tokens` fills a structure with token values: the
 encoder rows, scattered into their columns, plus the slot rows.
-`assemble_batch` runs all three; `Policy.act` keeps the structure and the
-slot rows of each window shape. Image groups that follow one another in
-slot order and sit on the same frames, as bimanual's three cameras do,
-are encoded in one pass (`encode_group`).
+`assemble_batch` runs all three; `Policy.predict` runs it once per owned
+head and `backbone.forward` runs those windows in one pass, and
+`Policy.act` keeps the structure and the slot rows of each window shape.
+Image groups that follow one another in slot order and sit on the same
+frames, as bimanual's three cameras do, are encoded in one pass
+(`encode_group`).
 """
 
 from __future__ import annotations
@@ -335,7 +337,7 @@ def build_attention_mask(layout: SlotLayout, pad: np.ndarray, cols: np.ndarray) 
     permits every slot itself, so rule (a) only sets the diagonal back.
     """
     pad = np.asarray(pad, dtype=bool)
-    base = layout._base_mask[cols][:, cols]
+    base = layout._base_mask[cols].take(cols, axis=1)  # C-contiguous, as `[cols][:, cols]` is not
     n = base.shape[0]
     if pad.shape[-1] != n:
         raise DimensionError(f"pad mask has {pad.shape[-1]} tokens, the mask covers {n}")
@@ -434,7 +436,7 @@ def window_structure(
         structure = np.searchsorted(layout.token_step[obs], layout.token_step[cols], side="right"), readout_slots.size
     column = np.zeros(t, dtype=np.intp)  # kept column of each slot
     column[cols] = np.arange(cols.size)
-    pad = ~live[:, cols]
+    pad = ~live.take(cols, axis=1)  # C-contiguous, as `live[:, cols]` is not, and so is the mask
     return WindowStructure(
         pad=pad,
         mask=ad.AttentionMask(build_attention_mask(layout, pad, cols), *structure),

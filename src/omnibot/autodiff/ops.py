@@ -22,17 +22,22 @@ stacked inside the node. Each view's products keep the shapes of a call
 of its own, so running views together changes no output bit, and one
 view is the plain op.
 
-`masked_attention` computes only scores that some row may need. Whoever
-builds a mask states its structure, each row's key prefix and the
-trailing own keys (the assembler reads a compact window's off the slot
-layout), and `AttentionMask` plans from those integers, once per (heads,
-dtype): tiles of query rows, each reading a prefix of the shared keys
-with its own sentinel, and the own keys as one extra softmax term per
-owning row. A plan is integers and sentinels, so attention slices where
-it would gather. Prefixes need not grow from tile to tile. One cost rule
-decides both the cuts and the own-key split: a tile costs `TILE_ENTRIES`
-score entries on top of the scores it computes. Attention over a mask's
-rows from `first` on uses its plan cut there. A plan with own keys shifts
+`masked_attention` runs one or more segments in one node: one mask is the
+plain call on [B, T, d] operands, and a sequence of masks runs each on its
+rows of [1, N, d] operands packed one segment after another, as views, so
+that the compact windows of several heads share one node per layer.
+
+It computes only scores that some row may need. Whoever builds a mask
+states its structure, each row's key prefix and the trailing own keys
+(the assembler reads a compact window's off the slot layout), and
+`AttentionMask` plans from those integers, once per (heads, dtype):
+tiles of query rows, each reading a prefix of the shared keys with its
+own sentinel, and the own keys as one extra softmax term per owning row.
+A plan is integers and sentinels, so attention slices where it would
+gather. Prefixes need not grow from tile to tile. One cost rule decides
+both the cuts and the own-key split: a tile costs `TILE_ENTRIES` score
+entries on top of the scores it computes. Attention over a mask's rows
+from `first` on uses its plan cut there. A plan with own keys shifts
 each row's scores by its diagonal key's score (a readout row's own key),
 not by the row max: softmax is the same under any shift of a row. A row
 whose shifted sum overflows or grows past a limit falls back to its row
@@ -537,78 +542,25 @@ def _split_heads(a: np.ndarray, heads: int) -> np.ndarray:
     return a.reshape(nb, t, heads, d // heads).transpose(0, 2, 1, 3)
 
 
-def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask: AttentionMask, heads: int, first: int = 0) -> Tensor:
-    """Multi-head scaled dot-product attention restricted to a boolean key mask.
+def _segment(a: np.ndarray, rows: slice | None, shape: tuple[int, ...]) -> np.ndarray:
+    """Rows `rows` of a packed [1, N, d] array as a [B, T, d] view; the whole array where `rows` is None."""
+    return a if rows is None else a[0, rows].reshape(shape)
 
-    q: [B, Tq, d]; k and v: [B, Tk, d]; `heads` divides d, and head h
-    reads features [h * d / heads, (h + 1) * d / heads). mask: an
-    AttentionMask of shape [B, first + Tq, Tk], True where key j is
-    permitted for query i; the queries are its rows from `first` on, and
-    they read its plan cut there. Heads are strided views of the [B, T, d]
-    operands, and the output and the gradients are written through such
-    views into C-contiguous [B, T, d] buffers, so no layout copy is made on
-    either side.
 
-    The queries run one tile at a time against the tile's prefix of the
-    shared keys, and each of the last `plan.own` rows adds the score of its
-    own key, one of the last `plan.own` keys in order, as one more softmax
-    term: its exp joins the row sum, and its value row joins z @ v (see
-    `AttentionMask`). A tile's own rows are those of its row slice from the
-    first own row on. A skipped key is forbidden for every row of the tile,
-    so it would have had weight exactly 0.0.
+def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, plan: Plan, first: int, heads: int, out: np.ndarray):
+    """`masked_attention` of one segment, [B, Tq, d] queries and [B, Tk, d] keys and values, written into `out`.
 
-    Softmax does not change when a row's scores all shift by one amount
-    (Milakov & Gimelshein, 2018), and every row is shifted by a permitted
-    score of its own, so its shifted scores include an exact 0 and its sum
-    of exps is at least 1; no 0/1 rewrite is needed. A plan is anchored
-    exactly when it has own keys, for then every row permits its diagonal
-    key (`AttentionMask` checks it): it shifts each row by its diagonal
-    key's score, which for an owning row is its own key's. That term is
-    exp(0) = 1 exactly, so the own term adds [v_own | 1] as it is, and no
-    row max is taken. A row whose anchored sum is not finite (an exp
-    overflowed) or passes `ANCHOR_LIMIT` is recomputed with its row max,
-    the own score included, on its own, so which path a row takes and what
-    it computes depend on its permitted scores alone. A plan without own
-    keys shifts each row by its max.
-
-    Forbidden keys get weight exactly 0.0, so perturbing their key or value
-    rows cannot change any permitted output bit: the -inf sentinel makes
-    their shifted scores -inf, and exp(-inf) is exactly +0.0. q is scaled
-    by 1/sqrt(d / heads) before the product, which is exact when d / heads
-    is a power of four (16 gives 1/4). The weights stay unnormalised, z =
-    exp(s - shift) = w / r: one product with [v | 1] per tile gives z @ v
-    and the row sums 1/r into one [B, heads, Tq, dh + 1] buffer, and after
-    the tiles r scales the [.., Tq, dh] output rather than the [.., Tq, Tk]
-    weights.
-
-    Backward uses sum_j w_ij * dL/dw_ij = g_i . out_i (Dao et al., 2022,
-    FlashAttention), a [.., Tq, dh] reduction in place of a [.., Tq, Tk]
-    one, formed for every head at once as (g * out) times a 0/1 [d, heads]
-    matrix. With gr = r * g, the score gradient is z * (gr @ v^T - gr .
-    out), exactly 0 where z is 0: one product of [gr | -gr . out] with
-    [v | 1], and the same per row for the own-key term, whose z is 1 except
-    in a recomputed row. The key and value gradients start at zero and
-    each tile adds into its prefix; an own key's come from its one row. A
-    key that no row permits has weight exactly 0, so its gradients are
-    exact zeros.
+    Returns its backward, `bwd(g, gq, gk, gv)`, which writes the segment's
+    gradients into the [B, T, d] arrays `gq`, every entry, and `gk` and
+    `gv`, which start at zero.
     """
-    if q.ndim != 3 or k.shape != v.shape or k.ndim != 3 or q.shape[0] != k.shape[0] or q.shape[2] != k.shape[2]:
-        raise DimensionError(f"attention q/k/v must be [B, T, d] alike, got {q.shape}, {k.shape}, {v.shape}")
     nb, tq, d = q.shape
     tk = k.shape[1]
-    if heads < 1 or d % heads:
-        raise DimensionError(f"attention width {d} does not split into {heads} heads")
     dh = d // heads
-
-    if mask.permitted.shape != (nb, first + tq, tk):
-        raise DimensionError(
-            f"attention mask shape {mask.permitted.shape} incompatible with q {q.shape} from row {first} and k {k.shape}"
-        )
-    dtype = q.data.dtype
-    plan = mask.plan(heads, dtype, first)
+    dtype = q.dtype
     own, o = plan.own, tq - plan.own  # rows [o, tq) own keys [tk - own, tk), in order
 
-    q4, k4, v4 = (_split_heads(t.data, heads) for t in (q, k, v))
+    q4, k4, v4 = (_split_heads(a, heads) for a in (q, k, v))
     scale = dtype.type(1.0 / math.sqrt(dh))
     qs = q4 * scale
     kt = np.ascontiguousarray(np.swapaxes(k4[:, :, : plan.shared], -1, -2))
@@ -664,19 +616,16 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask: AttentionMask, heads
                     zo[b, h, i - o] = np.exp(so[b, h, i - o] - m)
                     zv[b, h, i] += zo[b, h, i - o] * vo[b, h, i - o]
     r = np.divide(1, zv[..., dh:])
-    out = np.empty((nb, tq, d), dtype=dtype)
     # in out's [B, T, heads, dh] order, not by head: runs of dh elements, a quarter faster, the same values
     np.multiply(np.swapaxes(zv[..., :dh], 1, 2), np.swapaxes(r, 1, 2), out=out.reshape(nb, tq, heads, dh))
 
-    def bwd(g):
+    def bwd(g, gq, gk, gv):
         grx = np.empty((nb, heads, tq, dh + 1), dtype=dtype)  # [gr | -gr . out] with gr = r * g
         gr = grx[..., :dh]
         np.multiply(g.reshape(nb, tq, heads, dh), np.swapaxes(r, 1, 2), out=np.swapaxes(gr, 1, 2))  # in g's order
         head_sums = np.repeat(np.eye(heads, dtype=dtype), dh, axis=0)  # [d, heads]: g . out per head
         gout = np.matmul((g * out).reshape(-1, d), head_sums).reshape(nb, tq, heads).transpose(0, 2, 1)
         np.multiply(gout[..., None], -r, out=grx[..., dh:])
-        gq = np.empty((nb, tq, d), dtype=dtype)  # every row is in a tile
-        gk, gv = np.zeros((2, nb, tk, d), dtype=dtype)  # a key that no tile reads keeps its zeros
         gq4, gk4, gv4 = (_split_heads(a, heads) for a in (gq, gk, gv))
         gks, gvs = np.zeros((2, nb, heads, kt.shape[-1], dh), dtype=dtype)  # of the shared keys
         ks = np.swapaxes(kt, -1, -2)
@@ -695,6 +644,116 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask: AttentionMask, heads
             gq4[:, :, o:] += (gso * scale)[..., None] * ko
             gk4[:, :, tk - own :] = gso[..., None] * qs[:, :, o:]
             gv4[:, :, tk - own :] = gr[:, :, o:] if zo is None else zo[..., None] * gr[:, :, o:]
+
+    return bwd
+
+
+def masked_attention(
+    q: Tensor, k: Tensor, v: Tensor, mask: AttentionMask | Sequence[AttentionMask], heads: int,
+    first: int | Sequence[int] = 0,
+) -> Tensor:
+    """Multi-head scaled dot-product attention restricted to a boolean key mask, over one or more segments.
+
+    One mask is the plain call. q: [B, Tq, d]; k and v: [B, Tk, d];
+    `heads` divides d, and head h reads features [h * d / heads, (h + 1) *
+    d / heads). mask: an AttentionMask of shape [B, first + Tq, Tk], True
+    where key j is permitted for query i; the queries are its rows from
+    `first` on, and they read its plan cut there. Heads are strided views
+    of the [B, T, d] operands, and the output and the gradients are written
+    through such views into C-contiguous [B, T, d] buffers, so no layout
+    copy is made on either side.
+
+    A sequence of masks, with a sequence of as many `first`s, is one
+    segment per mask in one node: q is [1, Nq, d] and k and v [1, Nk, d],
+    each the rows of the segments one after another. Segment s, of a mask
+    [B_s, T_s, Tk_s] from row first_s, takes the next B_s x (T_s - first_s)
+    query rows as [B_s, T_s - first_s, d] and the next B_s x Tk_s key and
+    value rows as [B_s, Tk_s, d], and attends as the plain call on them
+    with its own mask and plan. Those are views of the packed operands, and
+    the segment writes its output and its three gradients through such
+    views of the packed buffers, so no segment is copied.
+
+    The queries run one tile at a time against the tile's prefix of the
+    shared keys, and each of the last `plan.own` rows adds the score of its
+    own key, one of the last `plan.own` keys in order, as one more softmax
+    term: its exp joins the row sum, and its value row joins z @ v (see
+    `AttentionMask`). A tile's own rows are those of its row slice from the
+    first own row on. A skipped key is forbidden for every row of the tile,
+    so it would have had weight exactly 0.0.
+
+    Softmax does not change when a row's scores all shift by one amount
+    (Milakov & Gimelshein, 2018), and every row is shifted by a permitted
+    score of its own, so its shifted scores include an exact 0 and its sum
+    of exps is at least 1; no 0/1 rewrite is needed. A plan is anchored
+    exactly when it has own keys, for then every row permits its diagonal
+    key (`AttentionMask` checks it): it shifts each row by its diagonal
+    key's score, which for an owning row is its own key's. That term is
+    exp(0) = 1 exactly, so the own term adds [v_own | 1] as it is, and no
+    row max is taken. A row whose anchored sum is not finite (an exp
+    overflowed) or passes `ANCHOR_LIMIT` is recomputed with its row max,
+    the own score included, on its own, so which path a row takes and what
+    it computes depend on its permitted scores alone. A plan without own
+    keys shifts each row by its max.
+
+    Forbidden keys get weight exactly 0.0, so perturbing their key or value
+    rows cannot change any permitted output bit: the -inf sentinel makes
+    their shifted scores -inf, and exp(-inf) is exactly +0.0. q is scaled
+    by 1/sqrt(d / heads) before the product, which is exact when d / heads
+    is a power of four (16 gives 1/4). The weights stay unnormalised, z =
+    exp(s - shift) = w / r: one product with [v | 1] per tile gives z @ v
+    and the row sums 1/r into one [B, heads, Tq, dh + 1] buffer, and after
+    the tiles r scales the [.., Tq, dh] output rather than the [.., Tq, Tk]
+    weights.
+
+    Backward uses sum_j w_ij * dL/dw_ij = g_i . out_i (Dao et al., 2022,
+    FlashAttention), a [.., Tq, dh] reduction in place of a [.., Tq, Tk]
+    one, formed for every head at once as (g * out) times a 0/1 [d, heads]
+    matrix. With gr = r * g, the score gradient is z * (gr @ v^T - gr .
+    out), exactly 0 where z is 0: one product of [gr | -gr . out] with
+    [v | 1], and the same per row for the own-key term, whose z is 1 except
+    in a recomputed row. The key and value gradients start at zero and
+    each tile adds into its prefix; an own key's come from its one row. A
+    key that no row permits has weight exactly 0, so its gradients are
+    exact zeros.
+    """
+    if q.ndim != 3 or k.shape != v.shape or k.ndim != 3 or q.shape[0] != k.shape[0] or q.shape[2] != k.shape[2]:
+        raise DimensionError(f"attention q/k/v must be [B, T, d] alike, got {q.shape}, {k.shape}, {v.shape}")
+    d = q.shape[2]
+    if heads < 1 or d % heads:
+        raise DimensionError(f"attention width {d} does not split into {heads} heads")
+    dtype = q.data.dtype
+    # per segment: its plan and first row, and its query and key rows of packed operands (None: the plain call's)
+    if isinstance(mask, AttentionMask):
+        if mask.permitted.shape != (q.shape[0], first + q.shape[1], k.shape[1]):
+            raise DimensionError(
+                f"attention mask shape {mask.permitted.shape} incompatible with q {q.shape} from row {first} "
+                f"and k {k.shape}"
+            )
+        parts = [(mask.plan(heads, dtype, first), first, (None, q.shape), (None, k.shape))]
+    else:
+        if q.shape[0] != 1 or not mask or len(mask) != len(first):
+            raise DimensionError(f"segments need [1, N, d] operands and a first row per mask, got q {q.shape}")
+        parts, qa, ka = [], 0, 0
+        for m, f in zip(mask, first):
+            plan = m.plan(heads, dtype, f)
+            nb, tq, tk = m.permitted.shape
+            qn, kn = nb * (tq - f), nb * tk
+            parts.append((plan, f, (slice(qa, qa + qn), (nb, tq - f, d)), (slice(ka, ka + kn), (nb, tk, d))))
+            qa, ka = qa + qn, ka + kn
+        if (qa, ka) != (q.shape[1], k.shape[1]):
+            raise DimensionError(f"segments of {qa} query and {ka} key rows, got q {q.shape} and k {k.shape}")
+
+    out = np.empty(q.shape, dtype=dtype)
+    backs = [
+        _attend(_segment(q.data, *qr), _segment(k.data, *kr), _segment(v.data, *kr), plan, f, heads, _segment(out, *qr))
+        for plan, f, qr, kr in parts
+    ]
+
+    def bwd(g):
+        gq = np.empty(q.shape, dtype=dtype)  # every row is in a tile
+        gk, gv = np.zeros((2, *k.shape), dtype=dtype)  # a key that no tile reads keeps its zeros
+        for back, (_, _, qr, kr) in zip(backs, parts):
+            back(_segment(g, *qr), _segment(gq, *qr), _segment(gk, *kr), _segment(gv, *kr))
         return gq, gk, gv
 
     return Tensor._make(out, (q, k, v), bwd, "masked_attention")

@@ -3,10 +3,14 @@
 Pre-norm residual blocks; the window's attention mask is applied unchanged
 in every layer (in the last one, for a head's compact window, only its
 trailing rows, the readouts), so the assembler's causality/pad/readout
-guarantees hold end to end.
+guarantees hold end to end. Several compact windows run as one pass over
+their packed rows, each window's attention on its own segment with its own
+mask.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 import numpy as np
 
@@ -14,7 +18,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .assembler import AssembledWindow
 from .config import Config
-from .errors import DimensionError
+from .errors import ContractError, DimensionError
 
 
 def init_backbone_params(cfg: Config, rng: np.random.Generator) -> dict[str, Tensor]:
@@ -45,8 +49,8 @@ def init_backbone_params(cfg: Config, rng: np.random.Generator) -> dict[str, Ten
     return params
 
 
-def forward(window: AssembledWindow, params: dict[str, Tensor], cfg: Config) -> Tensor:
-    """Backbone embeddings of the window's tokens.
+def forward(window: AssembledWindow | Sequence[AssembledWindow], params: dict[str, Tensor], cfg: Config) -> Tensor:
+    """Backbone embeddings of one window's tokens, or the readouts of several compact windows in one pass.
 
     For a full window (`window.readouts` None): [B, T, d_model], one row
     per token column. For a head's compact window: [B, steps, chunk,
@@ -62,25 +66,46 @@ def forward(window: AssembledWindow, params: dict[str, Tensor], cfg: Config) -> 
     Every op reads and writes [B, rows, d_model]: `masked_attention`
     splits the heads itself, as strided views, so a layer is two norms,
     six linears, one attention, one gelu and two residual adds.
+
+    A sequence of compact windows (`Policy.predict` gives one per owned
+    head) runs as one pass over their rows packed into one [1, N, d_model]
+    array, each window's [B, T] rows in turn: every row-wise op runs once
+    per layer over all of them, and attention is one node per layer that
+    runs each window's segment with its own mask and plan (see
+    `masked_attention`). The last layer takes every window's readout rows
+    in one gather. It returns [1, R, d_model]: each window's readouts in
+    turn, in its [B, steps, chunk] order. Each window's numbers are those
+    of its own forward up to the order of floating-point sums, since the
+    row-wise products and norms now run over more rows.
     """
     bb = cfg.backbone
-    x = window.tokens
-    if x.shape[-1] != bb.d_model:
-        raise DimensionError(f"window has d_model {x.shape[-1]}, backbone expects {bb.d_model}")
-    rows = None if window.readouts is None else window.readouts.ravel()
-    first = 0  # the mask row of the first query
+    packed = not isinstance(window, AssembledWindow)
+    windows = list(window) if packed else [window]
+    if any(w.tokens.shape[-1] != bb.d_model for w in windows):
+        raise DimensionError(f"window has d_model {windows[0].tokens.shape[-1]}, backbone expects {bb.d_model}")
+    if packed:
+        if not windows or any(w.readouts is None for w in windows):
+            raise ContractError("one pass over several windows needs one or more compact windows")
+        x = ad.concat([w.tokens.reshape(1, -1, bb.d_model) for w in windows], axis=1)
+        masks, start = [w.mask for w in windows], [0] * len(windows)
+        cut = [w.tokens.shape[1] - w.readouts.size for w in windows]  # each mask's row of its first readout
+        tail, order = _packed_readouts(windows)
+    else:
+        x, masks, start = window.tokens, window.mask, 0  # the mask row of the first query
+        cut = None if window.readouts is None else x.shape[1] - window.readouts.size  # the readouts trail
+        if cut is not None:
+            tail, order = np.arange(cut, x.shape[1]), window.readouts.ravel() - cut
 
     for i in range(bb.layers):
         p = f"bb/layer{i}"
         h = ad.layer_norm(x, params[f"{p}/ln1/g"], params[f"{p}/ln1/b"])
         k = ad.linear(h, params[f"{p}/attn/wk"], params[f"{p}/attn/kb"])
         v = ad.linear(h, params[f"{p}/attn/wv"], params[f"{p}/attn/vb"])
-        if rows is not None and i == bb.layers - 1:
-            first = x.shape[1] - rows.size  # the readouts are the trailing rows
-            tail = np.arange(first, x.shape[1])
-            x, h = ad.take(x, tail, axis=1), ad.take(h, tail, axis=1)
+        first = start
+        if cut is not None and i == bb.layers - 1:
+            x, h, first = ad.take(x, tail, axis=1), ad.take(h, tail, axis=1), cut
         q = ad.linear(h, params[f"{p}/attn/wq"], params[f"{p}/attn/qb"])
-        att = ad.masked_attention(q, k, v, window.mask, bb.heads, first)
+        att = ad.masked_attention(q, k, v, masks, bb.heads, first)
         x = x + ad.linear(att, params[f"{p}/attn/wo"], params[f"{p}/attn/ob"])
 
         h2 = ad.layer_norm(x, params[f"{p}/ln2/g"], params[f"{p}/ln2/b"])
@@ -88,8 +113,25 @@ def forward(window: AssembledWindow, params: dict[str, Tensor], cfg: Config) -> 
         x = x + ad.linear(m, params[f"{p}/mlp/w2"], params[f"{p}/mlp/b2"])
 
     out = ad.layer_norm(x, params["bb/final_ln/g"], params["bb/final_ln/b"])
-    if rows is None:
+    if cut is None:
         return out
-    if (rows != tail).any():  # steps asked for out of order
-        out = ad.take(out, rows - first, axis=1)
-    return out.reshape(x.shape[0], *window.readouts.shape, bb.d_model)
+    if (order != np.arange(order.size)).any():  # steps asked for out of order
+        out = ad.take(out, order, axis=1)
+    return out if packed else out.reshape(x.shape[0], *window.readouts.shape, bb.d_model)
+
+
+def _packed_readouts(windows: list[AssembledWindow]) -> tuple[np.ndarray, np.ndarray]:
+    """The packed rows that the last layer's queries read, and the order of the readouts among them.
+
+    Each window's trailing rows, of each of its batch elements in turn,
+    come first; `order` lists them as each window's `readouts` name them.
+    """
+    tail, order, rows, queries = [], [], 0, 0
+    for w in windows:
+        nb, t = w.tokens.shape[:2]
+        r = w.readouts.size
+        elements = np.arange(nb)[:, None]
+        tail.append((rows + elements * t + np.arange(t - r, t)).ravel())
+        order.append((queries + elements * r + w.readouts.ravel() - (t - r)).ravel())
+        rows, queries = rows + nb * t, queries + nb * r
+    return np.concatenate(tail), np.concatenate(order)

@@ -58,7 +58,9 @@ def _masked_objective(
 
     loss_masks[head] is [B, k, chunk] with 1.0 exactly on the element's own
     head at valid, within-episode positions. Non-owned heads and padded
-    chunk rows therefore contribute exactly zero loss and zero gradient.
+    chunk rows therefore contribute exactly zero loss and zero gradient. A
+    head whose mask is all zero in the batch would add exact zeros, so it
+    builds no loss nodes at all.
     """
     if not predictions:
         raise ContractError("no predictions given")
@@ -73,6 +75,8 @@ def _masked_objective(
             raise DimensionError(f"head {head!r}: predictions {pred.shape} vs targets {tgt.shape}")
         if mask.shape != pred.shape[:3]:
             raise DimensionError(f"head {head!r}: mask {mask.shape} vs predictions {pred.shape}")
+        if not mask.any():
+            continue
         diff = pred - ad.tensor(tgt, dtype=pred.data.dtype)
         err = diff * diff if squared else diff.abs()
         err = err * ad.tensor(mask[..., None], dtype=pred.data.dtype)

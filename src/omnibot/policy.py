@@ -2,17 +2,21 @@
 
 The backbone never runs on a whole assembled window. Each element owns one
 action head, the one its embodiment draws from, and only that head's loss
-sees the element. So `predict` assembles and runs one compact window per
-owned head, on that head's owners: their live observation slots plus the
-head's readouts (see `assembler`). The slots left out are pads, which
-attend only to themselves, and readouts, which no query but themselves
-sees, so no kept slot's output changes (up to the order of floating-point
-sums). The other heads' readouts of an element would only have met a zero
-loss weight. `act` does the same for one window and the newest step's
-readouts of the requested head. A compact window lists the observations
-first and the readouts last, so its layout states each row's prefix of
-observation keys (its step's and earlier) and each readout as its row's
-own key, and attention gives each readout row only that prefix (see
+sees the element. So `predict` assembles one compact window per owned
+head, on that head's owners: their live observation slots plus the head's
+readouts (see `assembler`). The slots left out are pads, which attend only
+to themselves, and readouts, which no query but themselves sees, so no kept
+slot's output changes (up to the order of floating-point sums). The other
+heads' readouts of an element would only have met a zero loss weight. The
+backbone then makes one pass over every owned head's window, their rows
+packed into one array, with each head's attention on its own segment (see
+`backbone.forward`), and each head projects its rows of the readouts. A
+batch that owns one head runs its window alone, as a batch of [B, T] rows.
+`act` runs one compact window, for the newest step's readouts of the
+requested head. A compact window lists the observations first and the
+readouts last, so its layout states each row's prefix of observation keys
+(its step's and earlier) and each readout as its row's own key, and
+attention gives each readout row only that prefix (see
 `autodiff.AttentionMask`). `act`'s readouts, of the newest step only,
 already end every prefix, so there the split saves less than it costs.
 
@@ -171,9 +175,10 @@ class Policy:
         """Per-head chunk predictions at every window step: [B, k, chunk, action_dim].
 
         An element owns the head of its window's embodiment; its rows of
-        every other head are exact zeros. Ownership comes from the windows
-        alone, so `batch.targets`, `batch.loss_masks` and `batch.heads` are
-        not read. Frames are checked as in `act`, and finite inputs that
+        every other head are exact zeros. The owned heads' compact windows,
+        in config order, run one backbone pass. Ownership comes from the
+        windows alone, so `batch.targets`, `batch.loss_masks` and
+        `batch.heads` are not read. Frames are checked as in `act`, and finite inputs that
         give a non-finite prediction raise EvaluationError.
         """
         windows = batch.windows
@@ -184,20 +189,35 @@ class Policy:
         if unknown:
             raise ContractError(f"batch needs heads {unknown} that the config does not define")
         b, k = len(windows), self.layout.history
+        rows = {name: np.flatnonzero(owners == name) for name in self.head_specs if (owners == name).any()}
+        with np.errstate(all="ignore"):  # an overflow shows as a non-finite prediction below
+            subs = {
+                name: assembler.assemble_batch([windows[r] for r in mine], self.layout, self.bank, self.params, name)
+                for name, mine in rows.items()
+            }
+            if len(subs) == 1:  # one head: the plain [B, T, d] call
+                ((name, sub),) = subs.items()
+                readouts = {name: backbone.forward(sub, self.params, self.cfg)}
+            else:  # one pass; each head takes its rows of the [1, R, d] readouts, in turn
+                packed = backbone.forward(list(subs.values()), self.params, self.cfg)
+                readouts, at = {}, 0
+                for name, sub in subs.items():
+                    n = rows[name].size * sub.readouts.size
+                    mine = ad.take(packed, np.arange(at, at + n), axis=1)
+                    readouts[name] = mine.reshape(rows[name].size, *sub.readouts.shape, -1)
+                    at += n
+            preds = {name: heads.project(r, self.params, name) for name, r in readouts.items()}
         out = {}
         for name, spec in self.head_specs.items():
             shape = (b, k, spec.chunk_size, spec.action_dim)
-            rows = np.flatnonzero(owners == name)
-            if not rows.size:
+            if name not in preds:
                 out[name] = ad.zeros(shape, self.dtype)
                 continue
-            with np.errstate(all="ignore"):  # an overflow shows as a non-finite prediction below
-                sub = assembler.assemble_batch([windows[r] for r in rows], self.layout, self.bank, self.params, name)
-                pred = heads.project(backbone.forward(sub, self.params, self.cfg), self.params, name)
-            if not np.isfinite(pred.data).all():
+            if not np.isfinite(preds[name].data).all():
                 raise EvaluationError(f"head {name!r} predicted non-finite actions from finite inputs")
             # one scattered row per owner: [B, 1, k*chunk*action_dim], zeros elsewhere
-            placed = ad.scatter_tokens(pred.reshape(rows.size, -1), rows, np.zeros_like(rows), b, 1)
+            mine = rows[name]
+            placed = ad.scatter_tokens(preds[name].reshape(mine.size, -1), mine, np.zeros_like(mine), b, 1)
             out[name] = placed.reshape(shape)
         return out
 

@@ -723,6 +723,57 @@ def test_property_a_tail_reads_its_rows_keys_and_attends_as_a_fresh_mask(layout,
         np.testing.assert_array_equal(moved.data[b, i], out.data[b, i])  # forbidden keys weigh exactly 0
 
 
+def packed(arrays):
+    """[B, T, d] arrays as the rows of one [1, sum B x T, d] array, each in turn."""
+    return np.concatenate([a.reshape(1, -1, a.shape[-1]) for a in arrays], axis=1)
+
+
+@pytest.mark.parametrize("entries", (0, 15_000))
+def test_attention_segments_equal_one_plain_call_each_bit_for_bit(entries):
+    """Segments of step masks with and without own keys, from row 0 and from later rows, in one node."""
+    rng = np.random.Generator(np.random.PCG64(61))
+    heads, d = 2, 8
+    shapes = ((3, 3, 5, 2), (1, 4, 3, 1), (2, 2, 9, 3), (2, 3, 4, 0))  # batch, steps, per, readouts
+    segments = []
+    with tile_entries(entries):
+        for (nb, steps, per, readouts), at in zip(shapes, (0, 1, 0.5, 0)):
+            mask = step_mask(rng, nb, steps, per, 0.3, readouts)
+            tq, t = mask.shape[1:]
+            first = int(at * (tq - 1))
+            amask = AttentionMask(mask, *step_structure(steps, per, readouts)) if readouts else AttentionMask(mask)
+            amask.plan(heads, np.float64)
+            parts = [ad.param(rng.standard_normal(shape)) for shape in ((nb, tq - first, d), (nb, t, d), (nb, t, d))]
+            segments.append((amask, first, parts))
+    q, k, v = (ad.param(packed([parts[i].data for _, _, parts in segments])) for i in range(3))
+    wsum = rng.standard_normal(q.shape)
+    out = ad.masked_attention(q, k, v, [m for m, _, _ in segments], heads, [f for _, f, _ in segments])
+    grads = ad.backward((out * ad.tensor(wsum)).sum(), [q, k, v])
+    want, want_grads, at = [], [[], [], []], 0
+    for amask, first, parts in segments:
+        plain = ad.masked_attention(*parts, amask, heads, first)
+        rows = plain.shape[0] * plain.shape[1]
+        weight = ad.tensor(wsum[0, at : at + rows].reshape(plain.shape))
+        g = ad.backward((plain * weight).sum(), parts)
+        want.append(plain.data)
+        for i, p in enumerate(parts):
+            want_grads[i].append(g[p])
+        at += rows
+    assert out.data.tobytes() == packed(want).tobytes()
+    for p, w in zip((q, k, v), want_grads):
+        assert grads[p].tobytes() == packed(w).tobytes()
+
+
+def test_attention_segments_must_cover_the_packed_rows():
+    mask = AttentionMask(np.ones((2, 3, 3), dtype=bool))
+    rows, keys = ad.tensor(np.ones((1, 6, 4))), ad.tensor(np.ones((1, 7, 4)))
+    with pytest.raises(DimensionError, match="segments of 6 query and 6 key rows"):
+        ad.masked_attention(rows, keys, keys, [mask], 2, [0])
+    with pytest.raises(DimensionError, match="a first row per mask"):
+        ad.masked_attention(rows, rows, rows, [mask], 2, [0, 0])
+    with pytest.raises(DimensionError, match="a first row per mask"):
+        ad.masked_attention(ad.tensor(np.ones((2, 3, 4))), *[ad.tensor(np.ones((2, 3, 4)))] * 2, [mask], 2, [0])
+
+
 # ---------------------------------------------------------------- conv2d
 
 

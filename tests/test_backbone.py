@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 import omnibot.autodiff as ad
-from omnibot import backbone
+from omnibot import assembler, backbone
 from omnibot.assembler import ObservationFrame
 from omnibot.config import BackboneSection, desk_config
-from omnibot.errors import DimensionError
+from omnibot.errors import ContractError, DimensionError
 from omnibot.policy import Policy
 
 
@@ -54,6 +54,18 @@ def test_d_model_mismatch_raises(policy):
     win = policy.assemble([frames_for("nav", 1)])
     with pytest.raises(DimensionError):
         backbone.forward(win, policy.params, cfg_bad)
+
+
+def test_one_pass_packs_compact_windows_only(policy):
+    """The packed pass reads each window's readout rows, so a full window, which names none, is refused."""
+    assemble = lambda frames, head: assembler.assemble_batch(frames, policy.layout, policy.bank, policy.params, head)  # noqa: E731
+    compact = assemble([frames_for("nav", 2)], "navigation")
+    out = backbone.forward([compact, assemble([frames_for("quad", 3)], "quadruped")], policy.params, policy.cfg)
+    readouts = policy.layout.readout_indices("navigation").size + policy.layout.readout_indices("quadruped").size
+    assert out.shape == (1, readouts, policy.cfg.backbone.d_model)
+    for windows in ([], [compact, policy.assemble([frames_for("quad", 3)])]):
+        with pytest.raises(ContractError, match="one or more compact windows"):
+            backbone.forward(windows, policy.params, policy.cfg)
 
 
 def test_determinism_bit_identical(policy):

@@ -201,6 +201,78 @@ def tape(out):
     return seen.values()
 
 
+def per_head_predictions(policy, batch):
+    """`Policy.predict` as one `backbone.forward` per owned head, on its compact window: the packed pass's oracle."""
+    owners = np.array([embodiment(w[0].embodiment).head for w in batch.windows])
+    b, k = len(batch.windows), policy.layout.history
+    out = {}
+    for name, spec in policy.head_specs.items():
+        rows = np.flatnonzero(owners == name)
+        shape = (b, k, spec.chunk_size, spec.action_dim)
+        if not rows.size:
+            out[name] = ad.zeros(shape, policy.dtype)
+            continue
+        sub = compact_window(policy, [batch.windows[r] for r in rows], name)
+        pred = heads.project(backbone.forward(sub, policy.params, policy.cfg), policy.params, name)
+        out[name] = ad.scatter_tokens(pred.reshape(rows.size, -1), rows, np.zeros_like(rows), b, 1).reshape(shape)
+    return out
+
+
+# batches owning 1, 2, 3 and 4 heads; SHORT_PICKS pads windows of every length 1-5
+OWNED_PICKS = {
+    1: [("nav", 2), ("nav", 4), ("nav", 0)],
+    2: [("quad", 1), ("nav", 4), ("quad", 7), ("nav", 3)],
+    3: [("arm1", 3), ("bimanual", 0), ("quad", 2), ("arm1", 6)],
+    4: SHORT_PICKS,
+}
+
+
+@pytest.mark.parametrize("owned", sorted(OWNED_PICKS))
+def test_one_pass_matches_one_forward_per_head(policy, sampler, cfg, owned):
+    """Predictions, loss, validation MSE and every gradient of the packed pass against the per-head oracle."""
+    batch = batch_of(sampler, cfg, OWNED_PICKS[owned], seed=owned)
+    assert len({embodiment(w[0].embodiment).head for w in batch.windows}) == owned
+    preds, oracle = policy.predict(batch), per_head_predictions(policy, batch)
+    for h, pred in preds.items():
+        assert pred.shape == oracle[h].shape
+        if oracle[h].data.any():
+            assert rel_err(pred.data, oracle[h].data) <= TOL, h
+        else:
+            np.testing.assert_array_equal(pred.data, 0.0)
+    got = heads.validation_mse(preds, batch.targets, batch.loss_masks).item()
+    want = heads.validation_mse(oracle, batch.targets, batch.loss_masks).item()
+    assert abs(policy.validation_mse(batch).item() - want) <= TOL * want and abs(got - want) <= TOL * want
+    params = list(policy.params.values())
+    loss, loss_oracle = policy.loss(batch), heads.training_loss(oracle, batch.targets, batch.loss_masks)
+    assert abs(loss.item() - loss_oracle.item()) <= TOL * loss_oracle.item()
+    g, g_oracle = ad.backward(loss, params), ad.backward(loss_oracle, params)
+    norm = float(np.linalg.norm(np.concatenate([g_oracle[p].ravel() for p in params])))
+    assert norm > 0
+    for p in params:  # held to the global norm: attention key biases have an exactly-zero true gradient
+        assert float(np.abs(g[p] - g_oracle[p]).max()) <= TOL * norm
+
+
+def test_a_four_head_batch_runs_one_backbone_pass_with_one_attention_node_per_layer(policy, sampler, cfg, monkeypatch):
+    batch = batch_of(sampler, cfg, SHORT_PICKS)
+    forwards, forward = [], backbone.forward
+    monkeypatch.setattr(backbone, "forward", lambda *args: forwards.append(args[0]) or forward(*args))
+    loss = policy.loss(batch)
+    assert len(forwards) == 1 and len(forwards[0]) == 4  # every owned head's window
+    assert [node.op for node in tape(loss)].count("masked_attention") == cfg.backbone.layers
+
+
+def test_a_single_head_batch_is_byte_equal_to_its_one_window_call(cfg, sampler):
+    """float32: one owned head runs the plain [B, T, d] call, so loss and gradients are the one-window call's bytes."""
+    p32 = Policy.init(cfg, 7)
+    params = list(p32.params.values())
+    for picks in (OWNED_PICKS[1], [("bimanual", 1), ("bimanual", 5), ("bimanual", 12)]):
+        batch = batch_of(sampler, cfg, picks, seed=3)
+        loss, oracle = p32.loss(batch), heads.training_loss(per_head_predictions(p32, batch), batch.targets, batch.loss_masks)
+        assert loss.data.dtype == np.float32 and loss.data.tobytes() == oracle.data.tobytes()
+        g, g_oracle = ad.backward(loss, params), ad.backward(oracle, params)
+        assert all(g[p].tobytes() == g_oracle[p].tobytes() for p in params)
+
+
 def test_bimanual_cameras_are_encoded_in_one_pass(policy, monkeypatch):
     """bimanual's three views go through one grouped pass: 3 conv2d nodes (one per stage) for a window, not 9."""
     frames = rollout_frames("bimanual", 3, seed=23)
@@ -297,12 +369,34 @@ def test_compact_window_lists_observations_first_and_readouts_last(policy):
         assert (sub.readouts >= n).all()
 
 
-def test_attention_tiles_compute_at_most_a_quarter_more_scores_than_permitted(cfg, tmp_path, monkeypatch):
-    """Both layers on the seed-0 `train_bimanual` batch of the benchmark: its shards, policy, sampler and batch 0.
+def record_attention(monkeypatch):
+    """Every `masked_attention` node from here on, as the (mask, heads, first row) of each of its segments."""
+    calls, attend = [], ad.masked_attention
 
-    Scores are counted as the tiles compute them, rows x shared-key prefix,
-    plus one per own-key row, for every batch element and head.
-    """
+    def recorded(q, k, v, mask, heads, first=0):
+        segments = [(mask, first)] if isinstance(mask, ad.AttentionMask) else zip(mask, first)
+        calls.append([(m, heads, f) for m, f in segments])
+        return attend(q, k, v, mask, heads, first)
+
+    monkeypatch.setattr(ad, "masked_attention", recorded)
+    return calls
+
+
+def computed_and_permitted_scores(calls):
+    """Scores as the tiles compute them, rows x shared-key prefix, plus one per own-key row, and those permitted,
+    over every segment, batch element and head."""
+    computed = permitted = 0
+    for mask, heads, first in (segment for call in calls for segment in call):
+        rows = mask.permitted[:, first:]
+        nb, tq, _ = rows.shape
+        plan = mask.plan(heads, np.float32, first)
+        computed += (sum((t.rows.stop - t.rows.start) * t.keys for t in plan.tiles) + plan.own) * nb * heads
+        permitted += int(rows.sum()) * heads
+    return computed, permitted
+
+
+def test_attention_tiles_compute_at_most_a_quarter_more_scores_than_permitted(cfg, tmp_path, monkeypatch):
+    """Both layers on the seed-0 `train_bimanual` batch of the benchmark: its shards, policy, sampler and batch 0."""
     path = str(tmp_path / "bimanual.xeds")
     envs.generate_dataset("bimanual", 20, derive_seed(0, "shard", "bimanual"), path, cfg)
     policy = Policy.init(cfg, derive_seed(0, "policy"))
@@ -310,24 +404,28 @@ def test_attention_tiles_compute_at_most_a_quarter_more_scores_than_permitted(cf
         {"bimanual": datapipe.read_shard(path)[1]}, datapipe.MixtureSpec([("bimanual", 1.0)]), cfg,
         policy.layout, derive_seed(0, "sampler"),
     )
-    calls, attend = [], ad.masked_attention
-
-    def recorded(q, k, v, mask, heads, first=0):
-        calls.append((mask, heads, first))
-        return attend(q, k, v, mask, heads, first)
-
-    monkeypatch.setattr(ad, "masked_attention", recorded)
+    calls = record_attention(monkeypatch)
     with ad.no_grad():
         policy.loss(sampler.batch(0, cfg.train.batch_size))
-    assert len(calls) == cfg.backbone.layers
-    computed = permitted = 0
-    for mask, heads, first in calls:
-        rows = mask.permitted[:, first:]
-        nb, tq, _ = rows.shape
-        plan = mask.plan(heads, np.float32, first)
-        computed += (sum((t.rows.stop - t.rows.start) * t.keys for t in plan.tiles) + plan.own) * nb * heads
-        permitted += int(rows.sum()) * heads
+    assert len(calls) == cfg.backbone.layers and all(len(call) == 1 for call in calls)
+    computed, permitted = computed_and_permitted_scores(calls)
     assert computed <= 1.25 * permitted, (computed, permitted)
+
+
+def test_attention_of_a_mixed_batch_sees_every_heads_segment(policy, sampler, cfg, monkeypatch):
+    """One node per layer, one segment per owned head: its compact window's mask, from row 0 and then from its
+    first readout row."""
+    batch = batch_of(sampler, cfg, SHORT_PICKS)
+    built, build = [], assembler.window_structure
+    monkeypatch.setattr(assembler, "window_structure", lambda *args: built.append(build(*args)) or built[-1])
+    calls = record_attention(monkeypatch)
+    with ad.no_grad():
+        policy.loss(batch)
+    assert len(calls) == cfg.backbone.layers and len(built) == 4
+    for layer, call in enumerate(calls):
+        assert [m for m, _, _ in call] == [s.mask for s in built]
+        last = layer == cfg.backbone.layers - 1
+        assert [f for _, _, f in call] == [s.slots.size - s.readouts.size if last else 0 for s in built]
 
 
 def scanned_plan(permitted, heads):

@@ -165,3 +165,27 @@ def test_element_with_no_owned_head_raises():
     mask = {"navigation": np.zeros((1, 1, 4), dtype=np.float32)}
     with pytest.raises(ContractError):
         heads.training_loss(pred, tgt, mask)
+
+
+def tape_size(out):
+    """How many nodes `out` reaches through its parents."""
+    seen, stack = set(), [out]
+    while stack:
+        node = stack.pop()
+        if node.id not in seen:
+            seen.add(node.id)
+            stack.extend(node.parents)
+    return len(seen)
+
+
+@pytest.mark.parametrize("objective", (heads.training_loss, heads.validation_mse))
+def test_a_head_unsupervised_in_the_batch_builds_no_loss_nodes(objective):
+    """Its prediction only meets zero weights, so leaving it out gives the same bytes and a shorter tape."""
+    rng = np.random.Generator(np.random.PCG64(8))
+    nav = ad.param(rng.standard_normal((2, 3, 4, 2)).astype(np.float32))
+    tgt = {"navigation": rng.standard_normal((2, 3, 4, 2)).astype(np.float32), "single-arm": np.zeros((2, 3, 4, 7), np.float32)}
+    masks = {"navigation": np.ones((2, 3, 4), np.float32), "single-arm": np.zeros((2, 3, 4), np.float32)}
+    alone = objective({"navigation": nav}, tgt, masks)
+    both = objective({"navigation": nav, "single-arm": ad.zeros((2, 3, 4, 7), np.float32)}, tgt, masks)
+    assert both.data.tobytes() == alone.data.tobytes() and tape_size(both) == tape_size(alone)
+    assert ad.backward(both, [nav])[nav].tobytes() == ad.backward(alone, [nav])[nav].tobytes()
