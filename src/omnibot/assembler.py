@@ -37,18 +37,24 @@ once. It reads each window's robot and frame count alone. `slot_rows`
 gives its columns' position and readout embeddings, zero at padding, from
 the parameters. `window_tokens` fills a structure with token values: the
 encoder rows, scattered into their columns, plus the slot rows.
-`assemble_batch` runs all three; `Policy.predict` runs it once per owned
-head and `backbone.forward` runs those windows in one pass, and
-`Policy.act` keeps the structure and the slot rows of each window shape.
-Image groups that follow one another in slot order and sit on the same
-frames, as bimanual's three cameras do, are encoded in one pass
-(`encode_group`).
+`assemble_batch` runs all three. `Policy.predict` encodes its whole batch
+first, in one pass over the batch's views (`encode_batch`): one grouped
+conv stack over every image group that the batch's frames carry, each
+group one view with the frames of every robot that has it, whatever head
+owns them, plus one `linear` per proprio group. Each owned head's
+`assemble_batch` then takes its rows of that pass (`EncodedBatch.of`),
+and `backbone.forward` runs the heads' windows in one pass. `Policy.act`
+encodes a window's new frames a run of groups at a time (`encode_group`;
+image groups next in slot order on the same frames, as bimanual's three
+cameras are, form one run) and keeps the structure and the slot rows of
+each window shape.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -80,6 +86,7 @@ class SlotLayout:
     token_step: np.ndarray = field(init=False)
     token_is_obs: np.ndarray = field(init=False)
     token_readout_row: np.ndarray = field(init=False)  # row of the slot's readout embedding; 0 (zeros) for observations
+    group_slots: dict[str, np.ndarray] = field(init=False)  # per group: [k, tokens], its slots at each step
     _base_mask: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -97,6 +104,8 @@ class SlotLayout:
                 row += g.tokens
         self.token_is_obs = np.tile(is_obs_step, k)
         self.token_readout_row = np.tile(readout_row, k)
+        steps = np.arange(k)[:, None] * s
+        self.group_slots = {g.name: steps + g.offset + np.arange(g.tokens) for g in self.groups}
         # rule (b)/(c): keys must be observation tokens at same-or-prior steps;
         # readout queries additionally see themselves.
         base = self.token_is_obs[None, :] & (self.token_step[None, :] <= self.token_step[:, None])
@@ -122,8 +131,7 @@ class SlotLayout:
 
     def readout_indices(self, head: str) -> np.ndarray:
         """Token indices of the head's readout slots, one row per step."""
-        g = self.readout_group(head)
-        return np.arange(self.history)[:, None] * self.step_tokens + g.offset + np.arange(g.tokens)
+        return self.group_slots[self.readout_group(head).name]
 
     def canonical(self) -> str:
         doc = {
@@ -206,9 +214,10 @@ class WindowStructure:
     slots: np.ndarray
     head: str | None  # the head whose readouts a compact window keeps; None for a full window
     readouts: np.ndarray | None  # [steps, chunk] token columns of the head's readouts; None for a full window
-    # the observation groups that frames carry, each run encoded in one pass, in slot order, with
-    # the (window, frame index) of their frames: image groups next in slot order on the same
-    # frames run together; any other group runs alone
+    # the observation groups that frames carry, in slot order, in runs, with the (window, frame index)
+    # of their frames: image groups next in slot order on the same frames form one run, any other
+    # group a run alone. `encode_rows` encodes a run in one pass; `encode_batch` takes the batch's
+    # image groups in one pass, whatever frames each sits on
     placed: tuple[tuple[tuple[SlotGroup, ...], tuple[tuple[int, int], ...]], ...]
     destinations: tuple[np.ndarray, np.ndarray]  # window and column of each of their encoder rows, in that order
 
@@ -296,6 +305,20 @@ def _finite(bank: EncoderBank, arrays: list, what: str, index: list[int]) -> np.
     return values
 
 
+def _image_inputs(
+    bank: EncoderBank, groups: tuple[SlotGroup, ...], frames: list[list[ObservationFrame]], index: list[list[int]]
+) -> tuple[list[np.ndarray], list[np.ndarray | None]]:
+    """The checked images and goals of `frames[v]` for group `groups[v]`, at places `index[v]` in their windows."""
+    images, goals = [], []
+    for group, mine, at in zip(groups, frames, index):
+        images.append(_finite(bank, [f.observations[group.name] for f in mine], f"{group.name} observation", at))
+        goal = [conditioning_goal(f, group.name) for f in mine]
+        goals.append(None if all(g is None for g in goal) else _finite(
+            bank, [np.zeros_like(o) if g is None else g for o, g in zip(images[-1], goal)], f"goal of {group.name}", at
+        ))
+    return images, goals
+
+
 def encode_group(
     bank: EncoderBank, groups: tuple[SlotGroup, ...], frames: list[ObservationFrame], index: list[int]
 ) -> Tensor:
@@ -304,22 +327,18 @@ def encode_group(
     The groups are one proprio group, or image groups that are encoded
     together (`WindowStructure.placed`). The frames have passed
     `window_embodiment`; `index[i]` is the position of `frames[i]` in its
-    window. This is the one reader of frame values into the model, so it
-    checks each group's values finite in the policy's dtype (a float64 1e39
-    is inf as float32), group by group. An image group's goal channels carry
-    a frame's goal where that goal conditions the group, and zeros
-    elsewhere; each frame's instruction is embedded once for all groups.
+    window. This and `encode_batch` are the readers of frame values into
+    the model, so they check each group's values finite in the policy's
+    dtype (a float64 1e39 is inf as float32), group by group. An image
+    group's goal channels carry a frame's goal where that goal conditions
+    the group, and zeros elsewhere; each frame's instruction is embedded
+    once for all groups.
     """
-    images, goals = [], []
-    for group in groups:
+    if groups[0].kind == "obs-proprio":
+        (group,) = groups
         obs = _finite(bank, [f.observations[group.name] for f in frames], f"{group.name} observation", index)
-        if group.kind == "obs-proprio":
-            return bank.encode_proprio(group.name, obs)
-        goal = [conditioning_goal(f, group.name) for f in frames]
-        images.append(obs)
-        goals.append(None if all(g is None for g in goal) else _finite(
-            bank, [np.zeros_like(o) if g is None else g for o, g in zip(obs, goal)], f"goal of {group.name}", index
-        ))
+        return bank.encode_proprio(group.name, obs)
+    images, goals = _image_inputs(bank, groups, [frames] * len(groups), [index] * len(groups))
     lang = bank.embed_language(np.array([f.instruction for f in frames]))
     return bank.encode_image([g.name for g in groups], images, goals, lang)
 
@@ -384,6 +403,45 @@ def slot_rows(layout: SlotLayout, params: dict[str, Tensor], structure: WindowSt
     return rows * ad.tensor((~structure.pad).astype(pos.dtype)[:, :, None])
 
 
+class _Frames(NamedTuple):
+    lead: np.ndarray  # [B]: the step of each window's first frame (its frames end at step k - 1)
+    valid: np.ndarray  # [B, k]: the steps that hold a frame
+    # each observation group some frame carries, in slot order, with the window and the position in it of each
+    # frame that carries it, window by window; groups of the same robots share one pair of arrays
+    groups: list[tuple[SlotGroup, np.ndarray, np.ndarray]]
+
+
+def _frames(windows: list[list[ObservationFrame]], layout: SlotLayout) -> _Frames:
+    """The batch's frames that carry each observation group, from each window's robot and frame count alone.
+
+    `window_embodiment` pins the groups of a robot's frames, so a frame
+    carries its robot's groups.
+    """
+    lead = layout.history - np.array([len(frames) for frames in windows], dtype=np.intp)
+    valid = np.arange(layout.history) >= lead[:, None]
+    window, step = np.nonzero(valid)  # every frame, window by window, step by step
+    index = step - lead[window]
+    names = [frames[0].embodiment for frames in windows]
+    robots = dict.fromkeys(names)
+    carriers = {}  # group -> the robots whose frames carry it
+    for name in robots:
+        for group in embodiment(name).observation_groups:
+            carriers[group] = carriers.get(group, ()) + (name,)
+    runs, groups = {}, []  # runs: the frames of the robots that carry a group
+    for g in layout.groups:
+        mine = carriers.get(g.name)
+        if mine is None:
+            continue
+        if mine not in runs:
+            if len(mine) == len(robots):  # every frame
+                runs[mine] = window, index
+            else:
+                sel = np.array([name in mine for name in names])[window]
+                runs[mine] = window[sel], index[sel]
+        groups.append((g, *runs[mine]))
+    return _Frames(lead, valid, groups)
+
+
 def window_structure(
     windows: list[list[ObservationFrame]], layout: SlotLayout, head: str | None = None, steps=slice(None)
 ) -> WindowStructure:
@@ -399,33 +457,24 @@ def window_structure(
     compact window's mask states each row's key prefix, the observation
     columns at its step or earlier, and the readouts as own keys.
     """
-    k, s, t = layout.history, layout.step_tokens, layout.context_tokens
-    b = len(windows)
-    valid = np.zeros((b, k), dtype=bool)
-    entries: dict[str, list[tuple[int, int, int]]] = {  # window, step, frame index
-        g.name: [] for g in layout.groups if g.kind != "readout"
-    }
-    for bi, frames in enumerate(windows):
-        lead = k - len(frames)
-        valid[bi, lead:] = True
-        for i, frame in enumerate(frames):
-            for name in frame.observations:
-                entries[name].append((bi, lead + i, i))
-
-    live = valid[:, layout.token_step] & ~layout.token_is_obs  # readouts are live at valid steps
+    t = layout.context_tokens
+    frames = _frames(windows, layout)
+    live = frames.valid[:, layout.token_step] & ~layout.token_is_obs  # readouts are live at valid steps
     placed, windows_of, slots_of = [], [], []  # per group: its frames, and the window and slot of each encoder row
-    for g in layout.groups:
-        got = entries.get(g.name)
-        if got:
-            bis, at, index = zip(*got)
-            windows_of.append(np.repeat(bis, g.tokens))
-            slots_of.append((np.array(at)[:, None] * s + g.offset + np.arange(g.tokens)).ravel())
-            live[windows_of[-1], slots_of[-1]] = True
-            frames = tuple(zip(bis, index))
-            if placed and placed[-1][1] == frames and g.kind == placed[-1][0][-1].kind == "obs-image":
-                placed[-1] = ((*placed[-1][0], g), frames)
-            else:
-                placed.append(((g,), frames))
+    runs = {}  # per pair of frame arrays: the frames' steps, and their (window, index) pairs
+    for g, at, index in frames.groups:
+        if id(at) not in runs:
+            runs[id(at)] = index + frames.lead[at], tuple(zip(at.tolist(), index.tolist()))
+        step, mine = runs[id(at)]
+        windows_of.append(np.repeat(at, g.tokens) if g.tokens > 1 else at)
+        slots_of.append(layout.group_slots[g.name][step].ravel())
+        if placed and placed[-1][1] == mine and g.kind == placed[-1][0][-1].kind == "obs-image":
+            placed[-1] = ((*placed[-1][0], g), mine)
+        else:
+            placed.append(((g,), mine))
+    if placed:
+        windows_of, slots_of = (np.concatenate(a) if len(a) > 1 else a[0] for a in (windows_of, slots_of))
+        live[windows_of, slots_of] = True
 
     if head is None:
         cols, structure = np.arange(t), ()
@@ -440,35 +489,110 @@ def window_structure(
     return WindowStructure(
         pad=pad,
         mask=ad.AttentionMask(build_attention_mask(layout, pad, cols), *structure),
-        valid_steps=valid,
+        valid_steps=frames.valid,
         slots=cols,
         head=head,
         readouts=None if head is None else column[readout_slots],
         placed=tuple(placed),
-        destinations=(np.concatenate(windows_of), column[np.concatenate(slots_of)]) if placed else (),
+        destinations=(windows_of, column[slots_of]) if placed else (),
     )
 
 
-def window_tokens(
-    structure: WindowStructure, windows: list[list[ObservationFrame]], layout: SlotLayout, bank: EncoderBank,
-    slots: Tensor, encode=encode_group,
-) -> AssembledWindow:
-    """The window `structure` lays out, with the token values of `windows`.
+class EncoderRows(NamedTuple):
+    """Encoder rows for a structure: row `at[n]` of `rows` (row n if `at` is None) goes to destination n."""
 
-    `encode(bank, groups, frames, index)` gives the encoder rows of each
-    run of observation groups that `structure.placed` encodes in one pass,
-    `encode_group` by default; they are scattered straight into their kept
-    columns, and every column gets its row of `slots`, the structure's
-    `slot_rows`. No encoder row goes to padding, so padding stays zero.
+    rows: Tensor  # [R, d_model]
+    at: np.ndarray | None = None
+
+
+@dataclass(frozen=True)
+class EncodedBatch:
+    """The encoder rows of a batch of windows, from one pass over all of them (`encode_batch`)."""
+
+    rows: Tensor  # [R, d_model]: group by group in slot order, each group's frames in window order, token by token
+    # per observation group that the batch carries, in slot order: the row where each window's rows of the group
+    # start, then their end, [B + 1]
+    starts: tuple[np.ndarray, ...]
+
+    def of(self, first: int, end: int) -> EncoderRows:
+        """The rows of windows [first, end), in the order `window_structure` places those windows' rows."""
+        if first == 0 and end == self.starts[0].size - 1:  # every window: every row, in order
+            return EncoderRows(self.rows)
+        return EncoderRows(self.rows, np.concatenate([np.arange(at[first], at[end]) for at in self.starts]))
+
+
+def encode_batch(windows: list[list[ObservationFrame]], layout: SlotLayout, bank: EncoderBank) -> EncodedBatch:
+    """The encoder rows of a batch of checked windows, in one pass over the whole batch.
+
+    Every image group that some frame carries is one view of one grouped
+    conv stack (`EncoderBank.encode_image`), with the frames that carry it,
+    whatever robot or head they belong to: `workspace` holds arm1's and
+    bimanual's frames, `navigation` nav's. Each proprio group is one
+    `linear` over its frames. Each frame that carries an image has one
+    language row, from one `embed_language` call, which every view of it
+    reads. Values are checked as in `encode_group`, group by group in slot
+    order. The image groups come first in slot order, as
+    `embodiments.observation_groups` lists them, so the image rows and then
+    the proprio rows are the rows in slot order.
+    """
+    frames = _frames(windows, layout)
+    starts, parts, row = [], [], 0
+    for g, at, _ in frames.groups:
+        starts.append(row + g.tokens * np.concatenate(([0], np.cumsum(np.bincount(at, minlength=len(windows))))))
+        row = int(starts[-1][-1])
+
+    def frames_of(at, index):
+        return [windows[w][i] for w, i in zip(at.tolist(), index.tolist())]
+
+    images = [(g, at, index) for g, at, index in frames.groups if g.kind == "obs-image"]
+    if images:
+        counts = layout.history - frames.lead
+        first = np.cumsum(counts) - counts  # the number of each window's first frame, the frames numbered in turn
+        numbers = [first[at] + index for _, at, index in images]  # each view's frames, by number
+        speaking = np.unique(np.concatenate(numbers))  # the frames that carry an image: one language row each
+        window = np.searchsorted(first, speaking, side="right") - 1
+        lang = bank.embed_language(np.array([f.instruction for f in frames_of(window, speaking - first[window])]))
+        views = [np.searchsorted(speaking, mine) for mine in numbers]  # each view's language rows
+        obs, goals = _image_inputs(
+            bank, tuple(g for g, _, _ in images), [frames_of(at, index) for _, at, index in images],
+            [index.tolist() for _, _, index in images],
+        )
+        every = all(v.size == speaking.size for v in views)  # each view reads every language row, in order
+        out = bank.encode_image([g.name for g, _, _ in images], obs, goals, lang, None if every else views)
+        parts.append(out.reshape(-1, layout.d_model))
+    for g, at, index in frames.groups:
+        if g.kind == "obs-proprio":
+            mine = frames_of(at, index)
+            obs = _finite(bank, [f.observations[g.name] for f in mine], f"{g.name} observation", index.tolist())
+            parts.append(bank.encode_proprio(g.name, obs).reshape(-1, layout.d_model))
+    return EncodedBatch(ad.concat(parts, axis=0) if len(parts) > 1 else parts[0], tuple(starts))
+
+
+def encode_rows(
+    structure: WindowStructure, windows: list[list[ObservationFrame]], bank: EncoderBank, encode=encode_group
+) -> EncoderRows | None:
+    """The encoder rows of `structure`'s destinations, a pass per run of groups that `structure.placed` lists.
+
+    `encode(bank, groups, frames, index)` gives a run's rows, `encode_group`
+    by default; None when the structure places no rows.
+    """
+    rows = [
+        encode(bank, groups, [windows[bi][i] for bi, i in at], [i for _, i in at]) for groups, at in structure.placed
+    ]
+    rows = [r.reshape(-1, r.shape[-1]) for r in rows]
+    return EncoderRows(ad.concat(rows, axis=0) if len(rows) > 1 else rows[0]) if rows else None
+
+
+def window_tokens(structure: WindowStructure, encoded: EncoderRows | None, slots: Tensor) -> AssembledWindow:
+    """The window `structure` lays out, with `encoded`'s encoder rows and the slot rows `slots`.
+
+    The encoder rows are scattered straight into their kept columns, and
+    every column gets its row of `slots`, the structure's `slot_rows`. No
+    encoder row goes to padding, so padding stays zero.
     """
     if not structure.placed:
         return AssembledWindow(tokens=slots, **vars(structure))
-    rows = [
-        encode(bank, groups, [windows[bi][i] for bi, i in at], [i for _, i in at]).reshape(-1, layout.d_model)
-        for groups, at in structure.placed
-    ]
-    rows = ad.concat(rows, axis=0) if len(rows) > 1 else rows[0]
-    content = ad.scatter_tokens(rows, *structure.destinations, *structure.pad.shape)
+    content = ad.scatter_tokens(encoded.rows, *structure.destinations, *structure.pad.shape, encoded.at)
     return AssembledWindow(tokens=content + slots, **vars(structure))
 
 
@@ -479,11 +603,17 @@ def assemble_batch(
     params: dict[str, Tensor],
     head: str | None = None,
     steps=slice(None),
+    encoded: EncoderRows | None = None,
 ) -> AssembledWindow:
-    """Encode a batch of checked frame histories and place them into their slots.
+    """Place a batch of checked frame histories into their slots, with their encoder rows.
 
     `window_structure(windows, layout, head, steps)`, filled by `window_tokens`
-    with its `slot_rows`.
+    with its `slot_rows` and `encoded`'s rows: `Policy.predict` gives each
+    head its rows of the batch's one encoder pass (`EncodedBatch.of`).
+    Without `encoded`, the windows are encoded here, a pass per run of
+    groups (`encode_rows`), as the oracles do.
     """
     structure = window_structure(windows, layout, head, steps)
-    return window_tokens(structure, windows, layout, bank, slot_rows(layout, params, structure))
+    if encoded is None:
+        encoded = encode_rows(structure, windows, bank)
+    return window_tokens(structure, encoded, slot_rows(layout, params, structure))

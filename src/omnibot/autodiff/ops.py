@@ -16,11 +16,15 @@ streamed from L3 once per pass; each element still goes through the same
 float operations in the same order, so every output and gradient bit is
 that of one pass over the whole array.
 
-`conv2d` and `film` run V views in one node: the first axis of x holds
-each view's samples in turn, and they take one parameter set per view,
-stacked inside the node. Each view's products keep the shapes of a call
-of its own, so running views together changes no output bit, and one
-view is the plain op.
+`conv2d`, `film` and `linear` run V views in one node: the first axis of
+x holds each view's samples in turn, each view with a count of its own
+(`counts`; for `film`, the language rows its samples read), so the views
+of one pass need not share their frames, and they take one parameter set
+per view. Each view's products keep the shapes of a call of its own, so
+running views together changes no output bit, whatever the counts, and
+one view is the plain op. Views of equal counts (bimanual's cameras, every
+`act` call) run each product as one stacked call, as before counts were
+given; views of unequal counts run one call per view (`_by_view`).
 
 `masked_attention` runs one or more segments in one node: one mask is the
 plain call on [B, T, d] operands, and a sequence of masks runs each on its
@@ -48,6 +52,7 @@ from __future__ import annotations
 
 import bisect
 import contextlib
+import itertools
 import math
 from typing import NamedTuple, Sequence
 
@@ -70,21 +75,25 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     return Tensor._make(out, tuple(tensors), bwd, "concat")
 
 
-def take(x: Tensor, indices: np.ndarray, axis: int) -> Tensor:
+def take(x: Tensor, indices: np.ndarray | slice, axis: int) -> Tensor:
     """Gather along an axis; duplicate indices accumulate in backward.
 
-    Backward writes the gradient by plain assignment when the indices are
+    `indices` may be a slice, as a readout split or a window's last rows
+    are: forward then reads that slice of x, a view where it is
+    C-contiguous (else `Tensor` copies it), and backward writes the
+    gradient into that slice of a zero buffer. For an index array,
+    backward writes the gradient by plain assignment when the indices are
     unique, and falls back to the much slower `np.add.at` otherwise; the
     uniqueness test runs in backward, so only when a gradient is needed.
     """
-    idx = np.asarray(indices)
-    out = np.take(x.data, idx, axis=axis)
+    idx = indices if isinstance(indices, slice) else np.asarray(indices)
+    sel = (slice(None),) * axis + (idx,)
+    out = x.data[sel] if isinstance(idx, slice) else np.take(x.data, idx, axis=axis)
     shape, dtype = x.shape, x.data.dtype
 
     def bwd(g):
         buf = np.zeros(shape, dtype=dtype)
-        sel = (slice(None),) * axis + (idx,)
-        if np.unique(idx % shape[axis]).size == idx.size:
+        if isinstance(idx, slice) or np.unique(idx % shape[axis]).size == idx.size:
             buf[sel] = g
         else:
             np.add.at(buf, sel, g)
@@ -93,17 +102,28 @@ def take(x: Tensor, indices: np.ndarray, axis: int) -> Tensor:
     return Tensor._make(out, (x,), bwd, "take")
 
 
-def scatter_tokens(src: Tensor, b_idx: np.ndarray, t_idx: np.ndarray, batch: int, tokens: int) -> Tensor:
-    """Place rows src[n] at out[b_idx[n], t_idx[n]]; (b, t) pairs must be unique."""
+def scatter_tokens(
+    src: Tensor, b_idx: np.ndarray, t_idx: np.ndarray, batch: int, tokens: int, rows: np.ndarray | None = None
+) -> Tensor:
+    """Place rows src[rows[n]] (src[n] when `rows` is None) at out[b_idx[n], t_idx[n]].
+
+    The (b, t) pairs must be unique, and so must `rows`; rows of src that
+    `rows` leaves out get zero gradients.
+    """
+    n = src.shape[0] if rows is None else len(rows)
     if src.ndim != 2:
         raise DimensionError(f"scatter_tokens expects [rows, d], got {src.shape}")
-    if len(b_idx) != src.shape[0] or len(t_idx) != src.shape[0]:
+    if len(b_idx) != n or len(t_idx) != n:
         raise DimensionError("scatter_tokens index length mismatch")
     out = np.zeros((batch, tokens, src.shape[1]), dtype=src.data.dtype)
-    out[b_idx, t_idx] = src.data
+    out[b_idx, t_idx] = src.data if rows is None else src.data[rows]
 
     def bwd(g):
-        return (g[b_idx, t_idx],)
+        if rows is None:
+            return (g[b_idx, t_idx],)
+        buf = np.zeros(src.shape, dtype=g.dtype)
+        buf[rows] = g[b_idx, t_idx]
+        return (buf,)
 
     return Tensor._make(out, (src,), bwd, "scatter_tokens")
 
@@ -193,11 +213,64 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     return Tensor._make(out, (x, gain, bias), bwd, "layer_norm")
 
 
-def linear(x: Tensor, w: Tensor | Sequence[Tensor], b: Tensor | Sequence[Tensor]) -> Tensor:
+def _view_starts(counts: Sequence[int] | None, views: int, total: int, what: str) -> list[int] | None:
+    """The first sample of each view, then their end, for `views` views of `counts` samples; None for equal counts.
+
+    `counts` None is an equal share each, which the caller has checked. A
+    DimensionError names the counts unless there is one positive count
+    per view and they sum to `total`.
+    """
+    if counts is None:
+        return None
+    starts = list(itertools.accumulate(counts, initial=0))
+    if len(starts) != views + 1 or starts[-1] != total or min(counts, default=0) < 1:
+        raise DimensionError(
+            f"{what}: views of {[int(n) for n in counts]} samples do not fit {views} views of {total} samples in all"
+        )
+    return None if all(n == counts[0] for n in counts) else starts
+
+
+def _view_rows(starts: list[int] | None, views: int, total: int) -> list[slice]:
+    """Each view's rows of `total`: from `starts`, or an equal share each where `starts` is None."""
+    if starts is None:
+        m = total // views
+        return [slice(v * m, (v + 1) * m) for v in range(views)]
+    return [slice(s, e) for s, e in zip(starts, starts[1:])]
+
+
+def _by_view(a: np.ndarray, b: np.ndarray, starts: list[int] | None, bias: np.ndarray | None = None) -> np.ndarray:
+    """[rows, n]: rows starts[v]:starts[v + 1] of the [rows, k] `a` times b[v], one [k, n] matrix per view.
+
+    Each view's product is one call's, of the shape a call of its own
+    makes, and gets its row of `bias` ([V, n]) added in place. With
+    `starts` None the views have equal rows, as bimanual's cameras on the
+    same frames do, and run as one stacked call over `a` as [V, rows, k]
+    (or a [1, rows, k] `a` that every view reads): the same per-view
+    products with one call's overhead, which `act` would otherwise pay
+    once per view.
+    """
+    n = b.shape[-1]
+    if starts is None:
+        out = np.matmul(a if a.ndim == 3 else a.reshape(b.shape[0], -1, a.shape[-1]), b)
+        if bias is not None:
+            out += bias[:, None]
+        return out.reshape(-1, n)
+    out = np.empty((a.shape[0], n), dtype=a.dtype)
+    for v, (s, e) in enumerate(zip(starts, starts[1:])):
+        np.matmul(a[s:e], b[v], out=out[s:e])
+        if bias is not None:
+            out[s:e] += bias[v]
+    return out
+
+
+def linear(
+    x: Tensor, w: Tensor | Sequence[Tensor], b: Tensor | Sequence[Tensor], counts: Sequence[int] | None = None
+) -> Tensor:
     """Fused x @ w + b over the last axis, for one weight or for V views at once.
 
     w: a [k, n] tensor and b: an [n] tensor, or sequences of V of each, one
-    per view; then the first axis of x holds each view's samples in turn, as
+    per view; then the first axis of x holds each view's samples in turn,
+    `counts[v]` of view v (an equal share each when `counts` is None), as
     in `conv2d`, and view v's rows are multiplied by w[v]. Each view's
     product is one [rows, k] x [k, n] product, of the shape a call of its
     own makes, so its output rows and gradients are that call's bits. One
@@ -210,33 +283,35 @@ def linear(x: Tensor, w: Tensor | Sequence[Tensor], b: Tensor | Sequence[Tensor]
         fits = len(bs) == 1 and wd.ndim == 2 and bd.shape == wd.shape[1:]
     else:  # one weight per view, stacked: [V, k, n] and [V, n]
         wd, bd = _stacked(ws, "linear weights"), _stacked(bs, "linear biases")
-        fits = len(bs) == nv and wd.ndim == 3 and bd.shape == (nv, wd.shape[2]) and x.shape[0] % nv == 0
+        fits = len(bs) == nv and wd.ndim == 3 and bd.shape == (nv, wd.shape[2])
+        fits = fits and (counts is not None or x.shape[0] % nv == 0)
     if not fits or x.shape[-1] != wd.shape[-2]:
         raise DimensionError(
             f"linear: incompatible shapes x={x.shape} w={[t.shape for t in ws]} b={[t.shape for t in bs]}"
         )
     k, n = wd.shape[-2:]
+    at = _view_starts(counts, nv, x.shape[0], "linear")  # None: views of equal counts
     if nv == 1:
         out = np.matmul(x.data, wd)
         out += bd
     else:  # view v's rows by its weight
-        out = np.matmul(x.data.reshape(nv, -1, k), wd)
-        out += bd[:, None]
-        out = out.reshape(x.shape[:-1] + (n,))
+        per = math.prod(x.shape[1:-1])  # rows of one sample
+        at = None if at is None else [a * per for a in at]  # each view's rows of x as [rows, k]
+        xm = x.data.reshape(-1, k)
+        out = _by_view(xm, wd, at, bd).reshape(x.shape[:-1] + (n,))
 
     def bwd(g):
-        gx = gw = gb = None
-        xm = x.data.reshape(-1, k) if nv == 1 else x.data.reshape(nv, -1, k)  # the rows of each view's product
-        g2 = g.reshape(xm.shape[:-1] + (n,))
-        if x.requires_grad:
-            gx = (g2 @ np.swapaxes(wd, -1, -2)).reshape(x.shape)
-        if any(t.requires_grad for t in ws):
-            gw = np.swapaxes(xm, -1, -2) @ g2
-        if any(t.requires_grad for t in bs):
-            gb = np.ones(g2.shape[-2], dtype=g.dtype) @ g2  # each view's column sums, as in `_column_sums`
+        g2 = g.reshape(-1, n)
         if nv == 1:
+            gx = (g2 @ wd.T).reshape(x.shape) if x.requires_grad else None
+            gw = x.data.reshape(-1, k).T @ g2 if ws[0].requires_grad else None
+            gb = np.ones(g2.shape[0], dtype=g.dtype) @ g2 if bs[0].requires_grad else None  # as in `_column_sums`
             return gx, gw, gb
-        return gx, *(gw if gw is not None else [None] * nv), *(gb if gb is not None else [None] * nv)
+        gx = _by_view(g2, wd.transpose(0, 2, 1), at).reshape(x.shape) if x.requires_grad else None
+        rows = _view_rows(at, nv, xm.shape[0])
+        gw = [xm[r].T @ g2[r] if t.requires_grad else None for r, t in zip(rows, ws)]
+        gb = [np.ones(r.stop - r.start, dtype=g.dtype) @ g2[r] if t.requires_grad else None for r, t in zip(rows, bs)]
+        return gx, *gw, *gb
 
     return Tensor._make(out, (x, *ws, *bs), bwd, "linear")
 
@@ -765,20 +840,23 @@ def _same_pad(extent: int, kernel: int, stride: int) -> tuple[int, int, int]:
     return out, total // 2, total - total // 2
 
 
-def conv2d(x: Tensor, kernels: Sequence[Tensor], biases: Sequence[Tensor], stride: int) -> Tensor:
+def conv2d(
+    x: Tensor, kernels: Sequence[Tensor], biases: Sequence[Tensor], stride: int, counts: Sequence[int] | None = None
+) -> Tensor:
     """Same-padded strided cross-correlation plus a per-channel bias, channels-last, for V views at once.
 
-    x: [V * n, H, W, C], the n images of each view in turn; kernels: V
-    [C2, C, kh, kw] tensors and biases: V [C2] tensors, one per view.
-    Returns [V * n, ceil(H / stride), ceil(W / stride), C2]; image i of view
-    v is correlated with kernels[v]. One view (V = 1) is a plain conv2d.
+    x: [N, H, W, C], the images of each view in turn, `counts[v]` of view v
+    (an equal share each when `counts` is None); kernels: V [C2, C, kh, kw]
+    tensors and biases: V [C2] tensors, one per view. Returns [N, ceil(H /
+    stride), ceil(W / stride), C2]; an image of view v is correlated with
+    kernels[v]. One view (V = 1) is a plain conv2d.
 
-    im2col pads x into a [V * n, H, W, C] buffer, and the columns are one
-    copy of its strided window view as [V * n, h2, w2, kh, kw, C], so every
-    run copied is whole channels; the kernel matrices are `kernels` in (kh,
-    kw, C, C2) order, and one stacked product gives each view its own
-    [n * h2 * w2, C2] product, of the shapes a call per view would make, so
-    the views' outputs do not depend on being run together. The bias is
+    im2col pads x into an [N, H, W, C] buffer, and the columns are one copy
+    of its strided window view as [N, h2, w2, kh, kw, C], so every run
+    copied is whole channels; the kernel matrices are `kernels` in (kh, kw,
+    C, C2) order, and each view's [n_v * h2 * w2, C2] output is one product
+    of its rows of the columns, of the shapes a call of its own would make,
+    so the views' outputs do not depend on being run together. The bias is
     added in place on the product, which already is the output. col2im in
     backward adds the column gradients back through the same window view.
     """
@@ -787,18 +865,19 @@ def conv2d(x: Tensor, kernels: Sequence[Tensor], biases: Sequence[Tensor], strid
         raise DimensionError(f"conv2d input must be [B,H,W,C], got {x.shape}")
     if len(biases) != len(kernels):
         raise DimensionError(f"conv2d got {len(kernels)} kernels but {len(biases)} biases")
-    bs, shape = _stacked(biases, "conv2d biases"), _one_shape(kernels, "conv2d kernels")
+    shape = _one_shape(kernels, "conv2d kernels")
     if len(shape) != 4:
         raise DimensionError(f"conv2d kernels must be [C2,C,kh,kw], got {shape}")
     nb, h, w, c = xd.shape
     nv, (c2, ck, kh, kw) = len(kernels), shape
-    if nb % nv:
+    if counts is None and nb % nv:
         raise DimensionError(f"conv2d: {nb} images do not split into {nv} views")
-    n = nb // nv
+    at = _view_starts(counts, nv, nb, "conv2d")  # None: views of equal counts
     if kh < 1 or kw < 1:
         raise DimensionError(f"conv2d kernel has zero-sized window: {shape}")
     if ck != c:
         raise DimensionError(f"conv2d channel mismatch: input {x.shape} vs kernels {shape}")
+    bs = _stacked(biases, "conv2d biases")
     if bs.shape[1:] != (c2,):
         raise DimensionError(f"conv2d bias {biases[0].shape} does not match {c2} output channels")
     if stride < 1:
@@ -816,25 +895,26 @@ def conv2d(x: Tensor, kernels: Sequence[Tensor], biases: Sequence[Tensor], strid
 
     xp = np.zeros((nb, h + top + bot, w + left + right, c), dtype=xd.dtype)
     xp[:, top : top + h, left : left + w] = xd
-    mat = np.ascontiguousarray(windows(xp)).reshape(nv, n * h2 * w2, kh * kw * c)
+    mat = np.ascontiguousarray(windows(xp)).reshape(nb * h2 * w2, kh * kw * c)
     wmat = np.array([k.data.transpose(2, 3, 1, 0) for k in kernels]).reshape(nv, kh * kw * c, c2)
-    out = mat @ wmat
-    out += bs[:, None]
+    at = None if at is None else [a * h2 * w2 for a in at]  # each view's rows of mat and out
+    out = _by_view(mat, wmat, at, bs)
     padded_shape = xp.shape  # backward needs no more of the padded buffer, so it is freed on return
 
     def bwd(g):
-        g3 = g.reshape(nv, n * h2 * w2, c2)
+        g2 = g.reshape(nb * h2 * w2, c2)
         gx = None
         if x.requires_grad:
-            gcols = (g3 @ wmat.transpose(0, 2, 1)).reshape(nb, h2, w2, kh, kw, c)
+            gcols = _by_view(g2, wmat.transpose(0, 2, 1), at).reshape(nb, h2, w2, kh, kw, c)
             gxp = np.zeros(padded_shape, dtype=xd.dtype)
             gwin = windows(gxp)
             for i in range(kh):
                 for j in range(kw):  # windows overlap, but no two share (i, j) and a position
                     gwin[..., i, j, :] += gcols[..., i, j, :]
             gx = gxp[:, top : top + h, left : left + w]
-        gk = (g3.transpose(0, 2, 1) @ mat).reshape(nv, c2, kh, kw, c).transpose(0, 1, 4, 2, 3)
-        gb = np.ones(n * h2 * w2, dtype=g.dtype) @ g3  # each view's column sums, as in `_column_sums`
+        rows = _view_rows(at, nv, mat.shape[0])
+        gk = [(g2[r].T @ mat[r]).reshape(c2, kh, kw, c).transpose(0, 3, 1, 2) for r in rows]
+        gb = [np.ones(r.stop - r.start, dtype=g.dtype) @ g2[r] for r in rows]  # column sums, as in `_column_sums`
         return gx, *gk, *gb
 
     return Tensor._make(out.reshape(nb, h2, w2, c2), (x, *kernels, *biases), bwd, "conv2d")
@@ -847,20 +927,35 @@ def film(
     gamma_b: Sequence[Tensor],
     beta_w: Sequence[Tensor],
     beta_b: Sequence[Tensor],
+    rows: Sequence[np.ndarray] | None = None,
 ) -> Tensor:
     """FiLM conditioning, channels-last: (1 + gamma) * x + beta per sample and channel, for V views at once.
 
-    x: [V * n, ..., C], the n samples of each view in turn; lang: [n, L],
-    one row per sample, which every view reads. Each projection argument
-    holds one tensor per view: view v has gamma = lang @ gamma_w[v] +
-    gamma_b[v] and beta = lang @ beta_w[v] + beta_b[v], each [n, C] ([L, C]
-    weights, [C] biases). One tape node holds every view's projections and
-    the modulation; one view (V = 1) is a plain FiLM.
+    x: [N, ..., C], the samples of each view in turn; lang: [F, L]
+    language rows. `rows[v]` names the row of lang that each of view v's
+    samples reads, so view v has len(rows[v]) samples; with `rows` None,
+    every view has F samples, which read lang's rows in order. Each
+    projection argument holds one tensor per view: view v has gamma =
+    lang[rows[v]] @ gamma_w[v] + gamma_b[v] and beta = lang[rows[v]] @
+    beta_w[v] + beta_b[v], each [n_v, C] ([L, C] weights, [C] biases), the
+    products of a call of its own. One tape node holds every view's
+    projections and the modulation; one view (V = 1) is a plain FiLM. A
+    language row's gradient sums its readers' over the views in turn.
     """
     nv, c = len(gamma_w), x.shape[-1]
-    if lang.ndim != 2 or x.shape[0] != nv * lang.shape[0]:
-        raise DimensionError(f"film language {lang.shape} does not match {x.shape[0]} samples of {nv} views")
-    n = lang.shape[0]
+    if lang.ndim != 2:
+        raise DimensionError(f"film language must be [rows, dims], got {lang.shape}")
+    if rows is None:
+        if x.shape[0] != nv * lang.shape[0]:
+            raise DimensionError(f"film language {lang.shape} does not match {x.shape[0]} samples of {nv} views")
+        rows, at = [slice(None)] * nv, None
+        lv = lang.data[None]  # every view reads every row: one stacked product each
+    else:
+        rows = [np.asarray(r, dtype=np.intp) for r in rows]
+        if any(r.ndim != 1 or ((r < 0) | (r >= lang.shape[0])).any() for r in rows):
+            raise DimensionError(f"film views read language rows outside the {lang.shape[0]} given")
+        at = _view_starts([r.size for r in rows], nv, x.shape[0], "film")  # None: views of equal counts
+        lv = lang.data[np.concatenate(rows)]  # each sample's language row
     gw, gb = _stacked(gamma_w, "film gamma_w"), _stacked(gamma_b, "film gamma_b")
     bw, bb = _stacked(beta_w, "film beta_w"), _stacked(beta_b, "film beta_b")
     for w_, b_ in ((gw, gb), (bw, bb)):
@@ -869,26 +964,32 @@ def film(
                 f"film projections {w_.shape}/{b_.shape} do not map {lang.shape[1]} language dims "
                 f"to {c} channels for each of {nv} views"
             )
-    bshape = (nv * n,) + (1,) * (x.ndim - 2) + (c,)
-    gamma1 = lang.data @ gw  # [V, n, C]: view v's product is lang @ gamma_w[v]
-    gamma1 += gb[:, None]
+    n = x.shape[0]
+    bshape = (n,) + (1,) * (x.ndim - 2) + (c,)
+    gamma1 = _by_view(lv, gw, at, gb)  # view v's product is lang[rows[v]] @ gamma_w[v]
     gamma1 += 1.0
-    beta = lang.data @ bw
-    beta += bb[:, None]
+    beta = _by_view(lv, bw, at, bb)
     out = x.data * gamma1.reshape(bshape)
     out += beta.reshape(bshape)
 
     def bwd(g):
-        ones = np.ones(g.size // (nv * n * c), dtype=g.dtype)  # per sample: a sum over the positions, as a product
-        dgamma = (ones @ (g * x.data).reshape(nv * n, -1, c)).reshape(nv, n, c)
-        dbeta = (ones @ g.reshape(nv * n, -1, c)).reshape(nv, n, c)
+        ones = np.ones(g.size // (n * c), dtype=g.dtype)  # per sample: a sum over the positions, as a product
+        dgamma = ones @ (g * x.data).reshape(n, -1, c)
+        dbeta = ones @ g.reshape(n, -1, c)
         gx = g * gamma1.reshape(bshape) if x.requires_grad else None
-        glang = None
-        if lang.requires_grad:
-            glang = dgamma @ gw.transpose(0, 2, 1)
-            glang += dbeta @ bw.transpose(0, 2, 1)
-            glang = glang.sum(axis=0)  # the views in turn
-        lt, sums = lang.data.T, np.ones(n, dtype=g.dtype)
-        return gx, glang, *(lt @ dgamma), *(sums @ dgamma), *(lt @ dbeta), *(sums @ dbeta)
+        glang = np.zeros(lang.shape, dtype=g.dtype) if lang.requires_grad else None
+        grads = [], [], [], []  # of gamma_w, gamma_b, beta_w, beta_b
+        for v, (s, r) in enumerate(zip(_view_rows(at, nv, n), rows)):
+            if glang is not None:
+                part = dgamma[s] @ gw[v].T
+                part += dbeta[s] @ bw[v].T
+                if isinstance(r, slice):  # every row, once
+                    glang += part
+                else:
+                    np.add.at(glang, r, part)
+            lt, sums = (lv[0] if lv.ndim == 3 else lv[s]).T, np.ones(s.stop - s.start, dtype=g.dtype)
+            for grad, (m, d) in zip(grads, ((lt, dgamma), (sums, dgamma), (lt, dbeta), (sums, dbeta))):
+                grad.append(m @ d[s])
+        return gx, glang, *(p for grad in grads for p in grad)
 
     return Tensor._make(out, (x, lang, *gamma_w, *gamma_b, *beta_w, *beta_b), bwd, "film")

@@ -94,7 +94,7 @@ def forward(window: AssembledWindow | Sequence[AssembledWindow], params: dict[st
         x, masks, start = window.tokens, window.mask, 0  # the mask row of the first query
         cut = None if window.readouts is None else x.shape[1] - window.readouts.size  # the readouts trail
         if cut is not None:
-            tail, order = np.arange(cut, x.shape[1]), window.readouts.ravel() - cut
+            tail, order = slice(cut, None), window.readouts.ravel() - cut  # the readouts trail: a slice
 
     for i in range(bb.layers):
         p = f"bb/layer{i}"

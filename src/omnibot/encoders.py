@@ -11,11 +11,12 @@ size and a proprio tokenizer's input width. The constants below are the
 tokenizers' one source, and `image_tokens` is the one count of an image
 group's tokens.
 
-Image groups that a batch places on the same frames (bimanual's
-workspace and wrist cameras) are encoded in one pass: `encode_image`
-stacks their images view-major, and each conv stage takes one parameter
-set per view. Every view keeps its own tokenizer, and its rows are the
-ones that a pass of its own would give.
+The image groups of a batch are encoded in one pass, whatever robot or
+head their frames belong to: `encode_image` stacks their images
+view-major, each view with its own number of images (`workspace` holds
+arm1's and bimanual's frames, `navigation` nav's), and each conv stage
+takes one parameter set per view. Every view keeps its own tokenizer, and
+its rows are the ones that a pass of its own would give.
 
 The tokenizers check no input: `assembler.window_embodiment` and
 `assembler.encode_group` check each frame once, before its values get here.
@@ -23,6 +24,7 @@ The tokenizers check no input: `assembler.window_embodiment` and
 
 from __future__ import annotations
 
+import itertools
 from typing import Sequence
 
 import numpy as np
@@ -101,30 +103,34 @@ class EncoderBank:
     # -- images ------------------------------------------------------------
 
     def encode_image(
-        self, views: Sequence[str], images: Sequence[np.ndarray], goals: Sequence[np.ndarray | None], lang: Tensor
+        self, views: Sequence[str], images: Sequence[np.ndarray], goals: Sequence[np.ndarray | None], lang: Tensor,
+        frames: Sequence[np.ndarray] | None = None,
     ) -> Tensor:
-        """V views of n frames -> [V * n, image_tokens((C, H, W)), d_model] tokens, view-major.
+        """V views' images -> [N, image_tokens((C, H, W)), d_model] tokens, view-major, N images in all.
 
-        `images[v]` holds the [n, C, H, W] images of `views[v]`, and `goals[v]`
-        their [n, C, H, W] goals, or None when no image of that view has a
-        goal (zero goal channels); `lang` holds the [n, LANGUAGE_DIM]
-        instruction rows of the n frames, which FiLM reads in every view. The
-        views run the conv stack as one pass: `conv2d` and `film` take one
+        `images[v]` holds the [n_v, C, H, W] images of `views[v]`, and
+        `goals[v]` their [n_v, C, H, W] goals, or None when no image of that
+        view has a goal (zero goal channels); `lang` holds [F, LANGUAGE_DIM]
+        instruction rows, and `frames[v]` the row of each image of view v
+        (with `frames` None, every view has F images, which read lang's rows
+        in order). The views run the conv stack as one pass, each with its
+        own number of images: `conv2d`, `film` and `linear` take one
         parameter set per view and give each view the products that a pass
         of its own would. The stack runs channels-last: images and goals are
-        transposed once into one [V * n, H, W, 2C] input, each stage is
-        `conv2d` (with its bias), `film` and `gelu`, and the last stage's
-        [V * n, h, w, c] output is read as [V * n, h * w, c] tokens in
-        row-major (h, w) order, without a copy. One `linear` node then
-        projects each view's tokens with that view's own weights, as a
-        projection of its own would.
+        transposed once into one [N, H, W, 2C] input, each stage is `conv2d`
+        (with its bias), `film` and `gelu`, and the last stage's [N, h, w, c]
+        output is read as [N, h * w, c] tokens in row-major (h, w) order,
+        without a copy. One `linear` node then projects each view's tokens
+        with that view's own weights, as a projection of its own would.
         """
-        n, c = images[0].shape[:2]
-        x = np.zeros((len(views) * n, *images[0].shape[2:], 2 * c), dtype=self.dtype)
-        for v, (image, goal) in enumerate(zip(images, goals)):
-            x[v * n : (v + 1) * n, ..., :c] = image.transpose(0, 2, 3, 1)
+        at = list(itertools.accumulate((len(image) for image in images), initial=0))
+        counts = None if frames is None else [e - a for a, e in zip(at, at[1:])]  # None: F images each
+        c = images[0].shape[1]
+        x = np.zeros((at[-1], *images[0].shape[2:], 2 * c), dtype=self.dtype)
+        for a, e, image, goal in zip(at, at[1:], images, goals):
+            x[a:e, ..., :c] = image.transpose(0, 2, 3, 1)
             if goal is not None:
-                x[v * n : (v + 1) * n, ..., c:] = goal.transpose(0, 2, 3, 1)
+                x[a:e, ..., c:] = goal.transpose(0, 2, 3, 1)
 
         x = ad.tensor(x)
 
@@ -132,11 +138,11 @@ class EncoderBank:
             return [self.params[f"enc/img/{view}/{name}"] for view in views]
 
         for i in range(len(CONV_CHANNELS)):
-            x = ad.conv2d(x, per_view(f"conv{i}/w"), per_view(f"conv{i}/b"), stride=CONV_STRIDE)
+            x = ad.conv2d(x, per_view(f"conv{i}/w"), per_view(f"conv{i}/b"), CONV_STRIDE, counts)
             film = [per_view(f"film{i}/{nm}") for nm in ("gamma_w", "gamma_b", "beta_w", "beta_b")]
-            x = ad.gelu(ad.film(x, lang, *film))
+            x = ad.gelu(ad.film(x, lang, *film, frames))
         tokens = x.reshape(x.shape[0], -1, x.shape[-1])
-        return ad.linear(tokens, per_view("proj/w"), per_view("proj/b"))
+        return ad.linear(tokens, per_view("proj/w"), per_view("proj/b"), counts)
 
     # -- proprioception -----------------------------------------------------
 

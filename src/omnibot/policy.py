@@ -2,8 +2,12 @@
 
 The backbone never runs on a whole assembled window. Each element owns one
 action head, the one its embodiment draws from, and only that head's loss
-sees the element. So `predict` assembles one compact window per owned
-head, on that head's owners: their live observation slots plus the head's
+sees the element. `predict` first encodes the whole batch in one pass over
+the batch's views (`assembler.encode_batch`): each camera group is one view
+of one grouped conv stack, with the frames of every robot that has it,
+whatever head owns them, and each proprio group one `linear`. It then
+assembles one compact window per owned head, on that head's owners, from
+their rows of that pass: their live observation slots plus the head's
 readouts (see `assembler`). The slots left out are pads, which attend only
 to themselves, and readouts, which no query but themselves sees, so no kept
 slot's output changes (up to the order of floating-point sums). The other
@@ -175,11 +179,13 @@ class Policy:
         """Per-head chunk predictions at every window step: [B, k, chunk, action_dim].
 
         An element owns the head of its window's embodiment; its rows of
-        every other head are exact zeros. The owned heads' compact windows,
-        in config order, run one backbone pass. Ownership comes from the
-        windows alone, so `batch.targets`, `batch.loss_masks` and
-        `batch.heads` are not read. Frames are checked as in `act`, and finite inputs that
-        give a non-finite prediction raise EvaluationError.
+        every other head are exact zeros. The batch is encoded in one pass,
+        its windows taken head by head, and the owned heads' compact
+        windows, in config order, take their rows of it and run one
+        backbone pass. Ownership comes from the windows alone, so
+        `batch.targets`, `batch.loss_masks` and `batch.heads` are not read.
+        Frames are checked as in `act`, and finite inputs that give a
+        non-finite prediction raise EvaluationError.
         """
         windows = batch.windows
         if not windows:
@@ -190,11 +196,16 @@ class Policy:
             raise ContractError(f"batch needs heads {unknown} that the config does not define")
         b, k = len(windows), self.layout.history
         rows = {name: np.flatnonzero(owners == name) for name in self.head_specs if (owners == name).any()}
+        ordered = [windows[r] for mine in rows.values() for r in mine]  # each head's owners in turn
         with np.errstate(all="ignore"):  # an overflow shows as a non-finite prediction below
-            subs = {
-                name: assembler.assemble_batch([windows[r] for r in mine], self.layout, self.bank, self.params, name)
-                for name, mine in rows.items()
-            }
+            encoded = assembler.encode_batch(ordered, self.layout, self.bank)
+            subs, first = {}, 0
+            for name, mine in rows.items():
+                end = first + mine.size
+                subs[name] = assembler.assemble_batch(
+                    ordered[first:end], self.layout, self.bank, self.params, name, encoded=encoded.of(first, end)
+                )
+                first = end
             if len(subs) == 1:  # one head: the plain [B, T, d] call
                 ((name, sub),) = subs.items()
                 readouts = {name: backbone.forward(sub, self.params, self.cfg)}
@@ -203,7 +214,7 @@ class Policy:
                 readouts, at = {}, 0
                 for name, sub in subs.items():
                     n = rows[name].size * sub.readouts.size
-                    mine = ad.take(packed, np.arange(at, at + n), axis=1)
+                    mine = ad.take(packed, slice(at, at + n), axis=1)
                     readouts[name] = mine.reshape(rows[name].size, *sub.readouts.shape, -1)
                     at += n
             preds = {name: heads.project(r, self.params, name) for name, r in readouts.items()}
@@ -257,7 +268,8 @@ class Policy:
             slots = kept.slots.get(shape)
             if slots is None:
                 slots = kept.slots[shape] = assembler.slot_rows(self.layout, self.params, structure)
-            window = assembler.window_tokens(structure, [frames], self.layout, self.bank, slots, kept.encode)
+            encoded = assembler.encode_rows(structure, [frames], self.bank, kept.encode)
+            window = assembler.window_tokens(structure, encoded, slots)
             readouts = backbone.forward(window, self.params, self.cfg)
             chunk = heads.decode(readouts.reshape(-1, readouts.shape[-1]), self.params, self.head_specs[head])
         if not np.isfinite(chunk.values).all():

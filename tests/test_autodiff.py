@@ -1030,6 +1030,139 @@ def test_grouped_linear_equals_take_linear_concat_bit_for_bit(views, dtype):
         assert_same_bits(grads[p], want[p])
 
 
+# views of unequal counts, as a mixed batch's views have: `workspace` with two robots' frames, a wrist camera with one's
+RAGGED = ((3, 1, 2), (1,), (2, 5), (4, 4))
+
+
+def view_slices(counts):
+    at = np.cumsum([0, *counts])
+    return [slice(a, e) for a, e in zip(at, at[1:])]
+
+
+@pytest.mark.parametrize("counts", RAGGED)
+@pytest.mark.parametrize("dtype", (np.float32, np.float64))
+def test_ragged_conv2d_equals_a_call_per_view_bit_for_bit(counts, dtype):
+    rng = np.random.Generator(np.random.PCG64(94))
+    c, c2, views = 3, 4, len(counts)
+    x = ad.param(rng.standard_normal((sum(counts), 7, 6, c)).astype(dtype))
+    kernels = view_params(rng, views, (c2, c, 3, 3), dtype)
+    biases = view_params(rng, views, (c2,), dtype)
+    out = ad.conv2d(x, kernels, biases, 2, counts)
+    w = rng.standard_normal(out.shape).astype(dtype)
+    grads = ad.backward((out * ad.tensor(w)).sum(), [x, *kernels, *biases])
+    for v, at in enumerate(view_slices(counts)):
+        xv = ad.param(x.data[at])
+        one = ad.conv2d(xv, [kernels[v]], [biases[v]], 2)
+        assert_same_bits(out.data[at], one.data)
+        alone = ad.backward((one * ad.tensor(w[at])).sum(), [xv, kernels[v], biases[v]])
+        assert_same_bits(grads[x][at], alone[xv])
+        assert_same_bits(grads[kernels[v]], alone[kernels[v]])
+        assert_same_bits(grads[biases[v]], alone[biases[v]])
+
+
+# the language rows each view's samples read, of 4 rows: views share rows, and the last reads row 1 twice
+RAGGED_ROWS = ([0, 1, 3], [2], [1, 2], [1, 1])
+
+
+@pytest.mark.parametrize("views", (1, 2, 4))
+@pytest.mark.parametrize("dtype", (np.float32, np.float64))
+def test_ragged_film_equals_a_call_per_view_bit_for_bit(views, dtype):
+    """Each view against a plain call on its own language rows; a row's gradient sums its readers', view by view."""
+    rng = np.random.Generator(np.random.PCG64(95))
+    lang_dim, c, rows = 5, 4, RAGGED_ROWS[:views]
+    counts = [len(r) for r in rows]
+    x = ad.param(rng.standard_normal((sum(counts), 3, 2, c)).astype(dtype))
+    lang = ad.param(rng.standard_normal((4, lang_dim)).astype(dtype))
+    projections = [view_params(rng, views, shape, dtype) for shape in ((lang_dim, c), (c,)) * 2]
+    out = ad.film(x, lang, *projections, [np.array(r) for r in rows])
+    w = rng.standard_normal(out.shape).astype(dtype)
+    flat = [p for per_view in projections for p in per_view]
+    grads = ad.backward((out * ad.tensor(w)).sum(), [x, lang, *flat])
+    glang = np.zeros_like(lang.data)
+    for v, at in enumerate(view_slices(counts)):
+        xv, lv = ad.param(x.data[at]), ad.param(lang.data[rows[v]])
+        mine = [per_view[v] for per_view in projections]
+        one = one_view_film(xv, lv, *mine)
+        assert_same_bits(out.data[at], one.data)
+        alone = ad.backward((one * ad.tensor(w[at])).sum(), [xv, lv, *mine])
+        assert_same_bits(grads[x][at], alone[xv])
+        for p in mine:
+            assert_same_bits(grads[p], alone[p])
+        np.add.at(glang, rows[v], alone[lv])
+    assert_same_bits(grads[lang], glang)
+
+
+@pytest.mark.parametrize("counts", RAGGED)
+@pytest.mark.parametrize("dtype", (np.float32, np.float64))
+def test_ragged_linear_equals_a_call_per_view_bit_for_bit(counts, dtype):
+    rng = np.random.Generator(np.random.PCG64(96))
+    tokens, c, d, views = 9, 64, 32, len(counts)
+    x = ad.param(rng.standard_normal((sum(counts), tokens, c)).astype(dtype))
+    ws, bs = view_params(rng, views, (c, d), dtype), view_params(rng, views, (d,), dtype)
+    out = ad.linear(x, ws, bs, counts)
+    w = rng.standard_normal(out.shape).astype(dtype)
+    grads = ad.backward((out * ad.tensor(w)).sum(), [x, *ws, *bs])
+    for v, at in enumerate(view_slices(counts)):
+        xv = ad.param(x.data[at])
+        one = ad.linear(xv, ws[v], bs[v])
+        assert_same_bits(out.data[at], one.data)
+        alone = ad.backward((one * ad.tensor(w[at])).sum(), [xv, ws[v], bs[v]])
+        assert_same_bits(grads[x][at], alone[xv])
+        assert_same_bits(grads[ws[v]], alone[ws[v]])
+        assert_same_bits(grads[bs[v]], alone[bs[v]])
+
+
+def _film_of_rows(x, rows):
+    lang = ad.tensor(np.zeros((3, 5)))
+    projections = [[ad.tensor(np.zeros(shape))] * len(rows) for shape in ((5, 2), (2,)) * 2]
+    return ad.film(x, lang, *projections, rows)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda x, k, b: ad.conv2d(x, [k] * 3, [b] * 3, 1, [4, 0, 2]), r"views of \[4, 0, 2\] samples"),
+    (lambda x, k, b: ad.conv2d(x, [k] * 2, [b] * 2, 1, [4, 1]), r"views of \[4, 1\] samples do not fit 2 views of 6"),
+    (lambda x, k, b: ad.conv2d(x, [k] * 2, [b] * 2, 1, [6]), r"views of \[6\] samples do not fit 2 views"),
+    (lambda x, k, b: ad.linear(x, [ad.tensor(np.zeros((2, 3)))] * 2, [b] * 2, [6, 0]), r"views of \[6, 0\] samples"),
+    (lambda x, k, b: ad.linear(x, [ad.tensor(np.zeros((2, 3)))] * 2, [b] * 2, [2, 3]), r"views of \[2, 3\] samples"),
+    (lambda x, k, b: ad.linear(x, ad.tensor(np.zeros((2, 3))), b, [5]), r"views of \[5\] samples"),
+    (lambda x, k, b: _film_of_rows(x, [np.arange(6) % 3, np.array([], dtype=int)]), r"views of \[6, 0\] samples"),
+    (lambda x, k, b: _film_of_rows(x, [np.arange(3), np.arange(2)]), r"views of \[3, 2\] samples"),
+    (lambda x, k, b: _film_of_rows(x, [np.array([0, 1, 2, 3, 0, 1])]), "outside the 3 given"),
+])
+def test_ragged_views_must_fit_the_samples(call, match):
+    """A view of no samples, or counts that do not sum to the samples, is a DimensionError naming the counts."""
+    x = ad.tensor(np.zeros((6, 4, 4, 2)))
+    k, b = ad.tensor(np.zeros((3, 2, 3, 3))), ad.tensor(np.zeros(3))
+    with pytest.raises(DimensionError, match=match):
+        call(x, k, b)
+
+
+def test_ragged_conv2d_film_gelu_linear_chain_passes_finite_diff_check():
+    """The encoder's stage shape over views of 3, 1 and 2 images that read 4 language rows."""
+    rng = np.random.Generator(np.random.PCG64(97))
+    counts, rows = (3, 1, 2), [np.array([0, 1, 3]), np.array([2]), np.array([1, 2])]
+    x = ad.param(rng.standard_normal((sum(counts), 5, 5, 2)))
+    params = {"x": x, "lang": ad.param(rng.standard_normal((4, 3)))}
+    for v in range(len(counts)):
+        params[f"k{v}"] = ad.param(rng.standard_normal((4, 2, 3, 3)) * 0.3)
+        params[f"b{v}"] = ad.param(rng.standard_normal(4))
+        for nm, shape in (("gw", (3, 4)), ("gb", (4,)), ("bw", (3, 4)), ("bb", (4,)), ("pw", (4, 5)), ("pb", (5,))):
+            params[f"{nm}{v}"] = ad.param(rng.standard_normal(shape) * 0.5)
+    w = ad.tensor(rng.standard_normal((sum(counts), 9, 5)))
+
+    def per_view(name):
+        return [params[f"{name}{v}"] for v in range(len(counts))]
+
+    def loss():
+        y = ad.conv2d(x, per_view("k"), per_view("b"), 2, counts)
+        y = ad.gelu(ad.film(y, params["lang"], *map(per_view, ("gw", "gb", "bw", "bb")), rows))
+        return (ad.linear(y.reshape(sum(counts), 9, 4), per_view("pw"), per_view("pb"), counts) * w).sum()
+
+    report = ad.finite_diff_check(loss, params, probes=64)
+    assert report.max_rel_err < 1e-6
+    assert sum(p.status == "ok" for p in report.probes) > 48
+
+
 # ---------------------------------------------------------------- backward
 
 
@@ -1152,6 +1285,30 @@ def test_take_and_scatter_round_trip_grads():
     np.testing.assert_array_equal(out.data[0, 0], np.zeros(4))
     gs = ad.backward((out * 2.0).sum(), [src])[src]
     np.testing.assert_array_equal(gs, np.full((3, 4), 2.0))
+
+    # rows of src by index: row 2 goes to (0, 1), row 0 to (1, 4); row 1 is left out and gets zeros
+    out = ad.scatter_tokens(src, np.array([0, 1]), np.array([1, 4]), batch=2, tokens=5, rows=np.array([2, 0]))
+    np.testing.assert_array_equal(out.data[0, 1], src.data[2])
+    np.testing.assert_array_equal(out.data[1, 4], src.data[0])
+    assert np.count_nonzero(out.data.any(axis=-1)) == 2
+    gs = ad.backward((out * 2.0).sum(), [src])[src]
+    np.testing.assert_array_equal(gs, [[2.0] * 4, [0.0] * 4, [2.0] * 4])
+
+
+@pytest.mark.parametrize("shape, axis, run, view", [
+    ((1, 6, 3), 1, slice(1, 4), True), ((1, 6, 3), 1, slice(0, 6), True), ((2, 6, 3), 0, slice(1, 2), True),
+    ((2, 6, 3), 1, slice(4, None), False), ((2, 6, 3), 2, slice(0, 2), False), ((2, 6, 3), 1, slice(5, 6), False),
+])
+def test_take_of_a_slice_reads_it_with_the_gathers_gradient(shape, axis, run, view):
+    """A slice is read without a copy where it is C-contiguous, as a tensor's data must be; its gradient is the gather's."""
+    x = ad.param(rand(shape, 63))
+    idx = np.arange(shape[axis])[run]
+    w = rand(np.take(x.data, idx, axis=axis).shape, 64)
+    out = ad.take(x, run, axis=axis)
+    assert np.shares_memory(out.data, x.data) == view
+    assert_same_bits(out.data, np.take(x.data, idx, axis=axis))
+    g = ad.backward((out * ad.tensor(w)).sum(), [x])[x]
+    assert_same_bits(g, ad.backward((ad.take(x, idx, axis=axis) * ad.tensor(w)).sum(), [x])[x])
 
 
 def test_gelu_matches_tanh_formula_and_grad():

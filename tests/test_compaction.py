@@ -21,6 +21,7 @@ from omnibot.autodiff import Tensor, ops
 from omnibot.config import desk_config
 from omnibot.datapipe import TrainingBatch
 from omnibot.embodiments import embodiment
+from omnibot.encoders import EncoderBank
 from omnibot.errors import ContractError
 from omnibot.policy import Policy
 from omnibot.rng import derive_seed
@@ -284,6 +285,18 @@ def test_bimanual_cameras_are_encoded_in_one_pass(policy, monkeypatch):
     policy.params_changed()  # every frame is new to `act`
     policy.act(frames, "bimanual")
     assert made.count("conv2d") == made.count("film") == 3
+
+
+def test_a_four_head_batch_is_encoded_in_one_pass(policy, sampler, cfg, monkeypatch):
+    """arm1, nav, bimanual and quad: one `encode_image` call over every camera group, so 3 conv2d and 3 film nodes."""
+    batch = batch_of(sampler, cfg, SHORT_PICKS)
+    assert {embodiment(w[0].embodiment).name for w in batch.windows} == set(EMBODIMENTS)
+    calls, encode_image = [], EncoderBank.encode_image
+    monkeypatch.setattr(EncoderBank, "encode_image", lambda self, views, *args: calls.append(views) or encode_image(self, views, *args))
+    ops = [node.op for node in tape(policy.loss(batch))]
+    assert calls == [["workspace", "navigation", "wrist-left", "wrist-right"]]
+    assert ops.count("conv2d") == ops.count("film") == 3
+    assert ops.count("embedding") == 1  # one language pass per batch
 
 
 def compact_window(policy, windows, head, steps=slice(None)):

@@ -126,16 +126,48 @@ def test_weight_sharing_one_parameter_set_per_view(bank):
     np.testing.assert_array_equal(nav_before, nav_after)
 
 
-def test_views_encoded_together_equal_a_pass_per_view(bank):
-    views = ["workspace", "wrist-left", "wrist-right"]
-    images = [imgs(2, seed=6 + v) for v in range(3)]
-    goals = [imgs(2, seed=9), None, None]
-    lang = bank.embed_language(np.array([5, 0]))
-    together = bank.encode_image(views, images, goals, lang).data
-    assert together.shape == (6, 9, 64)
+def spoken_bank(seed):
+    """A float32 bank whose FiLM projections are random, so that each image's language row changes its tokens."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    params = init_encoder_params(desk_config(), rng)
+    for name, p in params.items():
+        if "/film" in name:
+            p.data[...] = rng.standard_normal(p.shape).astype(np.float32) * np.float32(0.3)
+    return EncoderBank(params, np.dtype(np.float32))
+
+
+# per case, the language row of each image of each view, and the rows' instruction ids: a mixed batch's views,
+# each with its own frames, and views on the same frames, as bimanual's cameras are
+VIEW_FRAMES = [([[0, 1, 3], [2], [0, 1]], [5, 9, 0, 3]), ([[0, 1]] * 3, [5, 0])]
+
+
+def test_views_encoded_together_equal_a_pass_per_view():
+    for frames, ids in VIEW_FRAMES:
+        assert_views_equal_a_pass_each(spoken_bank(6), frames, ids)
+
+
+def assert_views_equal_a_pass_each(bank, frames, ids):
+    """Tokens and every view's parameter gradients of one pass over views, against a pass per view."""
+    views = ["workspace", "navigation", "wrist-left"]
+    images = [imgs(len(f), seed=6 + v) for v, f in enumerate(frames)]
+    goals = [imgs(len(frames[0]), seed=9), None, None]
+    lang = bank.embed_language(np.array(ids))
+    every = all(f == list(range(len(ids))) for f in frames)  # each view reads every language row, in order
+    together = bank.encode_image(views, images, goals, lang, None if every else [np.array(f) for f in frames])
+    assert together.shape == (sum(map(len, frames)), 9, 64)
+    w = np.random.Generator(np.random.PCG64(7)).standard_normal(together.shape).astype(np.float32)
+    params = list(bank.params.values())
+    grads = ad.backward((together * ad.tensor(w)).sum(), params)
+    at = 0
     for v, view in enumerate(views):
-        alone = bank.encode_image([view], [images[v]], [goals[v]], lang).data
-        np.testing.assert_array_equal(together[2 * v : 2 * v + 2], alone)
+        n = len(frames[v])
+        alone = bank.encode_image([view], [images[v]], [goals[v]], bank.embed_language(np.array(ids)[frames[v]]))
+        np.testing.assert_array_equal(together.data[at : at + n], alone.data)
+        mine = ad.backward((alone * ad.tensor(w[at : at + n])).sum(), params)
+        for name, p in bank.params.items():
+            if name.startswith(f"enc/img/{view}/"):
+                np.testing.assert_array_equal(grads[p], mine[p])
+        at += n
 
 
 def test_views_encoded_together_keep_one_parameter_set_each(bank):
