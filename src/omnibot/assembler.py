@@ -19,6 +19,15 @@ restricted to the kept columns and the pads: the backbone computes the same
 numbers as on the full window, on fewer rows. The full window (no head) is
 the dense oracle the tests compare against; it keeps slot order.
 
+A compact window keeps the observation slots live in at least one of its
+windows, so windows of different robots or frame counts pad each other:
+a short window's rows then sit beside padding in every row-wise op, and
+its readouts at steps with no frame run too. `Policy.predict` therefore
+builds one compact window per bucket, windows of one robot and one frame
+count f, with the head's readouts at their last f steps alone: every kept
+slot is live in every window, so a bucket has no padding, and each row
+permits exactly its stated key prefix and its own key.
+
 A compact window lists its kept observation columns first and the head's
 readout columns last, each part in ascending slot order. Every readout is
 then its own row's key alone, and the readouts are the window's last keys,
@@ -37,13 +46,14 @@ once. It reads each window's robot and frame count alone. `slot_rows`
 gives its columns' position and readout embeddings, zero at padding, from
 the parameters. `window_tokens` fills a structure with token values: the
 encoder rows, scattered into their columns, plus the slot rows.
-`assemble_batch` runs all three. `Policy.predict` encodes its whole batch
-first, in one pass over the batch's views (`encode_batch`): one grouped
-conv stack over every image group that the batch's frames carry, each
-group one view with the frames of every robot that has it, whatever head
-owns them, plus one `linear` per proprio group. Each owned head's
-`assemble_batch` then takes its rows of that pass (`EncodedBatch.of`),
-and `backbone.forward` runs the heads' windows in one pass. `Policy.act`
+`assemble_batch` runs all three, or the last two on a structure kept by
+the caller. `Policy.predict` encodes its whole batch first, in one pass
+over the batch's views (`encode_batch`): one grouped conv stack over every
+image group that the batch's frames carry, each group one view with the
+frames of every robot that has it, whatever bucket they fall in, plus one
+`linear` per proprio group. Each bucket's `assemble_batch` then takes its
+rows of that pass (`EncodedBatch.of`) and its kept structure, and
+`backbone.forward` runs the buckets' windows in one pass. `Policy.act`
 encodes a window's new frames a run of groups at a time (`encode_group`;
 image groups next in slot order on the same frames, as bimanual's three
 cameras are, form one run) and keeps the structure and the slot rows of
@@ -450,8 +460,10 @@ def window_structure(
     With `head` None, the full window: every slot of every step. With a
     head, the compact window for that head's readouts at `steps`, which
     index the k window steps (every window ends at step k-1, so [-1] is the
-    newest): the observation slots live in at least one window, then the
-    head's readout slots at `steps`, whose columns it names in `readouts`.
+    newest): the observation slots live in at least one window (padding in
+    the others), then the head's readout slots at `steps`, whose columns it
+    names in `readouts`. Windows of one robot and f frames at steps
+    `slice(k - f, None)`, a bucket, have no padding.
     The windows must have passed `window_embodiment`; this does not check
     them again, and reads only their robots' groups and frame counts. A
     compact window's mask states each row's key prefix, the observation
@@ -604,16 +616,19 @@ def assemble_batch(
     head: str | None = None,
     steps=slice(None),
     encoded: EncoderRows | None = None,
+    structure: WindowStructure | None = None,
 ) -> AssembledWindow:
     """Place a batch of checked frame histories into their slots, with their encoder rows.
 
     `window_structure(windows, layout, head, steps)`, filled by `window_tokens`
     with its `slot_rows` and `encoded`'s rows: `Policy.predict` gives each
-    head its rows of the batch's one encoder pass (`EncodedBatch.of`).
+    bucket its rows of the batch's one encoder pass (`EncodedBatch.of`) and
+    its kept `structure`, which then stands for `head` and `steps`.
     Without `encoded`, the windows are encoded here, a pass per run of
     groups (`encode_rows`), as the oracles do.
     """
-    structure = window_structure(windows, layout, head, steps)
+    if structure is None:
+        structure = window_structure(windows, layout, head, steps)
     if encoded is None:
         encoded = encode_rows(structure, windows, bank)
     return window_tokens(structure, encoded, slot_rows(layout, params, structure))

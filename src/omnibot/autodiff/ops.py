@@ -29,7 +29,8 @@ given; views of unequal counts run one call per view (`_by_view`).
 `masked_attention` runs one or more segments in one node: one mask is the
 plain call on [B, T, d] operands, and a sequence of masks runs each on its
 rows of [1, N, d] operands packed one segment after another, as views, so
-that the compact windows of several heads share one node per layer.
+that the compact windows of a training batch's buckets share one node per
+layer.
 
 It computes only scores that some row may need. Whoever builds a mask
 states its structure, each row's key prefix and the trailing own keys

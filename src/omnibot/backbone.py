@@ -3,9 +3,9 @@
 Pre-norm residual blocks; the window's attention mask is applied unchanged
 in every layer (in the last one, for a head's compact window, only its
 trailing rows, the readouts), so the assembler's causality/pad/readout
-guarantees hold end to end. Several compact windows run as one pass over
-their packed rows, each window's attention on its own segment with its own
-mask.
+guarantees hold end to end. Several compact windows (one per bucket of a
+training batch) run as one pass over their packed rows, each window's
+attention on its own segment with its own mask.
 """
 
 from __future__ import annotations
@@ -67,9 +67,10 @@ def forward(window: AssembledWindow | Sequence[AssembledWindow], params: dict[st
     splits the heads itself, as strided views, so a layer is two norms,
     six linears, one attention, one gelu and two residual adds.
 
-    A sequence of compact windows (`Policy.predict` gives one per owned
-    head) runs as one pass over their rows packed into one [1, N, d_model]
-    array, each window's [B, T] rows in turn: every row-wise op runs once
+    A sequence of compact windows (`Policy.predict` gives one per bucket,
+    the windows of one robot and frame count) runs as one pass over their
+    rows packed into one [1, N, d_model] array, each window's [B, T] rows
+    in turn: every row-wise op runs once
     per layer over all of them, and attention is one node per layer that
     runs each window's segment with its own mask and plan (see
     `masked_attention`). The last layer takes every window's readout rows

@@ -2,27 +2,33 @@
 
 The backbone never runs on a whole assembled window. Each element owns one
 action head, the one its embodiment draws from, and only that head's loss
-sees the element. `predict` first encodes the whole batch in one pass over
-the batch's views (`assembler.encode_batch`): each camera group is one view
-of one grouped conv stack, with the frames of every robot that has it,
-whatever head owns them, and each proprio group one `linear`. It then
-assembles one compact window per owned head, on that head's owners, from
-their rows of that pass: their live observation slots plus the head's
-readouts (see `assembler`). The slots left out are pads, which attend only
-to themselves, and readouts, which no query but themselves sees, so no kept
+sees the element. `predict` buckets the batch's windows by (head, robot,
+frame count) and first encodes the whole batch in one pass over the
+batch's views (`assembler.encode_batch`): each camera group is one view of
+one grouped conv stack, with the frames of every robot that has it,
+whatever bucket they fall in, and each proprio group one `linear`. It then
+assembles one compact window per bucket from its rows of that pass: the
+observation slots of its frames plus the head's readouts at the steps that
+hold a frame (see `assembler`). The windows of a bucket share one robot and
+one frame count, so every kept slot is live in each of them, and a bucket
+has no padding. The slots left out are pads, which attend only to
+themselves, and readouts, which no query but themselves sees, so no kept
 slot's output changes (up to the order of floating-point sums). The other
-heads' readouts of an element would only have met a zero loss weight. The
-backbone then makes one pass over every owned head's window, their rows
-packed into one array, with each head's attention on its own segment (see
-`backbone.forward`), and each head projects its rows of the readouts. A
-batch that owns one head runs its window alone, as a batch of [B, T] rows.
-`act` runs one compact window, for the newest step's readouts of the
-requested head. A compact window lists the observations first and the
-readouts last, so its layout states each row's prefix of observation keys
-(its step's and earlier) and each readout as its row's own key, and
-attention gives each readout row only that prefix (see
-`autodiff.AttentionMask`). `act`'s readouts, of the newest step only,
-already end every prefix, so there the split saves less than it costs.
+heads' readouts of an element, and its readouts at steps with no frame,
+would only have met a zero loss weight, so those predictions are exact
+zeros. The backbone then makes one pass over every bucket's window, their
+rows packed into one array, with each bucket's attention on its own
+segment (see `backbone.forward`), and each head projects its buckets' rows
+of the readouts and places them at their windows' steps. A batch of one
+bucket runs its window alone, as a batch of [B, T] rows. `act` runs one
+compact window, for the newest step's readouts of the requested head. A
+compact window lists the observations first and the readouts last, so its
+layout states each row's prefix of observation keys (its step's and
+earlier) and each readout as its row's own key, and attention gives each
+readout row only that prefix (see `autodiff.AttentionMask`). In a bucket
+each row permits exactly that prefix and its own key. `act`'s readouts, of
+the newest step only, already end every prefix, so there the split saves
+less than it costs.
 
 A second fact trims the last layer: the heads read only readout rows, and
 there every other row serves only as a key and a value, because an
@@ -46,18 +52,22 @@ differ from encoding the same frame in a batch of another size only by
 BLAS summation order (float32 relative 1e-6, float64 1e-15). Whoever
 writes parameters in place calls `params_changed`, which drops these rows.
 
-A fourth fact lets `act` build each window shape once. Everything of an
-`act` window but its encoder rows depends only on the robot, the number
-of frames and the head, since `window_embodiment` pins the groups of a
-robot's frames. That is its structure (`assembler.WindowStructure`: the
+A fourth fact lets `act` and `predict` build each window shape once.
+Everything of a window but its encoder rows depends only on the robot, the
+number of frames and the head, since `window_embodiment` pins the groups of
+a robot's frames. That is its structure (`assembler.WindowStructure`: the
 kept columns, padding, readout rows, where each encoder row goes, and the
 `AttentionMask` with its plans) and its slot rows (`assembler.slot_rows`:
-position and readout embeddings, zero at padding). `act` keeps both per
-such shape, at most robots x history of each. A structure holds no
-parameters, so `params_changed` keeps it; slot rows are computed from
-`asm/pos` and the head's readout table, so `params_changed` drops them
-with the encoder rows. An `act` window has no padding, so its tokens are
-exactly its encoder rows plus its kept slot rows.
+position and readout embeddings, zero at padding). `Policy.window_structures`
+keeps one structure per such shape: `act`'s by (robot, frames, head), at
+most robots x history, and a bucket's by (robot, frames, head, window
+count), at most robots x history x batch size. `act` also keeps the slot
+rows of its shapes. A structure holds no parameters, so `params_changed`
+keeps it; slot rows are computed from `asm/pos` and the head's readout
+table, so `params_changed` drops them with the encoder rows. Training
+computes its slot rows each batch, for their gradients. An `act` window has
+no padding, so its tokens are exactly its encoder rows plus its kept slot
+rows.
 """
 
 from __future__ import annotations
@@ -146,8 +156,9 @@ class Policy:
         self.bank = EncoderBank(params, self.dtype)
         self.head_specs = {h.name: h for h in cfg.heads}
         self.frame_tokens = FrameTokenCache()
-        # `act`'s window structures, by (robot, frame count, head): at most robots x history
-        self.window_structures: dict[tuple[str, int, str], assembler.WindowStructure] = {}
+        # window structures: `act`'s by (robot, frame count, head), at most robots x history, and
+        # `predict`'s buckets' by (robot, frame count, head, window count), at most that x batch size
+        self.window_structures: dict[tuple, assembler.WindowStructure] = {}
 
     @staticmethod
     def init(cfg: Config, seed: int) -> "Policy":
@@ -179,45 +190,56 @@ class Policy:
         """Per-head chunk predictions at every window step: [B, k, chunk, action_dim].
 
         An element owns the head of its window's embodiment; its rows of
-        every other head are exact zeros. The batch is encoded in one pass,
-        its windows taken head by head, and the owned heads' compact
-        windows, in config order, take their rows of it and run one
-        backbone pass. Ownership comes from the windows alone, so
-        `batch.targets`, `batch.loss_masks` and `batch.heads` are not read.
-        Frames are checked as in `act`, and finite inputs that give a
-        non-finite prediction raise EvaluationError.
+        every other head, and of its own head at steps with no frame, are
+        exact zeros. The windows are bucketed by (head, robot, frame
+        count), heads in config order, and encoded in one pass. Each bucket
+        is one padless compact window, its head's readouts at its valid
+        steps, on a structure kept per (robot, frames, head, window count),
+        and the buckets run one backbone pass. Ownership comes from the
+        windows alone, so `batch.targets`, `batch.loss_masks` and
+        `batch.heads` are not read. Frames are checked as in `act`, and
+        finite inputs that give a non-finite prediction raise
+        EvaluationError.
         """
         windows = batch.windows
         if not windows:
             raise ContractError("predict needs a batch of at least one window")
-        owners = np.array([assembler.window_embodiment(w, self.layout.history).head for w in windows])
-        unknown = sorted(set(owners.tolist()) - set(self.head_specs))
+        b, k = len(windows), self.layout.history
+        robots = [assembler.window_embodiment(w, k) for w in windows]
+        unknown = sorted({r.head for r in robots} - set(self.head_specs))
         if unknown:
             raise ContractError(f"batch needs heads {unknown} that the config does not define")
-        b, k = len(windows), self.layout.history
-        rows = {name: np.flatnonzero(owners == name) for name in self.head_specs if (owners == name).any()}
-        ordered = [windows[r] for mine in rows.values() for r in mine]  # each head's owners in turn
+        rank = {name: i for i, name in enumerate(self.head_specs)}
+        buckets: dict[tuple[str, str, int], list[int]] = {}  # (head, robot, frames) -> its windows
+        for i, (robot, window) in enumerate(zip(robots, windows)):
+            buckets.setdefault((robot.head, robot.name, len(window)), []).append(i)
+        buckets = dict(sorted(buckets.items(), key=lambda item: (rank[item[0][0]], item[0])))
+        places = {}  # per head: the window and step of each of its prediction rows, bucket by bucket
+        for (head, _, f), mine in buckets.items():
+            places.setdefault(head, []).append((np.repeat(mine, f), np.tile(np.arange(k - f, k), len(mine))))
+        places = {head: tuple(np.concatenate(a) for a in zip(*p)) for head, p in places.items()}
+        ordered = [windows[i] for mine in buckets.values() for i in mine]
         with np.errstate(all="ignore"):  # an overflow shows as a non-finite prediction below
             encoded = assembler.encode_batch(ordered, self.layout, self.bank)
-            subs, first = {}, 0
-            for name, mine in rows.items():
-                end = first + mine.size
-                subs[name] = assembler.assemble_batch(
-                    ordered[first:end], self.layout, self.bank, self.params, name, encoded=encoded.of(first, end)
-                )
+            subs, first = [], 0
+            for (head, robot, f), mine in buckets.items():
+                end = first + len(mine)
+                same = ordered[first:end]
+                structure = self._kept((robot, f, head, len(mine)), same, head, slice(k - f, None))
+                subs.append(assembler.assemble_batch(
+                    same, self.layout, self.bank, self.params, encoded=encoded.of(first, end), structure=structure
+                ))
                 first = end
-            if len(subs) == 1:  # one head: the plain [B, T, d] call
-                ((name, sub),) = subs.items()
-                readouts = {name: backbone.forward(sub, self.params, self.cfg)}
-            else:  # one pass; each head takes its rows of the [1, R, d] readouts, in turn
-                packed = backbone.forward(list(subs.values()), self.params, self.cfg)
+            if len(subs) == 1:  # one bucket: the plain [B, T, d] call
+                (head,) = places
+                readouts = {head: backbone.forward(subs[0], self.params, self.cfg)}
+            else:  # one pass; each head takes its buckets' rows of the [1, R, d] readouts, in turn
+                packed = backbone.forward(subs, self.params, self.cfg)
                 readouts, at = {}, 0
-                for name, sub in subs.items():
-                    n = rows[name].size * sub.readouts.size
-                    mine = ad.take(packed, slice(at, at + n), axis=1)
-                    readouts[name] = mine.reshape(rows[name].size, *sub.readouts.shape, -1)
-                    at += n
-            preds = {name: heads.project(r, self.params, name) for name, r in readouts.items()}
+                for head, (mine, _) in places.items():
+                    n = mine.size * self.head_specs[head].chunk_size
+                    readouts[head], at = ad.take(packed, slice(at, at + n), axis=1), at + n
+            preds = {head: heads.project(r, self.params, head) for head, r in readouts.items()}
         out = {}
         for name, spec in self.head_specs.items():
             shape = (b, k, spec.chunk_size, spec.action_dim)
@@ -226,11 +248,17 @@ class Policy:
                 continue
             if not np.isfinite(preds[name].data).all():
                 raise EvaluationError(f"head {name!r} predicted non-finite actions from finite inputs")
-            # one scattered row per owner: [B, 1, k*chunk*action_dim], zeros elsewhere
-            mine = rows[name]
-            placed = ad.scatter_tokens(preds[name].reshape(mine.size, -1), mine, np.zeros_like(mine), b, 1)
-            out[name] = placed.reshape(shape)
+            # one scattered row per owner and valid step: [B, k, chunk*action_dim], zeros elsewhere
+            at, step = places[name]
+            out[name] = ad.scatter_tokens(preds[name].reshape(at.size, -1), at, step, b, k).reshape(shape)
         return out
+
+    def _kept(self, shape: tuple, windows, head: str, steps) -> assembler.WindowStructure:
+        """The structure of `windows`' compact window for `head` at `steps`, built on the first call of its `shape`."""
+        structure = self.window_structures.get(shape)
+        if structure is None:
+            structure = self.window_structures[shape] = assembler.window_structure(windows, self.layout, head, steps)
+        return structure
 
     def loss(self, batch: TrainingBatch) -> Tensor:
         return heads.training_loss(self.predict(batch), batch.targets, batch.loss_masks)
@@ -259,10 +287,7 @@ class Policy:
         if robot.head != head:
             raise ContractError(f"{robot.name!r} draws actions from head {robot.head!r}, not {head!r}")
         shape = (robot.name, len(frames), head)
-        structure = self.window_structures.get(shape)
-        if structure is None:
-            structure = assembler.window_structure([frames], self.layout, head, [-1])
-            self.window_structures[shape] = structure
+        structure = self._kept(shape, [frames], head, [-1])
         kept = self.frame_tokens
         with ad.no_grad(), np.errstate(all="ignore"):  # an overflow shows as a non-finite chunk below
             slots = kept.slots.get(shape)

@@ -5,7 +5,12 @@ assembled window and reads every head's readouts from its rows.
 `Policy.predict` and `Policy.act` run the backbone only on the compact
 windows `assembler.assemble_batch` builds for a head, and its last layer
 only on the readout rows; everything that reaches a loss or an action must
-agree with the oracle to rounding.
+agree with the oracle to rounding. `predict` runs one padless window per
+bucket of one (robot, frame count), with readouts at its valid steps
+alone, so its predictions at steps with no frame are exact zeros and the
+oracle is compared at the valid steps. The policy under test has nonzero
+biases and norm gains, so a padded readout's output is not 0 and a
+prediction at a step with no frame shows.
 """
 
 import dataclasses
@@ -44,9 +49,25 @@ def float64_policy(cfg, seed):
     return Policy(cfg, {name: ad.param(p.data.astype(np.float64)) for name, p in p32.params.items()})
 
 
+def with_biases(policy, seed):
+    """`policy` with every bias nonzero and every norm gain off 1: a readout with no frame then outputs no zero."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    params = {}
+    for name, p in policy.params.items():
+        leaf = name.rsplit("/", 1)[-1]
+        if leaf == "g":
+            data = 1 + 0.2 * rng.standard_normal(p.shape)
+        elif leaf.endswith("b") or leaf in ("b1", "b2"):
+            data = 0.2 * rng.standard_normal(p.shape)
+        else:
+            data = p.data
+        params[name] = ad.param(np.asarray(data, dtype=p.data.dtype))
+    return Policy(policy.cfg, params)
+
+
 @pytest.fixture(scope="module")
 def policy(cfg):
-    return float64_policy(cfg, seed=4)
+    return with_biases(float64_policy(cfg, seed=4), seed=6)
 
 
 @pytest.fixture(scope="module")
@@ -98,14 +119,20 @@ def rel_err(a, b):
     return float(np.linalg.norm(a - b)) / float(np.linalg.norm(b))
 
 
+def valid_steps(policy, windows):
+    """[B, k] bool: the steps that hold a frame; every window ends at step k - 1."""
+    return np.arange(policy.layout.history) >= policy.layout.history - np.array([len(w) for w in windows])[:, None]
+
+
 def assert_matches_dense(policy, batch):
-    """Predictions, loss and the whole gradient against the dense oracle."""
+    """Predictions at the valid steps, loss and the whole gradient against the dense oracle."""
     owners = [embodiment(w[0].embodiment).head for w in batch.windows]
+    valid = valid_steps(policy, batch.windows)
     preds = policy.predict(batch)
     dense = dense_predictions(policy, batch.windows)
     for h, pred in preds.items():
         assert pred.shape == dense[h].shape
-        own = np.array([o == h for o in owners])
+        own = np.array([o == h for o in owners])[:, None] & valid
         np.testing.assert_array_equal(pred.data[~own], 0.0)
         if own.any():
             assert rel_err(pred.data[own], dense[h].data[own]) <= TOL, h
@@ -135,6 +162,19 @@ def test_short_windows_match_dense(policy, sampler, cfg):
     batch = batch_of(sampler, cfg, SHORT_PICKS)
     assert {len(w) for w in batch.windows} == {1, 2, 3, 4, 5}
     assert_matches_dense(policy, batch)
+
+
+def test_predict_is_exact_zero_at_steps_without_a_frame(policy, sampler, cfg):
+    """The oracle's readouts at those steps are not zero, so this sees a padded readout run in `predict`."""
+    batch = batch_of(sampler, cfg, SHORT_PICKS)
+    empty = ~valid_steps(policy, batch.windows)
+    assert empty.any()
+    preds, dense = policy.predict(batch), dense_predictions(policy, batch.windows)
+    for h, pred in preds.items():
+        np.testing.assert_array_equal(pred.data[empty], 0.0)
+    owners = np.array([embodiment(w[0].embodiment).head for w in batch.windows])
+    for b, step in zip(*np.nonzero(empty)):
+        assert np.abs(dense[owners[b]].data[b, step]).min() > 0, (b, step)
 
 
 def test_batch_with_unowned_heads_matches_dense(policy, sampler, cfg):
@@ -203,7 +243,11 @@ def tape(out):
 
 
 def per_head_predictions(policy, batch):
-    """`Policy.predict` as one `backbone.forward` per owned head, on its compact window: the packed pass's oracle."""
+    """One `backbone.forward` per owned head, on its compact window of every step: the bucketed pass's oracle.
+
+    That window keeps the union of its owners' live columns, so its short
+    windows are padded and its readouts at steps with no frame run too.
+    """
     owners = np.array([embodiment(w[0].embodiment).head for w in batch.windows])
     b, k = len(batch.windows), policy.layout.history
     out = {}
@@ -234,10 +278,12 @@ def test_one_pass_matches_one_forward_per_head(policy, sampler, cfg, owned):
     batch = batch_of(sampler, cfg, OWNED_PICKS[owned], seed=owned)
     assert len({embodiment(w[0].embodiment).head for w in batch.windows}) == owned
     preds, oracle = policy.predict(batch), per_head_predictions(policy, batch)
+    valid = valid_steps(policy, batch.windows)
     for h, pred in preds.items():
         assert pred.shape == oracle[h].shape
-        if oracle[h].data.any():
-            assert rel_err(pred.data, oracle[h].data) <= TOL, h
+        np.testing.assert_array_equal(pred.data[~valid], 0.0)
+        if oracle[h].data[valid].any():
+            assert rel_err(pred.data[valid], oracle[h].data[valid]) <= TOL, h
         else:
             np.testing.assert_array_equal(pred.data, 0.0)
     got = heads.validation_mse(preds, batch.targets, batch.loss_masks).item()
@@ -253,25 +299,76 @@ def test_one_pass_matches_one_forward_per_head(policy, sampler, cfg, owned):
         assert float(np.abs(g[p] - g_oracle[p]).max()) <= TOL * norm
 
 
+def buckets(windows):
+    """Each (robot, frame count) of `windows`, with its windows' positions."""
+    out = {}
+    for i, w in enumerate(windows):
+        out.setdefault((w[0].embodiment, len(w)), []).append(i)
+    return out
+
+
 def test_a_four_head_batch_runs_one_backbone_pass_with_one_attention_node_per_layer(policy, sampler, cfg, monkeypatch):
+    """One `backbone.forward` of one padless window per bucket, and one `masked_attention` node per layer."""
     batch = batch_of(sampler, cfg, SHORT_PICKS)
     forwards, forward = [], backbone.forward
     monkeypatch.setattr(backbone, "forward", lambda *args: forwards.append(args[0]) or forward(*args))
     loss = policy.loss(batch)
-    assert len(forwards) == 1 and len(forwards[0]) == 4  # every owned head's window
+    shapes = buckets(batch.windows)
+    assert len(shapes) == len(SHORT_PICKS)  # every window is a bucket of its own
+    assert len(forwards) == 1 and len(forwards[0]) == len(shapes)
+    assert all(not w.pad.any() and w.readouts.shape[0] == w.valid_steps.sum(axis=1).max() for w in forwards[0])
     assert [node.op for node in tape(loss)].count("masked_attention") == cfg.backbone.layers
 
 
-def test_a_single_head_batch_is_byte_equal_to_its_one_window_call(cfg, sampler):
-    """float32: one owned head runs the plain [B, T, d] call, so loss and gradients are the one-window call's bytes."""
+def test_a_one_bucket_batch_is_byte_equal_to_its_one_window_call(cfg, sampler):
+    """float32: one bucket runs the plain [B, T, d] call, so loss and gradients are the one-window call's bytes.
+
+    That call is the bucket's windows' compact window at their valid steps,
+    assembled and encoded alone, with its predictions placed at those steps.
+    """
     p32 = Policy.init(cfg, 7)
-    params = list(p32.params.values())
-    for picks in (OWNED_PICKS[1], [("bimanual", 1), ("bimanual", 5), ("bimanual", 12)]):
+    params, k = list(p32.params.values()), p32.layout.history
+    for picks in ([("arm1", 6), ("arm1", 4), ("arm1", 9)], [("bimanual", 5), ("bimanual", 12), ("bimanual", 7)],
+                  [("quad", 2), ("quad", 2)]):
         batch = batch_of(sampler, cfg, picks, seed=3)
-        loss, oracle = p32.loss(batch), heads.training_loss(per_head_predictions(p32, batch), batch.targets, batch.loss_masks)
-        assert loss.data.dtype == np.float32 and loss.data.tobytes() == oracle.data.tobytes()
-        g, g_oracle = ad.backward(loss, params), ad.backward(oracle, params)
+        (((robot, f), _),) = buckets(batch.windows).items()
+        head, n = embodiment(robot).head, len(picks)
+        sub = compact_window(p32, batch.windows, head, slice(k - f, None))
+        pred = heads.project(backbone.forward(sub, p32.params, p32.cfg), p32.params, head)
+        oracle = {h: ad.zeros((n, k, spec.chunk_size, spec.action_dim), p32.dtype) for h, spec in p32.head_specs.items()}
+        placed = ad.scatter_tokens(pred.reshape(n * f, -1), np.repeat(np.arange(n), f), np.tile(np.arange(k - f, k), n), n, k)
+        oracle[head] = placed.reshape(oracle[head].shape)
+        loss, want = p32.loss(batch), heads.training_loss(oracle, batch.targets, batch.loss_masks)
+        assert loss.data.dtype == np.float32 and loss.data.tobytes() == want.data.tobytes()
+        g, g_oracle = ad.backward(loss, params), ad.backward(want, params)
         assert all(g[p].tobytes() == g_oracle[p].tobytes() for p in params)
+        assert (robot, f, head, n) in p32.window_structures
+
+
+def test_a_second_batch_of_the_same_bucket_shapes_builds_no_structure_or_mask(cfg, sampler, monkeypatch):
+    """A bucket's structure is kept by (robot, frames, head, window count), beside `act`'s, and outlives
+    `params_changed`; the kept entries stay within robots x history x batch size."""
+    policy = Policy.init(cfg, 8)
+    shapes = buckets(batch_of(sampler, cfg, SHORT_PICKS).windows).keys()
+    policy.predict(batch_of(sampler, cfg, SHORT_PICKS))
+    kept = dict(policy.window_structures)
+    assert set(kept) == {(r, f, embodiment(r).head, 1) for r, f in shapes}
+    policy.params_changed()
+    calls = []
+    for name in ("window_structure", "build_attention_mask"):
+        build = getattr(assembler, name)
+        monkeypatch.setattr(assembler, name, lambda *args, build=build, name=name: calls.append(name) or build(*args))
+    again = batch_of(sampler, cfg, SHORT_PICKS[::-1], seed=9)  # other trajectories of the same shapes
+    assert buckets(again.windows).keys() == shapes
+    policy.predict(again)
+    assert calls == [] and all(policy.window_structures[key] is s for key, s in kept.items())
+    monkeypatch.undo()
+    size, k = 8, policy.layout.history
+    for i in range(12):
+        policy.predict(sampler.batch(i, size))
+    assert len(policy.window_structures) <= len(EMBODIMENTS) * k * size
+    for robot, f, head, n in policy.window_structures:
+        assert robot in EMBODIMENTS and 1 <= f <= k and head == embodiment(robot).head and 1 <= n <= size
 
 
 def test_bimanual_cameras_are_encoded_in_one_pass(policy, monkeypatch):
@@ -425,16 +522,48 @@ def test_attention_tiles_compute_at_most_a_quarter_more_scores_than_permitted(cf
     assert computed <= 1.25 * permitted, (computed, permitted)
 
 
-def test_attention_of_a_mixed_batch_sees_every_heads_segment(policy, sampler, cfg, monkeypatch):
-    """One node per layer, one segment per owned head: its compact window's mask, from row 0 and then from its
+def test_buckets_spend_no_score_on_padding(policy, sampler, cfg, monkeypatch):
+    """On `SHORT_PICKS` every segment's mask is exactly its stated structure: each row permits every key of its
+    prefix, its own key where it owns one, and nothing else, in every batch element.
+
+    So a tile's sentinel forbids only keys past a row's prefix, those that
+    rows of later steps read where the cost rule let them share the tile,
+    and its scores go to padding nowhere. The per-head windows of every
+    step, which pad a short window's prefixes, compute more scores per
+    permitted one on the same batch (2.15 at the time of writing).
+    """
+    batch = batch_of(sampler, cfg, SHORT_PICKS)
+    calls = record_attention(monkeypatch)
+    with ad.no_grad():
+        policy.loss(batch)
+    for mask, _, _ in calls[0]:
+        tq, tk = mask.permitted.shape[1:]
+        want = np.arange(tk) < mask.prefixes[:, None]
+        want[np.arange(tq - mask.own, tq), np.arange(tk - mask.own, tk)] = True
+        assert (mask.permitted == want).all()
+    computed, permitted = computed_and_permitted_scores(calls)
+
+    owners = np.array([embodiment(w[0].embodiment).head for w in batch.windows])
+    windows = [compact_window(policy, [batch.windows[r] for r in np.flatnonzero(owners == h)], h) for h in set(owners)]
+    inside = [np.arange(w.mask.permitted.shape[2]) < w.mask.prefixes[:, None] for w in windows]
+    assert any((keys & ~w.mask.permitted).any() for keys, w in zip(inside, windows))  # padding in a prefix
+    nh = cfg.backbone.heads
+    layers = [[(w.mask, nh, 0) for w in windows], [(w.mask, nh, w.slots.size - w.readouts.size) for w in windows]]
+    padded, padded_permitted = computed_and_permitted_scores(layers)
+    assert computed * padded_permitted < padded * permitted, (computed / permitted, padded / padded_permitted)
+
+
+def test_attention_of_a_mixed_batch_sees_every_buckets_segment(policy, sampler, cfg, monkeypatch):
+    """One node per layer, one segment per bucket: its padless window's mask, from row 0 and then from its
     first readout row."""
     batch = batch_of(sampler, cfg, SHORT_PICKS)
     built, build = [], assembler.window_structure
     monkeypatch.setattr(assembler, "window_structure", lambda *args: built.append(build(*args)) or built[-1])
     calls = record_attention(monkeypatch)
     with ad.no_grad():
-        policy.loss(batch)
-    assert len(calls) == cfg.backbone.layers and len(built) == 4
+        Policy(cfg, policy.params).loss(batch)  # keeps no structure yet
+    assert len(calls) == cfg.backbone.layers and len(built) == len(buckets(batch.windows))
+    assert not any(s.pad.any() for s in built)
     for layer, call in enumerate(calls):
         assert [m for m, _, _ in call] == [s.mask for s in built]
         last = layer == cfg.backbone.layers - 1
