@@ -28,24 +28,26 @@ count f, with the head's readouts at their last f steps alone: every kept
 slot is live in every window, so a bucket has no padding, and each row
 permits exactly its stated key prefix and its own key.
 
-A compact window lists its kept observation columns first and the head's
-readout columns last, each part in ascending slot order. Every readout is
-then its own row's key alone, and the readouts are the window's last keys,
-after every observation key in step order. So the layout states what
-`autodiff.AttentionMask` plans from: each row's prefix of observation
-keys, those of its step and earlier, and the readouts as trailing own
-keys. The full window, whose readouts interleave with the observations,
-states none and is one tile of every key. The readout rows are also the
-queries of the last layer, which attends with the first layer's plan cut
-at the first readout row (`AttentionMask.plan(heads, dtype, first)`).
+A compact window lists its kept observation columns first, in ascending
+slot order, and the head's readout columns last, in the order of the steps
+asked for. Every readout is then its own row's key alone, and the readouts
+are the window's last keys, after every observation key. So the layout
+states what `autodiff.AttentionMask` plans from: each row's prefix of
+observation keys, those of its step and earlier, and the readouts as
+trailing own keys. The full window, whose readouts interleave with the
+observations, states none and is one tile of every key. The readout rows
+are also the queries of the last layer, which attends with the first
+layer's plan cut at the first readout row (`AttentionMask.plan(heads,
+dtype, first)`).
 
 Assembly is three steps. `window_structure` places the slots: the kept
 columns, the padding, the valid steps, the readout rows, where each
 frame's encoder rows go, and the `AttentionMask`, built and validated
 once. It reads each window's robot and frame count alone. `slot_rows`
-gives its columns' position and readout embeddings, zero at padding, from
-the parameters. `window_tokens` fills a structure with token values: the
-encoder rows, scattered into their columns, plus the slot rows.
+gathers its columns, in whatever order they are listed, from one per-slot
+table of position and readout embeddings, and zeroes padding where the
+structure has any. `window_tokens` fills a structure with token values:
+the encoder rows, scattered into their columns, plus the slot rows.
 `assemble_batch` runs all three, or the last two on a structure kept by
 the caller. `Policy.predict` encodes its whole batch first, in one pass
 over the batch's views (`encode_batch`): one grouped conv stack over every
@@ -95,7 +97,6 @@ class SlotLayout:
     # derived lookups, filled in __post_init__
     token_step: np.ndarray = field(init=False)
     token_is_obs: np.ndarray = field(init=False)
-    token_readout_row: np.ndarray = field(init=False)  # row of the slot's readout embedding; 0 (zeros) for observations
     group_slots: dict[str, np.ndarray] = field(init=False)  # per group: [k, tokens], its slots at each step
     _base_mask: np.ndarray = field(init=False)
 
@@ -104,16 +105,10 @@ class SlotLayout:
         t = k * s
         self.token_step = np.repeat(np.arange(k), s)
         is_obs_step = np.zeros(s, dtype=bool)
-        readout_row = np.zeros(s, dtype=np.intp)
-        row = 1
         for g in self.groups:
             if g.kind != "readout":
                 is_obs_step[g.offset : g.offset + g.tokens] = True
-            else:
-                readout_row[g.offset : g.offset + g.tokens] = np.arange(row, row + g.tokens)
-                row += g.tokens
         self.token_is_obs = np.tile(is_obs_step, k)
-        self.token_readout_row = np.tile(readout_row, k)
         steps = np.arange(k)[:, None] * s
         self.group_slots = {g.name: steps + g.offset + np.arange(g.tokens) for g in self.groups}
         # rule (b)/(c): keys must be observation tokens at same-or-prior steps;
@@ -219,15 +214,14 @@ class WindowStructure:
     pad: np.ndarray  # [B, T] bool, True where slot is padding
     mask: ad.AttentionMask  # [B, T, T], True where attention is permitted
     valid_steps: np.ndarray  # [B, k] bool
-    # [T] original slot index of each token column: ascending for a full window;
-    # for a compact one, the kept observations ascending, then the readouts ascending
+    # [T] slot of each token column, which `slot_rows` reads: every slot in order for a full window;
+    # for a compact one, the kept observations ascending, then the head's readouts in the order of its steps
     slots: np.ndarray
-    head: str | None  # the head whose readouts a compact window keeps; None for a full window
-    readouts: np.ndarray | None  # [steps, chunk] token columns of the head's readouts; None for a full window
+    readouts: np.ndarray | None  # [steps, chunk] token columns of the head's readouts, the last; None for a full window
     # the observation groups that frames carry, in slot order, in runs, with the (window, frame index)
     # of their frames: image groups next in slot order on the same frames form one run, any other
     # group a run alone. `encode_rows` encodes a run in one pass; `encode_batch` takes the batch's
-    # image groups in one pass, whatever frames each sits on
+    # image groups in one pass, whatever frames each sits on. Every robot carries a group
     placed: tuple[tuple[tuple[SlotGroup, ...], tuple[tuple[int, int], ...]], ...]
     destinations: tuple[np.ndarray, np.ndarray]  # window and column of each of their encoder rows, in that order
 
@@ -391,26 +385,27 @@ def init_assembler_params(layout: SlotLayout, rng: np.random.Generator) -> dict[
 
 
 def slot_rows(layout: SlotLayout, params: dict[str, Tensor], structure: WindowStructure) -> Tensor:
-    """[B, n, d_model]: each column's position embedding plus, at a readout, its readout embedding; zero at padding.
+    """Each column's slot row: [n, d_model], which every window shares, or [B, n, d_model] with padding.
 
-    They depend on the structure and the parameters alone. The full window,
-    the oracle, gathers every slot's row of all readout tables stacked on a
-    zero row. A compact window's readouts are its last columns, step after
-    step in slot order, so it adds its head's table there alone, over the
-    steps.
+    A slot's row is its position embedding plus, at a readout slot, its
+    head's readout embedding at the slot's chunk index: it depends on the
+    slot alone. So every window gathers its columns, in any order, from one
+    table [k * S, d_model]: `asm/pos` plus one step's rows, each group's
+    zero rows or its head's readout table, broadcast over the k steps.
+    Only a structure with padding, the full-window oracle's or a compact
+    window's over windows of several shapes, multiplies them by its keep
+    mask to zero the padding; a bucket's and an `act` window's have none.
     """
-    pos = params["asm/pos"]
-    if structure.head is None:
-        tables = [params[f"asm/readout/{g.head}"] for g in layout.groups if g.kind == "readout"]
-        table = ad.concat([ad.tensor(np.zeros((1, layout.d_model), dtype=pos.dtype)), *tables], axis=0)
-        rows = ad.take(table, layout.token_readout_row[structure.slots], axis=0) + ad.take(pos, structure.slots, axis=0)
-    else:
-        first, chunk = structure.readouts.min(), structure.readouts.shape[1]
-        table = params[f"asm/readout/{structure.head}"]
-        readouts = ad.take(pos, structure.slots[first:].reshape(-1, chunk), axis=0) + table
-        obs = ad.take(pos, structure.slots[:first], axis=0)
-        rows = ad.concat([obs, readouts.reshape(-1, layout.d_model)], axis=0)
-    return rows * ad.tensor((~structure.pad).astype(pos.dtype)[:, :, None])
+    pos, d = params["asm/pos"], layout.d_model
+    step = ad.concat([
+        params[f"asm/readout/{g.head}"] if g.kind == "readout" else ad.tensor(np.zeros((g.tokens, d), dtype=pos.dtype))
+        for g in layout.groups
+    ], axis=0)
+    table = pos.reshape(layout.history, layout.step_tokens, d) + step
+    rows = ad.take(table.reshape(-1, d), structure.slots, axis=0)
+    if structure.pad.any():
+        rows = rows * ad.tensor((~structure.pad).astype(pos.dtype)[:, :, None])
+    return rows
 
 
 class _Frames(NamedTuple):
@@ -461,9 +456,9 @@ def window_structure(
     head, the compact window for that head's readouts at `steps`, which
     index the k window steps (every window ends at step k-1, so [-1] is the
     newest): the observation slots live in at least one window (padding in
-    the others), then the head's readout slots at `steps`, whose columns it
-    names in `readouts`. Windows of one robot and f frames at steps
-    `slice(k - f, None)`, a bucket, have no padding.
+    the others), then the head's readout slots at `steps`, in that order,
+    whose columns it names in `readouts`. Windows of one robot and f frames
+    at steps `slice(k - f, None)`, a bucket, have no padding.
     The windows must have passed `window_embodiment`; this does not check
     them again, and reads only their robots' groups and frame counts. A
     compact window's mask states each row's key prefix, the observation
@@ -484,16 +479,15 @@ def window_structure(
             placed[-1] = ((*placed[-1][0], g), mine)
         else:
             placed.append(((g,), mine))
-    if placed:
-        windows_of, slots_of = (np.concatenate(a) if len(a) > 1 else a[0] for a in (windows_of, slots_of))
-        live[windows_of, slots_of] = True
+    windows_of, slots_of = (np.concatenate(a) if len(a) > 1 else a[0] for a in (windows_of, slots_of))
+    live[windows_of, slots_of] = True
 
     if head is None:
         cols, structure = np.arange(t), ()
     else:
         readout_slots = layout.readout_indices(head)[steps]
         obs = np.flatnonzero((live & layout.token_is_obs).any(axis=0))
-        cols = np.concatenate([obs, np.sort(readout_slots.ravel())])
+        cols = np.concatenate([obs, readout_slots.ravel()])
         structure = np.searchsorted(layout.token_step[obs], layout.token_step[cols], side="right"), readout_slots.size
     column = np.zeros(t, dtype=np.intp)  # kept column of each slot
     column[cols] = np.arange(cols.size)
@@ -503,10 +497,9 @@ def window_structure(
         mask=ad.AttentionMask(build_attention_mask(layout, pad, cols), *structure),
         valid_steps=frames.valid,
         slots=cols,
-        head=head,
         readouts=None if head is None else column[readout_slots],
         placed=tuple(placed),
-        destinations=(windows_of, column[slots_of]) if placed else (),
+        destinations=(windows_of, column[slots_of]),
     )
 
 
@@ -582,28 +575,27 @@ def encode_batch(windows: list[list[ObservationFrame]], layout: SlotLayout, bank
 
 def encode_rows(
     structure: WindowStructure, windows: list[list[ObservationFrame]], bank: EncoderBank, encode=encode_group
-) -> EncoderRows | None:
+) -> EncoderRows:
     """The encoder rows of `structure`'s destinations, a pass per run of groups that `structure.placed` lists.
 
     `encode(bank, groups, frames, index)` gives a run's rows, `encode_group`
-    by default; None when the structure places no rows.
+    by default.
     """
     rows = [
         encode(bank, groups, [windows[bi][i] for bi, i in at], [i for _, i in at]) for groups, at in structure.placed
     ]
     rows = [r.reshape(-1, r.shape[-1]) for r in rows]
-    return EncoderRows(ad.concat(rows, axis=0) if len(rows) > 1 else rows[0]) if rows else None
+    return EncoderRows(ad.concat(rows, axis=0) if len(rows) > 1 else rows[0])
 
 
-def window_tokens(structure: WindowStructure, encoded: EncoderRows | None, slots: Tensor) -> AssembledWindow:
+def window_tokens(structure: WindowStructure, encoded: EncoderRows, slots: Tensor) -> AssembledWindow:
     """The window `structure` lays out, with `encoded`'s encoder rows and the slot rows `slots`.
 
     The encoder rows are scattered straight into their kept columns, and
-    every column gets its row of `slots`, the structure's `slot_rows`. No
-    encoder row goes to padding, so padding stays zero.
+    every column gets its row of `slots`, the structure's `slot_rows`,
+    broadcast over the windows where it is one [n, d_model] array. No
+    encoder row goes to padding, and `slot_rows` zeroes it there.
     """
-    if not structure.placed:
-        return AssembledWindow(tokens=slots, **vars(structure))
     content = ad.scatter_tokens(encoded.rows, *structure.destinations, *structure.pad.shape, encoded.at)
     return AssembledWindow(tokens=content + slots, **vars(structure))
 
@@ -613,22 +605,20 @@ def assemble_batch(
     layout: SlotLayout,
     bank: EncoderBank,
     params: dict[str, Tensor],
-    head: str | None = None,
-    steps=slice(None),
     encoded: EncoderRows | None = None,
     structure: WindowStructure | None = None,
 ) -> AssembledWindow:
     """Place a batch of checked frame histories into their slots, with their encoder rows.
 
-    `window_structure(windows, layout, head, steps)`, filled by `window_tokens`
-    with its `slot_rows` and `encoded`'s rows: `Policy.predict` gives each
-    bucket its rows of the batch's one encoder pass (`EncodedBatch.of`) and
-    its kept `structure`, which then stands for `head` and `steps`.
-    Without `encoded`, the windows are encoded here, a pass per run of
-    groups (`encode_rows`), as the oracles do.
+    `structure`, the full window's `window_structure` when None, filled by
+    `window_tokens` with its `slot_rows` and `encoded`'s rows:
+    `Policy.predict` gives each bucket its kept compact structure and its
+    rows of the batch's one encoder pass (`EncodedBatch.of`). Without
+    `encoded`, the windows are encoded here, a pass per run of groups
+    (`encode_rows`), as the oracles do.
     """
     if structure is None:
-        structure = window_structure(windows, layout, head, steps)
+        structure = window_structure(windows, layout)
     if encoded is None:
         encoded = encode_rows(structure, windows, bank)
     return window_tokens(structure, encoded, slot_rows(layout, params, structure))

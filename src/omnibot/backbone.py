@@ -60,8 +60,9 @@ def forward(window: AssembledWindow | Sequence[AssembledWindow], params: dict[st
     keys and values; its queries, attention output, MLP and the final norm
     are row-wise, so they run on the readout rows alone and give the same
     numbers as the full forward. A compact window lists those rows last,
-    so the last layer attends from the first readout row of the window's
-    mask, with the first layer's plan cut there.
+    in the order of its steps, so the last layer attends from the first
+    readout row of the window's mask, with the first layer's plan cut
+    there, and its output rows are the readouts in order.
 
     Every op reads and writes [B, rows, d_model]: `masked_attention`
     splits the heads itself, as strided views, so a layer is two norms,
@@ -75,9 +76,10 @@ def forward(window: AssembledWindow | Sequence[AssembledWindow], params: dict[st
     runs each window's segment with its own mask and plan (see
     `masked_attention`). The last layer takes every window's readout rows
     in one gather. It returns [1, R, d_model]: each window's readouts in
-    turn, in its [B, steps, chunk] order. Each window's numbers are those
-    of its own forward up to the order of floating-point sums, since the
-    row-wise products and norms now run over more rows.
+    turn, in its [B, steps, chunk] order, which is the order of its rows.
+    Each window's numbers are those of its own forward up to the order of
+    floating-point sums, since the row-wise products and norms now run over
+    more rows.
     """
     bb = cfg.backbone
     packed = not isinstance(window, AssembledWindow)
@@ -90,12 +92,11 @@ def forward(window: AssembledWindow | Sequence[AssembledWindow], params: dict[st
         x = ad.concat([w.tokens.reshape(1, -1, bb.d_model) for w in windows], axis=1)
         masks, start = [w.mask for w in windows], [0] * len(windows)
         cut = [w.tokens.shape[1] - w.readouts.size for w in windows]  # each mask's row of its first readout
-        tail, order = _packed_readouts(windows)
+        tail = _packed_readouts(windows)
     else:
         x, masks, start = window.tokens, window.mask, 0  # the mask row of the first query
         cut = None if window.readouts is None else x.shape[1] - window.readouts.size  # the readouts trail
-        if cut is not None:
-            tail, order = slice(cut, None), window.readouts.ravel() - cut  # the readouts trail: a slice
+        tail = slice(cut, None)
 
     for i in range(bb.layers):
         p = f"bb/layer{i}"
@@ -114,25 +115,19 @@ def forward(window: AssembledWindow | Sequence[AssembledWindow], params: dict[st
         x = x + ad.linear(m, params[f"{p}/mlp/w2"], params[f"{p}/mlp/b2"])
 
     out = ad.layer_norm(x, params["bb/final_ln/g"], params["bb/final_ln/b"])
-    if cut is None:
+    if cut is None or packed:
         return out
-    if (order != np.arange(order.size)).any():  # steps asked for out of order
-        out = ad.take(out, order, axis=1)
-    return out if packed else out.reshape(x.shape[0], *window.readouts.shape, bb.d_model)
+    return out.reshape(x.shape[0], *window.readouts.shape, bb.d_model)
 
 
-def _packed_readouts(windows: list[AssembledWindow]) -> tuple[np.ndarray, np.ndarray]:
-    """The packed rows that the last layer's queries read, and the order of the readouts among them.
+def _packed_readouts(windows: list[AssembledWindow]) -> np.ndarray:
+    """The packed rows that the last layer's queries read: each window's trailing readout rows, element by element.
 
-    Each window's trailing rows, of each of its batch elements in turn,
-    come first; `order` lists them as each window's `readouts` name them.
+    They are each window's readouts in its [B, steps, chunk] order.
     """
-    tail, order, rows, queries = [], [], 0, 0
+    tail, rows = [], 0
     for w in windows:
         nb, t = w.tokens.shape[:2]
-        r = w.readouts.size
-        elements = np.arange(nb)[:, None]
-        tail.append((rows + elements * t + np.arange(t - r, t)).ravel())
-        order.append((queries + elements * r + w.readouts.ravel() - (t - r)).ravel())
-        rows, queries = rows + nb * t, queries + nb * r
-    return np.concatenate(tail), np.concatenate(order)
+        tail.append((rows + np.arange(nb)[:, None] * t + np.arange(t - w.readouts.size, t)).ravel())
+        rows += nb * t
+    return np.concatenate(tail)

@@ -54,20 +54,22 @@ writes parameters in place calls `params_changed`, which drops these rows.
 
 A fourth fact lets `act` and `predict` build each window shape once.
 Everything of a window but its encoder rows depends only on the robot, the
-number of frames and the head, since `window_embodiment` pins the groups of
-a robot's frames. That is its structure (`assembler.WindowStructure`: the
-kept columns, padding, readout rows, where each encoder row goes, and the
-`AttentionMask` with its plans) and its slot rows (`assembler.slot_rows`:
-position and readout embeddings, zero at padding). `Policy.window_structures`
-keeps one structure per such shape: `act`'s by (robot, frames, head), at
-most robots x history, and a bucket's by (robot, frames, head, window
-count), at most robots x history x batch size. `act` also keeps the slot
-rows of its shapes. A structure holds no parameters, so `params_changed`
-keeps it; slot rows are computed from `asm/pos` and the head's readout
-table, so `params_changed` drops them with the encoder rows. Training
-computes its slot rows each batch, for their gradients. An `act` window has
-no padding, so its tokens are exactly its encoder rows plus its kept slot
-rows.
+number of frames and the head, since `window_embodiment` pins the groups
+of a robot's frames. That is its structure (`assembler.WindowStructure`:
+the kept columns, padding, readout rows, where each encoder row goes, and
+the `AttentionMask` with its plans) and its slot rows
+(`assembler.slot_rows`: its columns' rows of one per-slot table of
+position and readout embeddings). `Policy.window_structures` keeps one
+structure per such shape: `act`'s by (robot, frames, head), at most robots
+x history, and a bucket's by (robot, frames, head, window count), at most
+robots x history x batch size. `act` also keeps the slot rows of its
+shapes. A structure holds no parameters, so `params_changed` keeps it;
+slot rows are computed from `asm/pos` and the head's readout table, so
+`params_changed` drops them with the encoder rows. Training computes its
+slot rows each batch, for their gradients. Neither a bucket nor an `act`
+window has padding, so its slot rows are one [T, d_model] array that its
+windows share, with no keep mask, and its tokens are exactly its encoder
+rows plus them.
 """
 
 from __future__ import annotations

@@ -58,7 +58,10 @@ def test_d_model_mismatch_raises(policy):
 
 def test_one_pass_packs_compact_windows_only(policy):
     """The packed pass reads each window's readout rows, so a full window, which names none, is refused."""
-    assemble = lambda frames, head: assembler.assemble_batch(frames, policy.layout, policy.bank, policy.params, head)  # noqa: E731
+    def assemble(frames, head):
+        structure = assembler.window_structure(frames, policy.layout, head)
+        return assembler.assemble_batch(frames, policy.layout, policy.bank, policy.params, structure=structure)
+
     compact = assemble([frames_for("nav", 2)], "navigation")
     out = backbone.forward([compact, assemble([frames_for("quad", 3)], "quadruped")], policy.params, policy.cfg)
     readouts = policy.layout.readout_indices("navigation").size + policy.layout.readout_indices("quadruped").size

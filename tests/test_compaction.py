@@ -397,7 +397,8 @@ def test_a_four_head_batch_is_encoded_in_one_pass(policy, sampler, cfg, monkeypa
 
 
 def compact_window(policy, windows, head, steps=slice(None)):
-    return assembler.assemble_batch(windows, policy.layout, policy.bank, policy.params, head, steps)
+    structure = assembler.window_structure(windows, policy.layout, head, steps)
+    return assembler.assemble_batch(windows, policy.layout, policy.bank, policy.params, structure=structure)
 
 
 def test_compact_keeps_live_observations_and_the_heads_readouts(policy):
@@ -433,24 +434,52 @@ def test_compact_mask_of_non_contiguous_rows_and_steps_restricts_the_full_mask(p
         assert rel_err(sub.tokens.data, window.tokens.data[rows][:, sub.slots]) <= TOL
 
 
-def test_compact_slot_rows_and_their_gradients_match_the_full_windows_gather(policy):
-    """A compact window adds its head's readout table at its trailing readouts alone. The full window gathers
-    every column's row of all readout tables stacked on a zero row; on the same columns it is the oracle."""
+def reference_slot_rows(layout, params, structure):
+    """[B, n, d] in numpy: each column's `asm/pos` row, plus its head's readout row at the slot's chunk index at a
+    readout slot, times zero at padding; and the (table, rows of it) each readout column reads."""
+    slots, step_slot = structure.slots, structure.slots % layout.step_tokens
+    rows = params["asm/pos"].data[slots]
+    reads = []
+    for g in layout.groups:
+        mine = (g.kind == "readout") & (step_slot >= g.offset) & (step_slot < g.offset + g.tokens)
+        if mine.any():
+            table, at = params[f"asm/readout/{g.head}"], step_slot[mine] - g.offset
+            rows[mine] = rows[mine] + table.data[at]
+            reads.append((table, mine, at))
+    return rows * (~structure.pad)[:, :, None], reads
+
+
+def test_slot_rows_and_their_gradients_match_a_per_slot_reference(policy):
+    """On the full window with padding and on compact windows, with and without padding, of every step order:
+    values bitwise those of `reference_slot_rows`, and gradients equal to its gradients accumulated by `np.add.at`
+    (which, adding onto zeros, may turn a -0.0 into 0.0)."""
     names = ("nav", "quad", "nav", "arm1", "nav")
     windows = [rollout_frames(n, 1 + i, i) for i, n in enumerate(names)]
     layout, params = policy.layout, policy.params
     embeddings = [p for name, p in params.items() if name.startswith("asm/")]
     rng = np.random.Generator(np.random.PCG64(9))
-    for picks, head in (([0, 2, 4], "navigation"), ([1], "quadruped"), ([3], "single-arm")):
-        for steps in (slice(None), [-1], [3, 1]):
-            structure = assembler.window_structure([windows[r] for r in picks], layout, head, steps)
-            got = assembler.slot_rows(layout, params, structure)
-            want = assembler.slot_rows(layout, params, dataclasses.replace(structure, head=None))
-            np.testing.assert_array_equal(got.data, want.data)
-            weights = ad.tensor(rng.standard_normal(got.shape))
-            grads, oracle = (ad.backward((rows * weights).sum(), embeddings) for rows in (got, want))
-            for p in embeddings:
-                np.testing.assert_array_equal(grads[p], oracle[p])
+    compact = (([0, 2, 4], "navigation"), ([1], "quadruped"), ([3], "single-arm"))
+    cases = [(list(range(len(windows))), None, slice(None))]
+    cases += [(picks, head, steps) for picks, head in compact for steps in (slice(None), [-1], [3, 1])]
+    padded = []  # whether each case runs the keep multiply
+    for picks, head, steps in cases:
+        structure = assembler.window_structure([windows[r] for r in picks], layout, head, steps)
+        got = assembler.slot_rows(layout, params, structure)
+        want, reads = reference_slot_rows(layout, params, structure)
+        padded.append(bool(structure.pad.any()))
+        assert np.broadcast_to(got.data, want.shape).tobytes() == want.tobytes(), (head, steps)
+        assert got.shape == (want.shape if structure.pad.any() else want.shape[1:]), (head, steps)
+
+        weights = rng.standard_normal(want.shape)
+        grads = ad.backward((got * ad.tensor(weights)).sum(), embeddings)
+        upstream = (weights * (~structure.pad)[:, :, None]).sum(axis=0)  # [n, d]: each column's gradient
+        oracle = {p: np.zeros_like(p.data) for p in embeddings}
+        np.add.at(oracle[params["asm/pos"]], structure.slots, upstream)
+        for table, mine, at in reads:
+            np.add.at(oracle[table], at, upstream[mine])
+        for p in embeddings:
+            np.testing.assert_array_equal(grads[p], oracle[p])
+    assert padded[0] and set(padded[1:]) == {True, False}
 
 
 def test_unknown_embodiment_raises_contract_error(policy):
@@ -473,10 +502,11 @@ def test_compact_window_lists_observations_first_and_readouts_last(policy):
         obs = layout.token_is_obs[sub.slots]
         n = int(obs.sum())
         assert obs[:n].all() and not obs[n:].any()
-        assert (np.diff(sub.slots[:n]) > 0).all() and (np.diff(sub.slots[n:]) > 0).all()
-        np.testing.assert_array_equal(sub.slots[n:], np.sort(want.ravel()))
+        assert (np.diff(sub.slots[:n]) > 0).all()
+        np.testing.assert_array_equal(sub.slots[n:], want.ravel())  # in the order of `steps`
+        np.testing.assert_array_equal(sub.readouts, n + np.arange(want.size).reshape(want.shape))
         np.testing.assert_array_equal(sub.slots[sub.readouts], want)  # the same rows of the full window
-        assert (sub.readouts >= n).all()
+        assert (np.diff(sub.slots[n:]) > 0).all() == (steps != [3, 1])  # slot order only for ascending steps
 
 
 def record_attention(monkeypatch):

@@ -184,7 +184,7 @@ def test_params_changed_drops_slot_rows_of_the_old_parameters(cfg):
 
 
 def test_act_windows_have_no_padding(cfg):
-    """So an `act` window's tokens are its encoder rows plus its kept slot rows, with no keep mask to apply."""
+    """So an `act` window's tokens are its encoder rows plus its kept slot rows, one [T, d] array with no keep mask."""
     policy = Policy.init(cfg, seed=0)
     k = policy.layout.history
     for name in FUZZ_ROBOTS:
@@ -194,7 +194,7 @@ def test_act_windows_have_no_padding(cfg):
     assert len(policy.frame_tokens.slots) == len(policy.window_structures) == len(FUZZ_ROBOTS) * k
     for shape, structure in policy.window_structures.items():
         assert not structure.pad.any(), shape
-        assert policy.frame_tokens.slots[shape].shape == (1, structure.slots.size, cfg.backbone.d_model)
+        assert policy.frame_tokens.slots[shape].shape == (structure.slots.size, cfg.backbone.d_model)
 
 
 @pytest.mark.parametrize("name", ("bb/layer1/mlp/w1", "head/navigation/b"))
